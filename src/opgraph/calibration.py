@@ -16,15 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metrics import psnr
-from .solvers import power_iteration, reconstruct
+# power_iteration stays bound here because perfbench/spans.py patches it by module
+from .solvers import pin_step, power_iteration, reconstruct  # noqa: F401
 from .templates import Template
-from .tensor import Rng, Tensor
+from .tensor import CodedError, Rng, Tensor
 
 _OBJECTIVES = ("oracle_psnr", "measurement_residual")
-# mirrors the solver's auto-step margin; computed once at nominal and reused
-# because the spectral norm moves little across the registry drift ranges
-_STEP_MARGIN = 1.05
-_STEPPED_SOLVERS = ("fista_tv", "gap_tv")
 _FD_STEP = 1e-3
 _RMS_DECAY = 0.9
 _EARLY_TOL = 1e-5
@@ -32,10 +29,8 @@ _EARLY_WINDOW = 10
 _JITTER_REL = 0.02
 
 
-class CalibError(ValueError):
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
+class CalibError(CodedError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -95,12 +90,8 @@ class _Objective:
         self.mode = cfg.objective
         self.x_gt = x_gt.numpy() if isinstance(x_gt, Tensor) else x_gt
         self.evals = 0
-        solver = dict(cfg.solver_cfg if cfg.solver_cfg is not None else template.calib_solver)
-        if solver.get("name") in _STEPPED_SOLVERS and solver.get("step", "auto") == "auto":
-            lam = power_iteration(template.operator(), seed=cfg.seed) * _STEP_MARGIN
-            if lam > 0.0:
-                solver["step"] = 1.0 / lam
-        self.solver = solver
+        solver = cfg.solver_cfg if cfg.solver_cfg is not None else template.calib_solver
+        self.solver = pin_step(template.operator(), solver, seed=cfg.seed)
 
     def __call__(self, theta) -> float:
         self.evals += 1

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -19,15 +18,14 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
 def _emit(label: str, value) -> None:
-    print(f"{label:<18}{value}")
+    # a label of 18 characters or more still gets one space before its value
+    print(f"{label:<17} {value}")
 
 
 def _fmt_db(value) -> str:
@@ -285,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Forward-model compilation, simulation, calibration, and "
                     "run verification.",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap worker threads for numeric backends")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compile", help="compile a graph spec and print its plan")
@@ -346,13 +342,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse prints usage itself; bad flags exit 2, --help exits 0
         return int(exc.code or 0)
-    if args.threads is not None:
-        if args.threads < 1:
-            print("error: --threads must be >= 1", file=sys.stderr)
-            return EXIT_USAGE
-        # best effort: BLAS pools spawned after this point honor these
-        for var in _THREAD_VARS:
-            os.environ[var] = str(args.threads)
     try:
         return _HANDLERS[args.command](args)
     except FileNotFoundError as exc:

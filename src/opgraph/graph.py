@@ -31,19 +31,16 @@ from .primitives import (
     prim_output_dtype,
     prim_output_shape,
 )
-from .tensor import Tensor, TensorError
+from .registry import RegistryError, StrictLoader
+from .tensor import CodedError, Tensor, TensorError
 
 ADD_NODE = "add"
 CLOSURE_TOL = 0.01
 FIDELITY_EPS = 1e-8
 
 
-class GraphError(ValueError):
-    """Graph validation or execution failure; ``code`` is machine-checkable."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
+class GraphError(CodedError):
+    """Graph validation or execution failure."""
 
 
 @dataclass(frozen=True)
@@ -74,23 +71,6 @@ def make_spec(nodes, edges, metadata=None) -> GraphSpec:
 
 # ---------------------------------------------------------------------------
 # YAML round trip
-
-
-class _StrictLoader(yaml.SafeLoader):
-    pass
-
-
-def _no_duplicates(loader, node, deep=False):
-    mapping = {}
-    for key_node, value_node in node.value:
-        key = loader.construct_object(key_node, deep=deep)
-        if key in mapping:
-            raise GraphError("BAD_SPEC", f"duplicate mapping key {key!r}")
-        mapping[key] = loader.construct_object(value_node, deep=deep)
-    return mapping
-
-
-_StrictLoader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _no_duplicates)
 
 
 def _param_from_doc(value):
@@ -132,8 +112,8 @@ def _param_to_doc(value):
 
 def parse_spec(text: str) -> GraphSpec:
     try:
-        doc = yaml.load(text, Loader=_StrictLoader)
-    except yaml.YAMLError as exc:
+        doc = yaml.load(text, Loader=StrictLoader)
+    except (yaml.YAMLError, RegistryError) as exc:
         raise GraphError("BAD_SPEC", f"not valid YAML: {exc}") from exc
     if not isinstance(doc, dict) or "nodes" not in doc:
         raise GraphError("BAD_SPEC", "expected a mapping with a 'nodes' list")

@@ -7,18 +7,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import convolve2d
 
-from .tensor import Rng, Tensor
+from .tensor import CodedError, Rng, Tensor
 
 _SSIM_WINDOW = 11
 _SSIM_SIGMA = 1.5
 _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
+# two-sided 95% percentile bootstrap interval
+CI_PERCENTILES = (2.5, 97.5)
 
 
-class MetricError(ValueError):
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
+class MetricError(CodedError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ def recovery_ratio(psnr_i: float, psnr_ii: float, psnr_iv: float) -> float:
 
 
 def bootstrap_ci(values, n_resamples: int = 1000, seed: int = 0, statistic=None) -> tuple[float, float]:
-    """Percentile bootstrap over scenes; returns the (2.5, 97.5) interval."""
+    """Percentile bootstrap over scenes; returns the ``CI_PERCENTILES`` interval."""
     vals = np.asarray(list(values), dtype=np.float64)
     if vals.size < 1:
         raise MetricError("EMPTY", "need at least one scene value")
@@ -144,7 +144,7 @@ def bootstrap_ci(values, n_resamples: int = 1000, seed: int = 0, statistic=None)
     rng = Rng(seed, 23)
     idx = rng.integers(0, vals.size, (n_resamples, vals.size))
     stats = np.array([stat(vals[row]) for row in idx])
-    lo, hi = np.percentile(stats, [2.5, 97.5])
+    lo, hi = np.percentile(stats, CI_PERCENTILES)
     return float(lo), float(hi)
 
 

@@ -157,13 +157,11 @@ def _check_type(kind, name, tag, value):
 
 @dataclass(frozen=True)
 class PrimitiveInstance:
-    """A bound primitive: kind + validated params + capability flags."""
+    """A bound primitive: kind + validated params + linearity flag."""
 
     kind: PrimitiveKind
     params: dict
     is_linear: bool
-    is_stochastic: bool = False
-    is_differentiable: bool = True
 
     def forward(self, x: Tensor) -> Tensor:
         return prim_forward(self, x)
@@ -189,13 +187,9 @@ def make_primitive(kind, params: dict) -> PrimitiveInstance:
             raise PrimitiveError(f"{kind.value}: missing required parameter {name!r}")
     _validate_params(kind, clean)
     is_linear = kind not in (PrimitiveKind.DETECT, PrimitiveKind.TRANSFORM)
-    is_diff = True
     if kind == PrimitiveKind.DETECT:
         is_linear = clean["family"] == "linear_field"
-    if kind == PrimitiveKind.TRANSFORM:
-        is_linear = False
-        is_diff = clean["family"] not in ("phase_wrap", "saturation")
-    return PrimitiveInstance(kind=kind, params=clean, is_linear=is_linear, is_differentiable=is_diff)
+    return PrimitiveInstance(kind=kind, params=clean, is_linear=is_linear)
 
 
 def _validate_params(kind, p):

@@ -13,22 +13,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CalibConfig, calibrate_alg1, calibrate_alg2
-from .metrics import MetricError, SceneMetrics, recovery_ratio, scene_metrics
-from .solvers import power_iteration, reconstruct
+from .metrics import CI_PERCENTILES, MetricError, recovery_ratio, scene_metrics
+# power_iteration stays bound here because perfbench/spans.py patches it by module
+from .solvers import pin_step, power_iteration, reconstruct  # noqa: F401
 from .templates import Template, apply_noise, make_phantoms
-from .tensor import Rng
+from .tensor import CodedError, Rng
 
 SCENARIOS = ("I", "II", "III", "IV")
 _STREAM_NOISE = 5
 _STREAM_BOOT = 7
-_STEP_MARGIN = 1.05
-_STEPPED_SOLVERS = ("fista_tv", "gap_tv")
 
 
-class ProtocolError(ValueError):
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
+class ProtocolError(CodedError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -51,16 +48,6 @@ class ScenarioResult:
             "theta_hat": list(self.theta_hat),
             "theta_true": list(self.theta_true),
         }
-
-
-def _pin_step(template: Template, cfg: dict) -> dict:
-    """Fix the gradient step once at nominal; drift barely moves the norm."""
-    cfg = dict(cfg)
-    if cfg.get("name") in _STEPPED_SOLVERS and cfg.get("step", "auto") == "auto":
-        lam = power_iteration(template.operator(), seed=cfg.get("seed", 0)) * _STEP_MARGIN
-        if lam > 0.0:
-            cfg["step"] = 1.0 / lam
-    return cfg
 
 
 def _calibrate(template, y0, x0, calib: str, calib_cfg: CalibConfig | None):
@@ -103,7 +90,7 @@ def _rho_ci(scenes, n_resamples: int, seed: int):
             vals.append((miv - mii) / (mi - mii))
     if not vals:
         return None
-    lo, hi = np.percentile(vals, [2.5, 97.5])
+    lo, hi = np.percentile(vals, CI_PERCENTILES)
     return float(lo), float(hi)
 
 
@@ -117,9 +104,10 @@ def run_scenarios(template: Template, theta_true, solver_cfg: dict | None = None
     if not phantoms:
         raise ProtocolError("NO_SCENES", "need at least one phantom")
 
-    solver = _pin_step(template, solver_cfg if solver_cfg is not None else template.solver)
     g_true = template.operator(theta_true)
     g_nom = template.operator()
+    solver = solver_cfg if solver_cfg is not None else template.solver
+    solver = pin_step(g_nom, solver, seed=solver.get("seed", 0))
 
     noise_rng = Rng(seed, _STREAM_NOISE)
     measurements = []

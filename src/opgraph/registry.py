@@ -17,6 +17,7 @@ from pathlib import Path
 import yaml
 
 from .primitives import _SCHEMAS, PrimitiveKind
+from .tensor import CodedError
 
 _FILES = ("primitives.yaml", "templates.yaml", "mismatch.yaml", "thresholds.yaml")
 
@@ -27,19 +28,16 @@ _REQUIRED_THRESHOLDS = {
     "recovery": ("rho_min_single_param", "rho_min_multi_param"),
     "gate_recoverability": ("adequate_ratio", "marginal_ratio", "svd_rel_tol"),
     "gate_carrier": ("sufficient_snr_db", "marginal_snr_db"),
-    "gate_mismatch": ("negligible_severity", "severe_severity"),
-    "bootstrap": ("n_resamples", "lo_percentile", "hi_percentile"),
+    "bootstrap": ("n_resamples",),
 }
 
 
-class RegistryError(ValueError):
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
-
-
-class _StrictLoader(yaml.SafeLoader):
+class RegistryError(CodedError):
     pass
+
+
+class StrictLoader(yaml.SafeLoader):
+    """SafeLoader that rejects duplicate mapping keys instead of keeping the last."""
 
 
 def _no_duplicates(loader, node, deep=False):
@@ -52,7 +50,7 @@ def _no_duplicates(loader, node, deep=False):
     return mapping
 
 
-_StrictLoader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _no_duplicates)
+StrictLoader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _no_duplicates)
 
 
 @dataclass(frozen=True)
@@ -75,9 +73,7 @@ class Registry:
 
 def _load_yaml(text: str, name: str) -> dict:
     try:
-        doc = yaml.load(text, Loader=_StrictLoader)
-    except RegistryError:
-        raise
+        doc = yaml.load(text, Loader=StrictLoader)
     except yaml.YAMLError as exc:
         raise RegistryError("BAD_YAML", f"{name}: {exc}") from exc
     if not isinstance(doc, dict):

@@ -18,15 +18,14 @@ import numpy as np
 
 from . import __version__
 from .metrics import jsonable
+from .tensor import CodedError
 
 MANIFEST_NAME = "runbundle.json"
 _HASH_CHUNK = 1 << 20
 
 
-class BundleError(ValueError):
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
+class BundleError(CodedError):
+    pass
 
 
 def _sha256(path: Path) -> str:

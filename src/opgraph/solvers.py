@@ -15,17 +15,16 @@ import numpy as np
 
 from .graph import GraphOperator
 from .primitives import PrimitiveKind, make_primitive, prim_adjoint
-from .tensor import Rng, Tensor
+from .tensor import CodedError, Rng, Tensor
 
 _RESIDUAL_EPS = 1e-12
 # spectral-norm safety margin on the power-iteration estimate
 _STEP_MARGIN = 1.05
+_STEPPED_SOLVERS = ("fista_tv", "gap_tv")
 
 
-class SolverError(ValueError):
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
+class SolverError(CodedError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -122,6 +121,18 @@ def _auto_step(g: GraphOperator, seed: int) -> float:
     if lam <= 0.0:
         raise SolverError("ZERO_OPERATOR", "spectral norm estimate is zero; no usable step")
     return 1.0 / lam
+
+
+def pin_step(g: GraphOperator, cfg: dict, seed: int) -> dict:
+    """Copy of ``cfg`` with a TV solver's ``"auto"`` step fixed from ``g``'s norm.
+
+    Calibration and the scenario protocol pin once at the nominal operator and
+    reuse the step, because drift barely moves the spectral norm.
+    """
+    cfg = dict(cfg)
+    if cfg.get("name") in _STEPPED_SOLVERS and cfg.get("step", "auto") == "auto":
+        cfg["step"] = _auto_step(g, seed)
+    return cfg
 
 
 def _residual(g: GraphOperator, x: np.ndarray, y: np.ndarray) -> float:
@@ -237,7 +248,7 @@ def reconstruct(g: GraphOperator, y: Tensor, cfg: dict) -> ReconResult:
         _require_adjoint(g)
         x = _adjoint_primal(g, y_arr)
         return ReconResult(Tensor(x), _residual(g, x, y_arr), 1)
-    if name not in ("fista_tv", "gap_tv"):
+    if name not in _STEPPED_SOLVERS:
         raise SolverError("BAD_CONFIG", f"unknown solver {name!r}")
 
     _require_adjoint(g)
@@ -249,8 +260,7 @@ def reconstruct(g: GraphOperator, y: Tensor, cfg: dict) -> ReconResult:
     lam_tv = float(cfg.get("lambda_tv", 0.0))
     if lam_tv < 0:
         raise SolverError("BAD_CONFIG", f"lambda_tv must be nonnegative, got {lam_tv}")
-    step = cfg.get("step", "auto")
-    step = _auto_step(g, seed=int(cfg.get("seed", 0))) if step == "auto" else float(step)
+    step = float(pin_step(g, cfg, seed=int(cfg.get("seed", 0)))["step"])
     if step <= 0:
         raise SolverError("BAD_CONFIG", f"step must be positive, got {step}")
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .graph import GraphSpec, GraphOperator, compile_graph, make_spec
 from .registry import Registry, default_registry
-from .tensor import Rng, Tensor
+from .tensor import CodedError, Rng, Tensor
 
 # child-stream indices off the instantiation seed
 _STREAM_MASK = 1
@@ -28,10 +28,8 @@ _MIN_SIZE = 8
 _MAX_SIZE = 64
 
 
-class TemplateError(ValueError):
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
+class TemplateError(CodedError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -45,9 +43,8 @@ class Phantom:
 class MismatchFamily:
     """Named drift parameters and the spec rebuild they drive.
 
-    ``apply`` ignores the incoming spec's tensors and re-derives them from the
-    captured instantiation context; callers hand it the nominal spec only so
-    the fixed-point contract apply(spec, theta_nom) == spec stays visible.
+    ``apply`` re-derives every tensor from the captured instantiation context,
+    so ``apply(theta_nom)`` rebuilds the template's nominal spec.
     """
 
     modality: str
@@ -71,7 +68,7 @@ class MismatchFamily:
                 )
         return theta
 
-    def apply(self, spec: GraphSpec, theta) -> GraphSpec:
+    def apply(self, theta) -> GraphSpec:
         return self._build(self.check(theta))
 
 
@@ -95,7 +92,7 @@ class Template:
     def operator(self, theta=None) -> GraphOperator:
         if theta is None:
             return compile_graph(self.spec)
-        return compile_graph(self.family.apply(self.spec, theta))
+        return compile_graph(self.family.apply(theta))
 
     def full_sampling(self) -> "Template":
         """Same physics with the compressive stage removed (r = 1)."""
@@ -454,10 +451,6 @@ def instantiate(
         spectral=bool(entry.get("spectral", False)),
         _full_build=full_build,
     )
-
-
-def apply_mismatch(family: MismatchFamily, spec: GraphSpec, theta) -> GraphSpec:
-    return family.apply(spec, theta)
 
 
 # ---------------------------------------------------------------------------

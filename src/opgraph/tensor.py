@@ -23,6 +23,14 @@ _DTYPE_TO_NAME = {
 _NAME_TO_WIRE = {"real64": "<f8", "complex128": "<c16"}
 
 
+class CodedError(ValueError):
+    """A failure with a machine-checkable ``code``; str() reads ``"CODE: message"``."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(f"{code}: {message}")
+        self.code = code
+
+
 class TensorError(ValueError):
     """Bad tensor construction or use (shape, dtype, non-finite values)."""
 

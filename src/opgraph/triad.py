@@ -18,7 +18,7 @@ from .metrics import bootstrap_ci, psnr
 from .registry import default_registry
 from .solvers import reconstruct
 from .templates import Template, apply_noise, make_phantoms
-from .tensor import Rng, Tensor, tensor
+from .tensor import CodedError, Rng, Tensor, tensor
 
 GATES = ("recoverability", "carrier_budget", "operator_mismatch")
 _ACTIONS = {
@@ -30,10 +30,8 @@ _DENSE_CAP = 4096
 _STREAM_PROBE = 11
 
 
-class TriadError(ValueError):
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
+class TriadError(CodedError):
+    pass
 
 
 @dataclass(frozen=True)

@@ -35,16 +35,6 @@ class TestParsing:
     def test_unknown_subcommand_exits_two(self):
         assert main(["frobnicate"]) == 2
 
-    def test_threads_must_be_positive(self, capsys):
-        assert main(["--threads", "0", "basis-growth"]) == 2
-
-    def test_threads_sets_environment(self, monkeypatch):
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        assert main(["--threads", "2", "basis-growth"]) == 0
-        import os
-
-        assert os.environ["OMP_NUM_THREADS"] == "2"
-
 
 class TestCompile:
     def test_prints_plan_and_hash(self, ct_spec, capsys):
@@ -112,6 +102,15 @@ class TestScenario:
         stdout = capsys.readouterr().out
         assert "rho" in stdout
         assert "binding_gate" in stdout
+
+    def test_verify_separates_long_file_names(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(self._FLAGS + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "scenario_result.json ok" in lines
+        assert "triad_report.json ok" in lines
 
     def test_result_fields(self, tmp_path):
         out = tmp_path / "run"

@@ -46,9 +46,6 @@ class TestConstruction:
             "Transform", {"family": "polynomial", "coeffs": [0.0, 1.0]}
         ).is_linear
 
-    def test_stochastic_flag_default_off(self):
-        assert not make_primitive("Detect", {"family": "linear_field"}).is_stochastic
-
 
 class TestModulate:
     def test_elementwise(self):

@@ -7,6 +7,7 @@ from opgraph.graph import compile_graph, make_spec
 from opgraph.solvers import (
     ReconResult,
     SolverError,
+    pin_step,
     power_iteration,
     reconstruct,
     tv_norm,
@@ -123,6 +124,23 @@ def test_power_iteration_validates():
     g = _identity_graph(4)
     with pytest.raises(SolverError):
         power_iteration(g, n_iters=0)
+
+
+@pytest.mark.parametrize("cfg, pinned", [
+    ({"name": "fista_tv"}, True),
+    ({"name": "gap_tv", "step": "auto"}, True),
+    ({"name": "fista_tv", "step": 0.25}, False),
+    ({"name": "fbp"}, False),
+])
+def test_pin_step(cfg, pinned):
+    g = instantiate("spc", 16, 1, seed=0).operator()
+    before = dict(cfg)
+    out = pin_step(g, cfg, seed=3)
+    assert cfg == before
+    if pinned:
+        assert out == {**cfg, "step": 1.0 / (1.05 * power_iteration(g, seed=3))}
+    else:
+        assert out == cfg
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opgraph.calibration import CalibError
+from opgraph.graph import GraphError
+from opgraph.metrics import MetricError
+from opgraph.protocol import ProtocolError
+from opgraph.registry import RegistryError
+from opgraph.runbundle import BundleError
+from opgraph.solvers import SolverError
+from opgraph.templates import TemplateError
 from opgraph.tensor import (
     MAGIC,
+    CodedError,
     Rng,
     Tensor,
     TensorError,
@@ -17,6 +26,7 @@ from opgraph.tensor import (
     save_tensor,
     tensor,
 )
+from opgraph.triad import TriadError
 
 
 class TestTensor:
@@ -189,3 +199,16 @@ class TestFileFormat:
         line = p.read_bytes()[8:].split(b"\n", 1)[0]
         header = json.loads(line)
         assert header == {"byte_order": "LE", "dtype": "real64", "shape": [1, 2]}
+
+
+@pytest.mark.parametrize("cls", [
+    CalibError, GraphError, MetricError, ProtocolError, RegistryError,
+    BundleError, SolverError, TemplateError, TriadError,
+])
+def test_coded_errors_share_one_base(cls):
+    err = cls("SOME_CODE", "what went wrong")
+    assert isinstance(err, CodedError)
+    assert isinstance(err, ValueError)
+    assert err.code == "SOME_CODE"
+    assert str(err) == "SOME_CODE: what went wrong"
+
