@@ -63,13 +63,16 @@ class CalibResult:
     theta_hat: tuple
     objective_value: float
     stage_trace: tuple
+    # objective calls, and the distinct theta among them (one solve each)
     evals: int
+    distinct_evals: int
 
     def as_dict(self) -> dict:
         return {
             "theta_hat": list(self.theta_hat),
             "objective_value": self.objective_value,
             "evals": self.evals,
+            "distinct_evals": self.distinct_evals,
             "stage_trace": [
                 {"stage": s, "candidates": [list(c) for c in cands], "scores": list(scores)}
                 for s, cands, scores in self.stage_trace
@@ -78,7 +81,13 @@ class CalibResult:
 
 
 class _Objective:
-    """Counts every evaluation; the only channel calibration has to the data."""
+    """Counts every evaluation; the only channel calibration has to the data.
+
+    Scores are kept per exact theta, because the search stages revisit points:
+    grids clipped at range edges, the incumbent rescored on every descent
+    sweep, and finite-difference probes clipped at 0 or 1.  ``evals`` counts
+    calls; ``distinct_evals`` counts the reconstructions actually solved.
+    """
 
     def __init__(self, template: Template, y: Tensor, cfg: CalibConfig, x_gt):
         if cfg.objective not in _OBJECTIVES:
@@ -90,15 +99,25 @@ class _Objective:
         self.mode = cfg.objective
         self.x_gt = x_gt.numpy() if isinstance(x_gt, Tensor) else x_gt
         self.evals = 0
+        self._scores = {}
         solver = cfg.solver_cfg if cfg.solver_cfg is not None else template.calib_solver
         self.solver = pin_step(template.operator(), solver, seed=cfg.seed)
 
+    @property
+    def distinct_evals(self) -> int:
+        return len(self._scores)
+
     def __call__(self, theta) -> float:
         self.evals += 1
-        res = reconstruct(self.template.operator(theta), self.y, self.solver)
-        if self.mode == "oracle_psnr":
-            return -psnr(res.x_hat, self.x_gt, peak=self.template.peak)
-        return res.residual
+        # keyed on the float64 bits, so -0.0 and 0.0 stay distinct points
+        key = np.asarray(theta, dtype=np.float64).tobytes()
+        if key not in self._scores:
+            res = reconstruct(self.template.operator(theta), self.y, self.solver)
+            self._scores[key] = (
+                -psnr(res.x_hat, self.x_gt, peak=self.template.peak)
+                if self.mode == "oracle_psnr" else res.residual
+            )
+        return self._scores[key]
 
 
 def _objective_for(template, y, cfg, x_gt, _objective):
@@ -259,7 +278,7 @@ def calibrate_alg1(template, y, cfg: CalibConfig | None = None, x_gt=None) -> Ca
         template, y, cfg, best_theta, rounds=cfg.cd_rounds, _objective=obj
     )
     trace.append(("cd", (theta_hat,), (cost,)))
-    return CalibResult(theta_hat, cost, tuple(trace), obj.evals)
+    return CalibResult(theta_hat, cost, tuple(trace), obj.evals, obj.distinct_evals)
 
 
 def _refine(obj, theta0, ranges, cfg: CalibConfig):
@@ -351,4 +370,5 @@ def calibrate_alg2(template, y, cfg: CalibConfig | None = None, x_gt=None,
             if cost < best_cost:
                 best_theta, best_cost = theta, cost
     trace.append(("refine", tuple(refined), tuple(refined_costs)))
-    return CalibResult(tuple(best_theta), best_cost, tuple(trace), obj.evals)
+    return CalibResult(tuple(best_theta), best_cost, tuple(trace), obj.evals,
+                       obj.distinct_evals)

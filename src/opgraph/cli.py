@@ -17,6 +17,8 @@ from pathlib import Path
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+# error codes that mean the computation failed, not that the request was bad
+_NUMERIC_CODES = ("NON_FINITE",)
 
 
 def _now() -> str:
@@ -218,7 +220,8 @@ def _cmd_calibrate(args) -> int:
     _write_json(run_dir / "calib_result.json", payload)
     write_runbundle(run_dir, seeds={"master": args.seed},
                     metrics={"objective_value": result.objective_value,
-                             "param_errors": errors, "evals": result.evals},
+                             "param_errors": errors, "evals": result.evals,
+                             "distinct_evals": result.distinct_evals},
                     outputs=["calib_result.json"], commit=args.commit,
                     started=started, finished=_now())
 
@@ -228,6 +231,7 @@ def _cmd_calibrate(args) -> int:
     _emit("theta_hat", ", ".join(f"{v:g}" for v in result.theta_hat))
     _emit("max_param_error", f"{max(errors):.4g}")
     _emit("evals", result.evals)
+    _emit("distinct_evals", result.distinct_evals)
     _emit("run_dir", run_dir)
     return EXIT_OK
 
@@ -349,7 +353,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_NUMERIC if getattr(exc, "code", None) in _NUMERIC_CODES else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ ranges.  Building at nominal reproduces the nominal spec bit for bit, so
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -262,7 +263,12 @@ def _build_spc(size: int, level: int, rng: Rng, defaults: dict):
     # 1/sqrt(pixels) keeps the ensemble near-isometric, so TV weights transfer
     scale = 1.0 / size
     patterns = np.where(child.uniform((m_count, size, size)) < 0.5, -scale, scale)
-    patterns_full = np.where(child.uniform((n, size, size)) < 0.5, -scale, scale)
+
+    @functools.cache
+    def patterns_full():
+        # n x size x size floats (128 MiB at size 64), drawn on first use; the
+        # next draw from ``child`` is still the one the eager stack used
+        return np.where(child.uniform((n, size, size)) < 0.5, -scale, scale)
 
     def make(theta, pats):
         (alpha,) = theta
@@ -287,7 +293,7 @@ def _build_spc(size: int, level: int, rng: Rng, defaults: dict):
             metadata={"modality": "spc", "input_shape": [size, size]},
         )
 
-    return (lambda theta: make(theta, patterns)), (lambda theta: make(theta, patterns_full))
+    return (lambda theta: make(theta, patterns)), (lambda theta: make(theta, patterns_full()))
 
 
 def _build_ct(size: int, level: int, rng: Rng, defaults: dict):

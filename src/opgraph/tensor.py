@@ -31,12 +31,17 @@ class CodedError(ValueError):
         self.code = code
 
 
-class TensorError(ValueError):
-    """Bad tensor construction or use (shape, dtype, non-finite values)."""
+class TensorError(CodedError):
+    """Bad tensor construction or use.
+
+    Codes: ``BAD_DTYPE``, ``BAD_SHAPE``, ``BAD_SEED``, and ``NON_FINITE`` for an
+    array holding NaN or Inf, which the command line reports as a numerical
+    failure rather than a validation error.
+    """
 
 
 class TensorFormatError(TensorError):
-    """Unreadable tensor file: bad magic, corrupt header, truncated payload."""
+    """Unreadable tensor file (``BAD_FORMAT``): bad magic, corrupt header, truncated payload."""
 
 
 def _coerce(data) -> np.ndarray:
@@ -48,7 +53,9 @@ def _coerce(data) -> np.ndarray:
     elif arr.dtype.kind == "c":
         arr = arr.astype(np.complex128, copy=False)
     else:
-        raise TensorError(f"unsupported dtype {arr.dtype!r}; expected real or complex numeric")
+        raise TensorError(
+            "BAD_DTYPE", f"unsupported dtype {arr.dtype!r}; expected real or complex numeric"
+        )
     return np.ascontiguousarray(arr)
 
 
@@ -61,7 +68,7 @@ class Tensor:
     def __post_init__(self):
         arr = _coerce(self.data)
         if not np.all(np.isfinite(arr)):
-            raise TensorError("tensor holds non-finite values")
+            raise TensorError("NON_FINITE", "tensor holds non-finite values")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
@@ -127,9 +134,9 @@ class Rng:
 
     def __init__(self, seed: int, stream: int = 0):
         if not (0 <= int(seed) < 2**64):
-            raise TensorError("seed must be a 64-bit unsigned integer")
+            raise TensorError("BAD_SEED", "seed must be a 64-bit unsigned integer")
         if not (0 <= int(stream) < 2**64):
-            raise TensorError("stream must be a 64-bit unsigned integer")
+            raise TensorError("BAD_SEED", "stream must be a 64-bit unsigned integer")
         self.seed = int(seed)
         self.stream = int(stream)
         key = self.seed + (self.stream << 64)
@@ -168,7 +175,7 @@ def gaussian(rng: Rng, shape) -> Tensor:
     """Standard normal real64 tensor of the given shape."""
     shape = tuple(int(s) for s in shape)
     if len(shape) == 0 or any(s <= 0 for s in shape):
-        raise TensorError("empty shape")
+        raise TensorError("BAD_SHAPE", "empty shape")
     return Tensor(rng.standard_normal(shape))
 
 
@@ -179,7 +186,7 @@ def gaussian(rng: Rng, shape) -> Tensor:
 def dot(a: Tensor, b: Tensor):
     """sum_i a_i * conj(b_i); returns a Python float when both tensors are real."""
     if a.shape != b.shape:
-        raise TensorError(f"dot shape mismatch: {a.shape} vs {b.shape}")
+        raise TensorError("BAD_SHAPE", f"dot shape mismatch: {a.shape} vs {b.shape}")
     # np.vdot conjugates its first argument; flip the arguments to conjugate b.
     val = np.vdot(b.data, a.data)
     if a.dtype == "real64" and b.dtype == "real64":
@@ -212,34 +219,34 @@ def load_tensor(path) -> Tensor:
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
-            raise TensorFormatError("bad magic")
+            raise TensorFormatError("BAD_FORMAT", "bad magic")
         header_bytes = bytearray()
         while True:
             ch = fh.read(1)
             if not ch:
-                raise TensorFormatError("corrupt header: unterminated")
+                raise TensorFormatError("BAD_FORMAT", "corrupt header: unterminated")
             if ch == b"\n":
                 break
             header_bytes.extend(ch)
             if len(header_bytes) > 65536:
-                raise TensorFormatError("corrupt header: too long")
+                raise TensorFormatError("BAD_FORMAT", "corrupt header: too long")
         try:
             header = json.loads(header_bytes.decode("utf-8"))
             shape = tuple(int(s) for s in header["shape"])
             dtype = header["dtype"]
             byte_order = header["byte_order"]
         except (ValueError, KeyError, TypeError) as exc:
-            raise TensorFormatError(f"corrupt header: {exc}") from exc
+            raise TensorFormatError("BAD_FORMAT", f"corrupt header: {exc}") from exc
         if byte_order != "LE":
-            raise TensorFormatError(f"corrupt header: byte_order {byte_order!r}")
+            raise TensorFormatError("BAD_FORMAT", f"corrupt header: byte_order {byte_order!r}")
         if dtype not in _NAME_TO_WIRE:
-            raise TensorFormatError(f"corrupt header: dtype {dtype!r}")
+            raise TensorFormatError("BAD_FORMAT", f"corrupt header: dtype {dtype!r}")
         wire = np.dtype(_NAME_TO_WIRE[dtype])
         count = int(np.prod(shape)) if shape else 1
         raw = fh.read(count * wire.itemsize + 1)
         if len(raw) < count * wire.itemsize:
-            raise TensorFormatError("truncated payload")
+            raise TensorFormatError("BAD_FORMAT", "truncated payload")
         if len(raw) > count * wire.itemsize:
-            raise TensorFormatError("trailing bytes after payload")
+            raise TensorFormatError("BAD_FORMAT", "trailing bytes after payload")
         arr = np.frombuffer(raw, dtype=wire, count=count).reshape(shape)
     return Tensor(arr.astype(arr.dtype.newbyteorder("=")))

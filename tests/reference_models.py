@@ -130,3 +130,30 @@ REFERENCES = {
     "mri": mri_reference,
     "lensless": lensless_reference,
 }
+
+
+def _diff_adjoint(p, axis, n):
+    """Transpose of np.diff along one axis, built by zero-padding."""
+    pad = [(0, 0)] * p.ndim
+    pad[axis] = (1, 1)
+    padded = np.pad(p, pad)
+    sl_lo = [slice(None)] * p.ndim
+    sl_hi = [slice(None)] * p.ndim
+    sl_lo[axis] = slice(0, n)
+    sl_hi[axis] = slice(1, n + 1)
+    return padded[tuple(sl_lo)] - padded[tuple(sl_hi)]
+
+
+def tv_prox_reference(a, lam, n_inner=20):
+    """Anisotropic TV prox by projected dual ascent, one fresh array per step.
+
+    The straight-line form of ``solvers.tv_prox``: same float operations in
+    the same order, so the two must agree byte for byte.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    duals = [np.zeros_like(np.diff(a, axis=d)) for d in range(a.ndim)]
+    step = 1.0 / (4.0 * a.ndim * lam)
+    for _ in range(max(1, n_inner)):
+        u = a - lam * sum(_diff_adjoint(p, d, a.shape[d]) for d, p in enumerate(duals))
+        duals = [np.clip(p + step * np.diff(u, axis=d), -1.0, 1.0) for d, p in enumerate(duals)]
+    return a - lam * sum(_diff_adjoint(p, d, a.shape[d]) for d, p in enumerate(duals))

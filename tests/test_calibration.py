@@ -194,6 +194,26 @@ class TestObjective:
         assert obj((0.0,)) >= 0.0
         assert obj.evals == 1
 
+    def test_repeated_theta_solves_once(self, ct_setup, monkeypatch):
+        from opgraph import calibration
+
+        t, ph, y = ct_setup
+        real, solves = calibration.reconstruct, []
+
+        def counting(*args):
+            solves.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(calibration, "reconstruct", counting)
+        obj = _Objective(t, y, CalibConfig(), ph.data)
+        first = obj((1.5,))
+        assert obj((1.5,)) == first
+        assert len(solves) == 1
+        assert (obj.evals, obj.distinct_evals) == (2, 1)
+        obj((-0.0,))
+        obj((0.0,))
+        assert (obj.evals, obj.distinct_evals) == (4, 3)
+
     def test_oracle_cost_is_negated_quality(self, ct_setup):
         t, ph, y = ct_setup
         obj = _Objective(t, y, CalibConfig(), ph.data)
@@ -319,7 +339,8 @@ class TestCalibrateAlg2:
 
 
 def test_calib_result_fields():
-    res = CalibResult((1.0,), -20.0, (("cd", ((1.0,),), (-20.0,)),), 31)
+    res = CalibResult((1.0,), -20.0, (("cd", ((1.0,),), (-20.0,)),), 31, 27)
     d = res.as_dict()
+    assert (d["evals"], d["distinct_evals"]) == (31, 27)
     assert d["theta_hat"] == [1.0]
     assert d["stage_trace"][0]["stage"] == "cd"

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from opgraph.cli import main
@@ -152,8 +153,38 @@ class TestCalibrate:
         payload = json.loads((out / "calib_result.json").read_text())
         assert payload["theta_true"] == [0.012]
         assert max(payload["param_errors"]) < 0.002
-        assert "evals" in capsys.readouterr().out
+        assert 0 < payload["distinct_evals"] <= payload["evals"]
+        stdout = capsys.readouterr().out
+        assert f"evals             {payload['evals']}" in stdout
+        assert f"distinct_evals    {payload['distinct_evals']}" in stdout
+        bundle = json.loads((out / "runbundle.json").read_text())
+        assert bundle["metrics"]["distinct_evals"] == payload["distinct_evals"]
         assert main(["verify", str(out)]) == 0
+
+
+class TestExitCodes:
+    """One case per documented exit code, each through a real failure path."""
+
+    def test_success_exits_zero(self, tmp_path, capsys):
+        assert main(["simulate", "--modality", "ct", "--out", str(tmp_path / "r")]) == 0
+
+    def test_tensor_validation_error_exits_two(self, tmp_path, capsys):
+        rc = main(["simulate", "--modality", "ct", "--seed", "-1",
+                   "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert "BAD_SEED" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_result_exits_three(self, tmp_path, monkeypatch, capsys):
+        from opgraph import templates
+        from opgraph.tensor import Tensor
+
+        # a finite scene whose projections overflow float64
+        huge = templates.Phantom("huge", Tensor(np.full((16, 16), 1e308)))
+        monkeypatch.setattr(templates, "make_phantoms", lambda *a, **k: [huge])
+        rc = main(["simulate", "--modality", "ct", "--out", str(tmp_path / "r")])
+        assert rc == 3
+        assert "NON_FINITE" in capsys.readouterr().err
 
 
 class TestBasisGrowth:

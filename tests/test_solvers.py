@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference_models import tv_prox_reference
 
 from opgraph.graph import compile_graph, make_spec
 from opgraph.solvers import (
@@ -80,6 +81,25 @@ def test_tv_prox_large_lambda_flattens_to_mean():
     a = Rng(4).uniform((6,))
     u = tv_prox(a, 10.0, n_inner=500)
     assert np.allclose(u, a.mean(), atol=1e-3)
+
+
+def _signed_zeros(shape, seed):
+    """Random data with about a third of the entries set to +0.0 or -0.0."""
+    a = Rng(seed).standard_normal(shape)
+    pick = Rng(seed, 1).uniform(shape)
+    a[pick < 0.2] = 0.0
+    a[pick > 0.8] = -0.0
+    return a
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (9,), (1, 7), (7, 1), (16, 16),
+                                   (1, 1, 1), (5, 1, 3), (16, 16, 4)])
+@pytest.mark.parametrize("lam", [1e-4, 0.03, 1.0, 10.0])
+@pytest.mark.parametrize("n_inner", [1, 20])
+def test_tv_prox_bytes_match_reference(shape, lam, n_inner):
+    for a in (Rng(5).standard_normal(shape), _signed_zeros(shape, 6), -0.0 * np.ones(shape)):
+        want = tv_prox_reference(a, lam, n_inner)
+        assert tv_prox(a, lam, n_inner).tobytes() == want.tobytes()
 
 
 def test_tv_prox_rejects_complex_and_negative_lambda():

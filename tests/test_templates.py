@@ -217,6 +217,21 @@ def test_full_sampling_shapes():
         assert graph_hash(t.full_sampling().operator()) == graph_hash(t.operator())
 
 
+def test_spc_full_patterns_match_eager_draw():
+    # the stack is drawn on the first full_sampling(); it must equal the draw
+    # made right after the compressive patterns from the same child stream
+    size, seed = 12, 3
+    t = instantiate("spc", size, seed=seed)
+    child = Rng(seed).child(1)
+    child.uniform((t.operator().output_shape[0], size, size))
+    scale = 1.0 / size
+    eager = np.where(child.uniform((size * size, size, size)) < 0.5, -scale, scale)
+    for full in (t.full_sampling(), t.full_sampling()):
+        lazy = full.spec.nodes[0].params["m"].numpy()
+        assert lazy.tobytes() == eager.tobytes()
+    assert full.family.apply((0.01,)).nodes[0].params["m"].numpy().tobytes() == eager.tobytes()
+
+
 def test_full_sampling_keeps_fixed_point():
     t = instantiate("cassi", 16).full_sampling()
     assert graph_hash(t.operator()) == graph_hash(t.operator(t.family.theta_nom))

@@ -203,7 +203,7 @@ class TestFileFormat:
 
 @pytest.mark.parametrize("cls", [
     CalibError, GraphError, MetricError, ProtocolError, RegistryError,
-    BundleError, SolverError, TemplateError, TriadError,
+    BundleError, SolverError, TemplateError, TriadError, TensorError, TensorFormatError,
 ])
 def test_coded_errors_share_one_base(cls):
     err = cls("SOME_CODE", "what went wrong")
