@@ -17,8 +17,6 @@ from pathlib import Path
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-# error codes that mean the computation failed, not that the request was bad
-_NUMERIC_CODES = ("NON_FINITE",)
 
 
 def _now() -> str:
@@ -353,7 +351,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC if getattr(exc, "code", None) in _NUMERIC_CODES else EXIT_USAGE
+        # a non-finite array means the computation failed, not the request
+        return EXIT_NUMERIC if getattr(exc, "code", None) == "NON_FINITE" else EXIT_USAGE
 
 
 if __name__ == "__main__":

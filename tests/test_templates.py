@@ -8,6 +8,7 @@ from scipy import ndimage
 
 from opgraph.graph import adjoint_check_graph, graph_hash
 from opgraph.templates import (
+    _STREAM_MASK,
     Template,
     TemplateError,
     apply_noise,
@@ -222,7 +223,7 @@ def test_spc_full_patterns_match_eager_draw():
     # made right after the compressive patterns from the same child stream
     size, seed = 12, 3
     t = instantiate("spc", size, seed=seed)
-    child = Rng(seed).child(1)
+    child = Rng(seed).child(_STREAM_MASK)
     child.uniform((t.operator().output_shape[0], size, size))
     scale = 1.0 / size
     eager = np.where(child.uniform((size * size, size, size)) < 0.5, -scale, scale)
