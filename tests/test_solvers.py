@@ -102,6 +102,13 @@ def test_tv_prox_bytes_match_reference(shape, lam, n_inner):
         assert tv_prox(a, lam, n_inner).tobytes() == want.tobytes()
 
 
+def test_tv_prox_integer_input_matches_reference():
+    a = np.array([0, 1, 5, -2, 0, 3])
+    u = tv_prox(a, 0.3)
+    assert u.dtype == np.float64
+    assert u.tobytes() == tv_prox_reference(a, 0.3).tobytes()
+
+
 def test_tv_prox_rejects_complex_and_negative_lambda():
     with pytest.raises(SolverError):
         tv_prox(np.array([1.0 + 1j]), 0.1)

@@ -1,16 +1,16 @@
 """Benchmark two commits side by side with perfbench and write a BENCH json.
 
-    python3 tools/bench_pair.py --base 24c63e7 --head HEAD --pairs 10 \\
-        --first-seed 11 --out BENCH_6.json
+    python3 tools/bench_pair.py --base 24c63e7 --head HEAD --out BENCH_6.json
 
 Both commits are exported with ``git archive`` into a scratch directory, so
-each runs ``perfbench/run.py`` from its own committed files.  Pair ``i`` runs
-every workload at seed ``first_seed + i`` on both commits; even pairs run the
-base first and odd pairs the head first.  The output records the core count,
+each runs ``perfbench/run.py`` from its own committed files.  The protocol is
+fixed: ten pairs per workload at seeds 11-20 and 5 s per run; pair ``i`` runs
+every workload at seed ``11 + i`` on both commits, even pairs base first and
+odd pairs head first.  The output records the core count,
 each end-to-end metric's per-run values with their median and quartiles,
 how many pairs the head won, the ``breakdown`` figures (``calib_evals`` and
 the PSNRs must repeat exactly at equal seeds when outputs are unchanged),
-one traced run per commit of ``--trace-workload``, and whether a few CLI
+one traced calib16 run per commit at seed 11, and whether a few CLI
 runs write byte-identical result files on both commits.  Standard library
 only.
 """
@@ -31,6 +31,11 @@ from pathlib import Path
 from statistics import median, quantiles
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+FIRST_SEED = 11
+SECONDS = 5.0
+WORKLOADS = ("calib16", "recon48", "protocol16")
+TRACE_WORKLOAD = "calib16"
 END_TO_END = ("setup_s", "pass_s", "peak_rss_mb")
 # breakdown figures of a deterministic program: equal seeds, equal values
 REPEATABLE = ("calib_evals", "calib_psnr_db", "recon_psnr_db", "scenario_psnr_db")
@@ -68,10 +73,10 @@ def export(rev: str, dest: Path) -> dict:
     return {"rev": rev, "commit": commit, "src_tree": git("rev-parse", f"{commit}:src")}
 
 
-def perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def perfbench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", f"{seconds:g}", "--trace", str(trace)],
+         "--seconds", f"{SECONDS:g}", "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -155,11 +160,6 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", required=True, help="git revision of the parent")
     p.add_argument("--head", default="HEAD", help="git revision of the change")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--first-seed", type=int, default=11)
-    p.add_argument("--seconds", type=float, default=5.0)
-    p.add_argument("--workloads", nargs="+", default=["calib16", "recon48", "protocol16"])
-    p.add_argument("--trace-workload", default="calib16")
     p.add_argument("--out", required=True)
     args = p.parse_args(argv)
 
@@ -172,31 +172,29 @@ def main(argv=None) -> int:
             "nproc": os.cpu_count(),
             "platform": {"python": platform.python_version(), "machine": platform.machine()},
             "revisions": revs,
-            "seconds": args.seconds,
-            "seeds": [args.first_seed + i for i in range(args.pairs)],
+            "seconds": SECONDS,
+            "seeds": [FIRST_SEED + i for i in range(PAIRS)],
             "order": "pair i runs base first when i is even, head first when i is odd",
             "workloads": {},
         }
-        for w in args.workloads:
+        for w in WORKLOADS:
             runs = []
-            for i in range(args.pairs):
-                seed = args.first_seed + i
+            for i in range(PAIRS):
+                seed = FIRST_SEED + i
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
                 run = {"pair": i, "seed": seed, "first": order[0]}
                 for side in order:
-                    run[side] = perfbench(checkouts[side], w, seed, args.seconds, 0)
+                    run[side] = perfbench(checkouts[side], w, seed, 0)
                     print(f"{w} seed {seed} {side} pass_s "
                           f"{run[side]['metrics']['pass_s']:.3f}", flush=True)
                 runs.append(run)
             report["workloads"][w] = {"summary": summarize(runs), "runs": runs}
-        if args.trace_workload:
-            seed = args.first_seed
-            traced = {}
-            for side in ("base", "head"):
-                res = perfbench(checkouts[side], args.trace_workload, seed, args.seconds, 1)
-                merged = {**res["metrics"], **res["breakdown"]}
-                traced[side] = {k: merged.get(k) for k in TRACED}
-            report["trace"] = {"workload": args.trace_workload, "seed": seed, **traced}
+        traced = {}
+        for side in ("base", "head"):
+            res = perfbench(checkouts[side], TRACE_WORKLOAD, FIRST_SEED, 1)
+            merged = {**res["metrics"], **res["breakdown"]}
+            traced[side] = {k: merged.get(k) for k in TRACED}
+        report["trace"] = {"workload": TRACE_WORKLOAD, "seed": FIRST_SEED, **traced}
         report["cli_outputs"] = cli_outputs(checkouts, scratch)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
