@@ -119,8 +119,7 @@ def _cmd_scenario(args) -> int:
     from .triad import diagnose
 
     started = _now()
-    template = instantiate(args.modality, args.size, fidelity_level=args.level,
-                           seed=args.seed)
+    template = instantiate(args.modality, args.size, seed=args.seed)
     solver_cfg = {"name": args.solver} if args.solver else None
     theta_true = _parse_theta(args.theta_true)
     result = run_scenarios(template, theta_true, solver_cfg=solver_cfg,
@@ -160,8 +159,7 @@ def _cmd_diagnose(args) -> int:
     from .triad import diagnose
 
     started = _now()
-    template = instantiate(args.modality, args.size, fidelity_level=args.level,
-                           seed=args.seed)
+    template = instantiate(args.modality, args.size, seed=args.seed)
     report = diagnose(template, _parse_theta(args.theta_true), noisy=args.noisy,
                       n_scenes=args.scenes, seed=args.seed)
 
@@ -191,8 +189,7 @@ def _cmd_calibrate(args) -> int:
     from .tensor import Rng
 
     started = _now()
-    template = instantiate(args.modality, args.size, fidelity_level=args.level,
-                           seed=args.seed)
+    template = instantiate(args.modality, args.size, seed=args.seed)
     theta_true = template.family.check(_parse_theta(args.theta_true))
     phantom = make_phantoms(args.modality, args.size, 1, seed=args.seed)[0]
     y = template.operator(theta_true).forward(phantom.data)
@@ -271,7 +268,6 @@ def _add_run_flags(p, theta_flag: str, theta_required: bool) -> None:
     p.add_argument("--modality", required=True)
     p.add_argument("--size", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--level", type=int, default=1)
     p.add_argument(theta_flag, nargs="+", type=float, metavar="V",
                    required=theta_required)
     p.add_argument("--noisy", action="store_true")
@@ -297,6 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="forward-simulate one scene")
     _add_run_flags(p, "--theta", theta_required=False)
+    # solvers and dense analysis need an all-linear graph, so only simulate takes level 2
+    p.add_argument("--level", type=int, default=1)
 
     p = sub.add_parser("scenario", help="run the four-scenario protocol")
     _add_run_flags(p, "--theta-true", theta_required=True)

@@ -252,7 +252,7 @@ def _fbp(g: GraphOperator, y: np.ndarray) -> np.ndarray:
     prim = make_primitive(PrimitiveKind.PROJECT, dict(proj_node.params))
     sino = y.real / gain
     filtered = _ramp_filter(sino)
-    back = prim_adjoint(prim, Tensor(filtered), input_shape=g.input_shape).numpy()
+    back = prim_adjoint(prim, filtered, input_shape=g.input_shape)
     n_angles = len(proj_node.params["angles_deg"])
     return back * math.pi / (2.0 * n_angles)
 

@@ -19,7 +19,7 @@ def materialize(prim, input_shape, in_dtype="real64"):
     for j in range(n):
         e = np.zeros(n, dtype=dt)
         e[j] = 1.0
-        cols.append(prim_forward(prim, Tensor(e.reshape(input_shape))).numpy().reshape(-1))
+        cols.append(prim_forward(prim, e.reshape(input_shape)).reshape(-1))
     return np.stack(cols, axis=1)
 
 
@@ -30,11 +30,7 @@ def adjoint_matrix(prim, input_shape, output_shape, out_dtype="real64"):
     for j in range(m):
         e = np.zeros(m, dtype=dt)
         e[j] = 1.0
-        cols.append(
-            prim_adjoint(prim, Tensor(e.reshape(output_shape)), input_shape=input_shape)
-            .numpy()
-            .reshape(-1)
-        )
+        cols.append(prim_adjoint(prim, e.reshape(output_shape), input_shape=input_shape).reshape(-1))
     return np.stack(cols, axis=1)
 
 

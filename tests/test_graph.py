@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opgraph.graph import (
-    CLOSURE_TOL,
     GraphError,
     adjoint_check_graph,
     compile_graph,
@@ -16,7 +15,9 @@ from opgraph.graph import (
     parse_spec,
     serialize_spec,
 )
-from opgraph.tensor import Rng, Tensor, tensor
+from opgraph.registry import default_registry
+from opgraph.templates import instantiate
+from opgraph.tensor import Rng, Tensor, TensorError, tensor
 
 from helpers import graph_adjoint_matrix, graph_matrix, random_linear_chain
 
@@ -206,6 +207,55 @@ class TestCompileAndRun:
         At = graph_adjoint_matrix(g)
         assert np.allclose(At, A.conj().T, atol=1e-12)
 
+    def test_join_of_mixed_shapes_rejected_at_compile(self):
+        spec = make_spec(
+            [
+                {"node_id": "rows", "primitive_id": "Accumulate", "params": {"axes": [0], "input_shape": [2, 3]}},
+                {"node_id": "cols", "primitive_id": "Accumulate", "params": {"axes": [1], "input_shape": [2, 3]}},
+                {"node_id": "join", "primitive_id": "add", "params": {}},
+            ],
+            [("rows", "join"), ("cols", "join")],
+        )
+        with pytest.raises(GraphError, match="join at node 'join'") as e:
+            compile_graph(spec)
+        assert e.value.code == "SHAPE_MISMATCH"
+
+    def test_one_tensor_per_graph_call(self, monkeypatch):
+        # nodes hand ndarrays to each other; only the graph result is a new Tensor
+        g = instantiate("cassi", 8, seed=0).operator()
+        assert len(g.plan_forward) == 4
+        x = Tensor(Rng(0).standard_normal(g.input_shape))
+        y = Tensor(Rng(1).standard_normal(g.output_shape))
+        built = []
+        original = Tensor.__post_init__
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(Tensor, "__post_init__", counting)
+        g.forward(x)
+        assert len(built) == 1
+        g.adjoint(y)
+        assert len(built) == 2
+
+    def test_non_finite_caught_at_graph_result(self):
+        nodes = [
+            {"node_id": "m", "primitive_id": "Modulate", "params": {"m": tensor([1e308, 1.0])}},
+            {"node_id": "d", "primitive_id": "Detect", "params": {"family": "linear_field", "g": 10.0}},
+        ]
+        g = compile_graph(make_spec(nodes, [("m", "d")]))
+        with np.errstate(over="ignore"):
+            for call in (g.forward, g.adjoint):
+                with pytest.raises(TensorError) as e:
+                    call(tensor([1.0, 1.0]))
+                assert e.value.code == "NON_FINITE"
+            # a saturating node maps the overflowed intermediate to a finite output
+            nodes.append({"node_id": "s", "primitive_id": "Transform",
+                          "params": {"family": "saturation", "lo": 0.0, "hi": 1.0}})
+            g = compile_graph(make_spec(nodes, [("m", "d"), ("d", "s")]))
+            assert np.array_equal(g.forward(tensor([1.0, 1.0])).numpy(), [1.0, 1.0])
+
     def test_complex_dtype_propagation(self):
         spec = make_spec(
             [
@@ -331,7 +381,7 @@ class TestFidelity:
         objs = [Tensor(Rng(k).standard_normal((4, 4))) for k in range(5)]
         e = fidelity_error(g, ref, objs)
         assert e == pytest.approx(0.02 / 1.02, rel=1e-4)
-        assert e > CLOSURE_TOL
+        assert e > default_registry().thresholds["closure"]["tol"]
 
     def test_empty_test_set_rejected(self):
         g = compile_graph(simple_chain([1.0]))

@@ -39,7 +39,8 @@ TRACE_WORKLOAD = "calib16"
 END_TO_END = ("setup_s", "pass_s", "peak_rss_mb")
 # breakdown figures of a deterministic program: equal seeds, equal values
 REPEATABLE = ("calib_evals", "calib_psnr_db", "recon_psnr_db", "scenario_psnr_db")
-TRACED = ("solvers.tv_prox_n", "solvers.tv_prox_s", "solvers.reconstruct_n",
+TRACED = ("tensor.construct_n", "tensor.construct_s", "tensor.bytes_copied",
+          "solvers.tv_prox_n", "solvers.tv_prox_s", "solvers.reconstruct_n",
           "solvers.reconstruct_s", "calibration.evals", "calibration.eval_s",
           "calibration.distinct_theta_ratio", "calib_evals", "calibrate_s", "trace.wall_s")
 # CLI runs whose result files must not change; flags after the subcommand
@@ -47,6 +48,11 @@ CLI_CASES = (
     ("scenario", ["--modality", "spc", "--size", "16", "--theta-true", "0.012"],
      ("scenario_result.json", "triad_report.json")),
     ("scenario", ["--modality", "ct", "--size", "16", "--theta-true", "3.0"],
+     ("scenario_result.json", "triad_report.json")),
+    # Encode, Sample, Convolve and the noise path
+    ("scenario", ["--modality", "mri", "--size", "16", "--theta-true", "0.05", "--noisy"],
+     ("scenario_result.json", "triad_report.json")),
+    ("scenario", ["--modality", "lensless", "--size", "16", "--theta-true", "1.0", "--noisy"],
      ("scenario_result.json", "triad_report.json")),
     ("calibrate", ["--modality", "cassi", "--size", "16", "--theta-true",
                    "0.5", "0.3", "0.1", "2.02", "0.15", "--calib", "alg1"],
