@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import expit
 
-from .tensor import Rng, Tensor, dot
+from .tensor import Rng, Tensor, TensorError, dot
 
 ADJOINT_EPS = 1e-12
 
@@ -296,47 +296,80 @@ def _gauss_blur_circular(x: np.ndarray, sigma: float, axis: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
+# Guard bins on each side of a padded detector row.  A lower neighbour clipped
+# to [-_GUARD, n_det] and its upper neighbour both land in a guard bin whenever
+# the detector does not hold them, so the kernels need no validity mask.
+_GUARD = 2
+
+
+@lru_cache(maxsize=8)
 def _radon_geometry(angles_key: tuple, n_det: int, cor_offset: float, shape: tuple):
-    """Pixel-driven projection weights for every (angle, pixel) pair."""
+    """Pixel-driven projection tables for every (angle, pixel) pair.
+
+    Returns ``(bins, frac)``.  ``bins[0]`` and ``bins[1]``, each shaped
+    (angles, h, w) like ``frac``, are the flat bins of the lower and upper
+    detector neighbour in an (angles, n_det + 2 * _GUARD) padded sinogram
+    whose detector holds columns _GUARD .. _GUARD + n_det - 1.  ``frac`` is
+    the upper neighbour's weight.
+    """
     h, w = shape
     cc_r = (h - 1) / 2.0
     cc_c = (w - 1) / 2.0
     dc = (n_det - 1) / 2.0
     th = np.deg2rad(np.asarray(angles_key, dtype=np.float64))[:, None, None]
-    rr, cc = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
-    t = (cc[None] - cc_c) * np.cos(th) + (rr[None] - cc_r) * np.sin(th) + dc + cor_offset
-    i0 = np.floor(t).astype(np.int64)
-    frac = t - i0
-    v0 = (i0 >= 0) & (i0 < n_det)
-    v1 = (i0 + 1 >= 0) & (i0 + 1 < n_det)
-    a_idx = np.broadcast_to(np.arange(len(angles_key))[:, None, None], i0.shape)
-    return i0, frac, v0, v1, a_idx
+    cols = np.arange(w, dtype=np.float64)[None, None, :]
+    rows = np.arange(h, dtype=np.float64)[None, :, None]
+    # t = (c - cc_c) cos + (r - cc_r) sin + dc + cor_offset, summed left to right
+    t = (cols - cc_c) * np.cos(th) + (rows - cc_r) * np.sin(th)
+    t += dc
+    t += cor_offset
+    row = n_det + 2 * _GUARD
+    bins = np.empty((2,) + t.shape, dtype=np.int64)
+    i0 = bins[0]
+    np.floor(t, out=i0, casting="unsafe")
+    frac = np.subtract(t, i0, out=t)
+    np.clip(i0, -_GUARD, n_det, out=i0)
+    i0 += _GUARD + row * np.arange(len(angles_key), dtype=np.int64)[:, None, None]
+    np.add(i0, 1, out=bins[1])
+    bins.setflags(write=False)
+    frac.setflags(write=False)
+    return bins, frac
 
 
 def _radon_forward(p: dict, x: np.ndarray) -> np.ndarray:
-    n_det = p["n_det"]
-    i0, frac, v0, v1, a_idx = _radon_geometry(
-        tuple(p["angles_deg"]), n_det, p["cor_offset"], x.shape
-    )
-    y = np.zeros((len(p["angles_deg"]), n_det), dtype=x.dtype)
-    c0 = (1.0 - frac) * x[None]
-    c1 = frac * x[None]
-    np.add.at(y, (a_idx[v0], i0[v0]), c0[v0])
-    np.add.at(y, (a_idx[v1], i0[v1] + 1), c1[v1])
-    return y
+    n_det, n_angles = p["n_det"], len(p["angles_deg"])
+    bins, frac = _radon_geometry(tuple(p["angles_deg"]), n_det, p["cor_offset"], x.shape)
+    c = np.empty(bins.shape, dtype=np.result_type(frac, x))
+    np.subtract(1.0, frac, out=c[0])
+    np.multiply(c[0], x, out=c[0])
+    np.multiply(frac, x, out=c[1])
+    # one bincount adds the lower then the upper contributions in input order
+    # from 0.0, as two sequential np.add.at calls would
+    flat_bins = bins.reshape(-1)
+    size = n_angles * (n_det + 2 * _GUARD)
+
+    def scatter(weights):
+        sino = np.bincount(flat_bins, weights.reshape(-1), minlength=size)
+        return sino.reshape(n_angles, -1)[:, _GUARD:_GUARD + n_det]
+
+    if np.iscomplexobj(c):
+        y = np.empty((n_angles, n_det), dtype=c.dtype)
+        y.real = scatter(c.real)
+        y.imag = scatter(c.imag)
+        return y
+    return np.ascontiguousarray(scatter(c))
 
 
 def _radon_adjoint(p: dict, y: np.ndarray, image_shape: tuple) -> np.ndarray:
     n_det = p["n_det"]
-    i0, frac, v0, v1, a_idx = _radon_geometry(
-        tuple(p["angles_deg"]), n_det, p["cor_offset"], image_shape
-    )
-    i0c = np.clip(i0, 0, n_det - 1)
-    i1c = np.clip(i0 + 1, 0, n_det - 1)
-    g0 = np.where(v0, y[a_idx, i0c], 0.0)
-    g1 = np.where(v1, y[a_idx, i1c], 0.0)
-    return ((1.0 - frac) * g0 + frac * g1).sum(axis=0)
+    bins, frac = _radon_geometry(tuple(p["angles_deg"]), n_det, p["cor_offset"], image_shape)
+    padded = np.zeros((len(p["angles_deg"]), n_det + 2 * _GUARD), dtype=y.dtype)
+    padded[:, _GUARD:_GUARD + n_det] = y
+    g = padded.reshape(-1)[bins]
+    np.multiply(1.0 - frac, g[0], out=g[0])
+    np.multiply(frac, g[1], out=g[1])
+    np.add(g[0], g[1], out=g[0])
+    return g[0].sum(axis=0)
 
 
 def _fresnel_tf(p: dict, shape: tuple) -> np.ndarray:
@@ -366,6 +399,18 @@ def _require_real(x, what):
         raise PrimitiveError(f"{what} requires real input")
 
 
+def _failed_check(x, message):
+    """The error for a failed domain or overflow check on input ``x``.
+
+    Nodes hand each other unvalidated arrays, so a NaN or Inf made upstream
+    can first show as such a failure; it is then a ``NON_FINITE`` numerical
+    error, not a bad parameter.
+    """
+    if not np.all(np.isfinite(x)):
+        return TensorError("NON_FINITE", f"{message} (input holds NaN or Inf)")
+    return PrimitiveError(message)
+
+
 def detect_apply(p: dict, x: np.ndarray) -> np.ndarray:
     fam, g = p["family"], p["g"]
     if fam == "linear_field":
@@ -374,7 +419,7 @@ def detect_apply(p: dict, x: np.ndarray) -> np.ndarray:
         _require_real(x, "Detect.logarithmic")
         off = p["p2"]
         if np.any(x <= -off):
-            raise PrimitiveError("Detect.logarithmic domain violated: needs x > -p2")
+            raise _failed_check(x, "Detect.logarithmic domain violated: needs x > -p2")
         return g * np.log(x + off)
     if fam == "sigmoid":
         _require_real(x, "Detect.sigmoid")
@@ -393,12 +438,12 @@ def transform_apply(p: dict, x: np.ndarray) -> np.ndarray:
     if fam == "exp_attenuation":
         out = np.exp(-p["alpha"] * x)
         if not np.all(np.isfinite(out)):
-            raise PrimitiveError("Transform.exp_attenuation overflow")
+            raise _failed_check(x, "Transform.exp_attenuation overflow")
         return out
     if fam == "log_compression":
         x0 = p["x0"]
         if np.any(x <= -x0):
-            raise PrimitiveError("Transform.log_compression domain violated: needs x > -x0")
+            raise _failed_check(x, "Transform.log_compression domain violated: needs x > -x0")
         return p.get("g", 1.0) * np.log1p(x / x0)
     if fam == "phase_wrap":
         return np.angle(np.exp(1j * x))

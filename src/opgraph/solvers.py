@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import GraphOperator
-from .primitives import PrimitiveKind, make_primitive, prim_adjoint
+from .primitives import PrimitiveKind, prim_adjoint
 from .tensor import CodedError, Rng, Tensor
 
 _RESIDUAL_EPS = 1e-12
@@ -249,11 +249,11 @@ def _fbp(g: GraphOperator, y: np.ndarray) -> np.ndarray:
     proj_node, gain = _find_projection(g)
     if gain == 0.0:
         raise SolverError("NOT_PROJECTION", "detector gain is zero")
-    prim = make_primitive(PrimitiveKind.PROJECT, dict(proj_node.params))
+    prim = g._prims[proj_node.node_id]
     sino = y.real / gain
     filtered = _ramp_filter(sino)
     back = prim_adjoint(prim, filtered, input_shape=g.input_shape)
-    n_angles = len(proj_node.params["angles_deg"])
+    n_angles = len(prim.params["angles_deg"])
     return back * math.pi / (2.0 * n_angles)
 
 

@@ -157,3 +157,46 @@ def tv_prox_reference(a, lam, n_inner=20):
         u = a - lam * sum(_diff_adjoint(p, d, a.shape[d]) for d, p in enumerate(duals))
         duals = [np.clip(p + step * np.diff(u, axis=d), -1.0, 1.0) for d, p in enumerate(duals)]
     return a - lam * sum(_diff_adjoint(p, d, a.shape[d]) for d, p in enumerate(duals))
+
+
+def _radon_reference_geometry(p, shape):
+    h, w = shape
+    n_det = p["n_det"]
+    cc_r = (h - 1) / 2.0
+    cc_c = (w - 1) / 2.0
+    dc = (n_det - 1) / 2.0
+    th = np.deg2rad(np.asarray(p["angles_deg"], dtype=np.float64))[:, None, None]
+    rr, cc = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
+    t = (cc[None] - cc_c) * np.cos(th) + (rr[None] - cc_r) * np.sin(th) + dc + p["cor_offset"]
+    i0 = np.floor(t).astype(np.int64)
+    frac = t - i0
+    v0 = (i0 >= 0) & (i0 < n_det)
+    v1 = (i0 + 1 >= 0) & (i0 + 1 < n_det)
+    a_idx = np.broadcast_to(np.arange(len(p["angles_deg"]))[:, None, None], i0.shape)
+    return i0, frac, v0, v1, a_idx
+
+
+def radon_forward_reference(p, x):
+    """Project forward with validity masks and two sequential ``np.add.at`` scatters.
+
+    The masked form of ``primitives._radon_forward``: the same float
+    operations in the same order, so the two must agree byte for byte.
+    """
+    i0, frac, v0, v1, a_idx = _radon_reference_geometry(p, x.shape)
+    y = np.zeros((len(p["angles_deg"]), p["n_det"]), dtype=x.dtype)
+    c0 = (1.0 - frac) * x[None]
+    c1 = frac * x[None]
+    np.add.at(y, (a_idx[v0], i0[v0]), c0[v0])
+    np.add.at(y, (a_idx[v1], i0[v1] + 1), c1[v1])
+    return y
+
+
+def radon_adjoint_reference(p, y, image_shape):
+    """Project adjoint by clipped fancy indexing, zeroed where a ray misses the detector."""
+    n_det = p["n_det"]
+    i0, frac, v0, v1, a_idx = _radon_reference_geometry(p, image_shape)
+    i0c = np.clip(i0, 0, n_det - 1)
+    i1c = np.clip(i0 + 1, 0, n_det - 1)
+    g0 = np.where(v0, y[a_idx, i0c], 0.0)
+    g1 = np.where(v1, y[a_idx, i1c], 0.0)
+    return ((1.0 - frac) * g0 + frac * g1).sum(axis=0)

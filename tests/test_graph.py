@@ -256,6 +256,27 @@ class TestCompileAndRun:
             g = compile_graph(make_spec(nodes, [("m", "d"), ("d", "s")]))
             assert np.array_equal(g.forward(tensor([1.0, 1.0])).numpy(), [1.0, 1.0])
 
+    @pytest.mark.parametrize("node", [
+        {"primitive_id": "Transform", "params": {"family": "log_compression", "x0": 1.0}},
+        {"primitive_id": "Transform", "params": {"family": "exp_attenuation", "alpha": 1.0}},
+        {"primitive_id": "Detect", "params": {"family": "logarithmic", "g": 1.0, "p2": 1.0}},
+    ])
+    def test_non_finite_intermediate_fails_a_domain_check_as_non_finite(self, node):
+        # Modulate(1e308) then Detect(g=-10) makes -inf, which fails the next node's check
+        nodes = [
+            {"node_id": "m", "primitive_id": "Modulate", "params": {"m": tensor([1e308, 1.0])}},
+            {"node_id": "d", "primitive_id": "Detect", "params": {"family": "linear_field", "g": -10.0}},
+            {"node_id": "f", **node},
+        ]
+        g = compile_graph(make_spec(nodes, [("m", "d"), ("d", "f")]))
+        with np.errstate(over="ignore"), pytest.raises(TensorError) as e:
+            g.forward(tensor([1.0, 1.0]))
+        assert e.value.code == "NON_FINITE"
+        # a finite input outside the domain is still a bad parameter
+        with np.errstate(over="ignore"), pytest.raises(GraphError) as e:
+            g.forward(tensor([0.0, 1e307]))
+        assert e.value.code == "BAD_PARAM"
+
     def test_complex_dtype_propagation(self):
         spec = make_spec(
             [

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_models import radon_adjoint_reference, radon_forward_reference
+
+from opgraph.graph import adjoint_check_graph, compile_graph
 from opgraph.primitives import (
     PrimitiveError,
     PrimitiveKind,
@@ -20,6 +23,7 @@ from opgraph.primitives import (
     shift_linear,
 )
 from opgraph.registry import default_registry
+from opgraph.templates import instantiate
 from opgraph.tensor import Rng, Tensor, tensor
 
 from helpers import adjoint_matrix, brute_force_projection, materialize
@@ -197,6 +201,57 @@ class TestProject:
         A = materialize(p, (5, 5))
         At = adjoint_matrix(p, (5, 5), (3, 9))
         assert np.allclose(At, A.T, atol=1e-12)
+
+    @staticmethod
+    def _inputs(shape, rng):
+        real = rng.standard_normal(shape)
+        signed_zeros = np.zeros(shape)
+        signed_zeros.flat[::2] = -0.0
+        cplx = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        infs = rng.standard_normal(shape)
+        infs.flat[0], infs.flat[-1] = np.inf, -np.inf
+        return real, signed_zeros, -np.zeros(shape), cplx, infs
+
+    @pytest.mark.parametrize("size", [8, 9, 16, 64])
+    @pytest.mark.parametrize("n_angles", [1, 7, 90])
+    def test_bytes_match_reference(self, size, n_angles):
+        # the table-driven kernels against masked np.add.at / np.where forms;
+        # an odd size puts t on integers at cor_offset 0 and 1, an even one at 0.5
+        rng = np.random.default_rng(size * 100 + n_angles)
+        angles = [180.0 * k / n_angles for k in range(n_angles)]
+        n_det = math.ceil(math.sqrt(2.0) * size) + 9 | 1
+        cors = (0.0, -0.0, 0.5, 1.0, -1.25, 0.37, 4.0, -4.0, 30.0, -30.0)
+        if size == 64 and n_angles == 90:
+            cors = (0.0, 0.5, -4.0)
+        inputs = self._inputs((size, size), rng)
+        for n_det, cor in [(n_det, c) for c in cors] + [(3, 0.0), (3, 30.0), (1, 0.5)]:
+            p = make_primitive("Project", {"angles_deg": angles, "n_det": n_det, "cor_offset": cor})
+            for x in inputs:
+                with np.errstate(invalid="ignore"):
+                    out = prim_forward(p, x)
+                    ref = radon_forward_reference(p.params, x)
+                    assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes(), (n_det, cor, x.dtype)
+                    y = out if not np.isfinite(x).all() else rng.standard_normal(out.shape) * (
+                        1.0 + 1j if np.iscomplexobj(x) else 1.0)
+                    back = prim_adjoint(p, y, input_shape=x.shape)
+                    ref = radon_adjoint_reference(p.params, y, x.shape)
+                    assert back.dtype == ref.dtype and back.tobytes() == ref.tobytes(), (n_det, cor, y.dtype)
+
+    def test_rays_off_the_detector_scatter_nothing(self):
+        x = Rng(12).uniform((8, 8))
+        for cor in (30.0, -30.0):
+            p = make_primitive("Project", {"angles_deg": [0.0, 45.0, 90.0], "n_det": 3, "cor_offset": cor})
+            y = prim_forward(p, x)
+            assert y.shape == (3, 3) and not y.any()
+            assert not prim_adjoint(p, np.ones((3, 3)), input_shape=(8, 8)).any()
+
+    @pytest.mark.parametrize("size", [8, 16, 64])
+    @pytest.mark.parametrize("cor", [-4.0, 0.0, 4.0])
+    def test_ct_template_certifies_at_range_edges(self, size, cor):
+        # apply() rejects a cor_offset_px outside the family's range
+        g = compile_graph(instantiate("ct", size).family.apply((cor,)))
+        rep = adjoint_check_graph(g, n_trials=5, seed=size)
+        assert rep.delta_max < default_registry().thresholds["adjoint"]["delta_max"]
 
     def test_requires_2d(self):
         p = make_primitive("Project", {"angles_deg": [0.0], "n_det": 4})

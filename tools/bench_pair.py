@@ -41,7 +41,9 @@ END_TO_END = ("setup_s", "pass_s", "peak_rss_mb")
 REPEATABLE = ("calib_evals", "calib_psnr_db", "recon_psnr_db", "scenario_psnr_db")
 TRACED = ("tensor.construct_n", "tensor.construct_s", "tensor.bytes_copied",
           "solvers.tv_prox_n", "solvers.tv_prox_s", "solvers.reconstruct_n",
-          "solvers.reconstruct_s", "calibration.evals", "calibration.eval_s",
+          "solvers.reconstruct_s", "primitives.fwd.Project_n", "primitives.fwd.Project_s",
+          "primitives.adj.Project_n", "primitives.adj.Project_s",
+          "calibration.evals", "calibration.eval_s",
           "calibration.distinct_theta_ratio", "calib_evals", "calibrate_s", "trace.wall_s")
 # CLI runs whose result files must not change; flags after the subcommand
 CLI_CASES = (
