@@ -48,9 +48,14 @@ def tv_norm(x) -> float:
 def tv_prox(x, lam: float, n_inner: int = 20) -> np.ndarray:
     """prox of lam * TV via projected dual ascent; lam = 0 returns x unchanged.
 
-    Every buffer is allocated once per call and updated in place: the inner
-    loop runs on arrays of at most a few thousand elements, where numpy call
-    overhead, not arithmetic, sets the cost.
+    The inner loop runs on arrays of at most a few thousand elements, where
+    numpy call overhead, not arithmetic, sets the cost.  So every axis's dual
+    lives in one row of a stacked (ndim, size) buffer over the flattened
+    array, and each step is a few whole-stack calls: row d holds p_d at every
+    index, with the slot at axis d's last index kept at +0.0, behind a zero
+    guard as long as the largest stride.  Reading row d one stride s_d early
+    then gives p_{j-1} with p_{-1} = 0 (an earlier last-index slot or the
+    guard), so D_d^T p_d = [-p0, p0 - p1, ..., p_{n-2}] is one subtract.
     """
     a = x.numpy() if isinstance(x, Tensor) else np.asarray(x)
     if np.iscomplexobj(a):
@@ -58,44 +63,45 @@ def tv_prox(x, lam: float, n_inner: int = 20) -> np.ndarray:
     a = a.astype(np.float64, copy=False)
     if lam < 0:
         raise SolverError("BAD_CONFIG", f"lambda_tv must be nonnegative, got {lam}")
-    if lam == 0.0:
+    # a scalar has no differences: its TV is 0 and the prox is the identity
+    if lam == 0.0 or a.ndim == 0:
         return a.copy()
-    step = 1.0 / (4.0 * a.ndim * lam)
-    # per axis: dual p, gradient buffer g, and the slices np.diff takes
-    axes = []
-    for d, n in enumerate(a.shape):
-        before, after = (slice(None),) * d, (slice(None),) * (a.ndim - d - 1)
-        dual_shape = a.shape[:d] + (max(n - 1, 0),) + a.shape[d + 1:]
-        axes.append((
-            np.zeros(dual_shape),
-            np.empty(dual_shape),
-            before + (slice(None, -1),) + after,
-            before + (slice(1, None),) + after,
-            before + (slice(0, 1),) + after,
-        ))
-    div = np.empty_like(a)
-    term = np.empty_like(a)
-    u = np.empty_like(a)
+    ndim, size = a.ndim, a.size
+    step = 1.0 / (4.0 * ndim * lam)
+    strides = [math.prod(a.shape[d + 1:]) for d in range(ndim)]
+    guard = max(strides)
+    stacked = np.zeros((ndim, guard + size))
+    duals = stacked[:, guard:]
+    early = [stacked[d, guard - s:guard - s + size] for d, s in enumerate(strides)]
+    grad = np.zeros((ndim, size))
+    terms = np.empty((ndim, size))
+    div = np.empty(a.shape)
+    u = np.empty(a.shape)
+    grad_nd = grad.reshape((ndim,) + a.shape)
+    # forward differences of u along axis d land in every slot but the last
+    diffs = []
+    for d in range(ndim):
+        lo = (slice(None),) * d + (slice(None, -1),)
+        hi = (slice(None),) * d + (slice(1, None),)
+        diffs.append((u[hi], u[lo], grad_nd[d][lo]))
+    div_flat = div.reshape(-1)
 
     def primal():
-        # u = a - lam * sum_d D_d^T p_d; D_d^T p is [-p0, p0 - p1, ..., p_{n-2}].
-        # div starts at 0.0, not at the first term, so a -0.0 term sums to +0.0.
-        div.fill(0.0)
-        for p, _, lo, hi, first in axes:
-            term[hi] = p
-            term[first] = 0.0
-            term[lo] -= p
-            np.add(div, term, out=div)
+        # u = a - lam * sum_d D_d^T p_d.  The sum starts at 0.0 and adds the
+        # axes in order, so a -0.0 term sums to +0.0 as Python's sum() does.
+        for d in range(ndim):
+            np.subtract(early[d], duals[d], out=terms[d])
+        np.add.reduce(terms, axis=0, initial=0.0, out=div_flat)
         np.multiply(div, lam, out=div)
         np.subtract(a, div, out=u)
 
     for _ in range(max(1, n_inner)):
         primal()
-        for p, g, lo, hi, _ in axes:
-            np.subtract(u[hi], u[lo], out=g)
-            g *= step
-            g += p
-            np.clip(g, -1.0, 1.0, out=p)
+        for hi, lo, g in diffs:
+            np.subtract(hi, lo, out=g)
+        grad *= step
+        grad += duals
+        np.clip(grad, -1.0, 1.0, out=duals)
     primal()
     return u
 

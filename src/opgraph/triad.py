@@ -16,7 +16,7 @@ import numpy as np
 from .graph import GraphOperator
 from .metrics import bootstrap_ci, psnr
 from .registry import default_registry
-from .solvers import reconstruct
+from .solvers import pin_step, reconstruct
 from .templates import Template, apply_noise, make_phantoms
 from .tensor import CodedError, Rng, Tensor, tensor
 
@@ -182,20 +182,60 @@ def score_carrier(photons: dict, registry=None) -> PhotonReport:
     )
 
 
+class _Solves:
+    """The reconstructions of one diagnosis, each distinct problem solved once.
+
+    The scorers pose the same problems more than once: the mismatch probe
+    phantom is diagnose's first scene, I and II coincide when theta_true is
+    nominal, and every ``"auto"`` solve would rerun power iteration on an
+    operator already measured.  So graphs are compiled once per (template,
+    exact theta), keyed on the float64 bits as in ``calibration._Objective``;
+    each solved graph's step is pinned once, with the seed ``reconstruct``
+    itself would use; and each PSNR is kept per (graph, measurement bytes,
+    phantom bytes).  Solves still go through this module's ``reconstruct``
+    and ``psnr``.
+    """
+
+    def __init__(self, template: Template, solver_cfg: dict | None):
+        self.peak = template.peak
+        self.solver = dict(solver_cfg if solver_cfg is not None else template.solver)
+        self._graphs = {}
+        self._pinned = {}
+        self._psnr = {}
+
+    def operator(self, template: Template, theta=None) -> GraphOperator:
+        nominal = template.family.theta_nom if theta is None else theta
+        key = (id(template), np.asarray(nominal, dtype=np.float64).tobytes())
+        if key not in self._graphs:
+            # the template is kept so its id cannot be reused while cached
+            self._graphs[key] = (template, template.operator(theta))
+        return self._graphs[key][1]
+
+    def quality(self, g: GraphOperator, y: Tensor, x: Tensor) -> float:
+        key = (id(g), y.numpy().tobytes(), x.numpy().tobytes())
+        if key not in self._psnr:
+            if id(g) not in self._pinned:
+                seed = int(self.solver.get("seed", 0))
+                self._pinned[id(g)] = (g, pin_step(g, self.solver, seed=seed))
+            cfg = self._pinned[id(g)][1]
+            self._psnr[key] = psnr(reconstruct(g, y, cfg).x_hat, x, peak=self.peak)
+        return self._psnr[key]
+
+
 def sensitivity(template: Template, solver_cfg: dict | None, theta, k: int, h_k: float,
-                probe_seed: int = 0) -> float:
+                probe_seed: int = 0, _solves: _Solves | None = None) -> float:
     """d(PSNR)/d(theta_k) by central difference, mismatched-reconstruction lane."""
     if h_k <= 0:
         raise TriadError("BAD_STEP", f"need h_k > 0, got {h_k}")
     fam = template.family
     theta = list(fam.check(theta))
-    solver = dict(solver_cfg if solver_cfg is not None else template.solver)
-    g_nom = template.operator()
+    solves = _solves if _solves is not None else _Solves(template, solver_cfg)
+    g_nom = solves.operator(template)
     ph = make_phantoms(template.modality, template.size, 1, seed=probe_seed)[0]
 
     def quality(t_vec):
-        y = template.operator(tuple(t_vec)).forward(ph.data)
-        return psnr(reconstruct(g_nom, y, solver).x_hat, ph.data, peak=template.peak)
+        y = solves.operator(template, tuple(t_vec)).forward(ph.data)
+        return solves.quality(g_nom, y, ph.data)
 
     up, down = list(theta), list(theta)
     up[k] = theta[k] + h_k
@@ -219,7 +259,7 @@ def _severity(fam, theta_true, theta_nom) -> float:
 
 def score_mismatch(template: Template, theta_true, theta_nom=None,
                    solver_cfg: dict | None = None, probe_seed: int = 0,
-                   registry=None) -> MismatchReport:
+                   registry=None, _solves: _Solves | None = None) -> MismatchReport:
     fam = template.family
     theta_true = fam.check(theta_true)
     theta_nom = fam.check(theta_nom) if theta_nom is not None else fam.theta_nom
@@ -229,21 +269,21 @@ def score_mismatch(template: Template, theta_true, theta_nom=None,
     rel = [abs(t - n) / w for t, n, w in zip(theta_true, theta_nom, widths)]
     dominant = fam.param_names[int(np.argmax(rel))]
 
+    solves = _solves if _solves is not None else _Solves(template, solver_cfg)
     sens = {}
     for k, (name, (lo, hi)) in enumerate(zip(fam.param_names, fam.theta_range)):
         h = 0.05 * widths[k]
         base = list(theta_nom)
         # probe point nudged inside so the central stencil stays admissible
         base[k] = min(max(base[k], lo + h), hi - h)
-        sens[name] = sensitivity(template, solver_cfg, tuple(base), k, h, probe_seed)
+        sens[name] = sensitivity(template, solver_cfg, tuple(base), k, h, probe_seed,
+                                 _solves=solves)
 
-    solver = dict(solver_cfg if solver_cfg is not None else template.solver)
     ph = make_phantoms(template.modality, template.size, 1, seed=probe_seed)[0]
-    y = template.operator(theta_true).forward(ph.data)
-    psnr_i = psnr(reconstruct(template.operator(theta_true), y, solver).x_hat,
-                  ph.data, peak=template.peak)
-    psnr_ii = psnr(reconstruct(template.operator(), y, solver).x_hat,
-                   ph.data, peak=template.peak)
+    g_true = solves.operator(template, theta_true)
+    y = g_true.forward(ph.data)
+    psnr_i = solves.quality(g_true, y, ph.data)
+    psnr_ii = solves.quality(solves.operator(template), y, ph.data)
 
     return MismatchReport(
         severity=_severity(fam, theta_true, theta_nom),
@@ -299,23 +339,21 @@ def diagnose(template: Template, theta_true, solver_cfg: dict | None = None,
     fam = template.family
     theta_true = fam.check(theta_true)
     reg = registry or default_registry()
-    solver = dict(solver_cfg if solver_cfg is not None else template.solver)
+    solves = _Solves(template, solver_cfg)
+    g_nom = solves.operator(template)
 
-    gate1 = score_recoverability(template.operator(), registry=reg)
+    gate1 = score_recoverability(g_nom, registry=reg)
     photon = score_carrier(template.photons, registry=reg)
     mismatch = score_mismatch(template, theta_true, solver_cfg=solver_cfg,
-                              probe_seed=seed, registry=reg)
+                              probe_seed=seed, registry=reg, _solves=solves)
 
     phantoms = make_phantoms(template.modality, template.size, n_scenes, seed=seed)
-    g_true = template.operator(theta_true)
-    g_nom = template.operator()
+    g_true = solves.operator(template, theta_true)
     noise_rng = Rng(seed, _STREAM_PROBE)
-
-    def q(g, y, x):
-        return psnr(reconstruct(g, y, solver).x_hat, x, peak=template.peak)
+    q = solves.quality
 
     full = template.full_sampling()
-    g_full = None if full is template else full.operator(theta_true)
+    g_full = None if full is template else solves.operator(full, theta_true)
 
     p_i, p_ii, p_noisy, p_limit = [], [], [], []
     for i, ph in enumerate(phantoms):

@@ -2,7 +2,9 @@
 
 Each reference mirrors one template's forward model with plain loops and
 scipy helpers.  It shares the template's calibration data (masks, patterns,
-kernels, sampling sets) but none of its operator code.
+kernels, sampling sets) but none of its operator code.  The kernel and
+diagnosis references below are the unoptimized forms the program's own
+versions must match exactly.
 """
 
 import math
@@ -10,6 +12,13 @@ import math
 import numpy as np
 from scipy import ndimage
 from scipy.linalg import dft
+
+from opgraph import triad
+from opgraph.metrics import bootstrap_ci, psnr
+from opgraph.registry import default_registry
+from opgraph.solvers import reconstruct
+from opgraph.templates import apply_noise, make_phantoms
+from opgraph.tensor import Rng
 
 
 def _node_params(template, node_id: str) -> dict:
@@ -200,3 +209,94 @@ def radon_adjoint_reference(p, y, image_shape):
     g0 = np.where(v0, y[a_idx, i0c], 0.0)
     g1 = np.where(v1, y[a_idx, i1c], 0.0)
     return ((1.0 - frac) * g0 + frac * g1).sum(axis=0)
+
+
+def _sensitivity_reference(template, solver, theta, k, h_k, probe_seed):
+    g_nom = template.operator()
+    ph = make_phantoms(template.modality, template.size, 1, seed=probe_seed)[0]
+
+    def quality(t_vec):
+        y = template.operator(tuple(t_vec)).forward(ph.data)
+        return psnr(reconstruct(g_nom, y, solver).x_hat, ph.data, peak=template.peak)
+
+    up, down = list(theta), list(theta)
+    up[k] = theta[k] + h_k
+    down[k] = theta[k] - h_k
+    return (quality(up) - quality(down)) / (2.0 * h_k)
+
+
+def _mismatch_reference(template, theta_true, solver, probe_seed, reg):
+    fam = template.family
+    theta_nom = fam.theta_nom
+    widths = [hi - lo for lo, hi in fam.theta_range]
+    rel = [abs(t - n) / w for t, n, w in zip(theta_true, theta_nom, widths)]
+    sens = {}
+    for k, (name, (lo, hi)) in enumerate(zip(fam.param_names, fam.theta_range)):
+        h = 0.05 * widths[k]
+        base = list(theta_nom)
+        base[k] = min(max(base[k], lo + h), hi - h)
+        sens[name] = _sensitivity_reference(template, solver, tuple(base), k, h, probe_seed)
+    ph = make_phantoms(template.modality, template.size, 1, seed=probe_seed)[0]
+    y = template.operator(theta_true).forward(ph.data)
+    psnr_i = psnr(reconstruct(template.operator(theta_true), y, solver).x_hat,
+                  ph.data, peak=template.peak)
+    psnr_ii = psnr(reconstruct(template.operator(), y, solver).x_hat,
+                   ph.data, peak=template.peak)
+    return triad.MismatchReport(
+        severity=triad._severity(fam, theta_true, theta_nom),
+        dominant_param=fam.param_names[int(np.argmax(rel))],
+        sensitivities=sens,
+        expected_gain_db=psnr_i - psnr_ii,
+        recommended_method=reg.mismatch_family(template.modality).get("correction", ""),
+    )
+
+
+def diagnose_reference(template, theta_true, noisy=False, n_scenes=3, seed=0):
+    """``triad.diagnose`` with every reconstruction solved from scratch.
+
+    Each solve compiles its operators afresh and lets ``reconstruct`` run its
+    own power iteration, even where an earlier solve posed the same problem.
+    """
+    theta_true = template.family.check(theta_true)
+    reg = default_registry()
+    solver = dict(template.solver)
+    gate1 = triad.score_recoverability(template.operator(), registry=reg)
+    photon = triad.score_carrier(template.photons, registry=reg)
+    mismatch = _mismatch_reference(template, theta_true, solver, seed, reg)
+
+    phantoms = make_phantoms(template.modality, template.size, n_scenes, seed=seed)
+    g_true = template.operator(theta_true)
+    g_nom = template.operator()
+    noise_rng = Rng(seed, triad._STREAM_PROBE)
+
+    def q(g, y, x):
+        return psnr(reconstruct(g, y, solver).x_hat, x, peak=template.peak)
+
+    full = template.full_sampling()
+    g_full = None if full is template else full.operator(theta_true)
+    p_i, p_ii, p_noisy, p_limit = [], [], [], []
+    for i, ph in enumerate(phantoms):
+        y = g_true.forward(ph.data)
+        p_i.append(q(g_true, y, ph.data))
+        p_ii.append(q(g_nom, y, ph.data))
+        if noisy and template.noise:
+            p_noisy.append(q(g_true, apply_noise(y, template.noise, noise_rng.child(i)),
+                             ph.data))
+        else:
+            p_noisy.append(p_i[-1])
+        if g_full is None:
+            p_limit.append(p_i[-1])
+        else:
+            p_limit.append(q(g_full, g_full.forward(ph.data), ph.data))
+
+    binding = triad.bind_gate(float(np.mean(p_i)), float(np.mean(p_ii)),
+                              float(np.mean(p_noisy)), float(np.mean(p_i)),
+                              float(np.mean(p_limit)))
+    gaps = [a - b for a, b in zip(p_i, p_ii)]
+    if len(gaps) > 1:
+        lo, hi = bootstrap_ci(gaps, n_resamples=reg.thresholds["bootstrap"]["n_resamples"],
+                              seed=seed)
+        ci_width = hi - lo
+    else:
+        ci_width = 0.0
+    return triad.make_triad_report(gate1, photon, mismatch, binding, ci_width)

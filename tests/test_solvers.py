@@ -92,14 +92,35 @@ def _signed_zeros(shape, seed):
     return a
 
 
-@pytest.mark.parametrize("shape", [(1,), (2,), (9,), (1, 7), (7, 1), (16, 16),
-                                   (1, 1, 1), (5, 1, 3), (16, 16, 4)])
+def _extremes(shape, seed):
+    """Random data with +inf, -inf and NaN at the first, middle and last entries."""
+    a = Rng(seed).standard_normal(shape)
+    a.flat[[0, a.size // 2, a.size - 1][:a.size]] = [np.inf, -np.inf, np.nan][:a.size]
+    return a
+
+
+@pytest.mark.parametrize("shape", [(0,), (1,), (2,), (9,), (3, 0), (1, 7), (7, 1), (16, 16),
+                                   (1, 1, 1), (5, 1, 3), (16, 16, 4), (2, 3, 4, 5)])
 @pytest.mark.parametrize("lam", [1e-4, 0.03, 1.0, 10.0])
 @pytest.mark.parametrize("n_inner", [1, 20])
 def test_tv_prox_bytes_match_reference(shape, lam, n_inner):
-    for a in (Rng(5).standard_normal(shape), _signed_zeros(shape, 6), -0.0 * np.ones(shape)):
-        want = tv_prox_reference(a, lam, n_inner)
-        assert tv_prox(a, lam, n_inner).tobytes() == want.tobytes()
+    normal = Rng(5).standard_normal(shape)
+    cases = (normal, _signed_zeros(shape, 6), -0.0 * np.ones(shape), _extremes(shape, 7),
+             1e300 * normal, 1e-300 * normal)
+    for a in cases:
+        with np.errstate(all="ignore"):
+            want = tv_prox_reference(a, lam, n_inner)
+            got = tv_prox(a, lam, n_inner)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_tv_prox_scalar_is_identity():
+    a = np.array(-2.5)
+    u = tv_prox(a, 0.3)
+    assert u.shape == () and u.tobytes() == a.tobytes()
+    assert u is not a
+    assert tv_prox(np.int64(3), 1.0).tobytes() == np.array(3.0).tobytes()
 
 
 def test_tv_prox_integer_input_matches_reference():

@@ -4,7 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from reference_models import diagnose_reference
 
+from opgraph import solvers, triad
 from opgraph.graph import compile_graph, make_spec
 from opgraph.templates import TemplateError, instantiate
 from opgraph.tensor import Tensor
@@ -296,3 +298,40 @@ class TestDiagnose:
         a = diagnose(instantiate("ct", 16), (3.0,), n_scenes=2)
         b = diagnose(instantiate("ct", 16), (3.0,), n_scenes=2)
         assert a == b
+
+
+@pytest.mark.parametrize("modality, theta, kwargs", [
+    ("spc", None, {}),
+    ("spc", (0.01,), {}),
+    ("mri", None, {"noisy": True, "n_scenes": 2}),
+    ("cassi", (0.5, 0.3, 0.1, 2.02, 0.15), {}),
+])
+def test_diagnose_matches_reference(modality, theta, kwargs):
+    t = instantiate(modality, 8)
+    theta = theta or t.family.theta_nom
+    assert diagnose(t, theta, **kwargs).as_dict() == \
+        diagnose_reference(t, theta, **kwargs).as_dict()
+
+
+def test_diagnose_solves_each_distinct_problem_once(monkeypatch):
+    solved, measured = [], []
+    reconstruct, power_iteration = triad.reconstruct, solvers.power_iteration
+
+    def counting_reconstruct(g, y, cfg):
+        solved.append((id(g), y.numpy().tobytes()))
+        return reconstruct(g, y, cfg)
+
+    def counting_power_iteration(g, *args, **kwargs):
+        measured.append(id(g))
+        return power_iteration(g, *args, **kwargs)
+
+    monkeypatch.setattr(triad, "reconstruct", counting_reconstruct)
+    monkeypatch.setattr(solvers, "power_iteration", counting_power_iteration)
+    t = instantiate("spc", 8)
+    diagnose(t, (0.01,), n_scenes=3)
+    # 2 sensitivity probes; I and II per scene, the first shared with the
+    # mismatch probe; one full-sampling limit per scene
+    assert len(solved) == 2 + 2 * 3 + 3
+    assert len(set(solved)) == len(solved)
+    # one power iteration per solved graph: nominal, drifted, full sampling
+    assert len(measured) == len({g for g, _ in solved}) == 3

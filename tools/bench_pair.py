@@ -10,9 +10,10 @@ odd pairs head first.  The output records the core count,
 each end-to-end metric's per-run values with their median and quartiles,
 how many pairs the head won, the ``breakdown`` figures (``calib_evals`` and
 the PSNRs must repeat exactly at equal seeds when outputs are unchanged),
-one traced calib16 run per commit at seed 11, and whether a few CLI
-runs write byte-identical result files on both commits.  Standard library
-only.
+one traced calib16 and one traced protocol16 run per commit at seed 11
+(layer times, call counts and solver iterations), and whether a few
+``scenario``, ``diagnose`` and ``calibrate`` CLI runs write byte-identical
+result files on both commits.  Standard library only.
 """
 
 from __future__ import annotations
@@ -35,16 +36,19 @@ PAIRS = 10
 FIRST_SEED = 11
 SECONDS = 5.0
 WORKLOADS = ("calib16", "recon48", "protocol16")
-TRACE_WORKLOAD = "calib16"
+TRACE_WORKLOADS = ("calib16", "protocol16")
 END_TO_END = ("setup_s", "pass_s", "peak_rss_mb")
 # breakdown figures of a deterministic program: equal seeds, equal values
 REPEATABLE = ("calib_evals", "calib_psnr_db", "recon_psnr_db", "scenario_psnr_db")
 TRACED = ("tensor.construct_n", "tensor.construct_s", "tensor.bytes_copied",
           "solvers.tv_prox_n", "solvers.tv_prox_s", "solvers.reconstruct_n",
-          "solvers.reconstruct_s", "primitives.fwd.Project_n", "primitives.fwd.Project_s",
+          "solvers.reconstruct_s", "solvers.power_iteration_n", "solvers.iters",
+          "graph.forward_n", "graph.adjoint_n",
+          "primitives.fwd.Project_n", "primitives.fwd.Project_s",
           "primitives.adj.Project_n", "primitives.adj.Project_s",
           "calibration.evals", "calibration.eval_s",
-          "calibration.distinct_theta_ratio", "calib_evals", "calibrate_s", "trace.wall_s")
+          "calibration.distinct_theta_ratio", "calib_evals", "calibrate_s",
+          "triad.sensitivity_n", "scenario_s", "diagnose_s", "trace.wall_s")
 # CLI runs whose result files must not change; flags after the subcommand
 CLI_CASES = (
     ("scenario", ["--modality", "spc", "--size", "16", "--theta-true", "0.012"],
@@ -59,6 +63,12 @@ CLI_CASES = (
     ("calibrate", ["--modality", "cassi", "--size", "16", "--theta-true",
                    "0.5", "0.3", "0.1", "2.02", "0.15", "--calib", "alg1"],
      ("calib_result.json",)),
+    ("diagnose", ["--modality", "cassi", "--size", "16", "--theta-true",
+                  "0.5", "0.3", "0.1", "2.02", "0.15"],
+     ("triad_report.json",)),
+    # theta_true is nominal, so the matched (I) and mismatched (II) solves coincide
+    ("diagnose", ["--modality", "spc", "--size", "16", "--theta-true", "0.0"],
+     ("triad_report.json",)),
 )
 
 
@@ -197,12 +207,14 @@ def main(argv=None) -> int:
                           f"{run[side]['metrics']['pass_s']:.3f}", flush=True)
                 runs.append(run)
             report["workloads"][w] = {"summary": summarize(runs), "runs": runs}
-        traced = {}
-        for side in ("base", "head"):
-            res = perfbench(checkouts[side], TRACE_WORKLOAD, FIRST_SEED, 1)
-            merged = {**res["metrics"], **res["breakdown"]}
-            traced[side] = {k: merged.get(k) for k in TRACED}
-        report["trace"] = {"workload": TRACE_WORKLOAD, "seed": FIRST_SEED, **traced}
+        report["trace"] = {"seed": FIRST_SEED}
+        for w in TRACE_WORKLOADS:
+            traced = {}
+            for side in ("base", "head"):
+                res = perfbench(checkouts[side], w, FIRST_SEED, 1)
+                merged = {**res["metrics"], **res["breakdown"]}
+                traced[side] = {k: merged.get(k) for k in TRACED}
+            report["trace"][w] = traced
         report["cli_outputs"] = cli_outputs(checkouts, scratch)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
