@@ -204,8 +204,8 @@ class _Solves:
         self._psnr = {}
 
     def operator(self, template: Template, theta=None) -> GraphOperator:
-        nominal = template.family.theta_nom if theta is None else theta
-        key = (id(template), np.asarray(nominal, dtype=np.float64).tobytes())
+        point = template.family.theta_nom if theta is None else theta
+        key = (id(template), np.asarray(point, dtype=np.float64).tobytes())
         if key not in self._graphs:
             # the template is kept so its id cannot be reused while cached
             self._graphs[key] = (template, template.operator(theta))
