@@ -124,6 +124,20 @@ def _objective_for(template, y, cfg, x_gt, _objective):
     return _objective if _objective is not None else _Objective(template, y, cfg, x_gt)
 
 
+def _score_grid(obj, base, axes, axis_values):
+    """Score every point of the grid over ``axes``, the rest held at ``base``.
+
+    Returns ``(cost, index, theta)`` triples in ``itertools.product`` order.
+    """
+    scored = []
+    for idx, combo in enumerate(itertools.product(*axis_values)):
+        theta = list(base)
+        for a, v in zip(axes, combo):
+            theta[a] = float(v)
+        scored.append((obj(tuple(theta)), idx, tuple(theta)))
+    return scored
+
+
 def sweep_1d(template, y, cfg: CalibConfig, param_k: int, n_points: int,
              x_gt=None, _objective=None):
     """Cost curve of one parameter over its full range, others at nominal.
@@ -140,11 +154,7 @@ def sweep_1d(template, y, cfg: CalibConfig, param_k: int, n_points: int,
         raise CalibError("DEGENERATE_RANGE", f"{fam.param_names[param_k]}: [{lo}, {hi}]")
     obj = _objective_for(template, y, cfg, x_gt, _objective)
     values = np.linspace(lo, hi, n_points)
-    base = list(fam.theta_nom)
-    costs = []
-    for v in values:
-        base[param_k] = float(v)
-        costs.append(obj(tuple(base)))
+    costs = [c for c, _, _ in _score_grid(obj, fam.theta_nom, (param_k,), (values,))]
     best = int(np.argmin(costs))
     return tuple(float(v) for v in values), tuple(costs), best
 
@@ -173,12 +183,7 @@ def beam_search(template, y, cfg: CalibConfig, axes, grid_dims, centers, beam_k:
     for a, dim, center in zip(axes, grid_dims, centers):
         lo, hi = fam.theta_range[a]
         axis_values.append(_axis_grid(float(center), lo, hi, int(dim), (hi - lo) / 4.0))
-    scored = []
-    for idx, combo in enumerate(itertools.product(*axis_values)):
-        theta = list(base)
-        for a, v in zip(axes, combo):
-            theta[a] = float(v)
-        scored.append((obj(tuple(theta)), idx, tuple(theta)))
+    scored = _score_grid(obj, base, axes, axis_values)
     scored.sort(key=lambda t: (t[0], t[1]))
     return [(theta, cost) for cost, _, theta in scored[:beam_k]]
 
@@ -201,11 +206,7 @@ def coordinate_descent(template, y, cfg: CalibConfig, theta0, rounds: int = 3,
     for _ in range(rounds):
         for k, (lo, hi) in enumerate(fam.theta_range):
             values = np.clip(theta[k] + np.linspace(-widths[k], widths[k], n_points), lo, hi)
-            costs = []
-            for v in values:
-                cand = list(theta)
-                cand[k] = float(v)
-                costs.append(obj(tuple(cand)))
+            costs = [c for c, _, _ in _score_grid(obj, theta, (k,), (values,))]
             best = int(np.argmin(costs))
             theta[k] = float(values[best])
             best_cost = costs[best]
@@ -341,12 +342,7 @@ def calibrate_alg2(template, y, cfg: CalibConfig | None = None, x_gt=None,
     axis_values = [
         np.linspace(*fam.theta_range[a], d) for a, d in zip(grid_axes, dims)
     ]
-    scored = []
-    for idx, combo in enumerate(itertools.product(*axis_values)):
-        theta = list(fam.theta_nom)
-        for a, val in zip(grid_axes, combo):
-            theta[a] = float(val)
-        scored.append((obj(tuple(theta)), idx, tuple(theta)))
+    scored = _score_grid(obj, fam.theta_nom, grid_axes, axis_values)
     scored.sort(key=lambda t: (t[0], t[1]))
     seeds = [(theta, cost) for cost, _, theta in scored[: cfg.seeds_topk]]
     if warm_start is not None:

@@ -8,7 +8,10 @@ every source node; a node with several incoming edges receives the elementwise
 sum of its predecessors, and the plumbing id ``add`` names an explicit no-op
 join for readability.  ``forward`` and ``adjoint`` validate the :class:`Tensor`
 they are given and the one they return; nodes hand plain ndarrays to each
-other.
+other.  Compile owns the shape rules: stage 3 applies each node's
+:func:`~opgraph.primitives.prim_output_shape`, and since ``forward`` and
+``adjoint`` check the boundary shape, every node then receives the shape
+planned for it and the kernels do not check shapes again.
 """
 
 from __future__ import annotations

@@ -497,66 +497,39 @@ def lipschitz_bound(prim: PrimitiveInstance, lo: float, hi: float) -> float:
 # forward / adjoint dispatch
 
 
-def _mod_forward(p: dict, x: np.ndarray) -> np.ndarray:
-    m = p["m"].numpy()
-    if p["pattern_stack"]:
-        if m.ndim != x.ndim + 1 or m.shape[1:] != x.shape:
-            raise PrimitiveError(
-                f"Modulate: pattern stack {m.shape} incompatible with input {x.shape}"
-            )
-        return m * x[None]
-    if m.shape != x.shape:
-        raise PrimitiveError(f"Modulate: mask shape {m.shape} != input {x.shape}")
-    return m * x
-
-
 def prim_forward(prim: PrimitiveInstance, a: np.ndarray) -> np.ndarray:
+    """Apply a primitive to an input of a shape :func:`prim_output_shape` accepts.
+
+    The shape is not checked again here; only the values are (domains,
+    overflow, real-only families).
+    """
     p = prim.params
     k = prim.kind
     if k == PrimitiveKind.MODULATE:
-        out = _mod_forward(p, a)
+        out = p["m"].numpy() * (a[None] if p["pattern_stack"] else a)
     elif k == PrimitiveKind.CONVOLVE:
         h = p["h"].numpy()
-        if h.shape != a.shape:
-            raise PrimitiveError(f"Convolve: kernel shape {h.shape} != input {a.shape}")
         out = np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(h))
         if not (np.iscomplexobj(a) or np.iscomplexobj(h)):
             out = out.real
     elif k == PrimitiveKind.ACCUMULATE:
-        if list(a.shape) != p["input_shape"]:
-            raise PrimitiveError(
-                f"Accumulate: input shape {a.shape} != declared {tuple(p['input_shape'])}"
-            )
         out = a.sum(axis=tuple(p["axes"]))
     elif k == PrimitiveKind.SAMPLE:
-        if list(a.shape) != p["input_shape"]:
-            raise PrimitiveError(
-                f"Sample: input shape {a.shape} != declared {tuple(p['input_shape'])}"
-            )
         out = a.reshape(-1)[np.asarray(p["omega"], dtype=np.int64)]
     elif k == PrimitiveKind.ENCODE:
         axes = p["axes"]
         out = np.fft.fftn(a, axes=None if axes is None else tuple(axes), norm="ortho")
     elif k == PrimitiveKind.PROJECT:
-        if a.ndim != 2:
-            raise PrimitiveError("Project: expects a 2D image")
         out = _radon_forward(p, a)
     elif k == PrimitiveKind.PROPAGATE:
-        if a.ndim != 2:
-            raise PrimitiveError("Propagate: expects a 2D field")
         tf = _fresnel_tf(p, a.shape)
         out = np.fft.ifft2(np.fft.fft2(a.astype(np.complex128)) * tf)
     elif k == PrimitiveKind.DISPERSE:
-        ba = p["band_axis"]
-        if a.ndim != 3 or ba != a.ndim - 1:
-            raise PrimitiveError("Disperse: expects a 3D cube with band_axis as the last axis")
         out = np.empty_like(a)
-        for b, (dr, dcol) in enumerate(_disperse_shifts(p, a.shape[ba])):
+        for b, (dr, dcol) in enumerate(_disperse_shifts(p, a.shape[2])):
             band = shift_linear(a[:, :, b], dcol, axis=1)
             out[:, :, b] = shift_linear(band, dr, axis=0)
     elif k == PrimitiveKind.SCATTER:
-        if a.ndim != 2:
-            raise PrimitiveError("Scatter: expects a 2D (angle, energy) array")
         out = shift_linear(_gauss_blur_circular(a, p["sigma"], axis=0), p["shift"], axis=1)
     elif k == PrimitiveKind.DETECT:
         out = detect_apply(p, a)
@@ -571,7 +544,8 @@ def prim_adjoint(prim: PrimitiveInstance, a: np.ndarray, input_shape=None) -> np
     """Adjoint of a linear primitive.
 
     Project and Propagate need the domain shape; for Project it is required
-    (pass ``input_shape``), the rest infer it from params or the output.
+    (pass ``input_shape``), the rest infer it from params or the output.  As
+    in :func:`prim_forward`, shapes are not checked.
     """
     if not prim.is_linear:
         raise PrimitiveError(
@@ -581,10 +555,7 @@ def prim_adjoint(prim: PrimitiveInstance, a: np.ndarray, input_shape=None) -> np
     p = prim.params
     k = prim.kind
     if k == PrimitiveKind.MODULATE:
-        m = p["m"].numpy()
-        if m.shape != a.shape:
-            raise PrimitiveError(f"Modulate adjoint: shape mismatch {m.shape} vs {a.shape}")
-        out = np.conj(m) * a
+        out = np.conj(p["m"].numpy()) * a
         if p["pattern_stack"]:
             out = out.sum(axis=0)
     elif k == PrimitiveKind.CONVOLVE:
@@ -613,7 +584,7 @@ def prim_adjoint(prim: PrimitiveInstance, a: np.ndarray, input_shape=None) -> np
         out = np.fft.ifft2(np.fft.fft2(a.astype(np.complex128)) * np.conj(tf))
     elif k == PrimitiveKind.DISPERSE:
         out = np.empty_like(a)
-        for b, (dr, dcol) in enumerate(_disperse_shifts(p, a.shape[p["band_axis"]])):
+        for b, (dr, dcol) in enumerate(_disperse_shifts(p, a.shape[2])):
             band = shift_linear(a[:, :, b], -dr, axis=0)
             out[:, :, b] = shift_linear(band, -dcol, axis=1)
     elif k == PrimitiveKind.SCATTER:
@@ -630,6 +601,11 @@ def prim_adjoint(prim: PrimitiveInstance, a: np.ndarray, input_shape=None) -> np
 
 
 def prim_output_shape(prim: PrimitiveInstance, input_shape) -> tuple[int, ...]:
+    """Output shape of ``prim`` on ``input_shape``, or :class:`PrimitiveError`.
+
+    The only statement of each kind's shape rule: graph compile and
+    :func:`dot_product_test` apply it before any kernel runs.
+    """
     p = prim.params
     k = prim.kind
     shp = tuple(int(s) for s in input_shape)
@@ -663,13 +639,17 @@ def prim_output_shape(prim: PrimitiveInstance, input_shape) -> tuple[int, ...]:
             raise PrimitiveError("Propagate: expects a 2D field")
         return shp
     if k == PrimitiveKind.DISPERSE:
-        if len(shp) != 3:
-            raise PrimitiveError("Disperse: expects a 3D cube")
+        if len(shp) != 3 or p["band_axis"] != 2:
+            raise PrimitiveError("Disperse: expects a 3D cube with band_axis as the last axis")
         return shp
     if k == PrimitiveKind.SCATTER:
         if len(shp) != 2:
             raise PrimitiveError("Scatter: expects a 2D array")
         return shp
+    if k == PrimitiveKind.ENCODE and p["axes"] is not None:
+        bad = [a for a in p["axes"] if not -len(shp) <= a < len(shp)]
+        if bad:
+            raise PrimitiveError(f"Encode: axes {bad} out of range for a {len(shp)}D input")
     return shp
 
 

@@ -163,10 +163,6 @@ def _gauss_kernel(n: int, sigma: float) -> np.ndarray:
 # template builders
 
 
-def _linear_detect() -> dict:
-    return {"node_id": "det", "primitive_id": "Detect", "params": {"family": "linear_field", "g": 1.0}}
-
-
 _LEVEL2_DETECT = {
     "cassi": {"family": "logarithmic", "g": 1.0, "p2": 1e-3},
     "cacti": {"family": "logarithmic", "g": 1.0, "p2": 1e-3},
@@ -178,9 +174,8 @@ _LEVEL2_DETECT = {
 
 
 def _detect_node(modality: str, level: int) -> dict:
-    if level == 1:
-        return _linear_detect()
-    return {"node_id": "det", "primitive_id": "Detect", "params": dict(_LEVEL2_DETECT[modality])}
+    params = {"family": "linear_field", "g": 1.0} if level == 1 else dict(_LEVEL2_DETECT[modality])
+    return {"node_id": "det", "primitive_id": "Detect", "params": params}
 
 
 def _chain_edges(node_ids: list[str]) -> list[tuple[str, str]]:
@@ -441,7 +436,7 @@ def instantiate(
         theta_nom=tuple(float(p["nominal"]) for p in params),
         theta_range=tuple((float(p["lo"]), float(p["hi"])) for p in params),
         tags=tuple(p.get("tag", "") for p in params),
-        _build=lambda theta: build(theta),
+        _build=build,
     )
     return Template(
         modality=modality,

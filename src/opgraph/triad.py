@@ -245,8 +245,8 @@ def sensitivity(template: Template, solver_cfg: dict | None, theta, k: int, h_k:
     return (quality(up) - quality(down)) / (2.0 * h_k)
 
 
-def _severity(fam, theta_true, theta_nom) -> float:
-    delta = np.asarray(theta_true) - np.asarray(theta_nom)
+def _severity(fam, theta_true) -> float:
+    delta = np.asarray(theta_true) - np.asarray(fam.theta_nom)
     # per-parameter scale: the largest admissible deviation from nominal
     scales = np.array(
         [max(hi - nom, nom - lo) for (lo, hi), nom in zip(fam.theta_range, fam.theta_nom)]
@@ -257,12 +257,12 @@ def _severity(fam, theta_true, theta_nom) -> float:
     return float(np.clip(np.linalg.norm(delta) / denom, 0.0, 1.0))
 
 
-def score_mismatch(template: Template, theta_true, theta_nom=None,
-                   solver_cfg: dict | None = None, probe_seed: int = 0,
-                   registry=None, _solves: _Solves | None = None) -> MismatchReport:
+def score_mismatch(template: Template, theta_true, solver_cfg: dict | None = None,
+                   probe_seed: int = 0, registry=None,
+                   _solves: _Solves | None = None) -> MismatchReport:
     fam = template.family
     theta_true = fam.check(theta_true)
-    theta_nom = fam.check(theta_nom) if theta_nom is not None else fam.theta_nom
+    theta_nom = fam.theta_nom
     reg = registry or default_registry()
 
     widths = [hi - lo for lo, hi in fam.theta_range]
@@ -286,7 +286,7 @@ def score_mismatch(template: Template, theta_true, theta_nom=None,
     psnr_ii = solves.quality(solves.operator(template), y, ph.data)
 
     return MismatchReport(
-        severity=_severity(fam, theta_true, theta_nom),
+        severity=_severity(fam, theta_true),
         dominant_param=dominant,
         sensitivities=sens,
         expected_gain_db=psnr_i - psnr_ii,

@@ -243,7 +243,7 @@ def _mismatch_reference(template, theta_true, solver, probe_seed, reg):
     psnr_ii = psnr(reconstruct(template.operator(), y, solver).x_hat,
                    ph.data, peak=template.peak)
     return triad.MismatchReport(
-        severity=triad._severity(fam, theta_true, theta_nom),
+        severity=triad._severity(fam, theta_true),
         dominant_param=fam.param_names[int(np.argmax(rel))],
         sensitivities=sens,
         expected_gain_db=psnr_i - psnr_ii,

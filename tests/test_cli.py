@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from opgraph.cli import main
-from opgraph.graph import serialize_spec
+from opgraph.graph import make_spec, serialize_spec
 from opgraph.runbundle import stable_bytes
 from opgraph.templates import instantiate
 
@@ -61,6 +61,15 @@ class TestAdjointCheck:
         assert main(["adjoint-check", str(path)]) == 2
         assert "error" in capsys.readouterr().err
 
+
+    def test_encode_axis_out_of_range_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "enc.yaml"
+        path.write_text(serialize_spec(make_spec(
+            [{"node_id": "enc", "primitive_id": "Encode", "params": {"axes": [5]}}],
+            [], {"input_shape": [4, 4]},
+        )))
+        assert main(["adjoint-check", str(path)]) == 2
+        assert "SHAPE_MISMATCH" in capsys.readouterr().err
 
 class TestSimulate:
     def test_writes_tensors_and_manifest(self, tmp_path, capsys):

@@ -32,6 +32,13 @@ def simple_chain(mask_vals, g=1.0):
     )
 
 
+def encode_spec(axes):
+    return make_spec(
+        [{"node_id": "enc", "primitive_id": "Encode", "params": {"axes": axes}}],
+        [], {"input_shape": [4, 4]},
+    )
+
+
 class TestValidation:
     def test_empty_graph(self):
         with pytest.raises(GraphError) as e:
@@ -118,6 +125,25 @@ class TestValidation:
         with pytest.raises(GraphError, match="acc") as e:
             compile_graph(spec)
         assert e.value.code == "SHAPE_MISMATCH"
+
+    def test_disperse_band_axis_not_last_rejected_at_compile(self):
+        spec = make_spec(
+            [{"node_id": "disp", "primitive_id": "Disperse", "params": {"a1": 1.0, "band_axis": 0}}],
+            [], {"input_shape": [4, 4, 3]},
+        )
+        with pytest.raises(GraphError, match="node 'disp'.*band_axis") as e:
+            compile_graph(spec)
+        assert e.value.code == "SHAPE_MISMATCH"
+
+    def test_encode_axis_out_of_range_names_node(self):
+        with pytest.raises(GraphError, match="node 'enc'.*out of range") as e:
+            compile_graph(encode_spec([5]))
+        assert e.value.code == "SHAPE_MISMATCH"
+
+    @pytest.mark.parametrize("axes", [[-1, 1], [0, 0]])
+    def test_encode_legal_axes_certify(self, axes):
+        rep = adjoint_check_graph(compile_graph(encode_spec(axes)), n_trials=5, seed=0)
+        assert rep.passed and rep.delta_max < 1e-15
 
     def test_missing_input_shape(self):
         spec = make_spec([{"node_id": "f", "primitive_id": "Encode", "params": {}}], [])

@@ -73,7 +73,7 @@ class TestModulate:
     def test_shape_mismatch(self):
         p = make_primitive("Modulate", {"m": tensor([1.0, 2.0])})
         with pytest.raises(PrimitiveError, match="Modulate"):
-            prim_forward(p, np.array([1.0, 2.0, 3.0]))
+            prim_output_shape(p, (3,))
 
 
 class TestAccumulateSample:
@@ -256,7 +256,7 @@ class TestProject:
     def test_requires_2d(self):
         p = make_primitive("Project", {"angles_deg": [0.0], "n_det": 4})
         with pytest.raises(PrimitiveError, match="2D"):
-            prim_forward(p, np.array([1.0, 2.0]))
+            prim_output_shape(p, (2,))
 
 
 class TestDisperse:
@@ -463,6 +463,61 @@ def _random_linear_prim(key: int, shape):
     return make_primitive(
         "Propagate", {"distance_m": 0.003, "wavelength_m": 532e-9, "pitch_m": 5e-6}
     )
+
+
+_POINTWISE = [
+    ("Detect", {"family": "linear_field", "g": 1.3}),
+    ("Detect", {"family": "logarithmic", "g": 1.0, "p2": 1e-3}),
+    ("Detect", {"family": "sigmoid", "g": 2.0, "p2": 0.5}),
+    ("Detect", {"family": "intensity_square"}),
+    ("Detect", {"family": "coherent_field", "p2": 0.5}),
+    ("Transform", {"family": "exp_attenuation", "alpha": 0.7}),
+    ("Transform", {"family": "log_compression", "x0": 1.0}),
+    ("Transform", {"family": "phase_wrap"}),
+    ("Transform", {"family": "polynomial", "coeffs": [0.0, 1.0, 0.5]}),
+    ("Transform", {"family": "saturation", "lo": 0.2, "hi": 0.8}),
+]
+
+
+class TestShapeContract:
+    """Kernels do not check shapes, so each must return what prim_output_shape promises."""
+
+    @staticmethod
+    def _agree(p, x):
+        assert prim_forward(p, x).shape == prim_output_shape(p, x.shape)
+        if p.is_linear:
+            y = np.ones(prim_output_shape(p, x.shape))
+            assert prim_adjoint(p, y, input_shape=x.shape).shape == x.shape
+
+    @pytest.mark.parametrize("key", range(16))
+    def test_linear_kinds(self, key):
+        shape = (6, 5)
+        x = Rng(key).standard_normal(shape)
+        self._agree(_random_linear_prim(key, shape), x)
+
+    @pytest.mark.parametrize("kind,params", _POINTWISE)
+    def test_pointwise_families(self, kind, params):
+        # uniform on (0, 1) lies inside every family's domain
+        self._agree(make_primitive(kind, params), Rng(3).uniform((6, 5)))
+
+    def test_disperse_and_pattern_stack(self):
+        self._agree(make_primitive("Disperse", {"a1": 0.7, "alpha_deg": 20.0}),
+                    Rng(4).standard_normal((6, 5, 3)))
+        m = tensor(Rng(5).standard_normal((4, 6, 5)))
+        self._agree(make_primitive("Modulate", {"m": m, "pattern_stack": True}),
+                    Rng(6).standard_normal((6, 5)))
+
+    def test_disperse_band_axis_must_be_last(self):
+        p = make_primitive("Disperse", {"a1": 1.0, "band_axis": 0})
+        with pytest.raises(PrimitiveError, match="band_axis"):
+            prim_output_shape(p, (4, 4, 3))
+
+    def test_encode_axes_must_be_in_range(self):
+        p = make_primitive("Encode", {"axes": [5]})
+        with pytest.raises(PrimitiveError, match="out of range"):
+            prim_output_shape(p, (4, 4))
+        for axes in ([-1, 1], [0, 0], [-2]):
+            assert prim_output_shape(make_primitive("Encode", {"axes": axes}), (4, 4)) == (4, 4)
 
 
 class TestAdjointCertification:
