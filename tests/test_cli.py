@@ -61,7 +61,6 @@ class TestAdjointCheck:
         assert main(["adjoint-check", str(path)]) == 2
         assert "error" in capsys.readouterr().err
 
-
     def test_encode_axis_out_of_range_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "enc.yaml"
         path.write_text(serialize_spec(make_spec(
@@ -70,6 +69,7 @@ class TestAdjointCheck:
         )))
         assert main(["adjoint-check", str(path)]) == 2
         assert "SHAPE_MISMATCH" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_writes_tensors_and_manifest(self, tmp_path, capsys):

@@ -489,7 +489,7 @@ class TestShapeContract:
             y = np.ones(prim_output_shape(p, x.shape))
             assert prim_adjoint(p, y, input_shape=x.shape).shape == x.shape
 
-    @pytest.mark.parametrize("key", range(16))
+    @pytest.mark.parametrize("key", range(8))  # one per kind _random_linear_prim draws
     def test_linear_kinds(self, key):
         shape = (6, 5)
         x = Rng(key).standard_normal(shape)
@@ -506,18 +506,6 @@ class TestShapeContract:
         m = tensor(Rng(5).standard_normal((4, 6, 5)))
         self._agree(make_primitive("Modulate", {"m": m, "pattern_stack": True}),
                     Rng(6).standard_normal((6, 5)))
-
-    def test_disperse_band_axis_must_be_last(self):
-        p = make_primitive("Disperse", {"a1": 1.0, "band_axis": 0})
-        with pytest.raises(PrimitiveError, match="band_axis"):
-            prim_output_shape(p, (4, 4, 3))
-
-    def test_encode_axes_must_be_in_range(self):
-        p = make_primitive("Encode", {"axes": [5]})
-        with pytest.raises(PrimitiveError, match="out of range"):
-            prim_output_shape(p, (4, 4))
-        for axes in ([-1, 1], [0, 0], [-2]):
-            assert prim_output_shape(make_primitive("Encode", {"axes": axes}), (4, 4)) == (4, 4)
 
 
 class TestAdjointCertification:
