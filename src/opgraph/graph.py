@@ -1,17 +1,29 @@
 """Operator graphs: parse, validate, compile, execute, certify.
 
-A graph spec is a DAG of primitive nodes with one sink.  Compilation runs four
+A graph spec is a DAG of primitive nodes with one sink.  Compilation runs five
 stages: structural validation, parameter binding, forward planning (stable
-topological order plus shape/dtype propagation), and adjoint planning (reverse
-order, only when every node is linear).  Execution feeds the graph input to
-every source node; a node with several incoming edges receives the elementwise
-sum of its predecessors, and the plumbing id ``add`` names an explicit no-op
-join for readability.  ``forward`` and ``adjoint`` validate the :class:`Tensor`
+topological order plus shape/dtype propagation), contraction (below), and
+adjoint planning (reverse order, only when every node is linear).  Execution
+feeds the graph input to every source node; a node with several incoming edges
+receives the elementwise sum of its predecessors, and the plumbing id ``add``
+names an explicit no-op join for readability.  ``forward`` and ``adjoint`` validate the :class:`Tensor`
 they are given and the one they return; nodes hand plain ndarrays to each
 other.  Compile owns the shape rules: stage 3 applies each node's
 :func:`~opgraph.primitives.prim_output_shape`, and since ``forward`` and
 ``adjoint`` check the boundary shape, every node then receives the shape
 planned for it and the kernels do not check shapes again.
+
+Contraction applies to one node pair: a pattern-stack ``Modulate`` whose only
+successor is an ``Accumulate`` that has no other predecessor and sums exactly
+axes 1..ndim-1 of the K-pattern stack.  That pair is the dense K-by-n matrix
+``M = m.reshape(K, -1)``, so ``forward`` computes ``M @ x.ravel()`` and
+``adjoint`` computes ``Mᴴ y`` reshaped to the input shape, instead of writing
+the K-by-input stack and summing it away.  The stack node passes its input
+through and the ``Accumulate`` node applies ``M``; the spec, its hash, the plans
+and every other node are unchanged, and ``adjoint_check_graph`` certifies the
+contracted operator, since it calls the same ``forward`` and ``adjoint``.  The
+results differ from the node-by-node sums only at rounding level (BLAS sums in
+another order).
 """
 
 from __future__ import annotations
@@ -170,6 +182,8 @@ class GraphOperator:
     _prims: dict = field(repr=False, default_factory=dict)
     _preds: dict = field(repr=False, default_factory=dict)
     _node_in_shapes: dict = field(repr=False, default_factory=dict)
+    # contracted pairs: Accumulate id -> K x n matrix, its stack's id -> None
+    _contracted: dict = field(repr=False, default_factory=dict)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape != self.input_shape:
@@ -186,7 +200,10 @@ class GraphOperator:
                 for p in preds[1:]:
                     inp = inp + vals[p]
             prim = self._prims[nid]
-            if prim is None:  # add join
+            if nid in self._contracted:
+                M = self._contracted[nid]
+                vals[nid] = inp if M is None else M @ inp.reshape(-1)
+            elif prim is None:  # add join
                 vals[nid] = inp
             else:
                 try:
@@ -209,7 +226,14 @@ class GraphOperator:
         for nid in self.plan_adjoint:
             g = cot.pop(nid)
             prim = self._prims[nid]
-            if prim is None:
+            if nid in self._contracted:
+                M = self._contracted[nid]
+                if M is None:
+                    z = g
+                else:
+                    z = np.conj(np.conj(g) @ M) if np.iscomplexobj(M) else g @ M
+                    z = z.reshape(self._node_in_shapes[nid][1:])
+            elif prim is None:
                 z = g
             else:
                 z = prim_adjoint(prim, g, input_shape=self._node_in_shapes[nid])
@@ -285,6 +309,28 @@ def _infer_input_shape(spec: GraphSpec, prims: dict, sources) -> tuple[int, ...]
         if prim.kind in (PrimitiveKind.ACCUMULATE, PrimitiveKind.SAMPLE):
             return tuple(p["input_shape"])
     return None
+
+
+def _contractions(prims: dict, preds: dict, out_deg: dict) -> dict:
+    """Pattern-stack Modulate -> Accumulate pairs that run as one matrix-vector product."""
+    pairs = {}
+    for nid, prim in prims.items():
+        if prim is None or prim.kind != PrimitiveKind.ACCUMULATE or len(preds[nid]) != 1:
+            continue
+        stack_id = preds[nid][0]
+        stack = prims[stack_id]
+        if (
+            stack is None
+            or stack.kind != PrimitiveKind.MODULATE
+            or not stack.params["pattern_stack"]
+            or out_deg[stack_id] != 1
+        ):
+            continue
+        m = stack.params["m"].numpy()
+        if sorted(prim.params["axes"]) == list(range(1, m.ndim)):
+            pairs[stack_id] = None
+            pairs[nid] = m.reshape(m.shape[0], -1)
+    return pairs
 
 
 def compile_graph(spec: GraphSpec) -> GraphOperator:
@@ -363,7 +409,10 @@ def compile_graph(spec: GraphSpec) -> GraphOperator:
                 raise GraphError("SHAPE_MISMATCH", f"node '{nid}': {exc}") from exc
             dtypes[nid] = prim_output_dtype(prim, in_dtype)
 
-    # stage 4: adjoint plan, only when every node is linear
+    # stage 4: contract pattern-stack Modulate -> Accumulate pairs
+    contracted = _contractions(prims, preds, out_deg)
+
+    # stage 5: adjoint plan, only when every node is linear
     all_linear = all(p is None or p.is_linear for p in prims.values())
     plan_adjoint = tuple(reversed(plan)) if all_linear else None
 
@@ -379,6 +428,7 @@ def compile_graph(spec: GraphSpec) -> GraphOperator:
         _prims=prims,
         _preds={k: list(v) for k, v in preds.items()},
         _node_in_shapes=node_in_shapes,
+        _contracted=contracted,
     )
 
 

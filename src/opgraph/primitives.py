@@ -484,6 +484,10 @@ def lipschitz_bound(prim: PrimitiveInstance, lo: float, hi: float) -> float:
                 raise PrimitiveError("Transform.log_compression unbounded on this box")
             return abs(p.get("g", 1.0)) / (p["x0"] + lo)
         if fam == "phase_wrap":
+            # the wrap jumps by 2*pi at each branch cut pi + 2*pi*k
+            cut = math.pi + 2.0 * math.pi * math.ceil((lo - math.pi) / (2.0 * math.pi))
+            if cut <= hi:
+                raise PrimitiveError("Transform.phase_wrap unbounded on this box")
             return 1.0
         if fam == "polynomial":
             m = max(abs(lo), abs(hi))
@@ -555,7 +559,8 @@ def prim_adjoint(prim: PrimitiveInstance, a: np.ndarray, input_shape=None) -> np
     p = prim.params
     k = prim.kind
     if k == PrimitiveKind.MODULATE:
-        out = np.conj(p["m"].numpy()) * a
+        m = p["m"].numpy()
+        out = (np.conj(m) if np.iscomplexobj(m) else m) * a
         if p["pattern_stack"]:
             out = out.sum(axis=0)
     elif k == PrimitiveKind.CONVOLVE:

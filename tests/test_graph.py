@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opgraph import graph
 from opgraph.graph import (
     GraphError,
     adjoint_check_graph,
@@ -15,11 +16,12 @@ from opgraph.graph import (
     parse_spec,
     serialize_spec,
 )
+from opgraph.primitives import make_primitive, prim_adjoint, prim_forward
 from opgraph.registry import default_registry
 from opgraph.templates import instantiate
 from opgraph.tensor import Rng, Tensor, TensorError, tensor
 
-from helpers import graph_adjoint_matrix, graph_matrix, random_linear_chain
+from helpers import graph_adjoint_matrix, graph_matrix, materialize, random_linear_chain
 
 
 def simple_chain(mask_vals, g=1.0):
@@ -348,6 +350,147 @@ class TestAdjointCertification:
         with pytest.raises(GraphError) as e:
             adjoint_check_graph(compile_graph(spec))
         assert e.value.code == "NONLINEAR_ADJOINT"
+
+
+def stack_chain(m, axes, metadata=None):
+    """Pattern-stack Modulate -> Accumulate(axes) -> linear Detect."""
+    return make_spec(
+        [
+            {"node_id": "stack", "primitive_id": "Modulate",
+             "params": {"m": Tensor(m), "pattern_stack": True}},
+            {"node_id": "sum", "primitive_id": "Accumulate",
+             "params": {"axes": axes, "input_shape": list(m.shape)}},
+            {"node_id": "det", "primitive_id": "Detect",
+             "params": {"family": "linear_field", "g": -1.5}},
+        ],
+        [("stack", "sum"), ("sum", "det")],
+        metadata,
+    )
+
+
+def kinds_run(monkeypatch, g, x):
+    """Primitive kinds whose kernel ``g.forward(x)`` calls, in order."""
+    kinds = []
+
+    def counting(prim, a):
+        kinds.append(prim.kind.value)
+        return prim_forward(prim, a)
+
+    monkeypatch.setattr(graph, "prim_forward", counting)
+    g.forward(x)
+    return kinds
+
+
+def rel_gap(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+class TestContraction:
+    """A pattern-stack Modulate -> Accumulate pair runs as one matrix-vector product."""
+
+    @staticmethod
+    def contracted_graph(case):
+        if case.startswith("spc"):
+            return instantiate("spc", int(case[3:])).operator()
+        rng = Rng(7)
+        m = rng.standard_normal((5, 3, 4)) + 1j * rng.standard_normal((5, 3, 4))
+        return compile_graph(stack_chain(m, [2, 1], {"input_dtype": "complex128"}))
+
+    @pytest.mark.parametrize("case", ["spc8", "spc16", "spc48", "complex"])
+    def test_matches_node_by_node_composition(self, case, monkeypatch):
+        g = self.contracted_graph(case)
+        # every spec here is a chain declared in plan order
+        prims = [make_primitive(n.primitive_id, n.params) for n in g.spec.nodes]
+        rng = Rng(3)
+        x = rng.standard_normal(g.input_shape)
+        y = rng.standard_normal(g.output_shape)
+        if g.input_dtype == "complex128":
+            x = x + 1j * rng.standard_normal(g.input_shape)
+        if g.output_dtype == "complex128":
+            y = y + 1j * rng.standard_normal(g.output_shape)
+        ref_fwd, ref_adj = x, y
+        for prim in prims:
+            ref_fwd = prim_forward(prim, ref_fwd)
+        for prim in reversed(prims):
+            ref_adj = prim_adjoint(prim, ref_adj)
+        assert rel_gap(g.forward(Tensor(x)).numpy(), ref_fwd) <= 1e-12
+        assert rel_gap(g.adjoint(Tensor(y)).numpy(), ref_adj) <= 1e-12
+        assert kinds_run(monkeypatch, g, Tensor(x)) == [p.kind.value for p in prims[2:]]
+
+    @pytest.mark.parametrize("case", ["spc8", "spc16", "spc48", "complex"])
+    def test_contracted_graph_certifies(self, case):
+        rep = adjoint_check_graph(self.contracted_graph(case))
+        assert rep.passed, f"delta_max={rep.delta_max}"
+
+    def test_spc_certifies_at_every_size(self):
+        for size in range(8, 65, 8):
+            rep = adjoint_check_graph(instantiate("spc", size).operator(), n_trials=2)
+            assert rep.passed, f"size {size}: delta_max={rep.delta_max}"
+
+    def test_stack_feeding_two_nodes_is_not_contracted(self, monkeypatch):
+        m = Rng(1).standard_normal((3, 2, 2))
+        spec = make_spec(
+            [
+                {"node_id": "stack", "primitive_id": "Modulate",
+                 "params": {"m": Tensor(m), "pattern_stack": True}},
+                {"node_id": "a", "primitive_id": "Accumulate",
+                 "params": {"axes": [1, 2], "input_shape": [3, 2, 2]}},
+                {"node_id": "b", "primitive_id": "Accumulate",
+                 "params": {"axes": [1, 2], "input_shape": [3, 2, 2]}},
+                {"node_id": "join", "primitive_id": "add", "params": {}},
+            ],
+            [("stack", "a"), ("stack", "b"), ("a", "join"), ("b", "join")],
+        )
+        g = compile_graph(spec)
+        assert kinds_run(monkeypatch, g, Tensor(np.ones((2, 2)))) == [
+            "Modulate", "Accumulate", "Accumulate"]
+        monkeypatch.undo()
+        A = graph_matrix(g)
+        assert np.allclose(A, 2.0 * m.reshape(3, -1), atol=1e-14)
+        assert np.allclose(graph_adjoint_matrix(g), A.T, atol=1e-14)
+
+    def test_partial_axis_sum_is_not_contracted(self, monkeypatch):
+        m = Rng(2).standard_normal((3, 2, 4))
+        g = compile_graph(stack_chain(m, [2]))
+        assert kinds_run(monkeypatch, g, Tensor(np.ones((2, 4)))) == [
+            "Modulate", "Accumulate", "Detect"]
+        monkeypatch.undo()
+        prims = [make_primitive(n.primitive_id, n.params) for n in g.spec.nodes]
+        dense = (materialize(prims[2], (3, 2), "complex128")
+                 @ materialize(prims[1], (3, 2, 4)) @ materialize(prims[0], (2, 4)))
+        A = graph_matrix(g)
+        assert np.allclose(A, dense, atol=1e-14)
+        assert np.allclose(graph_adjoint_matrix(g), A.conj().T, atol=1e-14)
+
+    @pytest.mark.parametrize("modality", ["cassi", "cacti"])
+    def test_non_stack_modulate_is_not_contracted(self, modality, monkeypatch):
+        g = instantiate(modality, 8).operator()
+        x = Tensor(Rng(4).standard_normal(g.input_shape))
+        assert kinds_run(monkeypatch, g, x) == [
+            make_primitive(n.primitive_id, n.params).kind.value for n in g.spec.nodes]
+        monkeypatch.undo()
+        prims = [make_primitive(n.primitive_id, n.params) for n in g.spec.nodes]
+        dense, shape = np.eye(int(np.prod(g.input_shape))), g.input_shape
+        for prim in prims:
+            dense = materialize(prim, shape) @ dense
+            shape = prim_forward(prim, np.zeros(shape)).shape
+        A = graph_matrix(g)
+        assert np.allclose(A, dense, atol=1e-12)
+        assert np.allclose(graph_adjoint_matrix(g), A.T, atol=1e-12)
+
+    def test_hash_and_spec_text_unchanged(self):
+        spec = instantiate("spc", 8).operator().spec
+        g = compile_graph(spec)
+        assert g.plan_forward == ("patterns", "bucket", "gain", "det")
+        assert g.plan_adjoint == ("det", "gain", "bucket", "patterns")
+        # pinned before the contraction stage existed
+        assert graph_hash(g) == "a8d98c1206a50c682227a7d8b3bfd8c6e850e4fc627c265461601124893259c9"
+        text = serialize_spec(g.spec)
+        assert serialize_spec(spec) == text
+        back = compile_graph(parse_spec(text))
+        assert graph_hash(back) == graph_hash(g)
+        x = Tensor(Rng(5).standard_normal(g.input_shape))
+        assert np.array_equal(back.forward(x).numpy(), g.forward(x).numpy())
 
 
 class TestHash:

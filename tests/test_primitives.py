@@ -413,7 +413,7 @@ class TestLipschitz:
             ("Transform", {"family": "exp_attenuation", "alpha": 0.7}, 0.0, 3.0),
             ("Transform", {"family": "polynomial", "coeffs": [0.0, 1.0, 0.5, 0.25]}, -1.5, 1.5),
             ("Transform", {"family": "saturation", "lo": 0.0, "hi": 1.0}, -2.0, 2.0),
-            ("Transform", {"family": "phase_wrap"}, -6.0, 6.0),
+            ("Transform", {"family": "phase_wrap"}, -3.0, 3.0),
         ],
     )
     def test_bound_dominates_sampled_slopes(self, kind, params, lo, hi):
@@ -423,9 +423,13 @@ class TestLipschitz:
         xs = np.linspace(lo, hi, 2001)
         ys = prim_forward(prim, xs)
         slopes = np.abs(np.diff(ys)) / np.diff(xs)
-        if params.get("family") == "phase_wrap":
-            slopes = slopes[slopes < 100]  # exclude the wrap discontinuity itself
         assert slopes.max() <= L * (1 + 1e-6) + 1e-12
+
+    @pytest.mark.parametrize("lo,hi", [(-6.0, 6.0), (3.0, 3.3), (-3.3, -3.0), (np.pi, np.pi)])
+    def test_phase_wrap_box_across_a_branch_cut_rejected(self, lo, hi):
+        prim = make_primitive("Transform", {"family": "phase_wrap"})
+        with pytest.raises(PrimitiveError, match="unbounded on this box"):
+            lipschitz_bound(prim, lo, hi)
 
     def test_linear_kind_rejected(self):
         p = make_primitive("Modulate", {"m": tensor([1.0])})

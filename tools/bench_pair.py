@@ -10,10 +10,12 @@ odd pairs head first.  The output records the core count,
 each end-to-end metric's per-run values with their median and quartiles,
 how many pairs the head won, the ``breakdown`` figures (``calib_evals`` and
 the PSNRs must repeat exactly at equal seeds when outputs are unchanged),
-one traced calib16 and one traced protocol16 run per commit at seed 11
-(layer times, call counts and solver iterations), and whether a few
-``scenario``, ``diagnose`` and ``calibrate`` CLI runs write byte-identical
-result files on both commits.  Standard library only.
+one traced run of each workload per commit at seed 11 (layer times, call
+counts and solver iterations), and whether a few ``scenario``, ``diagnose``
+and ``calibrate`` CLI runs write byte-identical result files on both commits.
+Where a case's files differ, each file's largest absolute numeric drift is
+recorded with the field it occurs in, over all fields and over the PSNR
+fields.  Standard library only.
 """
 
 from __future__ import annotations
@@ -36,16 +38,17 @@ PAIRS = 10
 FIRST_SEED = 11
 SECONDS = 5.0
 WORKLOADS = ("calib16", "recon48", "protocol16")
-TRACE_WORKLOADS = ("calib16", "protocol16")
+TRACE_WORKLOADS = WORKLOADS
 END_TO_END = ("setup_s", "pass_s", "peak_rss_mb")
 # breakdown figures of a deterministic program: equal seeds, equal values
 REPEATABLE = ("calib_evals", "calib_psnr_db", "recon_psnr_db", "scenario_psnr_db")
 TRACED = ("tensor.construct_n", "tensor.construct_s", "tensor.bytes_copied",
           "solvers.tv_prox_n", "solvers.tv_prox_s", "solvers.reconstruct_n",
-          "solvers.reconstruct_s", "solvers.power_iteration_n", "solvers.iters",
-          "graph.forward_n", "graph.adjoint_n",
-          "primitives.fwd.Project_n", "primitives.fwd.Project_s",
-          "primitives.adj.Project_n", "primitives.adj.Project_s",
+          "solvers.reconstruct_s", "solvers.power_iteration_n", "solvers.power_iteration_s",
+          "solvers.iters",
+          "graph.forward_n", "graph.forward_s", "graph.adjoint_n", "graph.adjoint_s",
+          *(f"primitives.{d}.{k}_{u}" for d in ("fwd", "adj")
+            for k in ("Project", "Modulate", "Accumulate") for u in ("n", "s")),
           "calibration.evals", "calibration.eval_s",
           "calibration.distinct_theta_ratio", "calib_evals", "calibrate_s",
           "triad.sensitivity_n", "scenario_s", "diagnose_s", "trace.wall_s")
@@ -60,6 +63,9 @@ CLI_CASES = (
      ("scenario_result.json", "triad_report.json")),
     ("scenario", ["--modality", "lensless", "--size", "16", "--theta-true", "1.0", "--noisy"],
      ("scenario_result.json", "triad_report.json")),
+    ("calibrate", ["--modality", "spc", "--size", "16", "--theta-true", "0.012",
+                   "--calib", "alg1"],
+     ("calib_result.json",)),
     ("calibrate", ["--modality", "cassi", "--size", "16", "--theta-true",
                    "0.5", "0.3", "0.1", "2.02", "0.15", "--calib", "alg1"],
      ("calib_result.json",)),
@@ -147,6 +153,29 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def numeric_diffs(base, head, path=""):
+    """Yield ``(|head - base|, field)`` for every number both payloads hold at one field."""
+    if isinstance(base, dict) and isinstance(head, dict):
+        for k in base.keys() & head.keys():
+            yield from numeric_diffs(base[k], head[k], f"{path}.{k}" if path else k)
+    elif isinstance(base, list) and isinstance(head, list) and len(base) == len(head):
+        for i, (b, h) in enumerate(zip(base, head)):
+            yield from numeric_diffs(b, h, f"{path}[{i}]")
+    elif (isinstance(base, (int, float)) and isinstance(head, (int, float))
+          and not isinstance(base, bool) and not isinstance(head, bool) and base != head):
+        yield abs(head - base), path
+
+
+def drift(base, head) -> dict:
+    """Largest absolute numeric drift of one result file, overall and over PSNR fields."""
+    diffs = sorted(numeric_diffs(base, head), key=lambda d: (d[0], d[1]))
+    psnr = [d for d in diffs if "psnr" in d[1]]
+    top = diffs[-1] if diffs else (0.0, None)
+    top_psnr = psnr[-1] if psnr else (0.0, None)
+    return {"max_abs": top[0], "field": top[1], "fields_differing": len(diffs),
+            "max_abs_psnr": top_psnr[0], "psnr_field": top_psnr[1]}
+
+
 def cli_outputs(checkouts: dict, scratch: Path) -> list:
     cases = []
     for i, (command, flags, files) in enumerate(CLI_CASES):
@@ -168,9 +197,12 @@ def cli_outputs(checkouts: dict, scratch: Path) -> list:
         counts = {side: {k: payloads[side][f][k] for f in files
                          for k in ("evals", "distinct_evals") if k in payloads[side][f]}
                   for side in payloads}
-        cases.append({"argv": [command, *flags], "sha256": hashes,
-                      "byte_identical": hashes["base"] == hashes["head"],
-                      "base_fields_identical": base_fields_equal, "counts": counts})
+        case = {"argv": [command, *flags], "sha256": hashes,
+                "byte_identical": hashes["base"] == hashes["head"],
+                "base_fields_identical": base_fields_equal, "counts": counts}
+        if not case["byte_identical"]:
+            case["drift"] = {f: drift(payloads["base"][f], payloads["head"][f]) for f in files}
+        cases.append(case)
     return cases
 
 
