@@ -16,7 +16,7 @@ from opgraph.graph import (
     parse_spec,
     serialize_spec,
 )
-from opgraph.primitives import make_primitive, prim_adjoint, prim_forward
+from opgraph.primitives import make_primitive, prim_adjoint, prim_forward, prim_output_shape
 from opgraph.registry import default_registry
 from opgraph.templates import instantiate
 from opgraph.tensor import Rng, Tensor, TensorError, tensor
@@ -381,6 +381,11 @@ def kinds_run(monkeypatch, g, x):
     return kinds
 
 
+def chain_prims(g):
+    """The primitives of a chain graph whose spec lists its nodes in plan order."""
+    return [make_primitive(n.primitive_id, n.params) for n in g.spec.nodes]
+
+
 def rel_gap(got, ref):
     return np.linalg.norm(got - ref) / np.linalg.norm(ref)
 
@@ -399,8 +404,7 @@ class TestContraction:
     @pytest.mark.parametrize("case", ["spc8", "spc16", "spc48", "complex"])
     def test_matches_node_by_node_composition(self, case, monkeypatch):
         g = self.contracted_graph(case)
-        # every spec here is a chain declared in plan order
-        prims = [make_primitive(n.primitive_id, n.params) for n in g.spec.nodes]
+        prims = chain_prims(g)
         rng = Rng(3)
         x = rng.standard_normal(g.input_shape)
         y = rng.standard_normal(g.output_shape)
@@ -415,15 +419,12 @@ class TestContraction:
             ref_adj = prim_adjoint(prim, ref_adj)
         assert rel_gap(g.forward(Tensor(x)).numpy(), ref_fwd) <= 1e-12
         assert rel_gap(g.adjoint(Tensor(y)).numpy(), ref_adj) <= 1e-12
+        rep = adjoint_check_graph(g)
+        assert rep.passed, f"delta_max={rep.delta_max}"
         assert kinds_run(monkeypatch, g, Tensor(x)) == [p.kind.value for p in prims[2:]]
 
-    @pytest.mark.parametrize("case", ["spc8", "spc16", "spc48", "complex"])
-    def test_contracted_graph_certifies(self, case):
-        rep = adjoint_check_graph(self.contracted_graph(case))
-        assert rep.passed, f"delta_max={rep.delta_max}"
-
     def test_spc_certifies_at_every_size(self):
-        for size in range(8, 65, 8):
+        for size in range(8, 65):
             rep = adjoint_check_graph(instantiate("spc", size).operator(), n_trials=2)
             assert rep.passed, f"size {size}: delta_max={rep.delta_max}"
 
@@ -455,25 +456,24 @@ class TestContraction:
         assert kinds_run(monkeypatch, g, Tensor(np.ones((2, 4)))) == [
             "Modulate", "Accumulate", "Detect"]
         monkeypatch.undo()
-        prims = [make_primitive(n.primitive_id, n.params) for n in g.spec.nodes]
-        dense = (materialize(prims[2], (3, 2), "complex128")
+        prims = chain_prims(g)
+        dense = (materialize(prims[2], (3, 2))
                  @ materialize(prims[1], (3, 2, 4)) @ materialize(prims[0], (2, 4)))
         A = graph_matrix(g)
         assert np.allclose(A, dense, atol=1e-14)
-        assert np.allclose(graph_adjoint_matrix(g), A.conj().T, atol=1e-14)
+        assert np.allclose(graph_adjoint_matrix(g), A.T, atol=1e-14)
 
     @pytest.mark.parametrize("modality", ["cassi", "cacti"])
     def test_non_stack_modulate_is_not_contracted(self, modality, monkeypatch):
         g = instantiate(modality, 8).operator()
+        prims = chain_prims(g)
         x = Tensor(Rng(4).standard_normal(g.input_shape))
-        assert kinds_run(monkeypatch, g, x) == [
-            make_primitive(n.primitive_id, n.params).kind.value for n in g.spec.nodes]
+        assert kinds_run(monkeypatch, g, x) == [p.kind.value for p in prims]
         monkeypatch.undo()
-        prims = [make_primitive(n.primitive_id, n.params) for n in g.spec.nodes]
         dense, shape = np.eye(int(np.prod(g.input_shape))), g.input_shape
         for prim in prims:
             dense = materialize(prim, shape) @ dense
-            shape = prim_forward(prim, np.zeros(shape)).shape
+            shape = prim_output_shape(prim, shape)
         A = graph_matrix(g)
         assert np.allclose(A, dense, atol=1e-12)
         assert np.allclose(graph_adjoint_matrix(g), A.T, atol=1e-12)
