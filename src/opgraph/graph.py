@@ -179,10 +179,11 @@ class GraphOperator:
     output_shape: tuple[int, ...]
     input_dtype: str
     output_dtype: str
+    # node id -> primitive it runs; None passes the input through (add join, contracted stack)
     _prims: dict = field(repr=False, default_factory=dict)
     _preds: dict = field(repr=False, default_factory=dict)
     _node_in_shapes: dict = field(repr=False, default_factory=dict)
-    # contracted pairs: Accumulate id -> K x n matrix, its stack's id -> None
+    # contracted pairs: Accumulate id -> the K x n matrix of its stack
     _contracted: dict = field(repr=False, default_factory=dict)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -201,9 +202,8 @@ class GraphOperator:
                     inp = inp + vals[p]
             prim = self._prims[nid]
             if nid in self._contracted:
-                M = self._contracted[nid]
-                vals[nid] = inp if M is None else M @ inp.reshape(-1)
-            elif prim is None:  # add join
+                vals[nid] = self._contracted[nid] @ inp.reshape(-1)
+            elif prim is None:  # add join or contracted stack
                 vals[nid] = inp
             else:
                 try:
@@ -228,11 +228,8 @@ class GraphOperator:
             prim = self._prims[nid]
             if nid in self._contracted:
                 M = self._contracted[nid]
-                if M is None:
-                    z = g
-                else:
-                    z = np.conj(np.conj(g) @ M) if np.iscomplexobj(M) else g @ M
-                    z = z.reshape(self._node_in_shapes[nid][1:])
+                z = np.conj(np.conj(g) @ M) if np.iscomplexobj(M) else g @ M
+                z = z.reshape(self._node_in_shapes[nid][1:])
             elif prim is None:
                 z = g
             else:
@@ -312,7 +309,7 @@ def _infer_input_shape(spec: GraphSpec, prims: dict, sources) -> tuple[int, ...]
 
 
 def _contractions(prims: dict, preds: dict, out_deg: dict) -> dict:
-    """Pattern-stack Modulate -> Accumulate pairs that run as one matrix-vector product."""
+    """Accumulate id -> stack matrix, for each pattern-stack Modulate -> Accumulate pair."""
     pairs = {}
     for nid, prim in prims.items():
         if prim is None or prim.kind != PrimitiveKind.ACCUMULATE or len(preds[nid]) != 1:
@@ -328,7 +325,6 @@ def _contractions(prims: dict, preds: dict, out_deg: dict) -> dict:
             continue
         m = stack.params["m"].numpy()
         if sorted(prim.params["axes"]) == list(range(1, m.ndim)):
-            pairs[stack_id] = None
             pairs[nid] = m.reshape(m.shape[0], -1)
     return pairs
 
@@ -411,6 +407,8 @@ def compile_graph(spec: GraphSpec) -> GraphOperator:
 
     # stage 4: contract pattern-stack Modulate -> Accumulate pairs
     contracted = _contractions(prims, preds, out_deg)
+    for nid in contracted:
+        prims[preds[nid][0]] = None
 
     # stage 5: adjoint plan, only when every node is linear
     all_linear = all(p is None or p.is_linear for p in prims.values())

@@ -323,14 +323,9 @@ class TestCompileAndRun:
 class TestAdjointCertification:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 100_000))
-    @example(1147)  # Scatter (shift 1.19) -> Encode -> Accumulate([1]): identically zero
+    @example(1147)  # Scatter (shift 1.19) -> Encode -> Accumulate([1]): composes to zero
     def test_random_linear_chains_certify(self, key):
         g = random_linear_chain(key, max_nodes=3, start_shape=(6, 6))
-        if np.abs(graph_matrix(g)).max() <= 1e-12:
-            # Both sides of the dot test are rounding noise on a zero operator, so the
-            # relative delta is undefined there; its adjoint must be zero as well.
-            assert np.abs(graph_adjoint_matrix(g)).max() <= 1e-12
-            return
         rep = adjoint_check_graph(g, n_trials=5, seed=key)
         assert rep.passed, f"delta_max={rep.delta_max}"
 

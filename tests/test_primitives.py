@@ -555,6 +555,21 @@ class TestAdjointCertification:
         assert not rep.passed
         assert rep.delta_max > 0.1
 
+    def test_zero_operator_with_rounding_noise_certifies(self):
+        # a chain that composes to zero: the adjoint is exactly zero, the forward is noise
+        fwd = lambda x: Tensor(1e-17 * x.numpy()[::-1].copy())
+        adj = lambda y: Tensor(np.zeros(y.shape))
+        rep = _dot_test_report(fwd, adj, (6,), "real64", (6,), "real64", 5, 0)
+        assert rep.passed, f"delta_max={rep.delta_max}"
+
+    def test_broken_adjoint_of_small_operator_detected(self):
+        # the floor is relative to the probes, so a small but wrong operator still fails
+        fwd = lambda x: Tensor(2e-6 * x.numpy())
+        adj = lambda y: Tensor(1e-6 * y.numpy())
+        rep = _dot_test_report(fwd, adj, (6,), "real64", (6,), "real64", 5, 0)
+        assert not rep.passed
+        assert rep.delta_max > 0.1
+
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10_000))
     def test_dense_transpose_equivalence(self, key):

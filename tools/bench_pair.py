@@ -15,7 +15,8 @@ counts and solver iterations), and whether a few ``scenario``, ``diagnose``
 and ``calibrate`` CLI runs write byte-identical result files on both commits.
 Where a case's files differ, each file's largest absolute numeric drift is
 recorded with the field it occurs in, over all fields and over the PSNR
-fields.  Standard library only.
+fields, with every field that differs otherwise (present on one side only,
+lists of different lengths, unequal non-numeric values).  Standard library only.
 """
 
 from __future__ import annotations
@@ -153,27 +154,42 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def numeric_diffs(base, head, path=""):
-    """Yield ``(|head - base|, field)`` for every number both payloads hold at one field."""
+def field_diffs(base, head, path=""):
+    """Yield ``(|head - base|, field)`` for every number that differs between the payloads,
+    and ``(None, field)`` where they differ otherwise: a key on one side only, lists of
+    different lengths, or unequal values that are not both numbers."""
     if isinstance(base, dict) and isinstance(head, dict):
-        for k in base.keys() & head.keys():
-            yield from numeric_diffs(base[k], head[k], f"{path}.{k}" if path else k)
-    elif isinstance(base, list) and isinstance(head, list) and len(base) == len(head):
+        for k in sorted(base.keys() | head.keys()):
+            sub = f"{path}.{k}" if path else k
+            if k in base and k in head:
+                yield from field_diffs(base[k], head[k], sub)
+            else:
+                yield None, f"{sub} (only in {'base' if k in base else 'head'})"
+    elif isinstance(base, list) and isinstance(head, list):
+        if len(base) != len(head):
+            yield None, f"{path} (length {len(base)} -> {len(head)})"
+            return
         for i, (b, h) in enumerate(zip(base, head)):
-            yield from numeric_diffs(b, h, f"{path}[{i}]")
+            yield from field_diffs(b, h, f"{path}[{i}]")
     elif (isinstance(base, (int, float)) and isinstance(head, (int, float))
-          and not isinstance(base, bool) and not isinstance(head, bool) and base != head):
-        yield abs(head - base), path
+          and not isinstance(base, bool) and not isinstance(head, bool)):
+        if base != head:
+            yield abs(head - base), path
+    elif base != head or type(base) is not type(head):
+        yield None, path
 
 
 def drift(base, head) -> dict:
-    """Largest absolute numeric drift of one result file, overall and over PSNR fields."""
-    diffs = sorted(numeric_diffs(base, head), key=lambda d: (d[0], d[1]))
-    psnr = [d for d in diffs if "psnr" in d[1]]
-    top = diffs[-1] if diffs else (0.0, None)
+    """Largest absolute numeric drift of one result file, overall and over PSNR fields,
+    and the fields that differ in structure or in a non-numeric value."""
+    diffs = list(field_diffs(base, head))
+    numeric = sorted((d for d in diffs if d[0] is not None), key=lambda d: (d[0], d[1]))
+    psnr = [d for d in numeric if "psnr" in d[1]]
+    top = numeric[-1] if numeric else (0.0, None)
     top_psnr = psnr[-1] if psnr else (0.0, None)
-    return {"max_abs": top[0], "field": top[1], "fields_differing": len(diffs),
-            "max_abs_psnr": top_psnr[0], "psnr_field": top_psnr[1]}
+    return {"max_abs": top[0], "field": top[1], "fields_differing": len(numeric),
+            "max_abs_psnr": top_psnr[0], "psnr_field": top_psnr[1],
+            "other_differences": [f for v, f in diffs if v is None]}
 
 
 def cli_outputs(checkouts: dict, scratch: Path) -> list:
