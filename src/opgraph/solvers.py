@@ -4,12 +4,19 @@ FISTA-TV (monotone accept, momentum restart on objective increase), GAP-TV
 (scalar-preconditioned alternating projection), filtered back-projection for
 projection chains, and the plain adjoint map.  Total variation is anisotropic
 with a dual projected-gradient prox.
+
+A result's ``residual`` costs one operator forward, so it is computed on first
+read and kept; a caller that scores only ``x_hat`` never pays for it.  FBP
+ramp-filters each distinct measurement once: calibration solves one ``y``
+under thousands of candidate operators, and the filtered sinogram does not
+depend on the operator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,9 +37,18 @@ class SolverError(CodedError):
 @dataclass(frozen=True)
 class ReconResult:
     x_hat: Tensor
-    residual: float
     iters_run: int
     objective_trace: tuple[float, ...] = ()
+    # (operator, measurement array) that ``residual`` measures ``x_hat`` against
+    _problem: tuple = field(kw_only=True, repr=False, compare=False)
+
+    @cached_property
+    def residual(self) -> float:
+        """||A x_hat - y||^2 / ||y||^2, computed on first read."""
+        g, y = self._problem
+        r = g.forward(self.x_hat).numpy() - y
+        den = float(np.vdot(y, y).real)
+        return float(np.vdot(r, r).real) / (den + _RESIDUAL_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +181,6 @@ def pin_step(g: GraphOperator, cfg: dict, seed: int) -> dict:
     return cfg
 
 
-def _residual(g: GraphOperator, x: np.ndarray, y: np.ndarray) -> float:
-    r = g.forward(Tensor(x)).numpy() - y
-    den = float(np.vdot(y, y).real)
-    return float(np.vdot(r, r).real) / (den + _RESIDUAL_EPS)
-
-
 # ---------------------------------------------------------------------------
 # solvers
 
@@ -251,13 +261,21 @@ def _ramp_filter(sino: np.ndarray) -> np.ndarray:
     return np.real(np.fft.ifft(spectrum, axis=1))[:, :n_det]
 
 
+@lru_cache(maxsize=4)
+def _filtered_sinogram(y_bytes: bytes, shape: tuple, dtype: str, gain: float) -> np.ndarray:
+    """Read-only ramp-filtered ``y.real / gain``, keyed on the measurement's content."""
+    y = np.frombuffer(y_bytes, dtype=dtype).reshape(shape)
+    filtered = _ramp_filter(y.real / gain)
+    filtered.setflags(write=False)
+    return filtered
+
+
 def _fbp(g: GraphOperator, y: np.ndarray) -> np.ndarray:
     proj_node, gain = _find_projection(g)
     if gain == 0.0:
         raise SolverError("NOT_PROJECTION", "detector gain is zero")
     prim = g._prims[proj_node.node_id]
-    sino = y.real / gain
-    filtered = _ramp_filter(sino)
+    filtered = _filtered_sinogram(y.tobytes(), y.shape, y.dtype.str, gain)
     back = prim_adjoint(prim, filtered, input_shape=g.input_shape)
     n_angles = len(prim.params["angles_deg"])
     return back * math.pi / (2.0 * n_angles)
@@ -272,12 +290,10 @@ def reconstruct(g: GraphOperator, y: Tensor, cfg: dict) -> ReconResult:
         )
     y_arr = y.numpy()
     if name == "fbp":
-        x = _fbp(g, y_arr)
-        return ReconResult(Tensor(x), _residual(g, x, y_arr), 1)
+        return ReconResult(Tensor(_fbp(g, y_arr)), 1, _problem=(g, y_arr))
     if name == "adjoint":
         _require_adjoint(g)
-        x = _adjoint_primal(g, y_arr)
-        return ReconResult(Tensor(x), _residual(g, x, y_arr), 1)
+        return ReconResult(Tensor(_adjoint_primal(g, y_arr)), 1, _problem=(g, y_arr))
     if name not in _STEPPED_SOLVERS:
         raise SolverError("BAD_CONFIG", f"unknown solver {name!r}")
 
@@ -296,4 +312,4 @@ def reconstruct(g: GraphOperator, y: Tensor, cfg: dict) -> ReconResult:
 
     run = _fista_tv if name == "fista_tv" else _gap_tv
     x, trace = run(g, y_arr, iters, lam_tv, step)
-    return ReconResult(Tensor(x), _residual(g, x, y_arr), iters, tuple(trace))
+    return ReconResult(Tensor(x), iters, tuple(trace), _problem=(g, y_arr))

@@ -211,6 +211,25 @@ def radon_adjoint_reference(p, y, image_shape):
     return ((1.0 - frac) * g0 + frac * g1).sum(axis=0)
 
 
+def fbp_reference(g, y):
+    """Filtered back-projection written out for a Project -> Detect graph, with no memo.
+
+    The same float operations in the same order as ``solvers._fbp``: divide by
+    the detector gain, ramp-filter each angle's row by FFT, back-project with
+    ``radon_adjoint_reference`` and scale by pi / (2 * angles).
+    """
+    nodes = {n.primitive_id: n.params for n in g.spec.nodes}
+    proj = nodes["Project"]
+    sino = np.asarray(y).real / float(nodes["Detect"].get("g", 1.0))
+    n_det = sino.shape[1]
+    size = 1 << max(1, 2 * n_det - 1).bit_length()
+    ramp = 2.0 * np.abs(np.fft.fftfreq(size))
+    spectrum = np.fft.fft(sino, n=size, axis=1) * ramp[None, :]
+    filtered = np.real(np.fft.ifft(spectrum, axis=1))[:, :n_det]
+    back = radon_adjoint_reference(proj, filtered, g.input_shape)
+    return back * math.pi / (2.0 * len(proj["angles_deg"]))
+
+
 def _sensitivity_reference(template, solver, theta, k, h_k, probe_seed):
     g_nom = template.operator()
     ph = make_phantoms(template.modality, template.size, 1, seed=probe_seed)[0]

@@ -338,6 +338,22 @@ class TestCalibrateAlg2:
             calibrate_alg2(t, y, self.CFG, x_gt=ph.data, warm_start=(99.0,))
 
 
+def test_ct_alg1_then_alg2_pinned_at_size_8():
+    """Values recorded before FBP memoized its filtered sinogram and the
+    residual became lazy; both changes must leave every solve's bits alone."""
+    t = instantiate("ct", 8)
+    ph = make_phantoms("ct", 8, 1, seed=5)[0]
+    y = t.operator((1.5,)).forward(ph.data)
+    a1 = calibrate_alg1(t, y, CalibConfig(), x_gt=ph.data)
+    a2 = calibrate_alg2(t, y, CalibConfig(), x_gt=ph.data, warm_start=a1.theta_hat)
+    assert [v.hex() for v in a1.theta_hat] == ["0x1.999999999999cp+0"]
+    assert a1.objective_value.hex() == "-0x1.832002f708dbcp+4"
+    assert (a1.evals, a1.distinct_evals) == (31, 19)
+    assert [v.hex() for v in a2.theta_hat] == ["0x1.7eb498b502b14p+0"]
+    assert a2.objective_value.hex() == "-0x1.93aef5c206eb3p+4"
+    assert (a2.evals, a2.distinct_evals) == (3122, 2932)
+
+
 def test_calib_result_fields():
     res = CalibResult((1.0,), -20.0, (("cd", ((1.0,),), (-20.0,)),), 31, 27)
     d = res.as_dict()

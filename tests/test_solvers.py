@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from reference_models import tv_prox_reference
+from reference_models import fbp_reference, tv_prox_reference
 
-from opgraph.graph import compile_graph, make_spec
+from opgraph.graph import GraphOperator, compile_graph, make_spec
 from opgraph.solvers import (
     ReconResult,
     SolverError,
+    _filtered_sinogram,
     pin_step,
     power_iteration,
     reconstruct,
@@ -285,6 +286,83 @@ def test_reconstruct_determinism():
     b = reconstruct(g, y, {"name": "fista_tv", "iters": 20, "lambda_tv": 0.003})
     assert a.x_hat == b.x_hat
     assert a.residual == b.residual
+
+
+def _parent_residual(g, x, y):
+    """The residual as every solve computed it eagerly before it became lazy."""
+    r = g.forward(Tensor(x)).numpy() - y
+    den = float(np.vdot(y, y).real)
+    return float(np.vdot(r, r).real) / (den + 1e-12)
+
+
+@pytest.mark.parametrize("modality,name", [("ct", "fbp"), ("spc", "adjoint"),
+                                           ("mri", "adjoint"), ("cassi", "fista_tv"),
+                                           ("spc", "gap_tv")])
+def test_lazy_residual_matches_eager_formula(modality, name):
+    t = instantiate(modality, 16, 1, seed=0)
+    g = t.operator()
+    y = g.forward(make_phantoms(modality, 16, 1, seed=0)[0].data)
+    res = reconstruct(g, y, {"name": name, "iters": 15, "lambda_tv": 0.003})
+    want = _parent_residual(g, res.x_hat.numpy(), y.numpy())
+    assert res.residual.hex() == want.hex()
+    assert "_problem" not in repr(res)
+
+
+def test_fbp_residual_forward_runs_on_first_read_only(monkeypatch):
+    t = instantiate("ct", 16, 1, seed=0)
+    g = t.operator()
+    y = g.forward(make_phantoms("ct", 16, 1, seed=0)[0].data)
+    calls = []
+    forward = GraphOperator.forward
+
+    def counted(self, x):
+        calls.append(1)
+        return forward(self, x)
+
+    monkeypatch.setattr(GraphOperator, "forward", counted)
+    res = reconstruct(g, y, {"name": "fbp"})
+    assert len(calls) == 0
+    first = res.residual
+    assert len(calls) == 1
+    assert res.residual == first and res.residual == first
+    assert len(calls) == 1
+
+
+def _ct_graph_with_gain(template, gain):
+    nodes = [n if n.primitive_id != "Detect" else
+             {"node_id": n.node_id, "primitive_id": "Detect",
+              "params": {**n.params, "g": gain}}
+             for n in template.spec.nodes]
+    spec = template.spec
+    return compile_graph(make_spec(nodes, spec.edges, metadata=spec.metadata))
+
+
+def test_fbp_memo_matches_uncached_reference():
+    t = instantiate("ct", 16, 1, seed=0)
+    graphs = [_ct_graph_with_gain(t, gain) for gain in (1.0, 0.625)]
+    phantoms = make_phantoms("ct", 16, 2, seed=3)
+    ys = [graphs[0].forward(ph.data) for ph in phantoms]
+    _filtered_sinogram.cache_clear()
+    for _ in range(2):
+        for g in graphs:
+            for y in ys:
+                got = reconstruct(g, y, {"name": "fbp"}).x_hat.numpy()
+                assert got.tobytes() == fbp_reference(g, y.numpy()).tobytes()
+    info = _filtered_sinogram.cache_info()
+    assert (info.misses, info.hits) == (4, 4)
+
+
+def test_fbp_cached_sinogram_is_read_only():
+    t = instantiate("ct", 16, 1, seed=0)
+    g = t.operator()
+    y = g.forward(make_phantoms("ct", 16, 1, seed=0)[0].data).numpy()
+    reconstruct(g, Tensor(y), {"name": "fbp"})
+    hits = _filtered_sinogram.cache_info().hits
+    filtered = _filtered_sinogram(y.tobytes(), y.shape, y.dtype.str, 1.0)
+    assert _filtered_sinogram.cache_info().hits == hits + 1
+    assert not filtered.flags.writeable
+    with pytest.raises(ValueError):
+        filtered[0, 0] = 1.0
 
 
 def test_reconstruct_validation():
