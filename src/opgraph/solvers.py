@@ -265,7 +265,9 @@ def _ramp_filter(sino: np.ndarray) -> np.ndarray:
 def _filtered_sinogram(y_bytes: bytes, shape: tuple, dtype: str, gain: float) -> np.ndarray:
     """Read-only ramp-filtered ``y.real / gain``, keyed on the measurement's content."""
     y = np.frombuffer(y_bytes, dtype=dtype).reshape(shape)
-    filtered = _ramp_filter(y.real / gain)
+    # a copy, not the filter's view into its padded complex FFT buffer, which
+    # is about 7x larger and would stay alive with the entry
+    filtered = _ramp_filter(y.real / gain).copy()
     filtered.setflags(write=False)
     return filtered
 

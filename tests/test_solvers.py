@@ -361,6 +361,7 @@ def test_fbp_cached_sinogram_is_read_only():
     filtered = _filtered_sinogram(y.tobytes(), y.shape, y.dtype.str, 1.0)
     assert _filtered_sinogram.cache_info().hits == hits + 1
     assert not filtered.flags.writeable
+    assert filtered.base is None  # holds no view of the padded FFT buffer
     with pytest.raises(ValueError):
         filtered[0, 0] = 1.0
 
