@@ -339,8 +339,8 @@ class TestCalibrateAlg2:
 
 
 def test_ct_alg1_then_alg2_pinned_at_size_8():
-    """Values recorded before FBP memoized its filtered sinogram and the
-    residual became lazy; both changes must leave every solve's bits alone."""
+    """theta_hat, objective and eval counts pinned bit for bit: the FBP
+    sinogram memo and the lazy residual must not move any solve."""
     t = instantiate("ct", 8)
     ph = make_phantoms("ct", 8, 1, seed=5)[0]
     y = t.operator((1.5,)).forward(ph.data)

@@ -289,7 +289,7 @@ def test_reconstruct_determinism():
 
 
 def _parent_residual(g, x, y):
-    """The residual as every solve computed it eagerly before it became lazy."""
+    """The residual written out: one forward of x, then ||Ax - y||^2 / (||y||^2 + 1e-12)."""
     r = g.forward(Tensor(x)).numpy() - y
     den = float(np.vdot(y, y).real)
     return float(np.vdot(r, r).real) / (den + 1e-12)
@@ -324,7 +324,7 @@ def test_fbp_residual_forward_runs_on_first_read_only(monkeypatch):
     assert len(calls) == 0
     first = res.residual
     assert len(calls) == 1
-    assert res.residual == first and res.residual == first
+    assert res.residual == first
     assert len(calls) == 1
 
 
