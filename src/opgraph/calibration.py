@@ -11,7 +11,7 @@ mode sees ground-truth images, ``measurement_residual`` mode sees only y.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,18 @@ _RMS_DECAY = 0.9
 _EARLY_TOL = 1e-5
 _EARLY_WINDOW = 10
 _JITTER_REL = 0.02
+_BEAM_K = 5
+# refinement learning rate, decayed geometrically from start to end
+_LR_START = 1e-2
+_LR_END = 1e-3
+# grid points per search stage
+_GRID = {
+    "sweep": 11,
+    "beam3": (5, 5, 5),
+    "beam2": (5, 7),
+    "cd": 5,
+    "grid": (9, 9, 7),
+}
 
 
 class CalibError(CodedError):
@@ -37,25 +49,11 @@ class CalibError(CodedError):
 class CalibConfig:
     objective: str = "oracle_psnr"
     solver_cfg: dict | None = None
-    beam_k: int = 5
     cd_rounds: int = 3
-    grid_shapes: dict = field(default_factory=dict)
     refine_steps: int = 30
     restarts: int = 4
     seeds_topk: int = 9
-    lr_start: float = 1e-2
-    lr_end: float = 1e-3
     seed: int = 0
-
-    def dims(self, stage: str):
-        defaults = {
-            "sweep": 11,
-            "beam3": (5, 5, 5),
-            "beam2": (5, 7),
-            "cd": 5,
-            "grid": (9, 9, 7),
-        }
-        return self.grid_shapes.get(stage, defaults[stage])
 
 
 @dataclass(frozen=True)
@@ -197,9 +195,7 @@ def coordinate_descent(template, y, cfg: CalibConfig, theta0, rounds: int = 3,
     """
     fam = template.family
     theta = list(fam.check(theta0))
-    n_points = int(cfg.dims("cd"))
-    if n_points < 3 or n_points % 2 == 0:
-        raise CalibError("BAD_GRID", f"coordinate sweep needs an odd count >= 3, got {n_points}")
+    n_points = _GRID["cd"]
     obj = _objective_for(template, y, cfg, x_gt, _objective)
     best_cost = None
     widths = [(hi - lo) / 4.0 for lo, hi in fam.theta_range]
@@ -232,7 +228,7 @@ def calibrate_alg1(template, y, cfg: CalibConfig | None = None, x_gt=None) -> Ca
     obj = _Objective(template, y, cfg, x_gt)
     trace = []
 
-    n_sweep = int(cfg.dims("sweep"))
+    n_sweep = _GRID["sweep"]
     centers = []
     for k in range(n):
         values, costs, best = sweep_1d(template, y, cfg, k, n_sweep, _objective=obj)
@@ -246,31 +242,31 @@ def calibrate_alg1(template, y, cfg: CalibConfig | None = None, x_gt=None) -> Ca
         for i in other:
             base[i] = centers[i]
         kept = beam_search(
-            template, y, cfg, affine, cfg.dims("beam3"),
-            [centers[i] for i in affine], cfg.beam_k, theta_base=tuple(base), _objective=obj,
+            template, y, cfg, affine, _GRID["beam3"],
+            [centers[i] for i in affine], _BEAM_K, theta_base=tuple(base), _objective=obj,
         )
         trace.append(("beam:affine", tuple(t for t, _ in kept), tuple(c for _, c in kept)))
-        dims2 = tuple(cfg.dims("beam2"))[: len(other)]
+        dims2 = _GRID["beam2"][: len(other)]
         pairs = []
         for cand, _ in kept:
             pairs.extend(
                 beam_search(
                     template, y, cfg, other, dims2, [centers[i] for i in other],
-                    min(cfg.beam_k, int(np.prod(dims2))), theta_base=cand, _objective=obj,
+                    min(_BEAM_K, int(np.prod(dims2))), theta_base=cand, _objective=obj,
                 )
             )
         pairs.sort(key=lambda t: t[1])
         best_theta, _ = pairs[0]
         trace.append((
             "beam:pairs",
-            tuple(t for t, _ in pairs[: cfg.beam_k]),
-            tuple(c for _, c in pairs[: cfg.beam_k]),
+            tuple(t for t, _ in pairs[: _BEAM_K]),
+            tuple(c for _, c in pairs[: _BEAM_K]),
         ))
     else:
         dims = (5,) * n
         kept = beam_search(
             template, y, cfg, tuple(range(n)), dims, centers,
-            min(cfg.beam_k, int(np.prod(dims))), _objective=obj,
+            min(_BEAM_K, int(np.prod(dims))), _objective=obj,
         )
         trace.append(("beam:joint", tuple(t for t, _ in kept), tuple(c for _, c in kept)))
         best_theta = kept[0][0]
@@ -299,7 +295,7 @@ def _refine(obj, theta0, ranges, cfg: CalibConfig):
     steps = max(1, int(cfg.refine_steps))
     for t in range(steps):
         frac = t / max(1, steps - 1)
-        lr = cfg.lr_start * (cfg.lr_end / cfg.lr_start) ** frac
+        lr = _LR_START * (_LR_END / _LR_START) ** frac
         grad = np.zeros_like(z)
         for k in range(z.size):
             zp, zm = z.copy(), z.copy()
@@ -338,7 +334,7 @@ def calibrate_alg2(template, y, cfg: CalibConfig | None = None, x_gt=None,
 
     affine, _ = _tag_partition(fam)
     grid_axes = affine if (n > 3 and len(affine) == 3) else tuple(range(n))
-    dims = tuple(cfg.dims("grid"))[: len(grid_axes)]
+    dims = _GRID["grid"][: len(grid_axes)]
     axis_values = [
         np.linspace(*fam.theta_range[a], d) for a, d in zip(grid_axes, dims)
     ]

@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="forward-simulate one scene")
     _add_run_flags(p, "--theta", theta_required=False)
-    # solvers and dense analysis need an all-linear graph, so only simulate takes level 2
+    # solvers need an all-linear graph, so only simulate takes level 2
     p.add_argument("--level", type=int, default=1)
 
     p = sub.add_parser("scenario", help="run the four-scenario protocol")

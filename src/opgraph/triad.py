@@ -1,10 +1,12 @@
 """Failure diagnosis: sampling adequacy, photon budget, and operator mismatch.
 
-Three independent scorers produce evidence; a binding step converts quality
-gaps into per-gate costs and names the dominant one.  Cost convention:
+``diagnose`` binds the dominant gate from quality gaps between probe
+reconstructions and reports the mismatch sensitivities.  Cost convention:
 C_mismatch is the quality lost to wrong parameters, C_noise the quality lost
 to the carrier budget, C_recover the headroom undersampling leaves on the
-table relative to the same solver at full sampling.
+table relative to the same solver at full sampling.  The rank scorer
+(``score_recoverability``, dense, capped at ``_DENSE_CAP`` input elements) and
+the photon-budget scorer (``score_carrier``) are standalone.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import GraphOperator
-from .metrics import bootstrap_ci, psnr
+from .metrics import bootstrap_ci, jsonable, psnr
 from .registry import default_registry
 from .solvers import pin_step, reconstruct
 from .templates import Template, apply_noise, make_phantoms
@@ -59,7 +61,7 @@ class PhotonReport:
 
     def as_dict(self) -> dict:
         return {
-            "snr_db": self.snr_db if np.isfinite(self.snr_db) else "-inf",
+            "snr_db": jsonable(self.snr_db),
             "regime": self.regime,
             "photons_per_element": self.photons_per_element,
             "verdict": self.verdict,
@@ -313,10 +315,9 @@ def bind_gate(psnr_i: float, psnr_ii: float, psnr_noisy: float, psnr_ideal: floa
     return ordered[best][1], (c_mismatch, c_noise, c_recover)
 
 
-def make_triad_report(gate1: Gate1Report, photon: PhotonReport,
-                      mismatch: MismatchReport, binding, ci_width: float) -> TriadReport:
-    if gate1 is None or photon is None or mismatch is None:
-        raise TriadError("MISSING_REPORT", "all three gate reports are required")
+def make_triad_report(mismatch: MismatchReport, binding, ci_width: float) -> TriadReport:
+    if mismatch is None:
+        raise TriadError("MISSING_REPORT", "the mismatch report is required")
     gate, costs = binding
     if gate not in GATES:
         raise TriadError("BAD_GATE", f"unknown gate {gate!r}")
@@ -335,15 +336,13 @@ def make_triad_report(gate1: Gate1Report, photon: PhotonReport,
 def diagnose(template: Template, theta_true, solver_cfg: dict | None = None,
              noisy: bool = False, n_scenes: int = 3, seed: int = 0,
              registry=None) -> TriadReport:
-    """Run all three scorers on probe scenes and bind the dominant gate."""
+    """Score mismatch on probe scenes and bind the dominant gate from quality gaps."""
     fam = template.family
     theta_true = fam.check(theta_true)
     reg = registry or default_registry()
     solves = _Solves(template, solver_cfg)
     g_nom = solves.operator(template)
 
-    gate1 = score_recoverability(g_nom, registry=reg)
-    photon = score_carrier(template.photons, registry=reg)
     mismatch = score_mismatch(template, theta_true, solver_cfg=solver_cfg,
                               probe_seed=seed, registry=reg, _solves=solves)
 
@@ -381,4 +380,4 @@ def diagnose(template: Template, theta_true, solver_cfg: dict | None = None,
         ci_width = hi - lo
     else:
         ci_width = 0.0
-    return make_triad_report(gate1, photon, mismatch, binding, ci_width)
+    return make_triad_report(mismatch, binding, ci_width)

@@ -279,8 +279,6 @@ def diagnose_reference(template, theta_true, noisy=False, n_scenes=3, seed=0):
     theta_true = template.family.check(theta_true)
     reg = default_registry()
     solver = dict(template.solver)
-    gate1 = triad.score_recoverability(template.operator(), registry=reg)
-    photon = triad.score_carrier(template.photons, registry=reg)
     mismatch = _mismatch_reference(template, theta_true, solver, seed, reg)
 
     phantoms = make_phantoms(template.modality, template.size, n_scenes, seed=seed)
@@ -318,4 +316,4 @@ def diagnose_reference(template, theta_true, noisy=False, n_scenes=3, seed=0):
         ci_width = hi - lo
     else:
         ci_width = 0.0
-    return triad.make_triad_report(gate1, photon, mismatch, binding, ci_width)
+    return triad.make_triad_report(mismatch, binding, ci_width)

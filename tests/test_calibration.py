@@ -169,13 +169,6 @@ class TestCoordinateDescent:
         )
         assert cost <= start_cost
 
-    def test_even_grid_rejected(self, cassi_template):
-        with pytest.raises(CalibError, match="BAD_GRID"):
-            coordinate_descent(
-                cassi_template, None, CalibConfig(grid_shapes={"cd": 4}),
-                (0.0, 0.0, 0.0, 2.0, 0.0), _objective=FlatObjective(),
-            )
-
 
 class TestObjective:
     def test_oracle_needs_ground_truth(self, ct_setup):

@@ -139,6 +139,14 @@ class TestScenario:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
         assert stable_bytes(out_a) == stable_bytes(out_b)
 
+    def test_above_dense_cap(self, tmp_path):
+        # cacti at size 33 has a 4356-element input, past the dense rank cap
+        out = tmp_path / "run"
+        assert main(["scenario", "--modality", "cacti", "--size", "33",
+                     "--theta-true", "0.5", "0.5", "--calib", "none", "--scenes", "1",
+                     "--out", str(out)]) == 0
+        assert (out / "triad_report.json").is_file()
+
 
 class TestDiagnose:
     def test_prints_gate_scores(self, tmp_path, capsys):

@@ -11,9 +11,7 @@ from opgraph.graph import compile_graph, make_spec
 from opgraph.templates import TemplateError, instantiate
 from opgraph.tensor import Tensor
 from opgraph.triad import (
-    Gate1Report,
     MismatchReport,
-    PhotonReport,
     TriadError,
     bind_gate,
     diagnose,
@@ -227,47 +225,37 @@ class TestBindGate:
 
 
 class TestTriadReport:
-    G1 = Gate1Report(0.25, 64, 192, "marginal")
-    PH = PhotonReport(35.0, "shot_limited", 1e4, "sufficient")
     MM = MismatchReport(0.3, "cor_offset_px", {"cor_offset_px": -0.5}, 5.0,
                         "sweep+coordinate_descent")
 
     def test_action_table(self):
-        rep = make_triad_report(self.G1, self.PH, self.MM,
-                                ("operator_mismatch", (10.0, 1.0, 1.0)), 0.5)
+        rep = make_triad_report(self.MM, ("operator_mismatch", (10.0, 1.0, 1.0)), 0.5)
         assert rep.recommended_action == "apply mismatch correction"
-        rep2 = make_triad_report(self.G1, self.PH, self.MM,
-                                 ("recoverability", (0.0, 0.0, 15.0)), 0.5)
+        rep2 = make_triad_report(self.MM, ("recoverability", (0.0, 0.0, 15.0)), 0.5)
         assert rep2.recommended_action == "increase compression ratio"
-        rep3 = make_triad_report(self.G1, self.PH, self.MM,
-                                 ("carrier_budget", (0.0, 10.0, 1.0)), 0.5)
+        rep3 = make_triad_report(self.MM, ("carrier_budget", (0.0, 10.0, 1.0)), 0.5)
         assert rep3.recommended_action == "improve carrier budget"
 
     def test_evidence_normalized(self):
-        rep = make_triad_report(self.G1, self.PH, self.MM,
-                                ("operator_mismatch", (10.0, 1.0, 1.0)), 0.5)
+        rep = make_triad_report(self.MM, ("operator_mismatch", (10.0, 1.0, 1.0)), 0.5)
         assert sum(rep.evidence_scores) == pytest.approx(1.0)
         assert rep.evidence_scores[0] == pytest.approx(10 / 12)
 
     def test_zero_costs_give_thirds(self):
-        rep = make_triad_report(self.G1, self.PH, self.MM,
-                                ("recoverability", (0.0, 0.0, 0.0)), 0.0)
+        rep = make_triad_report(self.MM, ("recoverability", (0.0, 0.0, 0.0)), 0.0)
         assert rep.evidence_scores == (1 / 3, 1 / 3, 1 / 3)
 
     def test_negative_costs_clamped(self):
-        rep = make_triad_report(self.G1, self.PH, self.MM,
-                                ("recoverability", (-2.0, 0.0, 6.0)), 0.0)
+        rep = make_triad_report(self.MM, ("recoverability", (-2.0, 0.0, 6.0)), 0.0)
         assert rep.evidence_scores[0] == 0.0
         assert rep.evidence_scores[2] == pytest.approx(1.0)
 
     def test_missing_report_rejected(self):
         with pytest.raises(TriadError, match="MISSING_REPORT"):
-            make_triad_report(None, self.PH, self.MM,
-                              ("recoverability", (0.0, 0.0, 1.0)), 0.0)
+            make_triad_report(None, ("recoverability", (0.0, 0.0, 1.0)), 0.0)
 
     def test_json_round_trip(self):
-        rep = make_triad_report(self.G1, self.PH, self.MM,
-                                ("operator_mismatch", (10.0, 1.0, 1.0)), 0.5)
+        rep = make_triad_report(self.MM, ("operator_mismatch", (10.0, 1.0, 1.0)), 0.5)
         blob = json.loads(json.dumps(rep.as_dict()))
         assert blob["dominant_gate"] == "operator_mismatch"
         assert blob["recommended_action"] == "apply mismatch correction"
@@ -299,6 +287,12 @@ class TestDiagnose:
         b = diagnose(instantiate("ct", 16), (3.0,), n_scenes=2)
         assert a == b
 
+    def test_above_dense_cap(self):
+        # a 33 * 33 * 4 = 4356-element input is past the dense rank scorer's
+        # cap; diagnose does not build the dense matrix
+        rep = diagnose(instantiate("cacti", 33), (0.5, 0.5), n_scenes=1)
+        assert rep.dominant_gate in triad.GATES
+
 
 @pytest.mark.parametrize("modality, theta, kwargs", [
     ("spc", None, {}),
@@ -314,8 +308,9 @@ def test_diagnose_matches_reference(modality, theta, kwargs):
 
 
 def test_diagnose_solves_each_distinct_problem_once(monkeypatch):
-    solved, measured = [], []
+    solved, measured, materialized = [], [], []
     reconstruct, power_iteration = triad.reconstruct, solvers.power_iteration
+    materialize_dense = triad.materialize
 
     def counting_reconstruct(g, y, cfg):
         solved.append((id(g), y.numpy().tobytes()))
@@ -325,8 +320,13 @@ def test_diagnose_solves_each_distinct_problem_once(monkeypatch):
         measured.append(id(g))
         return power_iteration(g, *args, **kwargs)
 
+    def counting_materialize(g):
+        materialized.append(id(g))
+        return materialize_dense(g)
+
     monkeypatch.setattr(triad, "reconstruct", counting_reconstruct)
     monkeypatch.setattr(solvers, "power_iteration", counting_power_iteration)
+    monkeypatch.setattr(triad, "materialize", counting_materialize)
     t = instantiate("spc", 8)
     diagnose(t, (0.01,), n_scenes=3)
     # 2 sensitivity probes; I and II per scene, the first shared with the
@@ -335,3 +335,5 @@ def test_diagnose_solves_each_distinct_problem_once(monkeypatch):
     assert len(set(solved)) == len(solved)
     # one power iteration per solved graph: nominal, drifted, full sampling
     assert len(measured) == len({g for g, _ in solved}) == 3
+    # the report carries no rank, so no dense matrix is built
+    assert materialized == []

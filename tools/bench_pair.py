@@ -57,6 +57,7 @@ TRACED = ("tensor.construct_n", "tensor.construct_s", "tensor.bytes_copied",
           "graph.compile_n", "graph.compile_s", "templates.operator_s",
           "calibration.evals", "calibration.eval_s",
           "calibration.distinct_theta_ratio", "calib_evals", "calibrate_s",
+          "triad.materialize_n", "triad.materialize_s", "triad.recoverability_s",
           "triad.sensitivity_n", "scenario_s", "diagnose_s", "trace.wall_s")
 # CLI runs whose result files must not change; flags after the subcommand
 CLI_CASES = (
