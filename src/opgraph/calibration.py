@@ -48,7 +48,6 @@ class CalibError(CodedError):
 @dataclass(frozen=True)
 class CalibConfig:
     objective: str = "oracle_psnr"
-    solver_cfg: dict | None = None
     cd_rounds: int = 3
     refine_steps: int = 30
     restarts: int = 4
@@ -98,8 +97,7 @@ class _Objective:
         self.x_gt = x_gt.numpy() if isinstance(x_gt, Tensor) else x_gt
         self.evals = 0
         self._scores = {}
-        solver = cfg.solver_cfg if cfg.solver_cfg is not None else template.calib_solver
-        self.solver = pin_step(template.operator(), solver, seed=cfg.seed)
+        self.solver = pin_step(template.operator(), template.calib_solver, seed=cfg.seed)
 
     @property
     def distinct_evals(self) -> int:
@@ -112,14 +110,10 @@ class _Objective:
         if key not in self._scores:
             res = reconstruct(self.template.operator(theta), self.y, self.solver)
             self._scores[key] = (
-                -psnr(res.x_hat, self.x_gt, peak=self.template.peak)
+                -psnr(res.x_hat, self.x_gt)
                 if self.mode == "oracle_psnr" else res.residual
             )
         return self._scores[key]
-
-
-def _objective_for(template, y, cfg, x_gt, _objective):
-    return _objective if _objective is not None else _Objective(template, y, cfg, x_gt)
 
 
 def _score_grid(obj, base, axes, axis_values):
@@ -136,13 +130,12 @@ def _score_grid(obj, base, axes, axis_values):
     return scored
 
 
-def sweep_1d(template, y, cfg: CalibConfig, param_k: int, n_points: int,
-             x_gt=None, _objective=None):
+def sweep_1d(obj, fam, param_k: int, n_points: int):
     """Cost curve of one parameter over its full range, others at nominal.
 
-    Returns (values, costs, best_index); ties go to the first grid point.
+    ``obj`` scores a theta tuple of the mismatch family ``fam``.  Returns
+    (values, costs, best_index); ties go to the first grid point.
     """
-    fam = template.family
     if not 0 <= param_k < len(fam.param_names):
         raise CalibError("BAD_PARAM", f"param index {param_k} out of range")
     if n_points < 3:
@@ -150,7 +143,6 @@ def sweep_1d(template, y, cfg: CalibConfig, param_k: int, n_points: int,
     lo, hi = fam.theta_range[param_k]
     if not hi > lo:
         raise CalibError("DEGENERATE_RANGE", f"{fam.param_names[param_k]}: [{lo}, {hi}]")
-    obj = _objective_for(template, y, cfg, x_gt, _objective)
     values = np.linspace(lo, hi, n_points)
     costs = [c for c, _, _ in _score_grid(obj, fam.theta_nom, (param_k,), (values,))]
     best = int(np.argmin(costs))
@@ -161,21 +153,18 @@ def _axis_grid(center: float, lo: float, hi: float, dim: int, span: float) -> np
     return np.clip(center + np.linspace(-span, span, dim), lo, hi)
 
 
-def beam_search(template, y, cfg: CalibConfig, axes, grid_dims, centers, beam_k: int,
-                theta_base=None, x_gt=None, _objective=None):
+def beam_search(obj, fam, axes, grid_dims, centers, beam_k: int, theta_base=None):
     """Exhaustive grid over the given axes; returns the top-k (theta, cost).
 
     The grid spans a quarter of each range either side of its center and is
     clipped at the range edges.  Ties break by lexicographic grid index.
     """
-    fam = template.family
     axes = tuple(int(a) for a in axes)
     if len(axes) != len(grid_dims) or len(axes) != len(centers):
         raise CalibError("BAD_GRID", "axes, grid_dims, centers must align")
     total = int(np.prod(grid_dims))
     if beam_k > total:
         raise CalibError("BEAM_TOO_WIDE", f"beam_k={beam_k} exceeds grid size {total}")
-    obj = _objective_for(template, y, cfg, x_gt, _objective)
     base = list(theta_base if theta_base is not None else fam.theta_nom)
     axis_values = []
     for a, dim, center in zip(axes, grid_dims, centers):
@@ -186,17 +175,14 @@ def beam_search(template, y, cfg: CalibConfig, axes, grid_dims, centers, beam_k:
     return [(theta, cost) for cost, _, theta in scored[:beam_k]]
 
 
-def coordinate_descent(template, y, cfg: CalibConfig, theta0, rounds: int = 3,
-                       x_gt=None, _objective=None):
+def coordinate_descent(obj, fam, theta0, rounds: int = 3):
     """Per-round axis sweeps on a halving interval; returns (theta, cost).
 
     The sweep grid is odd so the incumbent is always a candidate, which makes
     the accepted cost non-increasing.
     """
-    fam = template.family
     theta = list(fam.check(theta0))
     n_points = _GRID["cd"]
-    obj = _objective_for(template, y, cfg, x_gt, _objective)
     best_cost = None
     widths = [(hi - lo) / 4.0 for lo, hi in fam.theta_range]
     for _ in range(rounds):
@@ -231,7 +217,7 @@ def calibrate_alg1(template, y, cfg: CalibConfig | None = None, x_gt=None) -> Ca
     n_sweep = _GRID["sweep"]
     centers = []
     for k in range(n):
-        values, costs, best = sweep_1d(template, y, cfg, k, n_sweep, _objective=obj)
+        values, costs, best = sweep_1d(obj, fam, k, n_sweep)
         centers.append(values[best])
         trace.append((f"sweep:{fam.param_names[k]}", tuple((v,) for v in values), costs))
 
@@ -242,8 +228,8 @@ def calibrate_alg1(template, y, cfg: CalibConfig | None = None, x_gt=None) -> Ca
         for i in other:
             base[i] = centers[i]
         kept = beam_search(
-            template, y, cfg, affine, _GRID["beam3"],
-            [centers[i] for i in affine], _BEAM_K, theta_base=tuple(base), _objective=obj,
+            obj, fam, affine, _GRID["beam3"], [centers[i] for i in affine], _BEAM_K,
+            theta_base=tuple(base),
         )
         trace.append(("beam:affine", tuple(t for t, _ in kept), tuple(c for _, c in kept)))
         dims2 = _GRID["beam2"][: len(other)]
@@ -251,8 +237,8 @@ def calibrate_alg1(template, y, cfg: CalibConfig | None = None, x_gt=None) -> Ca
         for cand, _ in kept:
             pairs.extend(
                 beam_search(
-                    template, y, cfg, other, dims2, [centers[i] for i in other],
-                    min(_BEAM_K, int(np.prod(dims2))), theta_base=cand, _objective=obj,
+                    obj, fam, other, dims2, [centers[i] for i in other],
+                    min(_BEAM_K, int(np.prod(dims2))), theta_base=cand,
                 )
             )
         pairs.sort(key=lambda t: t[1])
@@ -265,15 +251,12 @@ def calibrate_alg1(template, y, cfg: CalibConfig | None = None, x_gt=None) -> Ca
     else:
         dims = (5,) * n
         kept = beam_search(
-            template, y, cfg, tuple(range(n)), dims, centers,
-            min(_BEAM_K, int(np.prod(dims))), _objective=obj,
+            obj, fam, tuple(range(n)), dims, centers, min(_BEAM_K, int(np.prod(dims)))
         )
         trace.append(("beam:joint", tuple(t for t, _ in kept), tuple(c for _, c in kept)))
         best_theta = kept[0][0]
 
-    theta_hat, cost = coordinate_descent(
-        template, y, cfg, best_theta, rounds=cfg.cd_rounds, _objective=obj
-    )
+    theta_hat, cost = coordinate_descent(obj, fam, best_theta, rounds=cfg.cd_rounds)
     trace.append(("cd", (theta_hat,), (cost,)))
     return CalibResult(theta_hat, cost, tuple(trace), obj.evals, obj.distinct_evals)
 

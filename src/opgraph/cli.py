@@ -79,6 +79,7 @@ def _cmd_adjoint_check(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .protocol import _STREAM_NOISE
     from .runbundle import write_runbundle
     from .templates import apply_noise, instantiate, make_phantoms
     from .tensor import Rng, save_tensor
@@ -92,8 +93,8 @@ def _cmd_simulate(args) -> int:
     y = template.operator(theta).forward(phantom.data)
     seeds = {"master": args.seed}
     if args.noisy:
-        y = apply_noise(y, template.noise, Rng(args.seed, 5).child(0))
-        seeds["noise_stream"] = 5
+        y = apply_noise(y, template.noise, Rng(args.seed, _STREAM_NOISE).child(0))
+        seeds["noise_stream"] = _STREAM_NOISE
 
     run_dir = Path(args.out) if args.out else _default_out("simulate", args)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -113,7 +114,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_scenario(args) -> int:
     from .metrics import jsonable
-    from .protocol import run_scenarios
+    from .protocol import _STREAM_BOOT, _STREAM_NOISE, run_scenarios
     from .runbundle import write_runbundle
     from .templates import instantiate
     from .triad import diagnose
@@ -133,8 +134,8 @@ def _cmd_scenario(args) -> int:
     _write_json(run_dir / "scenario_result.json", result.as_dict())
     _write_json(run_dir / "triad_report.json", report.as_dict())
     write_runbundle(run_dir,
-                    seeds={"master": args.seed, "noise_stream": 5,
-                           "bootstrap_stream": 7},
+                    seeds={"master": args.seed, "noise_stream": _STREAM_NOISE,
+                           "bootstrap_stream": _STREAM_BOOT},
                     metrics={"means": result.as_dict()["means"],
                              "rho": jsonable(result.rho) if result.rho is not None else None},
                     outputs=["scenario_result.json", "triad_report.json"],
@@ -184,6 +185,7 @@ def _cmd_diagnose(args) -> int:
 def _cmd_calibrate(args) -> int:
     from .calibration import CalibConfig, calibrate_alg1, calibrate_alg2
     from .metrics import param_rmse
+    from .protocol import _STREAM_NOISE
     from .runbundle import write_runbundle
     from .templates import apply_noise, instantiate, make_phantoms
     from .tensor import Rng
@@ -194,7 +196,7 @@ def _cmd_calibrate(args) -> int:
     phantom = make_phantoms(args.modality, args.size, 1, seed=args.seed)[0]
     y = template.operator(theta_true).forward(phantom.data)
     if args.noisy:
-        y = apply_noise(y, template.noise, Rng(args.seed, 5).child(0))
+        y = apply_noise(y, template.noise, Rng(args.seed, _STREAM_NOISE).child(0))
 
     cfg = CalibConfig(seed=args.seed)
     if args.calib == "alg1":

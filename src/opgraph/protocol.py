@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import CalibConfig, calibrate_alg1, calibrate_alg2
+from .calibration import calibrate_alg1, calibrate_alg2
 from .metrics import CI_PERCENTILES, MetricError, recovery_ratio, scene_metrics
 # power_iteration stays bound here because perfbench/spans.py patches it by module
 from .solvers import pin_step, power_iteration, reconstruct  # noqa: F401
@@ -50,18 +50,16 @@ class ScenarioResult:
         }
 
 
-def _calibrate(template, y0, x0, calib: str, calib_cfg: CalibConfig | None):
+def _calibrate(template, y0, x0, calib: str):
     if calib == "none":
         return tuple(template.family.theta_nom)
-    cfg = calib_cfg or CalibConfig()
-    x_gt = x0 if cfg.objective == "oracle_psnr" else None
     if calib == "alg1":
-        return calibrate_alg1(template, y0, cfg, x_gt=x_gt).theta_hat
+        return calibrate_alg1(template, y0, x_gt=x0).theta_hat
     if calib == "alg2":
-        return calibrate_alg2(template, y0, cfg, x_gt=x_gt).theta_hat
+        return calibrate_alg2(template, y0, x_gt=x0).theta_hat
     if calib == "alg1+2":
-        warm = calibrate_alg1(template, y0, cfg, x_gt=x_gt).theta_hat
-        return calibrate_alg2(template, y0, cfg, x_gt=x_gt, warm_start=warm).theta_hat
+        warm = calibrate_alg1(template, y0, x_gt=x0).theta_hat
+        return calibrate_alg2(template, y0, x_gt=x0, warm_start=warm).theta_hat
     raise ProtocolError("BAD_CALIB", f"unknown calibration route {calib!r}")
 
 
@@ -95,8 +93,7 @@ def _rho_ci(scenes, n_resamples: int, seed: int):
 
 
 def run_scenarios(template: Template, theta_true, solver_cfg: dict | None = None,
-                  phantoms=None, seed: int = 0, calib: str = "alg1",
-                  calib_cfg: CalibConfig | None = None, noisy: bool = False,
+                  phantoms=None, seed: int = 0, calib: str = "alg1", noisy: bool = False,
                   n_scenes: int = 3, n_resamples: int = 1000) -> ScenarioResult:
     theta_true = template.family.check(theta_true)
     if phantoms is None:
@@ -117,23 +114,17 @@ def run_scenarios(template: Template, theta_true, solver_cfg: dict | None = None
             y = apply_noise(y, template.noise, noise_rng.child(i))
         measurements.append(y)
 
-    theta_hat = _calibrate(template, measurements[0], phantoms[0].data, calib, calib_cfg)
+    theta_hat = _calibrate(template, measurements[0], phantoms[0].data, calib)
     g_hat = template.operator(theta_hat)
 
     scenes = []
     for ph, y in zip(phantoms, measurements):
-        m_i = scene_metrics(
-            reconstruct(g_true, y, solver).x_hat, ph.data,
-            peak=template.peak, spectral=template.spectral,
-        )
-        m_ii = scene_metrics(
-            reconstruct(g_nom, y, solver).x_hat, ph.data,
-            peak=template.peak, spectral=template.spectral,
-        )
-        m_iv = scene_metrics(
-            reconstruct(g_hat, y, solver).x_hat, ph.data,
-            peak=template.peak, spectral=template.spectral,
-        )
+        m_i = scene_metrics(reconstruct(g_true, y, solver).x_hat, ph.data,
+                            spectral=template.spectral)
+        m_ii = scene_metrics(reconstruct(g_nom, y, solver).x_hat, ph.data,
+                             spectral=template.spectral)
+        m_iv = scene_metrics(reconstruct(g_hat, y, solver).x_hat, ph.data,
+                             spectral=template.spectral)
         # III is I's reconstruction by definition: exact correction, same data
         scenes.append({"I": m_i, "II": m_ii, "III": m_i, "IV": m_iv})
 

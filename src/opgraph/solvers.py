@@ -232,18 +232,23 @@ def _gap_tv(g: GraphOperator, y: np.ndarray, iters: int, lam_tv: float, step: fl
 
 
 def _find_projection(g: GraphOperator):
-    """FBP needs a Project node followed only by linear-field detection."""
+    """FBP needs a Project node followed only by linear-field detection.
+
+    Returns the Project primitive and the product of the detector gains, read
+    from the compiled primitives, whose schema defaults are already filled in.
+    """
     proj = None
     gain = 1.0
     for node in g.spec.nodes:
         if node.primitive_id == PrimitiveKind.PROJECT.value:
             if proj is not None:
                 raise SolverError("NOT_PROJECTION", "more than one Project node")
-            proj = node
+            proj = g._prims[node.node_id]
         elif node.primitive_id == PrimitiveKind.DETECT.value:
-            if node.params.get("family", "linear_field") != "linear_field":
+            params = g._prims[node.node_id].params
+            if params["family"] != "linear_field":
                 raise SolverError("NOT_PROJECTION", "FBP needs a linear detector")
-            gain *= float(node.params.get("g", 1.0))
+            gain *= params["g"]
         else:
             raise SolverError(
                 "NOT_PROJECTION", f"FBP cannot absorb a {node.primitive_id} node"
@@ -273,10 +278,9 @@ def _filtered_sinogram(y_bytes: bytes, shape: tuple, dtype: str, gain: float) ->
 
 
 def _fbp(g: GraphOperator, y: np.ndarray) -> np.ndarray:
-    proj_node, gain = _find_projection(g)
+    prim, gain = _find_projection(g)
     if gain == 0.0:
         raise SolverError("NOT_PROJECTION", "detector gain is zero")
-    prim = g._prims[proj_node.node_id]
     filtered = _filtered_sinogram(y.tobytes(), y.shape, y.dtype.str, gain)
     back = prim_adjoint(prim, filtered, input_shape=g.input_shape)
     n_angles = len(prim.params["angles_deg"])

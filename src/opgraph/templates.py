@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .graph import GraphSpec, GraphOperator, compile_graph, make_spec
-from .registry import Registry, default_registry
+from .registry import default_registry
 from .tensor import CodedError, Rng, Tensor
 
 # child-stream indices off the instantiation seed
@@ -37,7 +37,6 @@ class TemplateError(CodedError):
 class Phantom:
     name: str
     data: Tensor
-    peak: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -77,16 +76,12 @@ class MismatchFamily:
 class Template:
     modality: str
     size: int
-    fidelity_level: int
-    seed: int
     spec: GraphSpec
     family: MismatchFamily
     solver: dict
     calib_solver: dict
     noise: dict
-    photons: dict
     spectral: bool
-    peak: float = 1.0
     # None for templates that are already at full sampling
     _full_build: Callable | None = field(default=None, repr=False)
 
@@ -182,8 +177,15 @@ def _chain_edges(node_ids: list[str]) -> list[tuple[str, str]]:
     return [(a, b) for a, b in zip(node_ids, node_ids[1:])]
 
 
+def _cube_depth(modality: str, size: int, defaults: dict) -> int:
+    """Third axis of a cube input: cassi's spectral bands, cacti's frames."""
+    if modality == "cassi":
+        return max(2, size // int(defaults.get("bands_divisor", 2)))
+    return int(defaults.get("frames", 4))
+
+
 def _build_cassi(size: int, level: int, rng: Rng, defaults: dict):
-    bands = max(2, size // int(defaults.get("bands_divisor", 2)))
+    bands = _cube_depth("cassi", size, defaults)
     mask2d = (rng.child(_STREAM_MASK).uniform((size, size)) < 0.5).astype(np.float64)
 
     def build(theta, full=False):
@@ -219,7 +221,7 @@ def _build_cassi(size: int, level: int, rng: Rng, defaults: dict):
 
 
 def _build_cacti(size: int, level: int, rng: Rng, defaults: dict):
-    frames = int(defaults.get("frames", 4))
+    frames = _cube_depth("cacti", size, defaults)
     masks = (rng.child(_STREAM_MASK).uniform((size, size, frames)) < 0.5).astype(np.float64)
 
     def build(theta, full=False):
@@ -408,7 +410,6 @@ def instantiate(
     size: int,
     fidelity_level: int = 1,
     seed: int = 0,
-    registry: Registry | None = None,
     overrides: dict | None = None,
 ) -> Template:
     """Build a ready-to-compile template with its mismatch family.
@@ -416,7 +417,7 @@ def instantiate(
     ``overrides`` shadows registry defaults (solver knobs, compression, noise)
     without touching the registry itself.
     """
-    reg = registry or default_registry()
+    reg = default_registry()
     entry = reg.template(modality)
     if not entry.get("instantiable"):
         raise TemplateError("NOT_INSTANTIABLE", f"{modality} is a decomposition entry only")
@@ -441,14 +442,11 @@ def instantiate(
     return Template(
         modality=modality,
         size=size,
-        fidelity_level=fidelity_level,
-        seed=seed,
         spec=build(family.theta_nom),
         family=family,
         solver=dict(defaults.get("solver", {})),
         calib_solver=dict(defaults.get("calib_solver", defaults.get("solver", {}))),
         noise=dict(defaults.get("noise", {})),
-        photons=dict(defaults.get("photons", {})),
         spectral=bool(entry.get("spectral", False)),
         _full_build=full_build,
     )
@@ -512,9 +510,7 @@ def make_phantoms(modality: str, size: int, n: int, seed: int = 0) -> list[Phant
     """Deterministic structured test objects in [0, 1]."""
     if n < 1:
         raise TemplateError("BAD_COUNT", f"need n >= 1, got {n}")
-    reg = default_registry()
-    entry = reg.template(modality)
-    defaults = entry.get("defaults", {})
+    defaults = default_registry().template(modality).get("defaults", {})
     base_rng = Rng(seed, _STREAM_PHANTOM)
     out = []
     for i in range(n):
@@ -522,12 +518,12 @@ def make_phantoms(modality: str, size: int, n: int, seed: int = 0) -> list[Phant
         rng = base_rng.child(i)
         img = np.clip(gen(size, rng), 0.0, 1.0)
         if modality == "cassi":
-            bands = max(2, size // int(defaults.get("bands_divisor", 2)))
+            bands = _cube_depth(modality, size, defaults)
             phase = float(rng.uniform((1,))[0])
             prof = 0.35 + 0.65 * 0.5 * (1.0 + np.cos(2 * np.pi * (np.arange(bands) / bands + phase)))
             data = img[:, :, None] * prof[None, None, :]
         elif modality == "cacti":
-            frames = int(defaults.get("frames", 4))
+            frames = _cube_depth(modality, size, defaults)
             step = int(rng.integers(-1, 2)), int(rng.integers(-1, 2))
             data = np.stack(
                 [np.roll(img, (step[0] * f, step[1] * f), axis=(0, 1)) for f in range(frames)],

@@ -128,10 +128,9 @@ def materialize(g: GraphOperator) -> np.ndarray:
     return cols
 
 
-def score_recoverability(g: GraphOperator, registry=None) -> Gate1Report:
+def score_recoverability(g: GraphOperator) -> Gate1Report:
     """Rank the measurement map; verdict keyed to observed-subspace fraction."""
-    reg = registry or default_registry()
-    th = reg.thresholds["gate_recoverability"]
+    th = default_registry().thresholds["gate_recoverability"]
     h = materialize(g)
     m, n = h.shape
     sigma = np.linalg.svd(h, compute_uv=False)
@@ -154,10 +153,9 @@ def score_recoverability(g: GraphOperator, registry=None) -> Gate1Report:
     )
 
 
-def score_carrier(photons: dict, registry=None) -> PhotonReport:
+def score_carrier(photons: dict) -> PhotonReport:
     """Photon budget: dominant variance term names the regime."""
-    reg = registry or default_registry()
-    th = reg.thresholds["gate_carrier"]
+    th = default_registry().thresholds["gate_carrier"]
     power = float(photons.get("source_power", 0.0))
     qe = float(photons.get("quantum_efficiency", 1.0))
     exposure = float(photons.get("exposure", 1.0))
@@ -199,7 +197,6 @@ class _Solves:
     """
 
     def __init__(self, template: Template, solver_cfg: dict | None):
-        self.peak = template.peak
         self.solver = dict(solver_cfg if solver_cfg is not None else template.solver)
         self._graphs = {}
         self._pinned = {}
@@ -220,7 +217,7 @@ class _Solves:
                 seed = int(self.solver.get("seed", 0))
                 self._pinned[id(g)] = (g, pin_step(g, self.solver, seed=seed))
             cfg = self._pinned[id(g)][1]
-            self._psnr[key] = psnr(reconstruct(g, y, cfg).x_hat, x, peak=self.peak)
+            self._psnr[key] = psnr(reconstruct(g, y, cfg).x_hat, x)
         return self._psnr[key]
 
 
@@ -260,12 +257,10 @@ def _severity(fam, theta_true) -> float:
 
 
 def score_mismatch(template: Template, theta_true, solver_cfg: dict | None = None,
-                   probe_seed: int = 0, registry=None,
-                   _solves: _Solves | None = None) -> MismatchReport:
+                   probe_seed: int = 0, _solves: _Solves | None = None) -> MismatchReport:
     fam = template.family
     theta_true = fam.check(theta_true)
     theta_nom = fam.theta_nom
-    reg = registry or default_registry()
 
     widths = [hi - lo for lo, hi in fam.theta_range]
     rel = [abs(t - n) / w for t, n, w in zip(theta_true, theta_nom, widths)]
@@ -286,13 +281,14 @@ def score_mismatch(template: Template, theta_true, solver_cfg: dict | None = Non
     y = g_true.forward(ph.data)
     psnr_i = solves.quality(g_true, y, ph.data)
     psnr_ii = solves.quality(solves.operator(template), y, ph.data)
+    method = default_registry().mismatch_family(template.modality).get("correction", "")
 
     return MismatchReport(
         severity=_severity(fam, theta_true),
         dominant_param=dominant,
         sensitivities=sens,
         expected_gain_db=psnr_i - psnr_ii,
-        recommended_method=reg.mismatch_family(template.modality).get("correction", ""),
+        recommended_method=method,
     )
 
 
@@ -334,17 +330,15 @@ def make_triad_report(mismatch: MismatchReport, binding, ci_width: float) -> Tri
 
 
 def diagnose(template: Template, theta_true, solver_cfg: dict | None = None,
-             noisy: bool = False, n_scenes: int = 3, seed: int = 0,
-             registry=None) -> TriadReport:
+             noisy: bool = False, n_scenes: int = 3, seed: int = 0) -> TriadReport:
     """Score mismatch on probe scenes and bind the dominant gate from quality gaps."""
     fam = template.family
     theta_true = fam.check(theta_true)
-    reg = registry or default_registry()
     solves = _Solves(template, solver_cfg)
     g_nom = solves.operator(template)
 
     mismatch = score_mismatch(template, theta_true, solver_cfg=solver_cfg,
-                              probe_seed=seed, registry=reg, _solves=solves)
+                              probe_seed=seed, _solves=solves)
 
     phantoms = make_phantoms(template.modality, template.size, n_scenes, seed=seed)
     g_true = solves.operator(template, theta_true)
@@ -375,8 +369,8 @@ def diagnose(template: Template, theta_true, solver_cfg: dict | None = None,
                         float(np.mean(p_limit)))
     gaps = [a - b for a, b in zip(p_i, p_ii)]
     if len(gaps) > 1:
-        lo, hi = bootstrap_ci(gaps, n_resamples=reg.thresholds["bootstrap"]["n_resamples"],
-                              seed=seed)
+        n_resamples = default_registry().thresholds["bootstrap"]["n_resamples"]
+        lo, hi = bootstrap_ci(gaps, n_resamples=n_resamples, seed=seed)
         ci_width = hi - lo
     else:
         ci_width = 0.0

@@ -236,7 +236,7 @@ def _sensitivity_reference(template, solver, theta, k, h_k, probe_seed):
 
     def quality(t_vec):
         y = template.operator(tuple(t_vec)).forward(ph.data)
-        return psnr(reconstruct(g_nom, y, solver).x_hat, ph.data, peak=template.peak)
+        return psnr(reconstruct(g_nom, y, solver).x_hat, ph.data)
 
     up, down = list(theta), list(theta)
     up[k] = theta[k] + h_k
@@ -257,10 +257,8 @@ def _mismatch_reference(template, theta_true, solver, probe_seed, reg):
         sens[name] = _sensitivity_reference(template, solver, tuple(base), k, h, probe_seed)
     ph = make_phantoms(template.modality, template.size, 1, seed=probe_seed)[0]
     y = template.operator(theta_true).forward(ph.data)
-    psnr_i = psnr(reconstruct(template.operator(theta_true), y, solver).x_hat,
-                  ph.data, peak=template.peak)
-    psnr_ii = psnr(reconstruct(template.operator(), y, solver).x_hat,
-                   ph.data, peak=template.peak)
+    psnr_i = psnr(reconstruct(template.operator(theta_true), y, solver).x_hat, ph.data)
+    psnr_ii = psnr(reconstruct(template.operator(), y, solver).x_hat, ph.data)
     return triad.MismatchReport(
         severity=triad._severity(fam, theta_true),
         dominant_param=fam.param_names[int(np.argmax(rel))],
@@ -287,7 +285,7 @@ def diagnose_reference(template, theta_true, noisy=False, n_scenes=3, seed=0):
     noise_rng = Rng(seed, triad._STREAM_PROBE)
 
     def q(g, y, x):
-        return psnr(reconstruct(g, y, solver).x_hat, x, peak=template.peak)
+        return psnr(reconstruct(g, y, solver).x_hat, x)
 
     full = template.full_sampling()
     g_full = None if full is template else full.operator(theta_true)

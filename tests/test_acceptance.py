@@ -230,12 +230,9 @@ def test_criterion_6_recovery_ratio_bounds():
     theta_true = (3.0,)
     scene = make_phantoms("ct", 16, 1, seed=0)[0]
     y = ct.operator(theta_true).forward(scene.data)
-    p_i = psnr(reconstruct(ct.operator(theta_true), y, ct.solver).x_hat,
-               scene.data, peak=ct.peak)
-    p_ii = psnr(reconstruct(ct.operator(), y, ct.solver).x_hat,
-                scene.data, peak=ct.peak)
-    p_iv = psnr(reconstruct(ct.operator(theta_true), y, ct.solver).x_hat,
-                scene.data, peak=ct.peak)
+    p_i = psnr(reconstruct(ct.operator(theta_true), y, ct.solver).x_hat, scene.data)
+    p_ii = psnr(reconstruct(ct.operator(), y, ct.solver).x_hat, scene.data)
+    p_iv = psnr(reconstruct(ct.operator(theta_true), y, ct.solver).x_hat, scene.data)
     assert p_iv == p_i
     assert recovery_ratio(p_i, p_ii, p_iv) == 1.0
     _report(6, "rho absent when I<=II; theta_hat==theta_true replay gives "

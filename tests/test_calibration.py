@@ -56,45 +56,39 @@ def cassi_template():
 
 class TestSweep1d:
     def test_flat_objective_ties_to_first_point(self, ct_setup):
-        t, _, y = ct_setup
-        values, costs, best = sweep_1d(t, y, CalibConfig(), 0, 5, _objective=FlatObjective())
+        t, _, _ = ct_setup
+        values, costs, best = sweep_1d(FlatObjective(), t.family, 0, 5)
         assert best == 0
         assert len(values) == len(costs) == 5
 
     def test_quadratic_argmin_nearest_grid_point(self, cassi_template):
         # dispersion_a1 range [1.8, 2.2]; center 2.03 sits nearest to 2.04
         obj = FakeObjective([0.0, 0.0, 0.0, 2.03, 0.0])
-        values, costs, best = sweep_1d(
-            cassi_template, None, CalibConfig(), 3, 11, _objective=obj
-        )
+        values, costs, best = sweep_1d(obj, cassi_template.family, 3, 11)
         grid = np.linspace(1.8, 2.2, 11)
         assert values[best] == pytest.approx(grid[np.argmin(np.abs(grid - 2.03))])
         assert obj.evals == 11
 
     def test_covers_full_range(self, cassi_template):
-        values, _, _ = sweep_1d(cassi_template, None, CalibConfig(), 0, 5,
-                                _objective=FlatObjective())
+        values, _, _ = sweep_1d(FlatObjective(), cassi_template.family, 0, 5)
         assert values[0] == pytest.approx(-1.0)
         assert values[-1] == pytest.approx(1.0)
 
     def test_too_few_points(self, ct_setup):
-        t, _, y = ct_setup
+        t, _, _ = ct_setup
         with pytest.raises(CalibError, match="BAD_GRID"):
-            sweep_1d(t, y, CalibConfig(), 0, 2, _objective=FlatObjective())
+            sweep_1d(FlatObjective(), t.family, 0, 2)
 
     def test_bad_param_index(self, ct_setup):
-        t, _, y = ct_setup
+        t, _, _ = ct_setup
         with pytest.raises(CalibError, match="BAD_PARAM"):
-            sweep_1d(t, y, CalibConfig(), 3, 5, _objective=FlatObjective())
+            sweep_1d(FlatObjective(), t.family, 3, 5)
 
 
 class TestBeamSearch:
     def test_k_equals_grid_returns_all_sorted(self, cassi_template):
         obj = FakeObjective([0.5, 0.3, 0.0, 2.0, 0.0])
-        out = beam_search(
-            cassi_template, None, CalibConfig(), (0, 1), (3, 3), (0.0, 0.0), 9,
-            _objective=obj,
-        )
+        out = beam_search(obj, cassi_template.family, (0, 1), (3, 3), (0.0, 0.0), 9)
         assert len(out) == 9
         costs = [c for _, c in out]
         assert costs == sorted(costs)
@@ -103,31 +97,23 @@ class TestBeamSearch:
     def test_unique_minimum_ranked_first(self, cassi_template):
         # grid over (dx, dy) centered at 0 spans +/-0.5 in a [-1, 1] range
         obj = FakeObjective([0.25, -0.25, 0.0, 2.0, 0.0])
-        out = beam_search(
-            cassi_template, None, CalibConfig(), (0, 1), (5, 5), (0.0, 0.0), 1,
-            _objective=obj,
-        )
+        out = beam_search(obj, cassi_template.family, (0, 1), (5, 5), (0.0, 0.0), 1)
         theta, _ = out[0]
         assert theta[0] == pytest.approx(0.25)
         assert theta[1] == pytest.approx(-0.25)
 
     def test_edge_centers_clip_to_range(self, cassi_template):
-        out = beam_search(
-            cassi_template, None, CalibConfig(), (0,), (5,), (1.0,), 5,
-            _objective=FlatObjective(),
-        )
+        out = beam_search(FlatObjective(), cassi_template.family, (0,), (5,), (1.0,), 5)
         for theta, _ in out:
             assert -1.0 <= theta[0] <= 1.0
 
     def test_beam_wider_than_grid(self, cassi_template):
         with pytest.raises(CalibError, match="BEAM_TOO_WIDE"):
-            beam_search(cassi_template, None, CalibConfig(), (0,), (3,), (0.0,), 4,
-                        _objective=FlatObjective())
+            beam_search(FlatObjective(), cassi_template.family, (0,), (3,), (0.0,), 4)
 
     def test_misaligned_axes(self, cassi_template):
         with pytest.raises(CalibError, match="BAD_GRID"):
-            beam_search(cassi_template, None, CalibConfig(), (0, 1), (3,), (0.0, 0.0), 1,
-                        _objective=FlatObjective())
+            beam_search(FlatObjective(), cassi_template.family, (0, 1), (3,), (0.0, 0.0), 1)
 
 
 class TestCoordinateDescent:
@@ -135,8 +121,7 @@ class TestCoordinateDescent:
         center = [0.4, -0.2, 0.1, 2.05, 0.2]
         obj = FakeObjective(center)
         theta, cost = coordinate_descent(
-            cassi_template, None, CalibConfig(), (0.0, 0.0, 0.0, 2.0, 0.0),
-            rounds=3, _objective=obj,
+            obj, cassi_template.family, (0.0, 0.0, 0.0, 2.0, 0.0), rounds=3
         )
         # final sweep spacing is (range/4) / 2^2 / 2 per coordinate
         for k, (lo, hi) in enumerate(cassi_template.family.theta_range):
@@ -145,18 +130,13 @@ class TestCoordinateDescent:
 
     def test_rounds_zero_returns_start(self, cassi_template):
         theta0 = (0.1, 0.2, 0.0, 2.1, 0.0)
-        theta, _ = coordinate_descent(
-            cassi_template, None, CalibConfig(), theta0, rounds=0,
-            _objective=FlatObjective(),
-        )
+        theta, _ = coordinate_descent(FlatObjective(), cassi_template.family, theta0, rounds=0)
         assert theta == theta0
 
     def test_optimal_start_unchanged(self, cassi_template):
         theta0 = (0.5, 0.0, 0.0, 2.0, 0.0)
         obj = FakeObjective(theta0)
-        theta, cost = coordinate_descent(
-            cassi_template, None, CalibConfig(), theta0, rounds=2, _objective=obj
-        )
+        theta, cost = coordinate_descent(obj, cassi_template.family, theta0, rounds=2)
         assert theta == pytest.approx(theta0)
         assert cost == pytest.approx(0.0)
 
@@ -164,9 +144,7 @@ class TestCoordinateDescent:
         obj = FakeObjective([0.3, 0.3, 0.0, 2.0, 0.0])
         theta0 = (0.0, 0.0, 0.0, 2.0, 0.0)
         start_cost = obj(theta0)
-        _, cost = coordinate_descent(
-            cassi_template, None, CalibConfig(), theta0, rounds=1, _objective=obj
-        )
+        _, cost = coordinate_descent(obj, cassi_template.family, theta0, rounds=1)
         assert cost <= start_cost
 
 

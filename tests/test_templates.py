@@ -263,7 +263,13 @@ def test_phantom_shapes_and_range(modality):
         assert p.data.shape == in_shape
         a = p.data.numpy()
         assert a.min() >= 0.0 and a.max() <= 1.0
-        assert p.peak == 1.0
+
+
+@pytest.mark.parametrize("size", [8, 16, 33, 64])
+@pytest.mark.parametrize("modality", MODALITIES)
+def test_phantom_shape_matches_template_input(modality, size):
+    expected = tuple(instantiate(modality, size).spec.metadata["input_shape"])
+    assert make_phantoms(modality, size, 1, seed=0)[0].data.shape == expected
 
 
 def test_phantoms_deterministic():

@@ -65,6 +65,9 @@ CLI_CASES = (
      ("scenario_result.json", "triad_report.json")),
     ("scenario", ["--modality", "ct", "--size", "16", "--theta-true", "3.0"],
      ("scenario_result.json", "triad_report.json")),
+    # the only case that runs GAP-TV and the cacti builder
+    ("scenario", ["--modality", "cacti", "--size", "16", "--theta-true", "1.0", "-0.5"],
+     ("scenario_result.json", "triad_report.json")),
     # Encode, Sample, Convolve and the noise path
     ("scenario", ["--modality", "mri", "--size", "16", "--theta-true", "0.05", "--noisy"],
      ("scenario_result.json", "triad_report.json")),
