@@ -40,9 +40,12 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _default_out(command: str, args) -> Path:
+def _run_dir(command: str, args) -> Path:
+    """Create and return ``--out``, or runs/<command>_<modality>_<size>_s<seed>."""
     name = f"{command}_{args.modality}_{args.size}_s{args.seed}"
-    return Path("runs") / name
+    run_dir = Path(args.out) if args.out else Path("runs") / name
+    run_dir.mkdir(parents=True, exist_ok=True)
+    return run_dir
 
 
 def _parse_theta(values):
@@ -79,25 +82,24 @@ def _cmd_adjoint_check(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .protocol import _STREAM_NOISE
+    from .protocol import _STREAM_NOISE, measure
     from .runbundle import write_runbundle
-    from .templates import apply_noise, instantiate, make_phantoms
-    from .tensor import Rng, save_tensor
+    from .templates import instantiate, make_phantoms
+    from .tensor import save_tensor
 
     started = _now()
     template = instantiate(args.modality, args.size, fidelity_level=args.level,
                            seed=args.seed)
     theta = _parse_theta(args.theta)
     theta = template.family.check(theta) if theta else template.family.theta_nom
-    phantom = make_phantoms(args.modality, args.size, 1, seed=args.seed)[0]
-    y = template.operator(theta).forward(phantom.data)
+    phantom = make_phantoms(template, 1, seed=args.seed)[0]
+    (y,) = measure(template.operator(theta), template.noise, [phantom], args.noisy,
+                   args.seed)
     seeds = {"master": args.seed}
     if args.noisy:
-        y = apply_noise(y, template.noise, Rng(args.seed, _STREAM_NOISE).child(0))
         seeds["noise_stream"] = _STREAM_NOISE
 
-    run_dir = Path(args.out) if args.out else _default_out("simulate", args)
-    run_dir.mkdir(parents=True, exist_ok=True)
+    run_dir = _run_dir("simulate", args)
     save_tensor(phantom.data, run_dir / "x_gt.opt")
     save_tensor(y, run_dir / "y.opt")
     write_runbundle(run_dir, seeds=seeds,
@@ -113,7 +115,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    from .metrics import jsonable
     from .protocol import _STREAM_BOOT, _STREAM_NOISE, run_scenarios
     from .runbundle import write_runbundle
     from .templates import instantiate
@@ -129,15 +130,13 @@ def _cmd_scenario(args) -> int:
     report = diagnose(template, theta_true, solver_cfg=solver_cfg,
                       noisy=args.noisy, n_scenes=args.scenes, seed=args.seed)
 
-    run_dir = Path(args.out) if args.out else _default_out("scenario", args)
-    run_dir.mkdir(parents=True, exist_ok=True)
+    run_dir = _run_dir("scenario", args)
     _write_json(run_dir / "scenario_result.json", result.as_dict())
     _write_json(run_dir / "triad_report.json", report.as_dict())
     write_runbundle(run_dir,
                     seeds={"master": args.seed, "noise_stream": _STREAM_NOISE,
                            "bootstrap_stream": _STREAM_BOOT},
-                    metrics={"means": result.as_dict()["means"],
-                             "rho": jsonable(result.rho) if result.rho is not None else None},
+                    metrics={"means": result.means, "rho": result.rho},
                     outputs=["scenario_result.json", "triad_report.json"],
                     commit=args.commit, started=started, finished=_now())
 
@@ -164,8 +163,7 @@ def _cmd_diagnose(args) -> int:
     report = diagnose(template, _parse_theta(args.theta_true), noisy=args.noisy,
                       n_scenes=args.scenes, seed=args.seed)
 
-    run_dir = Path(args.out) if args.out else _default_out("diagnose", args)
-    run_dir.mkdir(parents=True, exist_ok=True)
+    run_dir = _run_dir("diagnose", args)
     _write_json(run_dir / "triad_report.json", report.as_dict())
     write_runbundle(run_dir, seeds={"master": args.seed},
                     metrics={"binding": report.dominant_gate,
@@ -183,34 +181,22 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    from .calibration import CalibConfig, calibrate_alg1, calibrate_alg2
+    from .calibration import CalibConfig
     from .metrics import param_rmse
-    from .protocol import _STREAM_NOISE
+    from .protocol import calibrate, measure
     from .runbundle import write_runbundle
-    from .templates import apply_noise, instantiate, make_phantoms
-    from .tensor import Rng
+    from .templates import instantiate, make_phantoms
 
     started = _now()
     template = instantiate(args.modality, args.size, seed=args.seed)
     theta_true = template.family.check(_parse_theta(args.theta_true))
-    phantom = make_phantoms(args.modality, args.size, 1, seed=args.seed)[0]
-    y = template.operator(theta_true).forward(phantom.data)
-    if args.noisy:
-        y = apply_noise(y, template.noise, Rng(args.seed, _STREAM_NOISE).child(0))
-
-    cfg = CalibConfig(seed=args.seed)
-    if args.calib == "alg1":
-        result = calibrate_alg1(template, y, cfg, x_gt=phantom.data)
-    elif args.calib == "alg2":
-        result = calibrate_alg2(template, y, cfg, x_gt=phantom.data)
-    else:
-        coarse = calibrate_alg1(template, y, cfg, x_gt=phantom.data)
-        result = calibrate_alg2(template, y, cfg, x_gt=phantom.data,
-                                warm_start=coarse.theta_hat)
+    phantom = make_phantoms(template, 1, seed=args.seed)[0]
+    (y,) = measure(template.operator(theta_true), template.noise, [phantom], args.noisy,
+                   args.seed)
+    result = calibrate(template, y, phantom.data, args.calib, CalibConfig(seed=args.seed))
 
     errors = param_rmse([result.theta_hat], theta_true).tolist()
-    run_dir = Path(args.out) if args.out else _default_out("calibrate", args)
-    run_dir.mkdir(parents=True, exist_ok=True)
+    run_dir = _run_dir("calibrate", args)
     payload = result.as_dict()
     payload["theta_true"] = list(theta_true)
     payload["param_errors"] = errors

@@ -700,16 +700,6 @@ class AdjointReport:
     passed: bool
     tolerance: float
 
-    def as_dict(self) -> dict:
-        return {
-            "n_trials": self.n_trials,
-            "deltas": list(self.deltas),
-            "delta_max": self.delta_max,
-            "delta_mean": self.delta_mean,
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-        }
-
 
 def _draw(rng: Rng, shape, dtype: str) -> Tensor:
     if dtype == "complex128":

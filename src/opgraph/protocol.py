@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import calibrate_alg1, calibrate_alg2
+from .calibration import CalibConfig, CalibResult, calibrate_alg1, calibrate_alg2
 from .metrics import CI_PERCENTILES, MetricError, recovery_ratio, scene_metrics
 # power_iteration stays bound here because perfbench/spans.py patches it by module
 from .solvers import pin_step, power_iteration, reconstruct  # noqa: F401
@@ -50,17 +50,26 @@ class ScenarioResult:
         }
 
 
-def _calibrate(template, y0, x0, calib: str):
-    if calib == "none":
-        return tuple(template.family.theta_nom)
-    if calib == "alg1":
-        return calibrate_alg1(template, y0, x_gt=x0).theta_hat
-    if calib == "alg2":
-        return calibrate_alg2(template, y0, x_gt=x0).theta_hat
-    if calib == "alg1+2":
-        warm = calibrate_alg1(template, y0, x_gt=x0).theta_hat
-        return calibrate_alg2(template, y0, x_gt=x0, warm_start=warm).theta_hat
-    raise ProtocolError("BAD_CALIB", f"unknown calibration route {calib!r}")
+def measure(g, noise: dict, phantoms, noisy: bool, seed: int) -> list:
+    """One measurement per scene; scene i draws its noise from child i of the noise stream."""
+    ys = [g.forward(ph.data) for ph in phantoms]
+    if not noisy:
+        return ys
+    noise_rng = Rng(seed, _STREAM_NOISE)
+    return [apply_noise(y, noise, noise_rng.child(i)) for i, y in enumerate(ys)]
+
+
+def calibrate(template: Template, y, x_gt, route: str,
+              cfg: CalibConfig | None = None) -> CalibResult:
+    """Run one calibration route; alg1+2 warm-starts alg2 from alg1's estimate."""
+    if route == "alg1":
+        return calibrate_alg1(template, y, cfg, x_gt=x_gt)
+    if route == "alg2":
+        return calibrate_alg2(template, y, cfg, x_gt=x_gt)
+    if route == "alg1+2":
+        warm = calibrate_alg1(template, y, cfg, x_gt=x_gt).theta_hat
+        return calibrate_alg2(template, y, cfg, x_gt=x_gt, warm_start=warm)
+    raise ProtocolError("BAD_CALIB", f"unknown calibration route {route!r}")
 
 
 def _mean_metrics(scenes, scenario: str) -> dict:
@@ -93,28 +102,22 @@ def _rho_ci(scenes, n_resamples: int, seed: int):
 
 
 def run_scenarios(template: Template, theta_true, solver_cfg: dict | None = None,
-                  phantoms=None, seed: int = 0, calib: str = "alg1", noisy: bool = False,
+                  seed: int = 0, calib: str = "alg1", noisy: bool = False,
                   n_scenes: int = 3, n_resamples: int = 1000) -> ScenarioResult:
     theta_true = template.family.check(theta_true)
-    if phantoms is None:
-        phantoms = make_phantoms(template.modality, template.size, n_scenes, seed=seed)
-    if not phantoms:
-        raise ProtocolError("NO_SCENES", "need at least one phantom")
+    phantoms = make_phantoms(template, n_scenes, seed=seed)
 
     g_true = template.operator(theta_true)
     g_nom = template.operator()
     solver = solver_cfg if solver_cfg is not None else template.solver
     solver = pin_step(g_nom, solver, seed=solver.get("seed", 0))
 
-    noise_rng = Rng(seed, _STREAM_NOISE)
-    measurements = []
-    for i, ph in enumerate(phantoms):
-        y = g_true.forward(ph.data)
-        if noisy:
-            y = apply_noise(y, template.noise, noise_rng.child(i))
-        measurements.append(y)
-
-    theta_hat = _calibrate(template, measurements[0], phantoms[0].data, calib)
+    measurements = measure(g_true, template.noise, phantoms, noisy, seed)
+    if calib == "none":
+        theta_hat = template.family.theta_nom
+    else:
+        theta_hat = calibrate(template, measurements[0], phantoms[0].data, calib,
+                              CalibConfig()).theta_hat
     g_hat = template.operator(theta_hat)
 
     scenes = []

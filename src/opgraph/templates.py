@@ -177,15 +177,8 @@ def _chain_edges(node_ids: list[str]) -> list[tuple[str, str]]:
     return [(a, b) for a, b in zip(node_ids, node_ids[1:])]
 
 
-def _cube_depth(modality: str, size: int, defaults: dict) -> int:
-    """Third axis of a cube input: cassi's spectral bands, cacti's frames."""
-    if modality == "cassi":
-        return max(2, size // int(defaults.get("bands_divisor", 2)))
-    return int(defaults.get("frames", 4))
-
-
 def _build_cassi(size: int, level: int, rng: Rng, defaults: dict):
-    bands = _cube_depth("cassi", size, defaults)
+    bands = max(2, size // int(defaults.get("bands_divisor", 2)))
     mask2d = (rng.child(_STREAM_MASK).uniform((size, size)) < 0.5).astype(np.float64)
 
     def build(theta, full=False):
@@ -221,7 +214,7 @@ def _build_cassi(size: int, level: int, rng: Rng, defaults: dict):
 
 
 def _build_cacti(size: int, level: int, rng: Rng, defaults: dict):
-    frames = _cube_depth("cacti", size, defaults)
+    frames = int(defaults.get("frames", 4))
     masks = (rng.child(_STREAM_MASK).uniform((size, size, frames)) < 0.5).astype(np.float64)
 
     def build(theta, full=False):
@@ -506,27 +499,26 @@ _PHANTOM_KINDS = (
 )
 
 
-def make_phantoms(modality: str, size: int, n: int, seed: int = 0) -> list[Phantom]:
-    """Deterministic structured test objects in [0, 1]."""
+def make_phantoms(template: Template, n: int, seed: int = 0) -> list[Phantom]:
+    """Deterministic structured test objects in [0, 1], shaped as the template's input."""
     if n < 1:
         raise TemplateError("BAD_COUNT", f"need n >= 1, got {n}")
-    defaults = default_registry().template(modality).get("defaults", {})
+    shape = template.spec.metadata["input_shape"]
     base_rng = Rng(seed, _STREAM_PHANTOM)
     out = []
     for i in range(n):
         name, gen = _PHANTOM_KINDS[i % len(_PHANTOM_KINDS)]
         rng = base_rng.child(i)
-        img = np.clip(gen(size, rng), 0.0, 1.0)
-        if modality == "cassi":
-            bands = _cube_depth(modality, size, defaults)
+        img = np.clip(gen(shape[0], rng), 0.0, 1.0)
+        if template.modality == "cassi":
+            bands = shape[2]
             phase = float(rng.uniform((1,))[0])
             prof = 0.35 + 0.65 * 0.5 * (1.0 + np.cos(2 * np.pi * (np.arange(bands) / bands + phase)))
             data = img[:, :, None] * prof[None, None, :]
-        elif modality == "cacti":
-            frames = _cube_depth(modality, size, defaults)
+        elif template.modality == "cacti":
             step = int(rng.integers(-1, 2)), int(rng.integers(-1, 2))
             data = np.stack(
-                [np.roll(img, (step[0] * f, step[1] * f), axis=(0, 1)) for f in range(frames)],
+                [np.roll(img, (step[0] * f, step[1] * f), axis=(0, 1)) for f in range(shape[2])],
                 axis=2,
             )
         else:

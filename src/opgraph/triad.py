@@ -43,14 +43,6 @@ class Gate1Report:
     null_dim: int
     verdict: str
 
-    def as_dict(self) -> dict:
-        return {
-            "compression_ratio": self.compression_ratio,
-            "effective_rank": self.effective_rank,
-            "null_dim": self.null_dim,
-            "verdict": self.verdict,
-        }
-
 
 @dataclass(frozen=True)
 class PhotonReport:
@@ -75,15 +67,6 @@ class MismatchReport:
     sensitivities: dict
     expected_gain_db: float
     recommended_method: str
-
-    def as_dict(self) -> dict:
-        return {
-            "severity": self.severity,
-            "dominant_param": self.dominant_param,
-            "sensitivities": dict(self.sensitivities),
-            "expected_gain_db": self.expected_gain_db,
-            "recommended_method": self.recommended_method,
-        }
 
 
 @dataclass(frozen=True)
@@ -230,7 +213,7 @@ def sensitivity(template: Template, solver_cfg: dict | None, theta, k: int, h_k:
     theta = list(fam.check(theta))
     solves = _solves if _solves is not None else _Solves(template, solver_cfg)
     g_nom = solves.operator(template)
-    ph = make_phantoms(template.modality, template.size, 1, seed=probe_seed)[0]
+    ph = make_phantoms(template, 1, seed=probe_seed)[0]
 
     def quality(t_vec):
         y = solves.operator(template, tuple(t_vec)).forward(ph.data)
@@ -276,7 +259,7 @@ def score_mismatch(template: Template, theta_true, solver_cfg: dict | None = Non
         sens[name] = sensitivity(template, solver_cfg, tuple(base), k, h, probe_seed,
                                  _solves=solves)
 
-    ph = make_phantoms(template.modality, template.size, 1, seed=probe_seed)[0]
+    ph = make_phantoms(template, 1, seed=probe_seed)[0]
     g_true = solves.operator(template, theta_true)
     y = g_true.forward(ph.data)
     psnr_i = solves.quality(g_true, y, ph.data)
@@ -340,7 +323,7 @@ def diagnose(template: Template, theta_true, solver_cfg: dict | None = None,
     mismatch = score_mismatch(template, theta_true, solver_cfg=solver_cfg,
                               probe_seed=seed, _solves=solves)
 
-    phantoms = make_phantoms(template.modality, template.size, n_scenes, seed=seed)
+    phantoms = make_phantoms(template, n_scenes, seed=seed)
     g_true = solves.operator(template, theta_true)
     noise_rng = Rng(seed, _STREAM_PROBE)
     q = solves.quality

@@ -232,7 +232,7 @@ def fbp_reference(g, y):
 
 def _sensitivity_reference(template, solver, theta, k, h_k, probe_seed):
     g_nom = template.operator()
-    ph = make_phantoms(template.modality, template.size, 1, seed=probe_seed)[0]
+    ph = make_phantoms(template, 1, seed=probe_seed)[0]
 
     def quality(t_vec):
         y = template.operator(tuple(t_vec)).forward(ph.data)
@@ -255,7 +255,7 @@ def _mismatch_reference(template, theta_true, solver, probe_seed, reg):
         base = list(theta_nom)
         base[k] = min(max(base[k], lo + h), hi - h)
         sens[name] = _sensitivity_reference(template, solver, tuple(base), k, h, probe_seed)
-    ph = make_phantoms(template.modality, template.size, 1, seed=probe_seed)[0]
+    ph = make_phantoms(template, 1, seed=probe_seed)[0]
     y = template.operator(theta_true).forward(ph.data)
     psnr_i = psnr(reconstruct(template.operator(theta_true), y, solver).x_hat, ph.data)
     psnr_ii = psnr(reconstruct(template.operator(), y, solver).x_hat, ph.data)
@@ -279,7 +279,7 @@ def diagnose_reference(template, theta_true, noisy=False, n_scenes=3, seed=0):
     solver = dict(template.solver)
     mismatch = _mismatch_reference(template, theta_true, solver, seed, reg)
 
-    phantoms = make_phantoms(template.modality, template.size, n_scenes, seed=seed)
+    phantoms = make_phantoms(template, n_scenes, seed=seed)
     g_true = template.operator(theta_true)
     g_nom = template.operator()
     noise_rng = Rng(seed, triad._STREAM_PROBE)

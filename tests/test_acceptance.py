@@ -118,7 +118,7 @@ def test_criterion_3_closure(thresholds):
     for modality in MODALITIES:
         template = instantiate(modality, 16)
         g = template.operator()
-        objects = [ph.data for ph in make_phantoms(modality, 16, 10, seed=0)]
+        objects = [ph.data for ph in make_phantoms(template, 10, seed=0)]
         rng = Rng(3, 13)
         for i in range(10):
             z = gaussian(rng.child(i), g.input_shape).numpy()
@@ -228,7 +228,7 @@ def test_criterion_6_recovery_ratio_bounds():
 
     # replaying theta_hat = theta_true reproduces scenario I bit for bit
     theta_true = (3.0,)
-    scene = make_phantoms("ct", 16, 1, seed=0)[0]
+    scene = make_phantoms(ct, 1, seed=0)[0]
     y = ct.operator(theta_true).forward(scene.data)
     p_i = psnr(reconstruct(ct.operator(theta_true), y, ct.solver).x_hat, scene.data)
     p_ii = psnr(reconstruct(ct.operator(), y, ct.solver).x_hat, scene.data)

@@ -44,7 +44,7 @@ class FlatObjective:
 @pytest.fixture(scope="module")
 def ct_setup():
     t = instantiate("ct", 16)
-    ph = make_phantoms("ct", 16, 1, seed=5)[0]
+    ph = make_phantoms(t, 1, seed=5)[0]
     y = t.operator((3.0,)).forward(ph.data)
     return t, ph, y
 
@@ -313,7 +313,7 @@ def test_ct_alg1_then_alg2_pinned_at_size_8():
     """theta_hat, objective and eval counts pinned bit for bit: the FBP
     sinogram memo and the lazy residual must not move any solve."""
     t = instantiate("ct", 8)
-    ph = make_phantoms("ct", 8, 1, seed=5)[0]
+    ph = make_phantoms(t, 1, seed=5)[0]
     y = t.operator((1.5,)).forward(ph.data)
     a1 = calibrate_alg1(t, y, CalibConfig(), x_gt=ph.data)
     a2 = calibrate_alg2(t, y, CalibConfig(), x_gt=ph.data, warm_start=a1.theta_hat)

@@ -9,8 +9,10 @@ import pytest
 
 from opgraph.cli import main
 from opgraph.graph import make_spec, serialize_spec
+from opgraph.protocol import measure
 from opgraph.runbundle import stable_bytes
-from opgraph.templates import instantiate
+from opgraph.templates import instantiate, make_phantoms
+from opgraph.tensor import load_tensor
 
 
 @pytest.fixture()
@@ -91,6 +93,15 @@ class TestSimulate:
     def test_unknown_modality_exits_two(self, tmp_path):
         rc = main(["simulate", "--modality", "sonar", "--out", str(tmp_path / "r")])
         assert rc == 2
+
+    def test_noisy_measurement_is_scene_zero(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["simulate", "--modality", "ct", "--seed", "3", "--theta", "3.0",
+                     "--noisy", "--out", str(out)]) == 0
+        t = instantiate("ct", 16, seed=3)
+        (y,) = measure(t.operator((3.0,)), t.noise, make_phantoms(t, 1, seed=3), True, 3)
+        assert load_tensor(out / "y.opt") == y
+        assert y != t.operator((3.0,)).forward(load_tensor(out / "x_gt.opt"))
 
     def test_default_run_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

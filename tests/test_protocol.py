@@ -7,7 +7,8 @@ import pytest
 
 from opgraph.calibration import CalibConfig
 from opgraph.protocol import ProtocolError, ScenarioResult, run_scenarios
-from opgraph.templates import TemplateError, instantiate, make_phantoms
+from opgraph.templates import TemplateError, instantiate
+from opgraph.triad import GATES, diagnose
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +52,7 @@ class TestRecoveryRatio:
 
     def test_exact_theta_gives_rho_one(self, ct_template):
         # hand the calibrator's answer in by construction: IV == I exactly
-        phantoms = make_phantoms("ct", 16, 2, seed=4)
-        r = run_scenarios(ct_template, (3.0,), phantoms=phantoms, calib="none", seed=4)
+        r = run_scenarios(ct_template, (3.0,), calib="none", n_scenes=2, seed=4)
         # none-route pins theta_hat at nominal, IV == II, rho == 0
         assert r.rho == pytest.approx(0.0)
         assert r.theta_hat == (0.0,)
@@ -88,8 +88,8 @@ class TestPlumbing:
             run_scenarios(ct_template, (3.0,), calib="alg3", n_scenes=1)
 
     def test_empty_phantoms(self, ct_template):
-        with pytest.raises(ProtocolError, match="NO_SCENES"):
-            run_scenarios(ct_template, (3.0,), phantoms=[], calib="none")
+        with pytest.raises(TemplateError, match="BAD_COUNT"):
+            run_scenarios(ct_template, (3.0,), calib="none", n_scenes=0)
 
     def test_noisy_changes_measurements(self, ct_template):
         clean = run_scenarios(ct_template, (3.0,), calib="none", n_scenes=1, seed=4)
@@ -101,6 +101,21 @@ class TestPlumbing:
         r = run_scenarios(ct_template, (3.0,), calib="alg1", n_scenes=1, seed=4)
         lo, hi = r.rho_ci
         assert lo == pytest.approx(hi)
+
+
+class TestOverriddenTemplate:
+    """Scenes take the input shape of the operator an override builds."""
+
+    @pytest.fixture(scope="class")
+    def cacti6(self):
+        return instantiate("cacti", 16, overrides={"frames": 6})
+
+    def test_run_scenarios(self, cacti6):
+        r = run_scenarios(cacti6, (0.0, 0.0), calib="none", n_scenes=1)
+        assert r.means["I"]["psnr_db"] == r.means["II"]["psnr_db"]
+
+    def test_diagnose(self, cacti6):
+        assert diagnose(cacti6, (0.0, 0.0), n_scenes=1).dominant_gate in GATES
 
 
 class TestSpectralLane:

@@ -221,7 +221,7 @@ def test_fbp_zero_measurement():
 def test_fbp_ct_quality():
     t = instantiate("ct", 16, 1, seed=0)
     g = t.operator()
-    x = make_phantoms("ct", 16, 1, seed=0)[0].data
+    x = make_phantoms(t, 1, seed=0)[0].data
     res = reconstruct(g, g.forward(x), {"name": "fbp"})
     assert _psnr(res.x_hat.numpy(), x.numpy()) > 20.0
     # amplitude scale is calibrated, not just shape
@@ -247,7 +247,7 @@ def test_adjoint_solver_matches_graph_adjoint():
 def test_gap_tv_beats_adjoint_on_spc():
     t = instantiate("spc", 16, 1, seed=0)
     g = t.operator()
-    x = make_phantoms("spc", 16, 1, seed=0)[0].data
+    x = make_phantoms(t, 1, seed=0)[0].data
     y = g.forward(x)
     plain = reconstruct(g, y, {"name": "adjoint"})
     gap = reconstruct(g, y, {"name": "gap_tv", "iters": 60, "lambda_tv": 0.003})
@@ -258,7 +258,7 @@ def test_gap_tv_beats_adjoint_on_spc():
 def test_fista_objective_monotone_after_burn_in():
     t = instantiate("cassi", 16, 1, seed=0)
     g = t.operator()
-    x = make_phantoms("cassi", 16, 1, seed=0)[0].data
+    x = make_phantoms(t, 1, seed=0)[0].data
     y = g.forward(x)
     res = reconstruct(g, y, {"name": "fista_tv", "iters": 40, "lambda_tv": 0.003})
     trace = res.objective_trace
@@ -270,7 +270,7 @@ def test_fista_objective_monotone_after_burn_in():
 def test_mri_complex_measurement_real_reconstruction():
     t = instantiate("mri", 16, 1, seed=0)
     g = t.operator()
-    x = make_phantoms("mri", 16, 1, seed=0)[0].data
+    x = make_phantoms(t, 1, seed=0)[0].data
     y = g.forward(x)
     assert g.output_dtype == "complex128"
     res = reconstruct(g, y, {"name": "fista_tv", "iters": 60, "lambda_tv": 0.001})
@@ -281,7 +281,7 @@ def test_mri_complex_measurement_real_reconstruction():
 def test_reconstruct_determinism():
     t = instantiate("spc", 16, 1, seed=0)
     g = t.operator()
-    y = g.forward(make_phantoms("spc", 16, 1, seed=0)[0].data)
+    y = g.forward(make_phantoms(t, 1, seed=0)[0].data)
     a = reconstruct(g, y, {"name": "fista_tv", "iters": 20, "lambda_tv": 0.003})
     b = reconstruct(g, y, {"name": "fista_tv", "iters": 20, "lambda_tv": 0.003})
     assert a.x_hat == b.x_hat
@@ -301,7 +301,7 @@ def _parent_residual(g, x, y):
 def test_lazy_residual_matches_eager_formula(modality, name):
     t = instantiate(modality, 16, 1, seed=0)
     g = t.operator()
-    y = g.forward(make_phantoms(modality, 16, 1, seed=0)[0].data)
+    y = g.forward(make_phantoms(t, 1, seed=0)[0].data)
     res = reconstruct(g, y, {"name": name, "iters": 15, "lambda_tv": 0.003})
     want = _parent_residual(g, res.x_hat.numpy(), y.numpy())
     assert res.residual.hex() == want.hex()
@@ -311,7 +311,7 @@ def test_lazy_residual_matches_eager_formula(modality, name):
 def test_fbp_residual_forward_runs_on_first_read_only(monkeypatch):
     t = instantiate("ct", 16, 1, seed=0)
     g = t.operator()
-    y = g.forward(make_phantoms("ct", 16, 1, seed=0)[0].data)
+    y = g.forward(make_phantoms(t, 1, seed=0)[0].data)
     calls = []
     forward = GraphOperator.forward
 
@@ -340,7 +340,7 @@ def _ct_graph_with_gain(template, gain):
 def test_fbp_memo_matches_uncached_reference():
     t = instantiate("ct", 16, 1, seed=0)
     graphs = [_ct_graph_with_gain(t, gain) for gain in (1.0, 0.625)]
-    phantoms = make_phantoms("ct", 16, 2, seed=3)
+    phantoms = make_phantoms(t, 2, seed=3)
     ys = [graphs[0].forward(ph.data) for ph in phantoms]
     _filtered_sinogram.cache_clear()
     for _ in range(2):
@@ -355,7 +355,7 @@ def test_fbp_memo_matches_uncached_reference():
 def test_fbp_cached_sinogram_is_read_only():
     t = instantiate("ct", 16, 1, seed=0)
     g = t.operator()
-    y = g.forward(make_phantoms("ct", 16, 1, seed=0)[0].data).numpy()
+    y = g.forward(make_phantoms(t, 1, seed=0)[0].data).numpy()
     reconstruct(g, Tensor(y), {"name": "fbp"})
     hits = _filtered_sinogram.cache_info().hits
     filtered = _filtered_sinogram(y.tobytes(), y.shape, y.dtype.str, 1.0)

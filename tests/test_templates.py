@@ -247,7 +247,7 @@ def test_level2_is_nonlinear_but_runs(modality):
     t = instantiate(modality, 16, fidelity_level=2, seed=0)
     g = t.operator()
     assert not g.all_linear
-    y = g.forward(make_phantoms(modality, 16, 1, seed=0)[0].data)
+    y = g.forward(make_phantoms(t, 1, seed=0)[0].data)
     assert np.all(np.isfinite(y.numpy()))
 
 
@@ -257,7 +257,7 @@ def test_level2_is_nonlinear_but_runs(modality):
 
 @pytest.mark.parametrize("modality", MODALITIES)
 def test_phantom_shapes_and_range(modality):
-    phs = make_phantoms(modality, 16, 5, seed=0)
+    phs = make_phantoms(instantiate(modality, 16), 5, seed=0)
     in_shape = EXPECTED_SHAPES[modality][0]
     for p in phs:
         assert p.data.shape == in_shape
@@ -265,22 +265,31 @@ def test_phantom_shapes_and_range(modality):
         assert a.min() >= 0.0 and a.max() <= 1.0
 
 
-@pytest.mark.parametrize("size", [8, 16, 33, 64])
-@pytest.mark.parametrize("modality", MODALITIES)
-def test_phantom_shape_matches_template_input(modality, size):
-    expected = tuple(instantiate(modality, size).spec.metadata["input_shape"])
-    assert make_phantoms(modality, size, 1, seed=0)[0].data.shape == expected
+@pytest.mark.parametrize(
+    "modality,size,overrides",
+    [pytest.param(m, s, None, id=f"{m}-{s}") for m in MODALITIES for s in (8, 16, 33, 64)]
+    + [
+        # the cube depth an override sets reaches the phantoms too
+        pytest.param("cacti", 16, {"frames": 6}, id="cacti-16-frames6"),
+        pytest.param("cassi", 16, {"bands_divisor": 2}, id="cassi-16-bands_divisor2"),
+    ],
+)
+def test_phantom_shape_matches_template_input(modality, size, overrides):
+    t = instantiate(modality, size, overrides=overrides)
+    expected = tuple(t.spec.metadata["input_shape"])
+    assert make_phantoms(t, 1, seed=0)[0].data.shape == expected
 
 
 def test_phantoms_deterministic():
-    a = make_phantoms("ct", 16, 3, seed=5)
-    b = make_phantoms("ct", 16, 3, seed=5)
+    t = instantiate("ct", 16)
+    a = make_phantoms(t, 3, seed=5)
+    b = make_phantoms(t, 3, seed=5)
     for pa, pb in zip(a, b):
         assert pa.data == pb.data
 
 
 def test_phantoms_pairwise_distinct():
-    phs = make_phantoms("ct", 16, 5, seed=0)
+    phs = make_phantoms(instantiate("ct", 16), 5, seed=0)
     for i in range(5):
         for j in range(i + 1, 5):
             mse = np.mean((phs[i].data.numpy() - phs[j].data.numpy()) ** 2)
@@ -289,7 +298,7 @@ def test_phantoms_pairwise_distinct():
 
 def test_phantom_count_validation():
     with pytest.raises(TemplateError) as exc:
-        make_phantoms("ct", 16, 0)
+        make_phantoms(instantiate("ct", 16), 0)
     assert exc.value.code == "BAD_COUNT"
 
 

@@ -83,6 +83,10 @@ CLI_CASES = (
     ("calibrate", ["--modality", "ct", "--size", "16", "--theta-true", "3.0",
                    "--calib", "alg1+2"],
      ("calib_result.json",)),
+    # the only case that draws calibrate's noise or uses a nonzero seed
+    ("calibrate", ["--modality", "mri", "--size", "16", "--seed", "2", "--theta-true", "0.05",
+                   "--noisy", "--calib", "alg1"],
+     ("calib_result.json",)),
     ("diagnose", ["--modality", "cassi", "--size", "16", "--theta-true",
                   "0.5", "0.3", "0.1", "2.02", "0.15"],
      ("triad_report.json",)),
