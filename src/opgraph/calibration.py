@@ -3,9 +3,9 @@
 Two routes, both driven purely by an objective over candidate parameter
 vectors: a hierarchical route (independent 1D sweeps, beam search over the
 spatial block, then coordinate descent) and a refinement route (full-range
-grid seeding followed by multi-start adaptive descent on finite-difference
-gradients).  Neither route ever reads the true parameters; ``oracle_psnr``
-mode sees ground-truth images, ``measurement_residual`` mode sees only y.
+grid seeding followed by Levenberg-Marquardt on the residual vector from each
+seed).  Neither route ever reads the true parameters; ``oracle_psnr`` mode
+sees ground-truth images, ``measurement_residual`` mode sees only y.
 """
 
 from __future__ import annotations
@@ -17,20 +17,20 @@ import numpy as np
 
 from .metrics import psnr
 # power_iteration stays bound here because perfbench/spans.py patches it by module
-from .solvers import pin_step, power_iteration, reconstruct  # noqa: F401
+from .solvers import pin_step, power_iteration, reconstruct, relative_residual  # noqa: F401
 from .templates import Template
-from .tensor import CodedError, Rng, Tensor
+from .tensor import CodedError, Tensor
 
 _OBJECTIVES = ("oracle_psnr", "measurement_residual")
+# forward-difference step of the refinement Jacobian, in [0,1]-normalized units
 _FD_STEP = 1e-3
-_RMS_DECAY = 0.9
+# a refinement step counts only when it lowers the cost by more than this
 _EARLY_TOL = 1e-5
-_EARLY_WINDOW = 10
-_JITTER_REL = 0.02
 _BEAM_K = 5
-# refinement learning rate, decayed geometrically from start to end
-_LR_START = 1e-2
-_LR_END = 1e-3
+# Levenberg-Marquardt damping: start, growth on a rejected step, shrink on an accepted one
+_MU_START = 1e-3
+_MU_UP = 4.0
+_MU_DOWN = 3.0
 # grid points per search stage
 _GRID = {
     "sweep": 11,
@@ -50,7 +50,6 @@ class CalibConfig:
     objective: str = "oracle_psnr"
     cd_rounds: int = 3
     refine_steps: int = 30
-    restarts: int = 4
     seeds_topk: int = 9
     seed: int = 0
 
@@ -84,9 +83,16 @@ class _Objective:
     grids clipped at range edges, the incumbent rescored on every descent
     sweep, and finite-difference probes clipped at 0 or 1.  ``evals`` counts
     calls; ``distinct_evals`` counts the reconstructions actually solved.
+
+    The score is a monotone function of the squared norm of a residual
+    vector: x_hat - x_gt in ``oracle_psnr`` mode, A(theta) x_hat - y in
+    ``measurement_residual`` mode.  With ``keep_residuals`` every solve also
+    keeps that vector, flattened to real float64, so ``residual`` reads it
+    without a second solve; alg1 never reads it and keeps none.
     """
 
-    def __init__(self, template: Template, y: Tensor, cfg: CalibConfig, x_gt):
+    def __init__(self, template: Template, y: Tensor, cfg: CalibConfig, x_gt,
+                 keep_residuals: bool = False):
         if cfg.objective not in _OBJECTIVES:
             raise CalibError("BAD_CONFIG", f"unknown objective {cfg.objective!r}")
         if cfg.objective == "oracle_psnr" and x_gt is None:
@@ -97,6 +103,7 @@ class _Objective:
         self.x_gt = x_gt.numpy() if isinstance(x_gt, Tensor) else x_gt
         self.evals = 0
         self._scores = {}
+        self._residuals = {} if keep_residuals else None
         self.solver = pin_step(template.operator(), template.calib_solver, seed=cfg.seed)
 
     @property
@@ -109,11 +116,23 @@ class _Objective:
         key = np.asarray(theta, dtype=np.float64).tobytes()
         if key not in self._scores:
             res = reconstruct(self.template.operator(theta), self.y, self.solver)
-            self._scores[key] = (
-                -psnr(res.x_hat, self.x_gt)
-                if self.mode == "oracle_psnr" else res.residual
-            )
+            if self.mode == "oracle_psnr":
+                self._scores[key] = -psnr(res.x_hat, self.x_gt)
+                r = res.x_hat.numpy() - self.x_gt
+            else:
+                r = res.residual_vector()
+                self._scores[key] = relative_residual(r, self.y.numpy())
+            if self._residuals is not None:
+                r = r.ravel()
+                self._residuals[key] = (
+                    np.concatenate((r.real, r.imag)) if np.iscomplexobj(r) else r
+                )
         return self._scores[key]
+
+    def residual(self, theta):
+        """(score, residual vector) at theta; one call, sharing the scalar read's solve."""
+        score = self(theta)
+        return score, self._residuals[np.asarray(theta, dtype=np.float64).tobytes()]
 
 
 def _score_grid(obj, base, axes, axis_values):
@@ -262,49 +281,61 @@ def calibrate_alg1(template, y, cfg: CalibConfig | None = None, x_gt=None) -> Ca
 
 
 def _refine(obj, theta0, ranges, cfg: CalibConfig):
-    """Adaptive descent on [0,1]-normalized coordinates, no momentum.
+    """Levenberg-Marquardt on [0,1]-normalized coordinates, clipped to the box.
 
-    Per-parameter step sizes self-scale through a running mean of squared
-    finite-difference gradients; the learning rate decays geometrically.
+    ``obj.residual(theta)`` gives the score and the residual vector whose
+    squared norm the score increases with.  Each iteration builds a
+    forward-difference Jacobian of that vector (backward at the upper bound),
+    n solves, and tries one damped Gauss-Newton step with Marquardt scaling,
+    (J^T J + mu diag J^T J) d = -J^T r, one solve.  A step that lowers the
+    score by more than ``_EARLY_TOL`` is taken and mu shrinks; otherwise mu
+    grows and the next iteration retries from the same point and Jacobian.
+    Stops after ``cfg.refine_steps`` iterations, or when the clipped step no
+    longer moves the point.
     """
     lo = np.array([r[0] for r in ranges])
     hi = np.array([r[1] for r in ranges])
     width = hi - lo
-    z = (np.asarray(theta0, dtype=np.float64) - lo) / width
-    best_z = z.copy()
-    best_cost = obj(tuple(lo + z * width))
-    v = np.zeros_like(z)
-    stale = 0
-    steps = max(1, int(cfg.refine_steps))
-    for t in range(steps):
-        frac = t / max(1, steps - 1)
-        lr = _LR_START * (_LR_END / _LR_START) ** frac
-        grad = np.zeros_like(z)
-        for k in range(z.size):
-            zp, zm = z.copy(), z.copy()
-            zp[k] = min(z[k] + _FD_STEP, 1.0)
-            zm[k] = max(z[k] - _FD_STEP, 0.0)
-            if zp[k] > zm[k]:
-                fp = obj(tuple(lo + zp * width))
-                fm = obj(tuple(lo + zm * width))
-                grad[k] = (fp - fm) / (zp[k] - zm[k])
-        v = _RMS_DECAY * v + (1.0 - _RMS_DECAY) * grad**2
-        z = np.clip(z - lr * grad / (np.sqrt(v) + 1e-8), 0.0, 1.0)
-        cost = obj(tuple(lo + z * width))
-        if cost < best_cost - _EARLY_TOL:
-            best_cost = cost
-            best_z = z.copy()
-            stale = 0
+
+    def at(z):
+        return tuple(float(v) for v in lo + z * width)
+
+    # the start is scored at theta0 itself, which a grid seed has already solved
+    theta = tuple(float(v) for v in theta0)
+    z = np.clip((np.asarray(theta) - lo) / width, 0.0, 1.0)
+    cost, r = obj.residual(theta)
+    mu = _MU_START
+    jac = None
+    for _ in range(cfg.refine_steps):
+        if jac is None:
+            jac = np.empty((r.size, z.size))
+            for k in range(z.size):
+                h = _FD_STEP if z[k] + _FD_STEP <= 1.0 else -_FD_STEP
+                probe = z.copy()
+                probe[k] += h
+                jac[:, k] = (obj.residual(at(probe))[1] - r) / h
+            jtj = jac.T @ jac
+            grad = jac.T @ r
+            # Marquardt's diag(J^T J); a parameter the residual ignores scales by 1
+            scale = np.diag(jtj).copy()
+            scale[scale == 0.0] = 1.0
+        step = np.linalg.solve(jtj + mu * np.diag(scale), -grad)
+        trial = np.clip(z + step, 0.0, 1.0)
+        if np.array_equal(trial, z):
+            break
+        trial_cost, trial_r = obj.residual(at(trial))
+        if trial_cost < cost - _EARLY_TOL:
+            z, theta, cost, r = trial, at(trial), trial_cost, trial_r
+            mu /= _MU_DOWN
+            jac = None
         else:
-            stale += 1
-            if stale >= _EARLY_WINDOW:
-                break
-    return tuple(float(x) for x in (lo + best_z * width)), best_cost
+            mu *= _MU_UP
+    return theta, cost
 
 
 def calibrate_alg2(template, y, cfg: CalibConfig | None = None, x_gt=None,
                    warm_start=None) -> CalibResult:
-    """Full-range grid seeding plus multi-start gradient refinement."""
+    """Full-range grid seeding, then Levenberg-Marquardt from every seed."""
     cfg = cfg or CalibConfig()
     fam = template.family
     n = len(fam.param_names)
@@ -312,7 +343,7 @@ def calibrate_alg2(template, y, cfg: CalibConfig | None = None, x_gt=None,
         raise CalibError("EMPTY_FAMILY", f"{fam.modality} has no drift parameters")
     if cfg.refine_steps < 1:
         raise CalibError("BAD_CONFIG", f"need refine_steps >= 1, got {cfg.refine_steps}")
-    obj = _Objective(template, y, cfg, x_gt)
+    obj = _Objective(template, y, cfg, x_gt, keep_residuals=True)
     trace = []
 
     affine, _ = _tag_partition(fam)
@@ -329,21 +360,14 @@ def calibrate_alg2(template, y, cfg: CalibConfig | None = None, x_gt=None,
         seeds.append((ws, obj(ws)))
     trace.append(("seeds", tuple(t for t, _ in seeds), tuple(c for _, c in seeds)))
 
-    jitter_rng = Rng(cfg.seed, 29)
-    scale = np.array([(hi - lo) * _JITTER_REL for lo, hi in fam.theta_range])
-    lo = np.array([r[0] for r in fam.theta_range])
-    hi = np.array([r[1] for r in fam.theta_range])
     best_theta, best_cost = min(seeds, key=lambda t: t[1])
     refined, refined_costs = [], []
-    for s, (seed_theta, _) in enumerate(seeds):
-        for r in range(cfg.restarts):
-            child = jitter_rng.child(s * cfg.restarts + r)
-            start = np.clip(np.asarray(seed_theta) + child.normal((n,)) * scale, lo, hi)
-            theta, cost = _refine(obj, start, fam.theta_range, cfg)
-            refined.append(theta)
-            refined_costs.append(cost)
-            if cost < best_cost:
-                best_theta, best_cost = theta, cost
+    for seed_theta, _ in seeds:
+        theta, cost = _refine(obj, seed_theta, fam.theta_range, cfg)
+        refined.append(theta)
+        refined_costs.append(cost)
+        if cost < best_cost:
+            best_theta, best_cost = theta, cost
     trace.append(("refine", tuple(refined), tuple(refined_costs)))
     return CalibResult(tuple(best_theta), best_cost, tuple(trace), obj.evals,
                        obj.distinct_evals)

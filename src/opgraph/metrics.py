@@ -24,7 +24,8 @@ class MetricError(CodedError):
 @dataclass(frozen=True)
 class SceneMetrics:
     psnr_db: float
-    ssim: float
+    # None for an image smaller than the SSIM window, as sam_deg for a flat scene
+    ssim: float | None
     sam_deg: float | None = None
 
     def as_dict(self) -> dict:
@@ -115,9 +116,12 @@ def sam(x_hat, x_gt, return_excluded: bool = False):
 
 
 def scene_metrics(x_hat, x_gt, peak: float = 1.0, spectral: bool = False) -> SceneMetrics:
+    """PSNR, SSIM and SAM of one scene; SSIM is None below the window size, SAM
+    when the scene is not spectral."""
     a, b = _as_array(x_hat), _as_array(x_gt)
     sam_deg = sam(a, b) if spectral and a.ndim >= 2 and a.shape[-1] >= 2 else None
-    return SceneMetrics(psnr_db=psnr(a, b, peak), ssim=ssim(a, b, peak), sam_deg=sam_deg)
+    ssim_val = ssim(a, b, peak) if min(a.shape[:2]) >= _SSIM_WINDOW else None
+    return SceneMetrics(psnr_db=psnr(a, b, peak), ssim=ssim_val, sam_deg=sam_deg)
 
 
 # ---------------------------------------------------------------------------

@@ -73,14 +73,13 @@ def calibrate(template: Template, y, x_gt, route: str,
 
 
 def _mean_metrics(scenes, scenario: str) -> dict:
-    psnrs = [s[scenario].psnr_db for s in scenes]
-    ssims = [s[scenario].ssim for s in scenes]
-    sams = [s[scenario].sam_deg for s in scenes]
-    return {
-        "psnr_db": float(np.mean(psnrs)),
-        "ssim": float(np.mean(ssims)),
-        "sam_deg": float(np.mean(sams)) if all(s is not None for s in sams) else None,
-    }
+    """Per-metric mean over scenes; a metric with no value in any scene is None."""
+    means = {}
+    for name in ("psnr_db", "ssim", "sam_deg"):
+        values = [getattr(s[scenario], name) for s in scenes]
+        values = [v for v in values if v is not None]
+        means[name] = float(np.mean(values)) if values else None
+    return means
 
 
 def _rho_ci(scenes, n_resamples: int, seed: int):
@@ -114,20 +113,22 @@ def run_scenarios(template: Template, theta_true, solver_cfg: dict | None = None
 
     measurements = measure(g_true, template.noise, phantoms, noisy, seed)
     if calib == "none":
-        theta_hat = template.family.theta_nom
+        # IV reconstructs at theta_nom, which is II's operator and solve
+        theta_hat, g_hat = template.family.theta_nom, None
     else:
         theta_hat = calibrate(template, measurements[0], phantoms[0].data, calib,
                               CalibConfig()).theta_hat
-    g_hat = template.operator(theta_hat)
+        g_hat = template.operator(theta_hat)
+
+    def metrics(g, ph, y):
+        return scene_metrics(reconstruct(g, y, solver).x_hat, ph.data,
+                             spectral=template.spectral)
 
     scenes = []
     for ph, y in zip(phantoms, measurements):
-        m_i = scene_metrics(reconstruct(g_true, y, solver).x_hat, ph.data,
-                            spectral=template.spectral)
-        m_ii = scene_metrics(reconstruct(g_nom, y, solver).x_hat, ph.data,
-                             spectral=template.spectral)
-        m_iv = scene_metrics(reconstruct(g_hat, y, solver).x_hat, ph.data,
-                             spectral=template.spectral)
+        m_i = metrics(g_true, ph, y)
+        m_ii = metrics(g_nom, ph, y)
+        m_iv = m_ii if g_hat is None else metrics(g_hat, ph, y)
         # III is I's reconstruction by definition: exact correction, same data
         scenes.append({"I": m_i, "II": m_ii, "III": m_i, "IV": m_iv})
 

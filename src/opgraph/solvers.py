@@ -42,13 +42,21 @@ class ReconResult:
     # (operator, measurement array) that ``residual`` measures ``x_hat`` against
     _problem: tuple = field(kw_only=True, repr=False, compare=False)
 
+    def residual_vector(self) -> np.ndarray:
+        """A x_hat - y; one operator forward per call."""
+        g, y = self._problem
+        return g.forward(self.x_hat).numpy() - y
+
     @cached_property
     def residual(self) -> float:
         """||A x_hat - y||^2 / ||y||^2, computed on first read."""
-        g, y = self._problem
-        r = g.forward(self.x_hat).numpy() - y
-        den = float(np.vdot(y, y).real)
-        return float(np.vdot(r, r).real) / (den + _RESIDUAL_EPS)
+        return relative_residual(self.residual_vector(), self._problem[1])
+
+
+def relative_residual(r: np.ndarray, y: np.ndarray) -> float:
+    """||r||^2 / ||y||^2 for the residual vector r of the measurement y."""
+    den = float(np.vdot(y, y).real)
+    return float(np.vdot(r, r).real) / (den + _RESIDUAL_EPS)
 
 
 # ---------------------------------------------------------------------------

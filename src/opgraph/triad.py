@@ -205,15 +205,19 @@ class _Solves:
 
 
 def sensitivity(template: Template, solver_cfg: dict | None, theta, k: int, h_k: float,
-                probe_seed: int = 0, _solves: _Solves | None = None) -> float:
-    """d(PSNR)/d(theta_k) by central difference, mismatched-reconstruction lane."""
+                probe_seed: int = 0, _solves: _Solves | None = None, _probe=None) -> float:
+    """d(PSNR)/d(theta_k) by central difference, mismatched-reconstruction lane.
+
+    ``_probe`` is the scene ``make_phantoms(template, 1, seed=probe_seed)``
+    builds, when the caller already has it.
+    """
     if h_k <= 0:
         raise TriadError("BAD_STEP", f"need h_k > 0, got {h_k}")
     fam = template.family
     theta = list(fam.check(theta))
     solves = _solves if _solves is not None else _Solves(template, solver_cfg)
     g_nom = solves.operator(template)
-    ph = make_phantoms(template, 1, seed=probe_seed)[0]
+    ph = _probe if _probe is not None else make_phantoms(template, 1, seed=probe_seed)[0]
 
     def quality(t_vec):
         y = solves.operator(template, tuple(t_vec)).forward(ph.data)
@@ -250,6 +254,7 @@ def score_mismatch(template: Template, theta_true, solver_cfg: dict | None = Non
     dominant = fam.param_names[int(np.argmax(rel))]
 
     solves = _solves if _solves is not None else _Solves(template, solver_cfg)
+    ph = make_phantoms(template, 1, seed=probe_seed)[0]
     sens = {}
     for k, (name, (lo, hi)) in enumerate(zip(fam.param_names, fam.theta_range)):
         h = 0.05 * widths[k]
@@ -257,9 +262,8 @@ def score_mismatch(template: Template, theta_true, solver_cfg: dict | None = Non
         # probe point nudged inside so the central stencil stays admissible
         base[k] = min(max(base[k], lo + h), hi - h)
         sens[name] = sensitivity(template, solver_cfg, tuple(base), k, h, probe_seed,
-                                 _solves=solves)
+                                 _solves=solves, _probe=ph)
 
-    ph = make_phantoms(template, 1, seed=probe_seed)[0]
     g_true = solves.operator(template, theta_true)
     y = g_true.forward(ph.data)
     psnr_i = solves.quality(g_true, y, ph.data)

@@ -142,6 +142,16 @@ class TestScenario:
         report = json.loads((out / "triad_report.json").read_text())
         assert report["dominant_gate"] == "operator_mismatch"
 
+    @pytest.mark.parametrize("size", [8, 10])
+    def test_below_ssim_window_reports_null(self, tmp_path, size):
+        out = tmp_path / "run"
+        assert main(["scenario", "--modality", "ct", "--size", str(size), "--theta-true",
+                     "3.0", "--calib", "none", "--scenes", "1", "--out", str(out)]) == 0
+        result = json.loads((out / "scenario_result.json").read_text())
+        assert {m["ssim"] for m in result["means"].values()} == {None}
+        assert result["per_scene"][0]["I"]["ssim"] is None
+        assert result["means"]["I"]["psnr_db"] > result["means"]["II"]["psnr_db"]
+
     def test_reruns_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         main(self._FLAGS + ["--out", str(out_a)])

@@ -138,6 +138,18 @@ class TestSceneMetrics:
         assert m.sam_deg is None
         assert m.as_dict()["ssim"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("shape", [(10, 10), (8, 8, 4), (10, 16)])
+    def test_image_below_window_has_no_ssim(self, shape):
+        img = Rng(5, 3).uniform(shape)
+        m = scene_metrics(img, img, spectral=len(shape) == 3)
+        assert m.ssim is None
+        assert m.psnr_db == float("inf")
+        assert m.as_dict()["ssim"] is None
+
+    def test_image_at_window_size_has_ssim(self):
+        img = Rng(5, 4).uniform((11, 11))
+        assert scene_metrics(img, img).ssim == pytest.approx(1.0)
+
 
 class TestRecoveryRatio:
     def test_full_recovery(self):

@@ -97,6 +97,24 @@ class TestPlumbing:
                               noisy=True)
         assert noisy.means["I"]["psnr_db"] < clean.means["I"]["psnr_db"]
 
+    def test_calib_none_reuses_nominal_solve(self, ct_template, monkeypatch):
+        from opgraph import protocol
+
+        real, solves = protocol.reconstruct, []
+
+        def counting(*args):
+            solves.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(protocol, "reconstruct", counting)
+        r = run_scenarios(ct_template, (3.0,), calib="none", n_scenes=3, seed=4)
+        # I and II per scene; IV is II's solve, since theta_hat is theta_nom
+        assert len(solves) == 2 * 3
+        for scene in r.per_scene:
+            assert scene["IV"] == scene["II"]
+        assert r.means["IV"] == r.means["II"]
+        assert r.theta_hat == ct_template.family.theta_nom
+
     def test_single_scene_ci_zero_width(self, ct_template):
         r = run_scenarios(ct_template, (3.0,), calib="alg1", n_scenes=1, seed=4)
         lo, hi = r.rho_ci

@@ -337,3 +337,17 @@ def test_diagnose_solves_each_distinct_problem_once(monkeypatch):
     assert len(measured) == len({g for g, _ in solved}) == 3
     # the report carries no rank, so no dense matrix is built
     assert materialized == []
+
+
+def test_diagnose_builds_the_probe_scene_once(monkeypatch):
+    built = []
+    make_phantoms = triad.make_phantoms
+
+    def counting_make_phantoms(template, n, seed):
+        built.append((n, seed))
+        return make_phantoms(template, n, seed=seed)
+
+    monkeypatch.setattr(triad, "make_phantoms", counting_make_phantoms)
+    diagnose(instantiate("cassi", 8), (0.5, 0.3, 0.1, 2.02, 0.15), seed=2)
+    # one probe scene for score_mismatch and its 5 sensitivities, one set of scenes
+    assert built == [(1, 2), (3, 2)]

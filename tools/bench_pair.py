@@ -14,11 +14,12 @@ perfbench prints them to 6 significant digits, so this reads true under
 rounding drift and cannot show byte identity), one traced run of each workload
 per commit at seed 11 (layer times, call counts and solver iterations), and
 whether a few ``scenario``, ``diagnose`` and ``calibrate`` CLI runs write
-byte-identical result files on both commits; only these ``cli_outputs`` show
+byte-identical result files on both commits, with each run's wall seconds
+(one run each, process start included); only these ``cli_outputs`` show
 byte identity.
 Where a case's files differ, each file's largest absolute numeric drift is
-recorded with the field it occurs in, over all fields and over the PSNR
-fields, with every field that differs otherwise (present on one side only,
+recorded with the field it occurs in, over all fields, over the PSNR fields
+and under each top-level key, with every field that differs otherwise (present on one side only,
 lists of different lengths, unequal non-numeric values).  Standard library only.
 """
 
@@ -34,6 +35,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 from statistics import median, quantiles
 
@@ -55,8 +57,8 @@ TRACED = ("tensor.construct_n", "tensor.construct_s", "tensor.bytes_copied",
           *(f"primitives.{d}.{k}_{u}" for d in ("fwd", "adj")
             for k in ("Project", "Modulate", "Accumulate", "Disperse") for u in ("n", "s")),
           "graph.compile_n", "graph.compile_s", "templates.operator_s",
-          "calibration.evals", "calibration.eval_s",
-          "calibration.distinct_theta_ratio", "calib_evals", "calibrate_s",
+          "calibration.evals", "calibration.eval_s", "calibration.evals_seeds",
+          "calibration.evals_refine", "calibration.distinct_theta_ratio", "calib_evals", "calibrate_s",
           "triad.materialize_n", "triad.materialize_s", "triad.recoverability_s",
           "triad.sensitivity_n", "scenario_s", "diagnose_s", "trace.wall_s")
 # CLI runs whose result files must not change; flags after the subcommand
@@ -197,29 +199,37 @@ def field_diffs(base, head, path=""):
 
 
 def drift(base, head) -> dict:
-    """Largest absolute numeric drift of one result file, overall and over PSNR fields,
-    and the fields that differ in structure or in a non-numeric value."""
+    """Largest absolute numeric drift of one result file, overall, over PSNR fields and
+    under each top-level key, and the fields that differ in structure or in a
+    non-numeric value."""
     diffs = list(field_diffs(base, head))
     numeric = sorted((d for d in diffs if d[0] is not None), key=lambda d: (d[0], d[1]))
     psnr = [d for d in numeric if "psnr" in d[1]]
     top = numeric[-1] if numeric else (0.0, None)
     top_psnr = psnr[-1] if psnr else (0.0, None)
+    by_key = {}
+    for value, field in numeric:
+        key = field.split(".")[0].split("[")[0]
+        by_key[key] = max(by_key.get(key, 0.0), value)
     return {"max_abs": top[0], "field": top[1], "fields_differing": len(numeric),
             "max_abs_psnr": top_psnr[0], "psnr_field": top_psnr[1],
+            "max_abs_by_key": by_key,
             "other_differences": [f for v, f in diffs if v is None]}
 
 
 def cli_outputs(checkouts: dict, scratch: Path) -> list:
     cases = []
     for i, (command, flags, files) in enumerate(CLI_CASES):
-        hashes, payloads = {}, {}
+        hashes, payloads, seconds = {}, {}, {}
         for side, checkout in checkouts.items():
             run_dir = scratch / f"cli-{side}-{i}"
+            start = time.perf_counter()
             subprocess.run(
                 [sys.executable, "-m", "opgraph.cli", command, *flags, "--out", str(run_dir)],
                 cwd=checkout, check=True, capture_output=True,
                 env={**os.environ, "PYTHONPATH": str(checkout / "src")},
             )
+            seconds[side] = time.perf_counter() - start
             hashes[side] = {f: sha256(run_dir / f) for f in files}
             payloads[side] = {f: json.loads((run_dir / f).read_text()) for f in files}
         # a field the head adds is allowed; every field the base writes must be equal
@@ -232,7 +242,8 @@ def cli_outputs(checkouts: dict, scratch: Path) -> list:
                   for side in payloads}
         case = {"argv": [command, *flags], "sha256": hashes,
                 "byte_identical": hashes["base"] == hashes["head"],
-                "base_fields_identical": base_fields_equal, "counts": counts}
+                "base_fields_identical": base_fields_equal, "counts": counts,
+                "seconds": seconds}
         if not case["byte_identical"]:
             case["drift"] = {f: drift(payloads["base"][f], payloads["head"][f]) for f in files}
         cases.append(case)
