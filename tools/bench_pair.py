@@ -19,8 +19,9 @@ byte-identical result files on both commits, with each run's wall seconds
 byte identity.
 Where a case's files differ, each file's largest absolute numeric drift is
 recorded with the field it occurs in, over all fields, over the PSNR fields
-and under each top-level key, with every field that differs otherwise (present on one side only,
-lists of different lengths, unequal non-numeric values).  Standard library only.
+and under each top-level key, with every field that differs otherwise
+(present on one side only, lists of different lengths, unequal non-numeric
+values).  Standard library only.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ TRACED = ("tensor.construct_n", "tensor.construct_s", "tensor.bytes_copied",
             for k in ("Project", "Modulate", "Accumulate", "Disperse") for u in ("n", "s")),
           "graph.compile_n", "graph.compile_s", "templates.operator_s",
           "calibration.evals", "calibration.eval_s", "calibration.evals_seeds",
-          "calibration.evals_refine", "calibration.distinct_theta_ratio", "calib_evals", "calibrate_s",
+          "calibration.evals_refine", "calibration.distinct_theta_ratio", "calib_evals",
+          "calibrate_s",
           "triad.materialize_n", "triad.materialize_s", "triad.recoverability_s",
           "triad.sensitivity_n", "scenario_s", "diagnose_s", "trace.wall_s")
 # CLI runs whose result files must not change; flags after the subcommand
