@@ -24,7 +24,8 @@ from .tensor import CodedError, Tensor
 _OBJECTIVES = ("oracle_psnr", "measurement_residual")
 # forward-difference step of the refinement Jacobian, in [0,1]-normalized units
 _FD_STEP = 1e-3
-# a refinement step counts only when it lowers the cost by more than this
+# a refinement step counts only when it lowers the squared residual norm by more
+# than this fraction; the score is monotone in that norm in either objective mode
 _EARLY_TOL = 1e-5
 _BEAM_K = 5
 # Levenberg-Marquardt damping: start, growth on a rejected step, shrink on an accepted one
@@ -59,7 +60,8 @@ class CalibResult:
     theta_hat: tuple
     objective_value: float
     stage_trace: tuple
-    # objective calls, and the distinct theta among them (one solve each)
+    # objective calls, and the distinct theta among them; each refinement start
+    # is solved once more for its residual vector
     evals: int
     distinct_evals: int
 
@@ -82,17 +84,16 @@ class _Objective:
     Scores are kept per exact theta, because the search stages revisit points:
     grids clipped at range edges, the incumbent rescored on every descent
     sweep, and finite-difference probes clipped at 0 or 1.  ``evals`` counts
-    calls; ``distinct_evals`` counts the reconstructions actually solved.
+    calls; ``distinct_evals`` counts the distinct theta among them.
 
     The score is a monotone function of the squared norm of a residual
     vector: x_hat - x_gt in ``oracle_psnr`` mode, A(theta) x_hat - y in
-    ``measurement_residual`` mode.  With ``keep_residuals`` every solve also
-    keeps that vector, flattened to real float64, so ``residual`` reads it
-    without a second solve; alg1 never reads it and keeps none.
+    ``measurement_residual`` mode.  ``residual`` returns that vector with the
+    score from the same solve and keeps only the score; a theta already scored
+    without its vector is solved once more.
     """
 
-    def __init__(self, template: Template, y: Tensor, cfg: CalibConfig, x_gt,
-                 keep_residuals: bool = False):
+    def __init__(self, template: Template, y: Tensor, cfg: CalibConfig, x_gt):
         if cfg.objective not in _OBJECTIVES:
             raise CalibError("BAD_CONFIG", f"unknown objective {cfg.objective!r}")
         if cfg.objective == "oracle_psnr" and x_gt is None:
@@ -103,7 +104,9 @@ class _Objective:
         self.x_gt = x_gt.numpy() if isinstance(x_gt, Tensor) else x_gt
         self.evals = 0
         self._scores = {}
-        self._residuals = {} if keep_residuals else None
+        # the key whose vector ``residual`` asked for, and that vector once solved
+        self._want = None
+        self._vector = None
         self.solver = pin_step(template.operator(), template.calib_solver, seed=cfg.seed)
 
     @property
@@ -114,25 +117,26 @@ class _Objective:
         self.evals += 1
         # keyed on the float64 bits, so -0.0 and 0.0 stay distinct points
         key = np.asarray(theta, dtype=np.float64).tobytes()
-        if key not in self._scores:
+        want = key == self._want
+        if want or key not in self._scores:
             res = reconstruct(self.template.operator(theta), self.y, self.solver)
             if self.mode == "oracle_psnr":
                 self._scores[key] = -psnr(res.x_hat, self.x_gt)
-                r = res.x_hat.numpy() - self.x_gt
+                r = res.x_hat.numpy() - self.x_gt if want else None
             else:
                 r = res.residual_vector()
                 self._scores[key] = relative_residual(r, self.y.numpy())
-            if self._residuals is not None:
+            if want:
                 r = r.ravel()
-                self._residuals[key] = (
-                    np.concatenate((r.real, r.imag)) if np.iscomplexobj(r) else r
-                )
+                self._vector = np.concatenate((r.real, r.imag)) if np.iscomplexobj(r) else r
         return self._scores[key]
 
     def residual(self, theta):
-        """(score, residual vector) at theta; one call, sharing the scalar read's solve."""
+        """(score, residual vector flattened to real float64) at theta, one call."""
+        self._want = np.asarray(theta, dtype=np.float64).tobytes()
         score = self(theta)
-        return score, self._residuals[np.asarray(theta, dtype=np.float64).tobytes()]
+        r, self._want, self._vector = self._vector, None, None
+        return score, r
 
 
 def _score_grid(obj, base, axes, axis_values):
@@ -287,9 +291,10 @@ def _refine(obj, theta0, ranges, cfg: CalibConfig):
     squared norm the score increases with.  Each iteration builds a
     forward-difference Jacobian of that vector (backward at the upper bound),
     n solves, and tries one damped Gauss-Newton step with Marquardt scaling,
-    (J^T J + mu diag J^T J) d = -J^T r, one solve.  A step that lowers the
-    score by more than ``_EARLY_TOL`` is taken and mu shrinks; otherwise mu
-    grows and the next iteration retries from the same point and Jacobian.
+    (J^T J + mu diag J^T J) d = -J^T r, one solve.  A step that lowers
+    ||r||^2 by more than the fraction ``_EARLY_TOL``, whatever the score's
+    units, is taken and mu shrinks; otherwise mu grows and the next
+    iteration retries from the same point and Jacobian.
     Stops after ``cfg.refine_steps`` iterations, or when the clipped step no
     longer moves the point.
     """
@@ -300,7 +305,7 @@ def _refine(obj, theta0, ranges, cfg: CalibConfig):
     def at(z):
         return tuple(float(v) for v in lo + z * width)
 
-    # the start is scored at theta0 itself, which a grid seed has already solved
+    # the start is scored at theta0 itself; its vector costs a grid seed one more solve
     theta = tuple(float(v) for v in theta0)
     z = np.clip((np.asarray(theta) - lo) / width, 0.0, 1.0)
     cost, r = obj.residual(theta)
@@ -324,7 +329,7 @@ def _refine(obj, theta0, ranges, cfg: CalibConfig):
         if np.array_equal(trial, z):
             break
         trial_cost, trial_r = obj.residual(at(trial))
-        if trial_cost < cost - _EARLY_TOL:
+        if trial_r @ trial_r < (1.0 - _EARLY_TOL) * (r @ r):
             z, theta, cost, r = trial, at(trial), trial_cost, trial_r
             mu /= _MU_DOWN
             jac = None
@@ -343,7 +348,7 @@ def calibrate_alg2(template, y, cfg: CalibConfig | None = None, x_gt=None,
         raise CalibError("EMPTY_FAMILY", f"{fam.modality} has no drift parameters")
     if cfg.refine_steps < 1:
         raise CalibError("BAD_CONFIG", f"need refine_steps >= 1, got {cfg.refine_steps}")
-    obj = _Objective(template, y, cfg, x_gt, keep_residuals=True)
+    obj = _Objective(template, y, cfg, x_gt)
     trace = []
 
     affine, _ = _tag_partition(fam)

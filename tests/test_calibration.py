@@ -193,6 +193,9 @@ class TestObjective:
 
     @pytest.mark.parametrize("objective", ["oracle_psnr", "measurement_residual"])
     def test_scalar_and_vector_reads_share_one_solve(self, ct_setup, monkeypatch, objective):
+        import gc
+        import weakref
+
         from opgraph import calibration
 
         t, ph, y = ct_setup
@@ -203,17 +206,26 @@ class TestObjective:
             return real(*args)
 
         monkeypatch.setattr(calibration, "reconstruct", counting)
-        obj = _Objective(t, y, CalibConfig(objective=objective), ph.data, keep_residuals=True)
-        score = obj((2.5,))
-        again, r = obj.residual((2.5,))
+        obj = _Objective(t, y, CalibConfig(objective=objective), ph.data)
+        score, r = obj.residual((2.5,))
+        assert obj((2.5,)) == score
         assert len(solves) == 1
-        assert again == score
         assert (obj.evals, obj.distinct_evals) == (2, 1)
         # the score is the vector's squared norm, in the mode's own units
         if objective == "oracle_psnr":
             assert score == pytest.approx(10.0 * np.log10(np.mean(r**2)))
         else:
             assert score == pytest.approx(np.vdot(r, r) / np.vdot(y.numpy(), y.numpy()))
+        # the objective keeps no vector, so a theta scored first is solved again
+        gone = weakref.ref(r)
+        del r
+        gc.collect()
+        assert gone() is None
+        first = obj((1.5,))
+        again, _ = obj.residual((1.5,))
+        assert again == first
+        assert len(solves) == 3
+        assert (obj.evals, obj.distinct_evals) == (4, 2)
 
     def test_oracle_cost_is_negated_quality(self, ct_setup):
         t, ph, y = ct_setup
@@ -338,6 +350,18 @@ class TestCalibrateAlg2:
         assert refined_costs[-1] < seed_costs[-1]
         assert res.evals < 200
 
+    def test_noiseless_mri_measurement_residual_leaves_the_grid(self):
+        # a noiseless residual score is far below 1e-5: LM must still take steps
+        t = instantiate("mri", 16)
+        ph = make_phantoms(t, 1, seed=0)[0]
+        y = t.operator((0.05,)).forward(ph.data)
+        cfg = CalibConfig(objective="measurement_residual")
+        res = calibrate_alg2(t, y, cfg)
+        (_, seeds, seed_costs), _ = res.stage_trace
+        assert min(seed_costs) < 1e-5
+        assert res.theta_hat not in seeds
+        assert res.objective_value < min(seed_costs)
+
     def test_bad_refine_steps(self, ct_setup):
         t, ph, y = ct_setup
         with pytest.raises(CalibError, match="BAD_CONFIG"):
@@ -365,7 +389,7 @@ def test_ct_alg1_then_alg2_pinned_at_size_8():
     assert (a1.evals, a1.distinct_evals) == (31, 19)
     assert [v.hex() for v in a2.theta_hat] == ["0x1.7eb1856c1efd0p+0"]
     assert a2.objective_value.hex() == "-0x1.93aef58e47288p+4"
-    assert (a2.evals, a2.distinct_evals) == (405, 395)
+    assert (a2.evals, a2.distinct_evals) == (403, 393)
 
 
 def test_calib_result_fields():
