@@ -73,13 +73,23 @@ def tv_prox(x, lam: float, n_inner: int = 20) -> np.ndarray:
     """prox of lam * TV via projected dual ascent; lam = 0 returns x unchanged.
 
     The inner loop runs on arrays of at most a few thousand elements, where
-    numpy call overhead, not arithmetic, sets the cost.  So every axis's dual
-    lives in one row of a stacked (ndim, size) buffer over the flattened
-    array, and each step is a few whole-stack calls: row d holds p_d at every
-    index, with the slot at axis d's last index kept at +0.0, behind a zero
-    guard as long as the largest stride.  Reading row d one stride s_d early
-    then gives p_{j-1} with p_{-1} = 0 (an earlier last-index slot or the
-    guard), so D_d^T p_d = [-p0, p0 - p1, ..., p_{n-2}] is one subtract.
+    numpy call overhead, not arithmetic, sets the cost, so each step is a few
+    calls on contiguous memory.  Every axis's dual lives in one row of a
+    stacked (ndim, size) buffer over the flattened array, with the slot at
+    axis d's last index kept at +0.0, behind a zero guard as long as the
+    largest stride s_d:
+    - D_d u is one contiguous subtract of the flat u against itself shifted
+      by s_d.  For d > 0 it also writes the "wrap" slots at axis d's last
+      index, which pair values that are not neighbours; one fill per axis
+      zeroes them before the dual step, so their duals stay +0.0.
+    - Reading row d one stride early gives p_{j-1} with p_{-1} = 0 (an
+      earlier last-index slot or the guard), so D_d^T p_d =
+      [-p0, p0 - p1, ..., p_{n-2}] is one subtract.
+    The float operations and their order are those of the straight-line
+    form, so the result matches it byte for byte.  Near the float64 limit a
+    wrap slot can overflow where no neighbour difference does: numpy then
+    reports an overflow (a RuntimeWarning by default), and the result is
+    unchanged.
     """
     a = x.numpy() if isinstance(x, Tensor) else np.asarray(x)
     if np.iscomplexobj(a):
@@ -102,12 +112,13 @@ def tv_prox(x, lam: float, n_inner: int = 20) -> np.ndarray:
     div = np.empty(a.shape)
     u = np.empty(a.shape)
     grad_nd = grad.reshape((ndim,) + a.shape)
-    # forward differences of u along axis d land in every slot but the last
-    diffs = []
-    for d in range(ndim):
-        lo = (slice(None),) * d + (slice(None, -1),)
-        hi = (slice(None),) * d + (slice(1, None),)
-        diffs.append((u[hi], u[lo], grad_nd[d][lo]))
+    # forward differences of u along axis d: one contiguous subtract of the
+    # flat array against itself shifted by s_d (axis 0's last-index slots are
+    # never written) ...
+    uf = u.reshape(-1)
+    diffs = [(uf[s:], uf[:size - s], grad[d, :size - s]) for d, s in enumerate(strides)]
+    # ... and for d > 0 it also writes axis d's last-index (wrap) slots
+    wraps = [grad_nd[d][(slice(None),) * d + (slice(-1, None),)] for d in range(1, ndim)]
     div_flat = div.reshape(-1)
 
     def primal():
@@ -123,9 +134,11 @@ def tv_prox(x, lam: float, n_inner: int = 20) -> np.ndarray:
         primal()
         for hi, lo, g in diffs:
             np.subtract(hi, lo, out=g)
+        for w in wraps:
+            w.fill(0.0)
         grad *= step
         grad += duals
-        np.clip(grad, -1.0, 1.0, out=duals)
+        grad.clip(-1.0, 1.0, out=duals)
     primal()
     return u
 

@@ -100,8 +100,11 @@ def _extremes(shape, seed):
     return a
 
 
+# (3, 1, 4), (4, 3, 1), (17, 17, 4) and (48, 48, 12) put the last-index slots
+# that the flat differences overwrite at unit, odd and unaligned strides
 @pytest.mark.parametrize("shape", [(0,), (1,), (2,), (9,), (3, 0), (1, 7), (7, 1), (16, 16),
-                                   (1, 1, 1), (5, 1, 3), (16, 16, 4), (2, 3, 4, 5)])
+                                   (1, 1, 1), (5, 1, 3), (3, 1, 4), (4, 3, 1), (16, 16, 4),
+                                   (17, 17, 4), (48, 48, 12), (2, 3, 4, 5)])
 @pytest.mark.parametrize("lam", [1e-4, 0.03, 1.0, 10.0])
 @pytest.mark.parametrize("n_inner", [1, 20])
 def test_tv_prox_bytes_match_reference(shape, lam, n_inner):
@@ -114,6 +117,28 @@ def test_tv_prox_bytes_match_reference(shape, lam, n_inner):
             got = tv_prox(a, lam, n_inner)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def test_tv_prox_wrap_slot_overflow_matches_reference():
+    # the flat difference pairs 1e308 with -1e308 across a row end, which
+    # overflows where the reference's neighbour differences do not; the slot
+    # is zeroed before the dual step, so the values still match
+    a = np.array([[0.0, 1e308], [-1e308, 0.0]])
+    with np.errstate(over="raise"):
+        want = tv_prox_reference(a, 10.0, 3)
+        with pytest.raises(FloatingPointError):
+            tv_prox(a, 10.0, 3)
+    with np.errstate(all="ignore"):
+        got = tv_prox(a, 10.0, 3)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_tv_prox_calls_return_fresh_arrays():
+    a = Rng(8).standard_normal((5, 4, 3))
+    first, second = tv_prox(a, 0.1), tv_prox(a, 0.1)
+    assert first.tobytes() == second.tobytes()
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, a)
 
 
 def test_tv_prox_scalar_is_identity():

@@ -77,6 +77,11 @@ CLI_CASES = (
      ("scenario_result.json", "triad_report.json")),
     ("scenario", ["--modality", "lensless", "--size", "16", "--theta-true", "1.0", "--noisy"],
      ("scenario_result.json", "triad_report.json")),
+    # an odd size: the TV prox's band-axis last-index slots sit at odd,
+    # unaligned flat strides
+    ("scenario", ["--modality", "cassi", "--size", "17", "--theta-true",
+                  "0.5", "0.3", "0.1", "2.02", "0.15", "--calib", "none"],
+     ("scenario_result.json", "triad_report.json")),
     ("calibrate", ["--modality", "spc", "--size", "16", "--theta-true", "0.012",
                    "--calib", "alg1"],
      ("calib_result.json",)),
