@@ -77,7 +77,7 @@ def tv_prox(x, lam: float, n_inner: int = 20) -> np.ndarray:
     calls on contiguous memory.  Every axis's dual lives in one row of a
     stacked (ndim, size) buffer over the flattened array, with the slot at
     axis d's last index kept at +0.0, behind a zero guard as long as the
-    largest stride s_d:
+    largest stride.  With s_d the flat stride of axis d:
     - D_d u is one contiguous subtract of the flat u against itself shifted
       by s_d.  For d > 0 it also writes the "wrap" slots at axis d's last
       index, which pair values that are not neighbours; one fill per axis
@@ -117,7 +117,8 @@ def tv_prox(x, lam: float, n_inner: int = 20) -> np.ndarray:
     # never written) ...
     uf = u.reshape(-1)
     diffs = [(uf[s:], uf[:size - s], grad[d, :size - s]) for d, s in enumerate(strides)]
-    # ... and for d > 0 it also writes axis d's last-index (wrap) slots
+    # ... and for d > 0 it also writes axis d's last-index (wrap) slots,
+    # which every step zeroes again
     wraps = [grad_nd[d][(slice(None),) * d + (slice(-1, None),)] for d in range(1, ndim)]
     div_flat = div.reshape(-1)
 
