@@ -6,18 +6,35 @@ spatial block, then coordinate descent) and a refinement route (full-range
 grid seeding followed by Levenberg-Marquardt on the residual vector from each
 seed).  Neither route ever reads the true parameters; ``oracle_psnr`` mode
 sees ground-truth images, ``measurement_residual`` mode sees only y.
+
+Every grid (a sweep, a beam, a descent sweep, alg2's seed grid) hands its
+points to the objective before scoring them.  The objective solves the
+distinct points it has not scored, in first-seen order, in lockstep blocks of
+``max(1, _BLOCK_ELEMENTS // n)`` candidates for an n-element input, so one
+stacked TV prox serves a block; the scores then come out in grid order, one
+objective call per point, as they would one solve at a time.  Candidates of
+``_BLOCK_ELEMENTS`` or more elements solve alone: a stacked prox over that
+many elements no longer saves call overhead and runs out of cache.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .metrics import psnr
 # power_iteration stays bound here because perfbench/spans.py patches it by module
-from .solvers import pin_step, power_iteration, reconstruct, relative_residual  # noqa: F401
+from .solvers import (  # noqa: F401
+    pin_step,
+    power_iteration,
+    reconstruct,
+    reconstruct_block,
+    relative_residual,
+)
 from .templates import Template
 from .tensor import CodedError, Tensor
 
@@ -32,6 +49,8 @@ _BEAM_K = 5
 _MU_START = 1e-3
 _MU_UP = 4.0
 _MU_DOWN = 3.0
+# elements of one lockstep block of candidate solves (about 8 size-16 cassi cubes)
+_BLOCK_ELEMENTS = 8192
 # grid points per search stage
 _GRID = {
     "sweep": 11,
@@ -60,8 +79,7 @@ class CalibResult:
     theta_hat: tuple
     objective_value: float
     stage_trace: tuple
-    # objective calls, and the distinct theta among them; each refinement start
-    # is solved once more for its residual vector
+    # objective calls, and the distinct theta among them
     evals: int
     distinct_evals: int
 
@@ -78,6 +96,16 @@ class CalibResult:
         }
 
 
+def _key(theta) -> bytes:
+    # the float64 bits, so -0.0 and 0.0 stay distinct points
+    return np.asarray(theta, dtype=np.float64).tobytes()
+
+
+def _flat(r: np.ndarray) -> np.ndarray:
+    r = r.ravel()
+    return np.concatenate((r.real, r.imag)) if np.iscomplexobj(r) else r
+
+
 class _Objective:
     """Counts every evaluation; the only channel calibration has to the data.
 
@@ -85,12 +113,16 @@ class _Objective:
     grids clipped at range edges, the incumbent rescored on every descent
     sweep, and finite-difference probes clipped at 0 or 1.  ``evals`` counts
     calls; ``distinct_evals`` counts the distinct theta among them.
+    ``solve`` scores a grid's new points in lockstep blocks ahead of the
+    calls that read them.
 
     The score is a monotone function of the squared norm of a residual
     vector: x_hat - x_gt in ``oracle_psnr`` mode, A(theta) x_hat - y in
     ``measurement_residual`` mode.  ``residual`` returns that vector with the
-    score from the same solve and keeps only the score; a theta already scored
-    without its vector is solved once more.
+    score.  The objective keeps only the vectors that ``solve`` was asked to
+    keep (alg2's grid seeds and warm start), so a refinement start costs no
+    second solve; any other theta already scored is solved once more for its
+    vector.
     """
 
     def __init__(self, template: Template, y: Tensor, cfg: CalibConfig, x_gt):
@@ -104,10 +136,11 @@ class _Objective:
         self.x_gt = x_gt.numpy() if isinstance(x_gt, Tensor) else x_gt
         self.evals = 0
         self._scores = {}
-        # the key whose vector ``residual`` asked for, and that vector once solved
-        self._want = None
-        self._vector = None
-        self.solver = pin_step(template.operator(), template.calib_solver, seed=cfg.seed)
+        # residual vectors ``solve`` was asked to keep, by key
+        self._kept = {}
+        nominal = template.operator()
+        self.solver = pin_step(nominal, template.calib_solver, seed=cfg.seed)
+        self.block = max(1, _BLOCK_ELEMENTS // math.prod(nominal.input_shape))
 
     @property
     def distinct_evals(self) -> int:
@@ -115,42 +148,79 @@ class _Objective:
 
     def __call__(self, theta) -> float:
         self.evals += 1
-        # keyed on the float64 bits, so -0.0 and 0.0 stay distinct points
-        key = np.asarray(theta, dtype=np.float64).tobytes()
-        want = key == self._want
-        if want or key not in self._scores:
-            res = reconstruct(self.template.operator(theta), self.y, self.solver)
-            if self.mode == "oracle_psnr":
-                self._scores[key] = -psnr(res.x_hat, self.x_gt)
-                r = res.x_hat.numpy() - self.x_gt if want else None
-            else:
-                r = res.residual_vector()
-                self._scores[key] = relative_residual(r, self.y.numpy())
-            if want:
-                r = r.ravel()
-                self._vector = np.concatenate((r.real, r.imag)) if np.iscomplexobj(r) else r
+        key = _key(theta)
+        if key not in self._scores:
+            self.solve((theta,))
         return self._scores[key]
+
+    def _solve(self, items):
+        """Solve and score each (key, theta), ``self.block`` at a time.
+
+        Yields (key, score, residual array) in order.  A lone candidate goes
+        through ``reconstruct``, the name perfbench's tracer counts.
+        """
+        y = self.y
+        for i in range(0, len(items), self.block):
+            chunk = items[i:i + self.block]
+            ops = [self.template.operator(theta) for _, theta in chunk]
+            results = (reconstruct_block(ops, y, self.solver) if len(ops) > 1
+                       else [reconstruct(ops[0], y, self.solver)])
+            for (key, _), res in zip(chunk, results):
+                if self.mode == "oracle_psnr":
+                    score = -psnr(res.x_hat, self.x_gt)
+                    r = res.x_hat.numpy() - self.x_gt
+                else:
+                    r = res.residual_vector()
+                    score = relative_residual(r, y.numpy())
+                self._scores[key] = score
+                yield key, score, r
+
+    def solve(self, thetas, keep: int = 0) -> None:
+        """Score the distinct theta not yet scored, in first-seen order, in blocks.
+
+        Keeps the residual vectors of the best ``keep`` of them, ranked by
+        (score, first-seen position), for ``residual``; at most ``keep``
+        vectors outlive the block that made them.
+        """
+        todo = {}
+        for theta in thetas:
+            key = _key(theta)
+            if key not in self._scores:
+                todo.setdefault(key, theta)
+        best = []
+        for pos, (key, score, r) in enumerate(self._solve(list(todo.items()))):
+            if keep:
+                best = heapq.nsmallest(keep, best + [(score, pos, key, r)],
+                                       key=lambda b: b[:2])
+        self._kept.update((key, _flat(r)) for _, _, key, r in best)
 
     def residual(self, theta):
         """(score, residual vector flattened to real float64) at theta, one call."""
-        self._want = np.asarray(theta, dtype=np.float64).tobytes()
-        score = self(theta)
-        r, self._want, self._vector = self._vector, None, None
-        return score, r
+        key = _key(theta)
+        r = self._kept.get(key)
+        if r is None:
+            ((_, _, r),) = self._solve([(key, theta)])
+            r = _flat(r)
+        return self(theta), r
 
 
-def _score_grid(obj, base, axes, axis_values):
+def _score_grid(obj, base, axes, axis_values, keep: int = 0):
     """Score every point of the grid over ``axes``, the rest held at ``base``.
 
-    Returns ``(cost, index, theta)`` triples in ``itertools.product`` order.
+    An objective with a ``solve`` method gets the whole grid first (and
+    keeps the residual vectors of its best ``keep`` new points); a plain
+    callable is called point by point.  Returns ``(cost, index, theta)``
+    triples in ``itertools.product`` order.
     """
-    scored = []
-    for idx, combo in enumerate(itertools.product(*axis_values)):
+    thetas = []
+    for combo in itertools.product(*axis_values):
         theta = list(base)
         for a, v in zip(axes, combo):
             theta[a] = float(v)
-        scored.append((obj(tuple(theta)), idx, tuple(theta)))
-    return scored
+        thetas.append(tuple(theta))
+    if hasattr(obj, "solve"):
+        obj.solve(thetas, keep)
+    return [(obj(theta), idx, theta) for idx, theta in enumerate(thetas)]
 
 
 def sweep_1d(obj, fam, param_k: int, n_points: int):
@@ -305,7 +375,7 @@ def _refine(obj, theta0, ranges, cfg: CalibConfig):
     def at(z):
         return tuple(float(v) for v in lo + z * width)
 
-    # the start is scored at theta0 itself; its vector costs a grid seed one more solve
+    # the start is scored at theta0 itself; alg2's objective kept its vector
     theta = tuple(float(v) for v in theta0)
     z = np.clip((np.asarray(theta) - lo) / width, 0.0, 1.0)
     cost, r = obj.residual(theta)
@@ -357,11 +427,13 @@ def calibrate_alg2(template, y, cfg: CalibConfig | None = None, x_gt=None,
     axis_values = [
         np.linspace(*fam.theta_range[a], d) for a, d in zip(grid_axes, dims)
     ]
-    scored = _score_grid(obj, fam.theta_nom, grid_axes, axis_values)
+    # the seeds' residual vectors are kept, so LM starts from them without a solve
+    scored = _score_grid(obj, fam.theta_nom, grid_axes, axis_values, keep=cfg.seeds_topk)
     scored.sort(key=lambda t: (t[0], t[1]))
     seeds = [(theta, cost) for cost, _, theta in scored[: cfg.seeds_topk]]
     if warm_start is not None:
         ws = fam.check(warm_start)
+        obj.solve([ws], keep=1)
         seeds.append((ws, obj(ws)))
     trace.append(("seeds", tuple(t for t, _ in seeds), tuple(c for _, c in seeds)))
 

@@ -5,6 +5,14 @@ FISTA-TV (monotone accept, momentum restart on objective increase), GAP-TV
 projection chains, and the plain adjoint map.  Total variation is anisotropic
 with a dual projected-gradient prox.
 
+FISTA-TV and GAP-TV advance a block of operators that share one measurement
+and one pinned config in lockstep (``reconstruct_block``; ``reconstruct`` is
+the block of one).  Forwards, adjoints and objectives stay per operator, but
+the block runs one TV prox over its stacked iterates per step, so the prox's
+numpy call overhead, which dominates at a few thousand elements, is paid once
+per block.  Every decision (restart, hold, best iterate) is taken per
+operator, so each result is byte for byte its solo solve.
+
 A result's ``residual`` costs one operator forward, so it is computed on first
 read and kept; a caller that scores only ``x_hat`` never pays for it.  FBP
 ramp-filters each distinct measurement once: calibration solves one ``y``
@@ -72,24 +80,7 @@ def tv_norm(x) -> float:
 def tv_prox(x, lam: float, n_inner: int = 20) -> np.ndarray:
     """prox of lam * TV via projected dual ascent; lam = 0 returns x unchanged.
 
-    The inner loop runs on arrays of at most a few thousand elements, where
-    numpy call overhead, not arithmetic, sets the cost, so each step is a few
-    calls on contiguous memory.  Every axis's dual lives in one row of a
-    stacked (ndim, size) buffer over the flattened array, with the slot at
-    axis d's last index kept at +0.0, behind a zero guard as long as the
-    largest stride.  With s_d the flat stride of axis d:
-    - D_d u is one contiguous subtract of the flat u against itself shifted
-      by s_d.  For d > 0 it also writes the "wrap" slots at axis d's last
-      index, which pair values that are not neighbours; one fill per axis
-      zeroes them before the dual step, so their duals stay +0.0.
-    - Reading row d one stride early gives p_{j-1} with p_{-1} = 0 (an
-      earlier last-index slot or the guard), so D_d^T p_d =
-      [-p0, p0 - p1, ..., p_{n-2}] is one subtract.
-    The float operations and their order are those of the straight-line
-    form, so the result matches it byte for byte.  Near the float64 limit a
-    wrap slot can overflow where no neighbour difference does: numpy then
-    reports an overflow (a RuntimeWarning by default), and the result is
-    unchanged.
+    The block of one of ``_tv_prox_stack``, which holds the algorithm.
     """
     a = x.numpy() if isinstance(x, Tensor) else np.asarray(x)
     if np.iscomplexobj(a):
@@ -97,12 +88,41 @@ def tv_prox(x, lam: float, n_inner: int = 20) -> np.ndarray:
     a = a.astype(np.float64, copy=False)
     if lam < 0:
         raise SolverError("BAD_CONFIG", f"lambda_tv must be nonnegative, got {lam}")
+    return _tv_prox_stack(a[None], lam, n_inner).reshape(a.shape)
+
+
+def _tv_prox_stack(a: np.ndarray, lam: float, n_inner: int = 20) -> np.ndarray:
+    """``tv_prox`` of each a[k] of a float64 (K, *shape) stack, TV over the inner axes.
+
+    The inner loop runs on arrays of at most a few thousand elements, where
+    numpy call overhead, not arithmetic, sets the cost, so each step is a few
+    calls on contiguous memory, shared by the K candidates.  Every inner
+    axis's dual lives in one row of a stacked (ndim, K * size) buffer over
+    the flattened stack, with the slot at axis d's last index kept at +0.0,
+    behind a zero guard as long as the largest stride.  With s_d the flat
+    stride of inner axis d:
+    - D_d u is one contiguous subtract of the flat u against itself shifted
+      by s_d.  It also writes the "wrap" slots at axis d's last index, which
+      pair values that are not neighbours: for d > 0 the next row's first
+      value, for d = 0 the next candidate's (K > 1 only; with K = 1 those
+      slots are never written).  One fill per axis zeroes them before the
+      dual step, so their duals stay +0.0.
+    - Reading row d one stride early gives p_{j-1} with p_{-1} = 0 (an
+      earlier last-index slot or the guard), so D_d^T p_d =
+      [-p0, p0 - p1, ..., p_{n-2}] is one subtract.
+    The float operations and their order are those of the straight-line
+    form on each candidate alone, so every slice matches it byte for byte.
+    Near the float64 limit a wrap slot can overflow where no neighbour
+    difference does: numpy then reports an overflow (a RuntimeWarning by
+    default), and the result is unchanged.
+    """
     # a scalar has no differences: its TV is 0 and the prox is the identity
-    if lam == 0.0 or a.ndim == 0:
+    if lam == 0.0 or a.ndim == 1:
         return a.copy()
-    ndim, size = a.ndim, a.size
+    k, shape = a.shape[0], a.shape[1:]
+    ndim, size = len(shape), a.size
     step = 1.0 / (4.0 * ndim * lam)
-    strides = [math.prod(a.shape[d + 1:]) for d in range(ndim)]
+    strides = [math.prod(shape[d + 1:]) for d in range(ndim)]
     guard = max(strides)
     stacked = np.zeros((ndim, guard + size))
     duals = stacked[:, guard:]
@@ -112,14 +132,10 @@ def tv_prox(x, lam: float, n_inner: int = 20) -> np.ndarray:
     div = np.empty(a.shape)
     u = np.empty(a.shape)
     grad_nd = grad.reshape((ndim,) + a.shape)
-    # forward differences of u along axis d: one contiguous subtract of the
-    # flat array against itself shifted by s_d (axis 0's last-index slots are
-    # never written) ...
     uf = u.reshape(-1)
     diffs = [(uf[s:], uf[:size - s], grad[d, :size - s]) for d, s in enumerate(strides)]
-    # ... and for d > 0 it also writes axis d's last-index (wrap) slots,
-    # which every step zeroes again
-    wraps = [grad_nd[d][(slice(None),) * d + (slice(-1, None),)] for d in range(1, ndim)]
+    wraps = [grad_nd[d][(slice(None),) * (d + 1) + (slice(-1, None),)]
+             for d in range(0 if k > 1 else 1, ndim)]
     div_flat = div.reshape(-1)
 
     def primal():
@@ -142,6 +158,17 @@ def tv_prox(x, lam: float, n_inner: int = 20) -> np.ndarray:
         grad.clip(-1.0, 1.0, out=duals)
     primal()
     return u
+
+
+def _prox(stack: np.ndarray, lam: float) -> np.ndarray:
+    """TV prox of each candidate of a solver's stacked iterates.
+
+    A lone candidate goes through ``tv_prox``, the name perfbench's tracer
+    counts; a block runs the stack kernel directly.
+    """
+    if len(stack) == 1:
+        return tv_prox(stack[0], lam)[None]
+    return _tv_prox_stack(stack, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -207,50 +234,66 @@ def pin_step(g: GraphOperator, cfg: dict, seed: int) -> dict:
 # solvers
 
 
-def _fista_tv(g: GraphOperator, y: np.ndarray, iters: int, lam_tv: float, step: float):
-    def objective(x):
+def _gradient_step(gs, z: np.ndarray, y: np.ndarray, step: float) -> np.ndarray:
+    """z_k - step * A_k^T (A_k z_k - y) for each operator A_k of the block."""
+    out = np.empty_like(z)
+    for g, zk, ok in zip(gs, z, out):
+        r = g.forward(Tensor(zk)).numpy() - y
+        np.subtract(zk, step * _adjoint_primal(g, r), out=ok)
+    return out
+
+
+def _fista_tv(gs, y: np.ndarray, iters: int, lam_tv: float, step: float):
+    def objective(g, x):
         r = g.forward(Tensor(x)).numpy() - y
         return 0.5 * float(np.vdot(r, r).real) + lam_tv * tv_norm(x)
 
-    def grad(x):
-        r = g.forward(Tensor(x)).numpy() - y
-        return _adjoint_primal(g, r)
-
-    x = np.zeros(g.input_shape)
+    n = len(gs)
+    lam = step * lam_tv
+    x = np.zeros((n,) + gs[0].input_shape)
     z = x
-    t = 1.0
-    f_x = objective(x)
-    best_x, best_f = x, f_x
-    trace = [f_x]
+    t = [1.0] * n
+    f_x = [objective(g, xk) for g, xk in zip(gs, x)]
+    best_x, best_f = list(x), list(f_x)
+    traces = [[f] for f in f_x]
     for _ in range(iters):
-        cand = tv_prox(z - step * grad(z), step * lam_tv)
-        f_c = objective(cand)
-        if f_c > f_x:
-            # momentum overshoot: restart and take a plain proximal step
-            t = 1.0
-            cand = tv_prox(x - step * grad(x), step * lam_tv)
-            f_c = objective(cand)
-            if f_c > f_x:  # inexact prox can refuse; hold position
-                cand, f_c = x, f_x
-        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        z = cand + ((t - 1.0) / t_next) * (cand - x)
-        x, f_x = cand, f_c
-        t = t_next
-        trace.append(f_x)
-        if f_x < best_f:
-            best_x, best_f = x, f_x
-    return best_x, trace
+        cand = _prox(_gradient_step(gs, z, y, step), lam)
+        f_c = [objective(g, c) for g, c in zip(gs, cand)]
+        # momentum overshoot: restart these and take a plain proximal step
+        restart = [k for k in range(n) if f_c[k] > f_x[k]]
+        if restart:
+            retry = _prox(_gradient_step([gs[k] for k in restart], x[restart], y, step), lam)
+            for k, c in zip(restart, retry):
+                t[k] = 1.0
+                f = objective(gs[k], c)
+                if f > f_x[k]:  # inexact prox can refuse; hold position
+                    c, f = x[k], f_x[k]
+                cand[k], f_c[k] = c, f
+        t_next = [(1.0 + math.sqrt(1.0 + 4.0 * tk * tk)) / 2.0 for tk in t]
+        beta = np.array([(tk - 1.0) / tn for tk, tn in zip(t, t_next)])
+        z = cand + beta.reshape((n,) + (1,) * (x.ndim - 1)) * (cand - x)
+        x, f_x, t = cand, f_c, t_next
+        for k in range(n):
+            traces[k].append(f_x[k])
+            if f_x[k] < best_f[k]:
+                best_x[k], best_f[k] = x[k], f_x[k]
+    return best_x, traces
 
 
-def _gap_tv(g: GraphOperator, y: np.ndarray, iters: int, lam_tv: float, step: float):
-    v = np.zeros(g.input_shape)
-    trace = []
+def _gap_tv(gs, y: np.ndarray, iters: int, lam_tv: float, step: float):
+    v = np.zeros((len(gs),) + gs[0].input_shape)
+    traces = [[] for _ in gs]
     for _ in range(iters):
-        r = y - g.forward(Tensor(v)).numpy()
-        x = v + step * _adjoint_primal(g, r)
-        v = tv_prox(x, lam_tv)
-        trace.append(0.5 * float(np.vdot(r, r).real) + lam_tv * tv_norm(v))
-    return v, trace
+        x = np.empty_like(v)
+        residuals = []
+        for g, vk, xk in zip(gs, v, x):
+            r = y - g.forward(Tensor(vk)).numpy()
+            np.add(vk, step * _adjoint_primal(g, r), out=xk)
+            residuals.append(r)
+        v = _prox(x, lam_tv)
+        for trace, r, vk in zip(traces, residuals, v):
+            trace.append(0.5 * float(np.vdot(r, r).real) + lam_tv * tv_norm(vk))
+    return v, traces
 
 
 def _find_projection(g: GraphOperator):
@@ -311,33 +354,54 @@ def _fbp(g: GraphOperator, y: np.ndarray) -> np.ndarray:
 
 def reconstruct(g: GraphOperator, y: Tensor, cfg: dict) -> ReconResult:
     """Dispatch on cfg['name']: fista_tv, gap_tv, fbp, or adjoint."""
+    return reconstruct_block([g], y, cfg)[0]
+
+
+def reconstruct_block(gs, y: Tensor, cfg: dict) -> list[ReconResult]:
+    """``reconstruct`` of ``y`` under each operator of ``gs``, in order.
+
+    FISTA-TV and GAP-TV solve the block in lockstep, each result byte for
+    byte its solo solve; their operators must share an input shape (the
+    graph's boundary check rejects any other), and a block of more than one
+    needs a pinned ``step``.  FBP and the adjoint map
+    solve one operator at a time.
+    """
+    if not gs:
+        return []
     name = cfg.get("name")
-    if y.shape != g.output_shape:
-        raise SolverError(
-            "BAD_SHAPE", f"measurement shape {y.shape} != operator output {g.output_shape}"
-        )
+    for g in gs:
+        if y.shape != g.output_shape:
+            raise SolverError(
+                "BAD_SHAPE", f"measurement shape {y.shape} != operator output {g.output_shape}"
+            )
     y_arr = y.numpy()
     if name == "fbp":
-        return ReconResult(Tensor(_fbp(g, y_arr)), 1, _problem=(g, y_arr))
+        return [ReconResult(Tensor(_fbp(g, y_arr)), 1, _problem=(g, y_arr)) for g in gs]
     if name == "adjoint":
-        _require_adjoint(g)
-        return ReconResult(Tensor(_adjoint_primal(g, y_arr)), 1, _problem=(g, y_arr))
+        for g in gs:
+            _require_adjoint(g)
+        return [ReconResult(Tensor(_adjoint_primal(g, y_arr)), 1, _problem=(g, y_arr))
+                for g in gs]
     if name not in _STEPPED_SOLVERS:
         raise SolverError("BAD_CONFIG", f"unknown solver {name!r}")
 
-    _require_adjoint(g)
-    if not _primal_is_real(g):
-        raise SolverError("COMPLEX_PRIMAL", "TV solvers support real-valued signals only")
+    for g in gs:
+        _require_adjoint(g)
+        if not _primal_is_real(g):
+            raise SolverError("COMPLEX_PRIMAL", "TV solvers support real-valued signals only")
     iters = int(cfg.get("iters", 50))
     if iters < 1:
         raise SolverError("BAD_CONFIG", f"need iters >= 1, got {iters}")
     lam_tv = float(cfg.get("lambda_tv", 0.0))
     if lam_tv < 0:
         raise SolverError("BAD_CONFIG", f"lambda_tv must be nonnegative, got {lam_tv}")
-    step = float(pin_step(g, cfg, seed=int(cfg.get("seed", 0)))["step"])
+    if len(gs) > 1 and cfg.get("step", "auto") == "auto":
+        raise SolverError("BAD_CONFIG", "a block of operators needs a pinned step")
+    step = float(pin_step(gs[0], cfg, seed=int(cfg.get("seed", 0)))["step"])
     if step <= 0:
         raise SolverError("BAD_CONFIG", f"step must be positive, got {step}")
 
     run = _fista_tv if name == "fista_tv" else _gap_tv
-    x, trace = run(g, y_arr, iters, lam_tv, step)
-    return ReconResult(Tensor(x), iters, tuple(trace), _problem=(g, y_arr))
+    xs, traces = run(gs, y_arr, iters, lam_tv, step)
+    return [ReconResult(Tensor(x), iters, tuple(trace), _problem=(g, y_arr))
+            for g, x, trace in zip(gs, xs, traces)]

@@ -227,6 +227,42 @@ class TestObjective:
         assert len(solves) == 3
         assert (obj.evals, obj.distinct_evals) == (4, 2)
 
+    def test_grid_solves_each_distinct_theta_once(self, cassi_template, monkeypatch):
+        from opgraph import calibration
+
+        t = cassi_template
+        ph = make_phantoms(t, 1, seed=3)[0]
+        y = t.operator((0.5, 0.3, 0.1, 2.02, 0.15)).forward(ph.data)
+        obj = _Objective(t, y, CalibConfig(), ph.data)
+        assert obj.block == 8
+        compiled, solved = [], []
+        operator = type(t).operator
+
+        def compiling(self, theta=None):
+            compiled.append(theta)
+            return operator(self, theta)
+
+        def counting(real, block):
+            def run(gs, y, cfg):
+                solved.append(len(gs) if block else 1)
+                return real(gs, y, cfg)
+            return run
+
+        monkeypatch.setattr(type(t), "operator", compiling)
+        monkeypatch.setattr(calibration, "reconstruct",
+                            counting(calibration.reconstruct, False))
+        monkeypatch.setattr(calibration, "reconstruct_block",
+                            counting(calibration.reconstruct_block, True))
+        # centred at the range edge, so clipping repeats points of the 5 x 5 grid
+        beam_search(obj, t.family, (0, 1), (5, 5), (1.0, 1.0), 3)
+        assert (obj.evals, obj.distinct_evals) == (25, 9)
+        assert solved == [8, 1]
+        assert len(compiled) == len(set(compiled)) == 9
+        # a second grid solves only its new points
+        beam_search(obj, t.family, (0, 1), (5, 5), (0.5, 1.0), 3)
+        assert obj.evals == 50
+        assert sum(solved) == len(compiled) == len(set(compiled)) == obj.distinct_evals
+
     def test_oracle_cost_is_negated_quality(self, ct_setup):
         t, ph, y = ct_setup
         obj = _Objective(t, y, CalibConfig(), ph.data)
@@ -296,6 +332,20 @@ class TestCalibrateAlg1:
         res = calibrate_alg1(t, y, CalibConfig(objective="measurement_residual"))
         assert abs(res.theta_hat[0] - 3.0) <= 1.0
 
+    @pytest.mark.parametrize("objective", ["oracle_psnr", "measurement_residual"])
+    def test_block_solves_match_solo_solves(self, objective, monkeypatch):
+        from opgraph import calibration
+
+        t = instantiate("cassi", 8)
+        ph = make_phantoms(t, 1, seed=3)[0]
+        y = t.operator((0.5, 0.3, 0.1, 2.02, 0.15)).forward(ph.data)
+        cfg = CalibConfig(objective=objective, cd_rounds=1)
+        blocked = calibrate_alg1(t, y, cfg, x_gt=ph.data)
+        # one element per block: every candidate is solved alone
+        monkeypatch.setattr(calibration, "_BLOCK_ELEMENTS", 1)
+        solo = calibrate_alg1(t, y, cfg, x_gt=ph.data)
+        assert json.dumps(blocked.as_dict()) == json.dumps(solo.as_dict())
+
     def test_theta_hat_within_ranges(self, ct_setup):
         t, ph, y = ct_setup
         res = calibrate_alg1(t, y, CalibConfig(), x_gt=ph.data)
@@ -361,6 +411,31 @@ class TestCalibrateAlg2:
         assert min(seed_costs) < 1e-5
         assert res.theta_hat not in seeds
         assert res.objective_value < min(seed_costs)
+
+    def test_each_refinement_start_is_solved_once(self, monkeypatch):
+        from opgraph import calibration
+
+        t = instantiate("cassi", 8)
+        ph = make_phantoms(t, 1, seed=3)[0]
+        y = t.operator((0.5, 0.3, 0.1, 2.02, 0.15)).forward(ph.data)
+        cfg = CalibConfig(refine_steps=2, seeds_topk=3)
+        solved = []
+
+        def counting(real, block):
+            def run(gs, y, cfg):
+                solved.append(len(gs) if block else 1)
+                return real(gs, y, cfg)
+            return run
+
+        monkeypatch.setattr(calibration, "reconstruct",
+                            counting(calibration.reconstruct, False))
+        monkeypatch.setattr(calibration, "reconstruct_block",
+                            counting(calibration.reconstruct_block, True))
+        warm = (0.5, 0.3, 0.1, 2.02, 0.15)
+        res = calibrate_alg2(t, y, cfg, x_gt=ph.data, warm_start=warm)
+        # three grid seeds and the warm start read kept vectors
+        assert len(res.stage_trace[0][1]) == 4
+        assert sum(solved) == res.distinct_evals
 
     def test_bad_refine_steps(self, ct_setup):
         t, ph, y = ct_setup

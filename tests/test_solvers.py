@@ -9,9 +9,11 @@ from opgraph.solvers import (
     ReconResult,
     SolverError,
     _filtered_sinogram,
+    _tv_prox_stack,
     pin_step,
     power_iteration,
     reconstruct,
+    reconstruct_block,
     tv_norm,
     tv_prox,
 )
@@ -117,6 +119,23 @@ def test_tv_prox_bytes_match_reference(shape, lam, n_inner):
             got = tv_prox(a, lam, n_inner)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (3, 1, 4), (17, 17, 4)])
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("lam", [0.003, 1.0])
+def test_tv_prox_stack_slices_match_reference(shape, k, lam):
+    # neighbouring candidates differ in sign, scale and special values, so a
+    # difference that crossed a candidate boundary would show in a slice
+    normal = Rng(5).standard_normal(shape)
+    cases = (normal, _signed_zeros(shape, 6), _extremes(shape, 7), -0.0 * np.ones(shape),
+             1e300 * normal, 1e-300 * normal, Rng(9).uniform(shape), -normal)
+    stack = np.stack([cases[i % len(cases)] for i in range(k)])
+    with np.errstate(all="ignore"):
+        got = _tv_prox_stack(stack, lam, 20)
+        for i in range(k):
+            want = tv_prox_reference(stack[i], lam, 20)
+            assert got[i].tobytes() == want.tobytes()
 
 
 def test_tv_prox_wrap_slot_overflow_matches_reference():
@@ -389,6 +408,59 @@ def test_fbp_cached_sinogram_is_read_only():
     assert filtered.base is None  # holds no view of the padded FFT buffer
     with pytest.raises(ValueError):
         filtered[0, 0] = 1.0
+
+
+def _block_matches_solos(t, thetas, y, cfg):
+    gs = [t.operator(theta) for theta in thetas]
+    block = reconstruct_block(gs, y, cfg)
+    for g, res in zip(gs, block):
+        solo = reconstruct(g, y, cfg)
+        assert res.x_hat.numpy().tobytes() == solo.x_hat.numpy().tobytes()
+        assert np.array(res.objective_trace).tobytes() == np.array(solo.objective_trace).tobytes()
+        assert res.iters_run == solo.iters_run
+        assert res.residual == solo.residual
+
+
+def test_fista_block_matches_solo_solves_when_some_candidates_restart(monkeypatch):
+    from opgraph import solvers
+
+    t = instantiate("cassi", 8)
+    ph = make_phantoms(t, 1, seed=3)[0]
+    thetas = [(0.5, 0.3, 0.1, 2.02, 0.15), (0.0, 0.0, 0.0, 2.0, 0.0), (-1.0, 1.0, 0.3, 1.9, 0.1)]
+    y = t.operator(thetas[0]).forward(ph.data)
+    pinned = pin_step(t.operator(), t.solver, seed=0)
+    # a step past 1/L overshoots, so candidates restart on different iterations
+    cfg = dict(pinned, iters=20, step=1.9 * pinned["step"])
+    real, sizes = solvers._prox, []
+
+    def recording(stack, lam):
+        sizes.append(len(stack))
+        return real(stack, lam)
+
+    monkeypatch.setattr(solvers, "_prox", recording)
+    reconstruct_block([t.operator(theta) for theta in thetas], y, cfg)
+    assert any(0 < n < len(thetas) for n in sizes)
+    _block_matches_solos(t, thetas, y, cfg)
+
+
+def test_gap_block_matches_solo_solves():
+    t = instantiate("cacti", 8)
+    ph = make_phantoms(t, 1, seed=3)[0]
+    thetas = [(1.0, -0.5), (0.0, 0.0), (-1.0, 1.0), (0.5, 0.5)]
+    y = t.operator(thetas[0]).forward(ph.data)
+    _block_matches_solos(t, thetas, y, pin_step(t.operator(), t.calib_solver, seed=0))
+
+
+def test_reconstruct_block_validation():
+    g = _identity_graph(8)
+    y = Tensor(np.zeros((8, 8)))
+    assert reconstruct_block([], y, {"name": "fista_tv"}) == []
+    with pytest.raises(SolverError, match="BAD_CONFIG"):
+        reconstruct_block([g, g], y, {"name": "fista_tv", "iters": 5})
+    with pytest.raises(SolverError, match="BAD_SHAPE"):
+        reconstruct_block([g, _identity_graph(4)], y, {"name": "gap_tv", "step": 1.0})
+    adj = reconstruct_block([g, g], y, {"name": "adjoint"})
+    assert [r.x_hat for r in adj] == [reconstruct(g, y, {"name": "adjoint"}).x_hat] * 2
 
 
 def test_reconstruct_validation():

@@ -11,8 +11,9 @@ each end-to-end metric's per-run values with their median and quartiles,
 how many pairs the head won, the ``breakdown`` figures with whether
 ``calib_evals`` and the PSNRs are equal pair by pair (``breakdown_equal_6sig``:
 perfbench prints them to 6 significant digits, so this reads true under
-rounding drift and cannot show byte identity), one traced run of each workload
-per commit at seed 11 (layer times, call counts and solver iterations), and
+rounding drift and cannot show byte identity), the median of three traced runs
+of each workload per commit at seeds 11-13 (layer times, call counts and solver
+iterations; one traced run cannot tell a small change from noise), and
 whether a few ``scenario``, ``diagnose`` and ``calibrate`` CLI runs write
 byte-identical result files on both commits, with each run's wall seconds
 (one run each, process start included); only these ``cli_outputs`` show
@@ -46,6 +47,7 @@ FIRST_SEED = 11
 SECONDS = 5.0
 WORKLOADS = ("calib16", "recon48", "protocol16")
 TRACE_WORKLOADS = WORKLOADS
+TRACE_RUNS = 3
 END_TO_END = ("setup_s", "pass_s", "peak_rss_mb")
 # breakdown figures of a deterministic program: equal seeds, equal values
 # (compared as perfbench prints them, to 6 significant digits)
@@ -88,9 +90,13 @@ CLI_CASES = (
     ("calibrate", ["--modality", "cassi", "--size", "16", "--theta-true",
                    "0.5", "0.3", "0.1", "2.02", "0.15", "--calib", "alg1"],
      ("calib_result.json",)),
-    # the only case that runs alg2
+    # alg2 with FBP solves
     ("calibrate", ["--modality", "ct", "--size", "16", "--theta-true", "3.0",
                    "--calib", "alg1+2"],
+     ("calib_result.json",)),
+    # the only case whose 567-point alg2 grid and LM runs go through FISTA blocks
+    ("calibrate", ["--modality", "cassi", "--size", "16", "--theta-true",
+                   "0.5", "0.3", "0.1", "2.02", "0.15", "--calib", "alg1+2"],
      ("calib_result.json",)),
     # the only case that draws calibrate's noise or uses a nonzero seed
     ("calibrate", ["--modality", "mri", "--size", "16", "--seed", "2", "--theta-true", "0.05",
@@ -154,6 +160,12 @@ def perfbench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
 def spread(values) -> dict:
     q1, q2, q3 = quantiles(values, n=4, method="inclusive")
     return {"median": median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def trace_median(values):
+    """Median of one traced figure over the runs that report it; None if none do."""
+    present = [v for v in values if v is not None]
+    return median(present) if present else None
 
 
 def summarize(runs) -> dict:
@@ -290,14 +302,18 @@ def main(argv=None) -> int:
                           f"{run[side]['metrics']['pass_s']:.3f}", flush=True)
                 runs.append(run)
             report["workloads"][w] = {"summary": summarize(runs), "runs": runs}
-        report["trace"] = {"seed": FIRST_SEED}
+        trace_seeds = [FIRST_SEED + i for i in range(TRACE_RUNS)]
+        report["trace"] = {"seeds": trace_seeds, "statistic": "median"}
         for w in TRACE_WORKLOADS:
-            traced = {}
-            for side in ("base", "head"):
-                res = perfbench(checkouts[side], w, FIRST_SEED, 1)
-                merged = {**res["metrics"], **res["breakdown"]}
-                traced[side] = {k: merged.get(k) for k in TRACED}
-            report["trace"][w] = traced
+            runs = {"base": [], "head": []}
+            for i, seed in enumerate(trace_seeds):
+                for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
+                    res = perfbench(checkouts[side], w, seed, 1)
+                    runs[side].append({**res["metrics"], **res["breakdown"]})
+            report["trace"][w] = {
+                side: {k: trace_median([run.get(k) for run in side_runs]) for k in TRACED}
+                for side, side_runs in runs.items()
+            }
         report["cli_outputs"] = cli_outputs(checkouts, scratch)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
