@@ -12,9 +12,9 @@ points to the objective before scoring them.  The objective solves the
 distinct points it has not scored, in first-seen order, in lockstep blocks of
 ``max(1, _BLOCK_ELEMENTS // n)`` candidates for an n-element input, so one
 stacked TV prox serves a block; the scores then come out in grid order, one
-objective call per point, as they would one solve at a time.  Candidates of
-``_BLOCK_ELEMENTS`` or more elements solve alone: a stacked prox over that
-many elements no longer saves call overhead and runs out of cache.
+objective call per point, as they would one solve at a time.  A candidate of
+more than half ``_BLOCK_ELEMENTS`` elements solves alone: measured on the
+prox, two stacked (32, 32, 8) cubes already run slower than two solo calls.
 """
 
 from __future__ import annotations

@@ -47,6 +47,24 @@ class FlatObjective:
         return 0.0
 
 
+def _count_solves(monkeypatch):
+    """List that grows by 1 per lone calibration solve and by K per block of K."""
+    from opgraph import calibration
+
+    solved = []
+
+    def counting(real, block):
+        def run(gs, y, cfg):
+            solved.append(len(gs) if block else 1)
+            return real(gs, y, cfg)
+        return run
+
+    monkeypatch.setattr(calibration, "reconstruct", counting(calibration.reconstruct, False))
+    monkeypatch.setattr(calibration, "reconstruct_block",
+                        counting(calibration.reconstruct_block, True))
+    return solved
+
+
 @pytest.fixture(scope="module")
 def ct_setup():
     t = instantiate("ct", 16)
@@ -228,31 +246,19 @@ class TestObjective:
         assert (obj.evals, obj.distinct_evals) == (4, 2)
 
     def test_grid_solves_each_distinct_theta_once(self, cassi_template, monkeypatch):
-        from opgraph import calibration
-
         t = cassi_template
         ph = make_phantoms(t, 1, seed=3)[0]
         y = t.operator((0.5, 0.3, 0.1, 2.02, 0.15)).forward(ph.data)
         obj = _Objective(t, y, CalibConfig(), ph.data)
         assert obj.block == 8
-        compiled, solved = [], []
+        compiled, solved = [], _count_solves(monkeypatch)
         operator = type(t).operator
 
         def compiling(self, theta=None):
             compiled.append(theta)
             return operator(self, theta)
 
-        def counting(real, block):
-            def run(gs, y, cfg):
-                solved.append(len(gs) if block else 1)
-                return real(gs, y, cfg)
-            return run
-
         monkeypatch.setattr(type(t), "operator", compiling)
-        monkeypatch.setattr(calibration, "reconstruct",
-                            counting(calibration.reconstruct, False))
-        monkeypatch.setattr(calibration, "reconstruct_block",
-                            counting(calibration.reconstruct_block, True))
         # centred at the range edge, so clipping repeats points of the 5 x 5 grid
         beam_search(obj, t.family, (0, 1), (5, 5), (1.0, 1.0), 3)
         assert (obj.evals, obj.distinct_evals) == (25, 9)
@@ -413,24 +419,11 @@ class TestCalibrateAlg2:
         assert res.objective_value < min(seed_costs)
 
     def test_each_refinement_start_is_solved_once(self, monkeypatch):
-        from opgraph import calibration
-
         t = instantiate("cassi", 8)
         ph = make_phantoms(t, 1, seed=3)[0]
         y = t.operator((0.5, 0.3, 0.1, 2.02, 0.15)).forward(ph.data)
         cfg = CalibConfig(refine_steps=2, seeds_topk=3)
-        solved = []
-
-        def counting(real, block):
-            def run(gs, y, cfg):
-                solved.append(len(gs) if block else 1)
-                return real(gs, y, cfg)
-            return run
-
-        monkeypatch.setattr(calibration, "reconstruct",
-                            counting(calibration.reconstruct, False))
-        monkeypatch.setattr(calibration, "reconstruct_block",
-                            counting(calibration.reconstruct_block, True))
+        solved = _count_solves(monkeypatch)
         warm = (0.5, 0.3, 0.1, 2.02, 0.15)
         res = calibrate_alg2(t, y, cfg, x_gt=ph.data, warm_start=warm)
         # three grid seeds and the warm start read kept vectors
