@@ -93,7 +93,7 @@ def ssim(x_hat, x_gt, peak: float = 1.0) -> float:
     raise MetricError("BAD_SHAPE", f"ssim expects 2D or 3D input, got {a.ndim}D")
 
 
-def sam(x_hat, x_gt, return_excluded: bool = False):
+def sam(x_hat, x_gt) -> float:
     """Mean spectral angle in degrees over pixels; zero-norm spectra are skipped.
 
     The last axis holds the spectrum and needs at least two bands.
@@ -107,12 +107,10 @@ def sam(x_hat, x_gt, return_excluded: bool = False):
     na = np.linalg.norm(flat_a, axis=1)
     nb = np.linalg.norm(flat_b, axis=1)
     keep = (na > 0) & (nb > 0)
-    excluded = int(np.count_nonzero(~keep))
     if not np.any(keep):
         raise MetricError("ALL_ZERO", "every pixel has a zero spectrum")
     cosang = np.sum(flat_a[keep] * flat_b[keep], axis=1) / (na[keep] * nb[keep])
-    deg = float(np.mean(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))))
-    return (deg, excluded) if return_excluded else deg
+    return float(np.mean(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))))
 
 
 def scene_metrics(x_hat, x_gt, peak: float = 1.0, spectral: bool = False) -> SceneMetrics:
@@ -137,17 +135,16 @@ def recovery_ratio(psnr_i: float, psnr_ii: float, psnr_iv: float) -> float:
     return (psnr_iv - psnr_ii) / (psnr_i - psnr_ii)
 
 
-def bootstrap_ci(values, n_resamples: int = 1000, seed: int = 0, statistic=None) -> tuple[float, float]:
-    """Percentile bootstrap over scenes; returns the ``CI_PERCENTILES`` interval."""
+def bootstrap_ci(values, n_resamples: int = 1000, seed: int = 0) -> tuple[float, float]:
+    """Percentile bootstrap of the mean over scenes; returns the ``CI_PERCENTILES`` interval."""
     vals = np.asarray(list(values), dtype=np.float64)
     if vals.size < 1:
         raise MetricError("EMPTY", "need at least one scene value")
     if n_resamples < 1:
         raise MetricError("BAD_CONFIG", f"need n_resamples >= 1, got {n_resamples}")
-    stat = statistic or (lambda v: float(np.mean(v)))
     rng = Rng(seed, 23)
     idx = rng.integers(0, vals.size, (n_resamples, vals.size))
-    stats = np.array([stat(vals[row]) for row in idx])
+    stats = np.array([float(np.mean(vals[row])) for row in idx])
     lo, hi = np.percentile(stats, CI_PERCENTILES)
     return float(lo), float(hi)
 

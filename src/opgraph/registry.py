@@ -27,7 +27,6 @@ _REQUIRED_THRESHOLDS = {
     "scenario": ("min_gap_db", "golden_tol_db"),
     "recovery": ("rho_min_single_param", "rho_min_multi_param"),
     "gate_recoverability": ("adequate_ratio", "marginal_ratio", "svd_rel_tol"),
-    "gate_carrier": ("sufficient_snr_db", "marginal_snr_db"),
     "bootstrap": ("n_resamples",),
 }
 

@@ -1,12 +1,12 @@
-"""Failure diagnosis: sampling adequacy, photon budget, and operator mismatch.
+"""Failure diagnosis: sampling adequacy, carrier budget, and operator mismatch.
 
 ``diagnose`` binds the dominant gate from quality gaps between probe
-reconstructions and reports the mismatch sensitivities.  Cost convention:
-C_mismatch is the quality lost to wrong parameters, C_noise the quality lost
-to the carrier budget, C_recover the headroom undersampling leaves on the
-table relative to the same solver at full sampling.  The rank scorer
-(``score_recoverability``, dense, capped at ``_DENSE_CAP`` input elements) and
-the photon-budget scorer (``score_carrier``) are standalone.
+reconstructions and reports the mismatch sensitivities at nominal.  Cost
+convention: C_mismatch is the quality lost to wrong parameters, C_noise the
+quality lost to the carrier budget, C_recover the headroom undersampling
+leaves on the table relative to the same solver at full sampling.  The rank
+scorer (``score_recoverability``, dense, capped at ``_DENSE_CAP`` input
+elements) is standalone: no command reports it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import GraphOperator
-from .metrics import bootstrap_ci, jsonable, psnr
+from .metrics import bootstrap_ci, psnr
 from .registry import default_registry
 from .solvers import pin_step, reconstruct
 from .templates import Template, apply_noise, make_phantoms
@@ -42,31 +42,6 @@ class Gate1Report:
     effective_rank: int
     null_dim: int
     verdict: str
-
-
-@dataclass(frozen=True)
-class PhotonReport:
-    snr_db: float
-    regime: str
-    photons_per_element: float
-    verdict: str
-
-    def as_dict(self) -> dict:
-        return {
-            "snr_db": jsonable(self.snr_db),
-            "regime": self.regime,
-            "photons_per_element": self.photons_per_element,
-            "verdict": self.verdict,
-        }
-
-
-@dataclass(frozen=True)
-class MismatchReport:
-    severity: float
-    dominant_param: str
-    sensitivities: dict
-    expected_gain_db: float
-    recommended_method: str
 
 
 @dataclass(frozen=True)
@@ -136,42 +111,13 @@ def score_recoverability(g: GraphOperator) -> Gate1Report:
     )
 
 
-def score_carrier(photons: dict) -> PhotonReport:
-    """Photon budget: dominant variance term names the regime."""
-    th = default_registry().thresholds["gate_carrier"]
-    power = float(photons.get("source_power", 0.0))
-    qe = float(photons.get("quantum_efficiency", 1.0))
-    exposure = float(photons.get("exposure", 1.0))
-    sigma_read = float(photons.get("sigma_read", 0.0))
-    dark = float(photons.get("dark_rate", 0.0))
-    if power < 0 or not (0 < qe <= 1) or exposure <= 0 or sigma_read < 0 or dark < 0:
-        raise TriadError("BAD_BUDGET", f"invalid photon parameters: {photons}")
-    n_photon = power * qe * exposure
-    variances = (n_photon, sigma_read**2, dark * exposure)
-    regime = ("shot_limited", "read_limited", "dark_limited")[int(np.argmax(variances))]
-    total = sum(variances)
-    if n_photon == 0.0 or total == 0.0:
-        snr_db = float("-inf")
-    else:
-        snr_db = 10.0 * np.log10(n_photon**2 / total)
-    if snr_db >= th["sufficient_snr_db"]:
-        verdict = "sufficient"
-    elif snr_db >= th["marginal_snr_db"]:
-        verdict = "marginal"
-    else:
-        verdict = "insufficient"
-    return PhotonReport(
-        snr_db=snr_db, regime=regime, photons_per_element=n_photon, verdict=verdict
-    )
-
-
 class _Solves:
     """The reconstructions of one diagnosis, each distinct problem solved once.
 
-    The scorers pose the same problems more than once: the mismatch probe
-    phantom is diagnose's first scene, I and II coincide when theta_true is
-    nominal, and every ``"auto"`` solve would rerun power iteration on an
-    operator already measured.  So graphs are compiled once per (template,
+    A diagnosis poses the same problems more than once: I and II coincide
+    when theta_true is nominal, every sensitivity probe reconstructs with
+    the nominal operator, and every ``"auto"`` solve would rerun power
+    iteration on an operator already measured.  So graphs are compiled once per (template,
     exact theta), keyed on the float64 bits as in ``calibration._Objective``;
     each solved graph's step is pinned once, with the seed ``reconstruct``
     itself would use; and each PSNR is kept per (graph, measurement bytes,
@@ -231,54 +177,6 @@ def sensitivity(template: Template, solver_cfg: dict | None, theta, k: int, h_k:
     return (quality(up) - quality(down)) / (2.0 * h_k)
 
 
-def _severity(fam, theta_true) -> float:
-    delta = np.asarray(theta_true) - np.asarray(fam.theta_nom)
-    # per-parameter scale: the largest admissible deviation from nominal
-    scales = np.array(
-        [max(hi - nom, nom - lo) for (lo, hi), nom in zip(fam.theta_range, fam.theta_nom)]
-    )
-    denom = float(np.linalg.norm(scales))
-    if denom == 0.0:
-        return 0.0
-    return float(np.clip(np.linalg.norm(delta) / denom, 0.0, 1.0))
-
-
-def score_mismatch(template: Template, theta_true, solver_cfg: dict | None = None,
-                   probe_seed: int = 0, _solves: _Solves | None = None) -> MismatchReport:
-    fam = template.family
-    theta_true = fam.check(theta_true)
-    theta_nom = fam.theta_nom
-
-    widths = [hi - lo for lo, hi in fam.theta_range]
-    rel = [abs(t - n) / w for t, n, w in zip(theta_true, theta_nom, widths)]
-    dominant = fam.param_names[int(np.argmax(rel))]
-
-    solves = _solves if _solves is not None else _Solves(template, solver_cfg)
-    ph = make_phantoms(template, 1, seed=probe_seed)[0]
-    sens = {}
-    for k, (name, (lo, hi)) in enumerate(zip(fam.param_names, fam.theta_range)):
-        h = 0.05 * widths[k]
-        base = list(theta_nom)
-        # probe point nudged inside so the central stencil stays admissible
-        base[k] = min(max(base[k], lo + h), hi - h)
-        sens[name] = sensitivity(template, solver_cfg, tuple(base), k, h, probe_seed,
-                                 _solves=solves, _probe=ph)
-
-    g_true = solves.operator(template, theta_true)
-    y = g_true.forward(ph.data)
-    psnr_i = solves.quality(g_true, y, ph.data)
-    psnr_ii = solves.quality(solves.operator(template), y, ph.data)
-    method = default_registry().mismatch_family(template.modality).get("correction", "")
-
-    return MismatchReport(
-        severity=_severity(fam, theta_true),
-        dominant_param=dominant,
-        sensitivities=sens,
-        expected_gain_db=psnr_i - psnr_ii,
-        recommended_method=method,
-    )
-
-
 def bind_gate(psnr_i: float, psnr_ii: float, psnr_noisy: float, psnr_ideal: float,
               psnr_limit: float):
     """Quality gaps to gate costs; returns (dominant_gate, (C_m, C_n, C_r))."""
@@ -298,9 +196,7 @@ def bind_gate(psnr_i: float, psnr_ii: float, psnr_noisy: float, psnr_ideal: floa
     return ordered[best][1], (c_mismatch, c_noise, c_recover)
 
 
-def make_triad_report(mismatch: MismatchReport, binding, ci_width: float) -> TriadReport:
-    if mismatch is None:
-        raise TriadError("MISSING_REPORT", "the mismatch report is required")
+def make_triad_report(sensitivities: dict, binding, ci_width: float) -> TriadReport:
     gate, costs = binding
     if gate not in GATES:
         raise TriadError("BAD_GATE", f"unknown gate {gate!r}")
@@ -312,22 +208,30 @@ def make_triad_report(mismatch: MismatchReport, binding, ci_width: float) -> Tri
         evidence_scores=evidence,
         confidence_interval=float(ci_width),
         recommended_action=_ACTIONS[gate],
-        parameter_sensitivities=dict(mismatch.sensitivities),
+        parameter_sensitivities=dict(sensitivities),
     )
 
 
 def diagnose(template: Template, theta_true, solver_cfg: dict | None = None,
              noisy: bool = False, n_scenes: int = 3, seed: int = 0) -> TriadReport:
-    """Score mismatch on probe scenes and bind the dominant gate from quality gaps."""
+    """Bind the dominant gate from quality gaps on the scenes, and probe the
+    mismatch sensitivities at nominal on scene 0."""
     fam = template.family
     theta_true = fam.check(theta_true)
     solves = _Solves(template, solver_cfg)
     g_nom = solves.operator(template)
-
-    mismatch = score_mismatch(template, theta_true, solver_cfg=solver_cfg,
-                              probe_seed=seed, _solves=solves)
-
+    # scene 0 is the scene make_phantoms(template, 1, seed) draws
     phantoms = make_phantoms(template, n_scenes, seed=seed)
+
+    sens = {}
+    for k, (name, (lo, hi)) in enumerate(zip(fam.param_names, fam.theta_range)):
+        h = 0.05 * (hi - lo)
+        base = list(fam.theta_nom)
+        # probe point nudged inside so the central stencil stays admissible
+        base[k] = min(max(base[k], lo + h), hi - h)
+        sens[name] = sensitivity(template, solver_cfg, tuple(base), k, h,
+                                 _solves=solves, _probe=phantoms[0])
+
     g_true = solves.operator(template, theta_true)
     noise_rng = Rng(seed, _STREAM_PROBE)
     q = solves.quality
@@ -361,4 +265,4 @@ def diagnose(template: Template, theta_true, solver_cfg: dict | None = None,
         ci_width = hi - lo
     else:
         ci_width = 0.0
-    return make_triad_report(mismatch, binding, ci_width)
+    return make_triad_report(sens, binding, ci_width)

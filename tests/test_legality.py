@@ -21,6 +21,7 @@ _THETA = {
 
 # (command, flags after the theta values, result files besides runbundle.json)
 _COMMANDS = {
+    "calibrate": ("--theta-true", ["--calib", "alg1"], ("calib_result.json",)),
     "simulate": ("--theta", [], ("x_gt.opt", "y.opt")),
     "diagnose": ("--theta-true", [], ("triad_report.json",)),
     "scenario": ("--theta-true", ["--calib", "none", "--scenes", "1"],

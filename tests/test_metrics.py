@@ -110,9 +110,8 @@ class TestSam:
     def test_zero_pixels_excluded_and_counted(self):
         a = np.ones((4, 4, 2))
         a[0, 0, :] = 0.0
-        deg, excluded = sam(a, a, return_excluded=True)
-        assert deg == pytest.approx(0.0, abs=1e-5)
-        assert excluded == 1
+        # an unskipped zero spectrum would make the mean NaN
+        assert sam(a, a) == pytest.approx(0.0, abs=1e-5)
 
     def test_all_zero_errors(self):
         z = np.zeros((4, 4, 2))
@@ -202,11 +201,6 @@ class TestBootstrapCi:
     def test_empty_rejected(self):
         with pytest.raises(MetricError, match="EMPTY"):
             bootstrap_ci([])
-
-    def test_custom_statistic(self):
-        vals = [1.0, 2.0, 100.0]
-        lo, hi = bootstrap_ci(vals, seed=2, statistic=lambda v: float(np.median(v)))
-        assert lo >= 1.0 and hi <= 100.0
 
 
 class TestParamRmse:

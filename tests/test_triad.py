@@ -11,14 +11,11 @@ from opgraph.graph import compile_graph, make_spec
 from opgraph.templates import TemplateError, instantiate
 from opgraph.tensor import Tensor
 from opgraph.triad import (
-    MismatchReport,
     TriadError,
     bind_gate,
     diagnose,
     make_triad_report,
     materialize,
-    score_carrier,
-    score_mismatch,
     score_recoverability,
     sensitivity,
 )
@@ -101,42 +98,6 @@ class TestRecoverability:
         assert np.allclose(h @ x.reshape(-1), g.forward(Tensor(x)).numpy())
 
 
-class TestCarrier:
-    def test_shot_limited(self):
-        rep = score_carrier({"source_power": 10000.0, "quantum_efficiency": 1.0,
-                             "exposure": 1.0, "sigma_read": 1.0, "dark_rate": 0.0})
-        assert rep.regime == "shot_limited"
-        assert rep.snr_db == pytest.approx(10 * np.log10(1e8 / (1e4 + 1)))
-        assert rep.snr_db == pytest.approx(40.0, abs=0.01)
-        assert rep.verdict == "sufficient"
-
-    def test_read_limited(self):
-        rep = score_carrier({"source_power": 10.0, "quantum_efficiency": 1.0,
-                             "exposure": 1.0, "sigma_read": 100.0, "dark_rate": 0.0})
-        assert rep.regime == "read_limited"
-        assert rep.verdict == "insufficient"
-
-    def test_dark_limited(self):
-        rep = score_carrier({"source_power": 10.0, "quantum_efficiency": 1.0,
-                             "exposure": 1.0, "sigma_read": 0.5, "dark_rate": 1000.0})
-        assert rep.regime == "dark_limited"
-
-    def test_zero_budget_sentinel(self):
-        rep = score_carrier({"source_power": 0.0, "quantum_efficiency": 1.0,
-                             "exposure": 1.0, "sigma_read": 0.0, "dark_rate": 0.0})
-        assert rep.snr_db == float("-inf")
-        assert rep.verdict == "insufficient"
-        assert rep.as_dict()["snr_db"] == "-inf"
-
-    def test_bad_budget(self):
-        with pytest.raises(TriadError, match="BAD_BUDGET"):
-            score_carrier({"source_power": 1.0, "quantum_efficiency": 0.0,
-                           "exposure": 1.0, "sigma_read": 0.0, "dark_rate": 0.0})
-        with pytest.raises(TriadError, match="BAD_BUDGET"):
-            score_carrier({"source_power": 1.0, "quantum_efficiency": 1.0,
-                           "exposure": 0.0, "sigma_read": 0.0, "dark_rate": 0.0})
-
-
 class TestSensitivity:
     def test_ct_cor_responds(self):
         t = instantiate("ct", 16)
@@ -156,42 +117,6 @@ class TestSensitivity:
     def test_deterministic(self):
         t = instantiate("ct", 16)
         assert sensitivity(t, None, (1.0,), 0, 0.4) == sensitivity(t, None, (1.0,), 0, 0.4)
-
-
-class TestMismatchScore:
-    def test_nominal_severity_zero(self):
-        t = instantiate("ct", 16)
-        rep = score_mismatch(t, (0.0,))
-        assert rep.severity == pytest.approx(0.0)
-
-    def test_full_range_severity_one(self):
-        t = instantiate("ct", 16)
-        rep = score_mismatch(t, (4.0,))
-        assert rep.severity == pytest.approx(1.0)
-
-    def test_cassi_vector_severity(self):
-        t = instantiate("cassi", 16)
-        rep = score_mismatch(t, (0.5, 0.3, 0.1, 2.02, 0.15))
-        delta = np.array([0.5, 0.3, 0.1, 0.02, 0.15])
-        scales = np.array([1.0, 1.0, 0.5, 0.2, 0.5])
-        expected = np.linalg.norm(delta) / np.linalg.norm(scales)
-        assert rep.severity == pytest.approx(expected)
-        assert 0.0 < rep.severity < 1.0
-        assert rep.dominant_param == "mask_dx"
-
-    def test_expected_gain_positive_under_mismatch(self):
-        t = instantiate("ct", 16)
-        rep = score_mismatch(t, (3.0,))
-        assert rep.expected_gain_db > 1.0
-
-    def test_correction_route_from_registry(self):
-        assert score_mismatch(instantiate("ct", 16), (1.0,)).recommended_method == \
-            "sweep+coordinate_descent"
-
-    def test_sensitivities_cover_every_param(self):
-        t = instantiate("cassi", 16)
-        rep = score_mismatch(t, (0.5, 0.3, 0.1, 2.02, 0.15))
-        assert set(rep.sensitivities) == set(t.family.param_names)
 
 
 class TestBindGate:
@@ -225,37 +150,32 @@ class TestBindGate:
 
 
 class TestTriadReport:
-    MM = MismatchReport(0.3, "cor_offset_px", {"cor_offset_px": -0.5}, 5.0,
-                        "sweep+coordinate_descent")
+    SENS = {"cor_offset_px": -0.5}
 
     def test_action_table(self):
-        rep = make_triad_report(self.MM, ("operator_mismatch", (10.0, 1.0, 1.0)), 0.5)
+        rep = make_triad_report(self.SENS, ("operator_mismatch", (10.0, 1.0, 1.0)), 0.5)
         assert rep.recommended_action == "apply mismatch correction"
-        rep2 = make_triad_report(self.MM, ("recoverability", (0.0, 0.0, 15.0)), 0.5)
+        rep2 = make_triad_report(self.SENS, ("recoverability", (0.0, 0.0, 15.0)), 0.5)
         assert rep2.recommended_action == "increase compression ratio"
-        rep3 = make_triad_report(self.MM, ("carrier_budget", (0.0, 10.0, 1.0)), 0.5)
+        rep3 = make_triad_report(self.SENS, ("carrier_budget", (0.0, 10.0, 1.0)), 0.5)
         assert rep3.recommended_action == "improve carrier budget"
 
     def test_evidence_normalized(self):
-        rep = make_triad_report(self.MM, ("operator_mismatch", (10.0, 1.0, 1.0)), 0.5)
+        rep = make_triad_report(self.SENS, ("operator_mismatch", (10.0, 1.0, 1.0)), 0.5)
         assert sum(rep.evidence_scores) == pytest.approx(1.0)
         assert rep.evidence_scores[0] == pytest.approx(10 / 12)
 
     def test_zero_costs_give_thirds(self):
-        rep = make_triad_report(self.MM, ("recoverability", (0.0, 0.0, 0.0)), 0.0)
+        rep = make_triad_report(self.SENS, ("recoverability", (0.0, 0.0, 0.0)), 0.0)
         assert rep.evidence_scores == (1 / 3, 1 / 3, 1 / 3)
 
     def test_negative_costs_clamped(self):
-        rep = make_triad_report(self.MM, ("recoverability", (-2.0, 0.0, 6.0)), 0.0)
+        rep = make_triad_report(self.SENS, ("recoverability", (-2.0, 0.0, 6.0)), 0.0)
         assert rep.evidence_scores[0] == 0.0
         assert rep.evidence_scores[2] == pytest.approx(1.0)
 
-    def test_missing_report_rejected(self):
-        with pytest.raises(TriadError, match="MISSING_REPORT"):
-            make_triad_report(None, ("recoverability", (0.0, 0.0, 1.0)), 0.0)
-
     def test_json_round_trip(self):
-        rep = make_triad_report(self.MM, ("operator_mismatch", (10.0, 1.0, 1.0)), 0.5)
+        rep = make_triad_report(self.SENS, ("operator_mismatch", (10.0, 1.0, 1.0)), 0.5)
         blob = json.loads(json.dumps(rep.as_dict()))
         assert blob["dominant_gate"] == "operator_mismatch"
         assert blob["recommended_action"] == "apply mismatch correction"
@@ -329,8 +249,7 @@ def test_diagnose_solves_each_distinct_problem_once(monkeypatch):
     monkeypatch.setattr(triad, "materialize", counting_materialize)
     t = instantiate("spc", 8)
     diagnose(t, (0.01,), n_scenes=3)
-    # 2 sensitivity probes; I and II per scene, the first shared with the
-    # mismatch probe; one full-sampling limit per scene
+    # 2 sensitivity probes; I and II per scene; one full-sampling limit per scene
     assert len(solved) == 2 + 2 * 3 + 3
     assert len(set(solved)) == len(solved)
     # one power iteration per solved graph: nominal, drifted, full sampling
@@ -349,5 +268,5 @@ def test_diagnose_builds_the_probe_scene_once(monkeypatch):
 
     monkeypatch.setattr(triad, "make_phantoms", counting_make_phantoms)
     diagnose(instantiate("cassi", 8), (0.5, 0.3, 0.1, 2.02, 0.15), seed=2)
-    # one probe scene for score_mismatch and its 5 sensitivities, one set of scenes
-    assert built == [(1, 2), (3, 2)]
+    # one draw of the scenes; scene 0 is also the sensitivity probe
+    assert built == [(3, 2)]

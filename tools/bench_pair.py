@@ -108,6 +108,11 @@ CLI_CASES = (
     # theta_true is nominal, so the matched (I) and mismatched (II) solves coincide
     ("diagnose", ["--modality", "spc", "--size", "16", "--theta-true", "0.0"],
      ("triad_report.json",)),
+    # the only diagnose case with noise at a nonzero seed; its sensitivity
+    # probe is scene 0 of the one draw of the scenes
+    ("diagnose", ["--modality", "mri", "--size", "16", "--seed", "4", "--theta-true", "0.05",
+                  "--noisy"],
+     ("triad_report.json",)),
 )
 
 
