@@ -9,31 +9,30 @@ sees ground-truth images, ``measurement_residual`` mode sees only y.
 
 Every grid (a sweep, a beam, a descent sweep, alg2's seed grid) hands its
 points to the objective before scoring them.  The objective solves the
-distinct points it has not scored, in first-seen order, in lockstep blocks of
-``max(1, _BLOCK_ELEMENTS // n)`` candidates for an n-element input, so one
-stacked TV prox serves a block; the scores then come out in grid order, one
-objective call per point, as they would one solve at a time.  A candidate of
-more than half ``_BLOCK_ELEMENTS`` elements solves alone: measured on the
-prox, two stacked (32, 32, 8) cubes already run slower than two solo calls.
+distinct points it has not scored, in first-seen order, in the lockstep
+blocks of ``solvers.solve_blocks`` (the rule the scenario protocol and
+``diagnose`` share), so one stacked TV prox serves a block; the scores then
+come out in grid order, one objective call per point, as they would one
+solve at a time.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .metrics import psnr
-# power_iteration stays bound here because perfbench/spans.py patches it by module
+# power_iteration and reconstruct stay bound here because perfbench/spans.py
+# patches them by module
 from .solvers import (  # noqa: F401
     pin_step,
     power_iteration,
     reconstruct,
-    reconstruct_block,
     relative_residual,
+    solve_blocks,
 )
 from .templates import Template
 from .tensor import CodedError, Tensor
@@ -49,8 +48,6 @@ _BEAM_K = 5
 _MU_START = 1e-3
 _MU_UP = 4.0
 _MU_DOWN = 3.0
-# elements of one lockstep block of candidate solves (about 8 size-16 cassi cubes)
-_BLOCK_ELEMENTS = 8192
 # grid points per search stage
 _GRID = {
     "sweep": 11,
@@ -138,9 +135,7 @@ class _Objective:
         self._scores = {}
         # residual vectors ``solve`` was asked to keep, by key
         self._kept = {}
-        nominal = template.operator()
-        self.solver = pin_step(nominal, template.calib_solver, seed=cfg.seed)
-        self.block = max(1, _BLOCK_ELEMENTS // math.prod(nominal.input_shape))
+        self.solver = pin_step(template.operator(), template.calib_solver, seed=cfg.seed)
 
     @property
     def distinct_evals(self) -> int:
@@ -154,26 +149,22 @@ class _Objective:
         return self._scores[key]
 
     def _solve(self, items):
-        """Solve and score each (key, theta), ``self.block`` at a time.
+        """Solve and score each (key, theta) in ``solve_blocks``'s lockstep blocks.
 
-        Yields (key, score, residual array) in order.  A lone candidate goes
-        through ``reconstruct``, the name perfbench's tracer counts.
+        Yields (key, score, residual array) in order.  Each block's
+        operators are compiled as the block is reached.
         """
         y = self.y
-        for i in range(0, len(items), self.block):
-            chunk = items[i:i + self.block]
-            ops = [self.template.operator(theta) for _, theta in chunk]
-            results = (reconstruct_block(ops, y, self.solver) if len(ops) > 1
-                       else [reconstruct(ops[0], y, self.solver)])
-            for (key, _), res in zip(chunk, results):
-                if self.mode == "oracle_psnr":
-                    score = -psnr(res.x_hat, self.x_gt)
-                    r = res.x_hat.numpy() - self.x_gt
-                else:
-                    r = res.residual_vector()
-                    score = relative_residual(r, y.numpy())
-                self._scores[key] = score
-                yield key, score, r
+        problems = ((self.template.operator(theta), y) for _, theta in items)
+        for (key, _), res in zip(items, solve_blocks(problems, self.solver)):
+            if self.mode == "oracle_psnr":
+                score = -psnr(res.x_hat, self.x_gt)
+                r = res.x_hat.numpy() - self.x_gt
+            else:
+                r = res.residual_vector()
+                score = relative_residual(r, y.numpy())
+            self._scores[key] = score
+            yield key, score, r
 
     def solve(self, thetas, keep: int = 0) -> None:
         """Score the distinct theta not yet scored, in first-seen order, in blocks.

@@ -5,13 +5,18 @@ FISTA-TV (monotone accept, momentum restart on objective increase), GAP-TV
 projection chains, and the plain adjoint map.  Total variation is anisotropic
 with a dual projected-gradient prox.
 
-FISTA-TV and GAP-TV advance a block of operators that share one measurement
-and one pinned config in lockstep (``reconstruct_block``; ``reconstruct`` is
-the block of one).  Forwards, adjoints and objectives stay per operator, but
-the block runs one TV prox over its stacked iterates per step, so the prox's
-numpy call overhead, which dominates at a few thousand elements, is paid once
-per block.  Every decision (restart, hold, best iterate) is taken per
-operator, so each result is byte for byte its solo solve.
+FISTA-TV and GAP-TV advance a block of problems that share one pinned config
+in lockstep (``reconstruct_block``; ``reconstruct`` is the block of one).  A
+problem is an operator and its own measurement: calibration poses one ``y``
+under many candidate operators, the scenario protocol each scene's ``y``
+under the true, nominal and calibrated operators, and ``diagnose`` many
+measurements under one operator.  Forwards, adjoints and objectives stay per
+problem, but the block runs one TV prox over its stacked iterates per step,
+so the prox's numpy call overhead, which dominates at a few thousand
+elements, is paid once per block.  Every decision (restart, hold, best
+iterate) is taken per problem, so each result is byte for byte its solo
+solve.  ``solve_blocks`` is the one rule that cuts a list of problems into
+blocks; calibration, the protocol and ``diagnose`` all call it.
 
 A result's ``residual`` costs one operator forward, so it is computed on first
 read and kept; a caller that scores only ``x_hat`` never pays for it.  FBP
@@ -22,6 +27,7 @@ depend on the operator.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -36,6 +42,8 @@ _RESIDUAL_EPS = 1e-12
 # spectral-norm safety margin on the power-iteration estimate
 _STEP_MARGIN = 1.05
 _STEPPED_SOLVERS = ("fista_tv", "gap_tv")
+# input elements of one lockstep block of solves (about 8 size-16 cassi cubes)
+_BLOCK_ELEMENTS = 8192
 
 
 class SolverError(CodedError):
@@ -234,17 +242,17 @@ def pin_step(g: GraphOperator, cfg: dict, seed: int) -> dict:
 # solvers
 
 
-def _gradient_step(gs, z: np.ndarray, y: np.ndarray, step: float) -> np.ndarray:
-    """z_k - step * A_k^T (A_k z_k - y) for each operator A_k of the block."""
+def _gradient_step(gs, z: np.ndarray, ys, step: float) -> np.ndarray:
+    """z_k - step * A_k^T (A_k z_k - y_k) for each problem (A_k, y_k) of the block."""
     out = np.empty_like(z)
-    for g, zk, ok in zip(gs, z, out):
+    for g, zk, y, ok in zip(gs, z, ys, out):
         r = g.forward(Tensor(zk)).numpy() - y
         np.subtract(zk, step * _adjoint_primal(g, r), out=ok)
     return out
 
 
-def _fista_tv(gs, y: np.ndarray, iters: int, lam_tv: float, step: float):
-    def objective(g, x):
+def _fista_tv(gs, ys, iters: int, lam_tv: float, step: float):
+    def objective(g, x, y):
         r = g.forward(Tensor(x)).numpy() - y
         return 0.5 * float(np.vdot(r, r).real) + lam_tv * tv_norm(x)
 
@@ -253,19 +261,20 @@ def _fista_tv(gs, y: np.ndarray, iters: int, lam_tv: float, step: float):
     x = np.zeros((n,) + gs[0].input_shape)
     z = x
     t = [1.0] * n
-    f_x = [objective(g, xk) for g, xk in zip(gs, x)]
+    f_x = [objective(g, xk, y) for g, xk, y in zip(gs, x, ys)]
     best_x, best_f = list(x), list(f_x)
     traces = [[f] for f in f_x]
     for _ in range(iters):
-        cand = _prox(_gradient_step(gs, z, y, step), lam)
-        f_c = [objective(g, c) for g, c in zip(gs, cand)]
+        cand = _prox(_gradient_step(gs, z, ys, step), lam)
+        f_c = [objective(g, c, y) for g, c, y in zip(gs, cand, ys)]
         # momentum overshoot: restart these and take a plain proximal step
         restart = [k for k in range(n) if f_c[k] > f_x[k]]
         if restart:
-            retry = _prox(_gradient_step([gs[k] for k in restart], x[restart], y, step), lam)
+            retry = _prox(_gradient_step([gs[k] for k in restart], x[restart],
+                                         [ys[k] for k in restart], step), lam)
             for k, c in zip(restart, retry):
                 t[k] = 1.0
-                f = objective(gs[k], c)
+                f = objective(gs[k], c, ys[k])
                 if f > f_x[k]:  # inexact prox can refuse; hold position
                     c, f = x[k], f_x[k]
                 cand[k], f_c[k] = c, f
@@ -280,13 +289,13 @@ def _fista_tv(gs, y: np.ndarray, iters: int, lam_tv: float, step: float):
     return best_x, traces
 
 
-def _gap_tv(gs, y: np.ndarray, iters: int, lam_tv: float, step: float):
+def _gap_tv(gs, ys, iters: int, lam_tv: float, step: float):
     v = np.zeros((len(gs),) + gs[0].input_shape)
     traces = [[] for _ in gs]
     for _ in range(iters):
         x = np.empty_like(v)
         residuals = []
-        for g, vk, xk in zip(gs, v, x):
+        for g, vk, y, xk in zip(gs, v, ys, x):
             r = y - g.forward(Tensor(vk)).numpy()
             np.add(vk, step * _adjoint_primal(g, r), out=xk)
             residuals.append(r)
@@ -354,34 +363,39 @@ def _fbp(g: GraphOperator, y: np.ndarray) -> np.ndarray:
 
 def reconstruct(g: GraphOperator, y: Tensor, cfg: dict) -> ReconResult:
     """Dispatch on cfg['name']: fista_tv, gap_tv, fbp, or adjoint."""
-    return reconstruct_block([g], y, cfg)[0]
+    return reconstruct_block([g], [y], cfg)[0]
 
 
-def reconstruct_block(gs, y: Tensor, cfg: dict) -> list[ReconResult]:
-    """``reconstruct`` of ``y`` under each operator of ``gs``, in order.
+def reconstruct_block(gs, ys, cfg: dict) -> list[ReconResult]:
+    """``reconstruct`` of each problem (gs[k], ys[k]), in order.
 
     FISTA-TV and GAP-TV solve the block in lockstep, each result byte for
     byte its solo solve; their operators must share an input shape (the
     graph's boundary check rejects any other), and a block of more than one
-    needs a pinned ``step``.  FBP and the adjoint map
-    solve one operator at a time.
+    needs a pinned ``step``.  FBP and the adjoint map solve one problem at a
+    time.
     """
+    if len(gs) != len(ys):
+        raise SolverError(
+            "BAD_BLOCK", f"{len(gs)} operators but {len(ys)} measurements in one block"
+        )
     if not gs:
         return []
     name = cfg.get("name")
-    for g in gs:
+    for g, y in zip(gs, ys):
         if y.shape != g.output_shape:
             raise SolverError(
                 "BAD_SHAPE", f"measurement shape {y.shape} != operator output {g.output_shape}"
             )
-    y_arr = y.numpy()
+    y_arrs = [y.numpy() for y in ys]
     if name == "fbp":
-        return [ReconResult(Tensor(_fbp(g, y_arr)), 1, _problem=(g, y_arr)) for g in gs]
+        return [ReconResult(Tensor(_fbp(g, y)), 1, _problem=(g, y))
+                for g, y in zip(gs, y_arrs)]
     if name == "adjoint":
         for g in gs:
             _require_adjoint(g)
-        return [ReconResult(Tensor(_adjoint_primal(g, y_arr)), 1, _problem=(g, y_arr))
-                for g in gs]
+        return [ReconResult(Tensor(_adjoint_primal(g, y)), 1, _problem=(g, y))
+                for g, y in zip(gs, y_arrs)]
     if name not in _STEPPED_SOLVERS:
         raise SolverError("BAD_CONFIG", f"unknown solver {name!r}")
 
@@ -396,12 +410,38 @@ def reconstruct_block(gs, y: Tensor, cfg: dict) -> list[ReconResult]:
     if lam_tv < 0:
         raise SolverError("BAD_CONFIG", f"lambda_tv must be nonnegative, got {lam_tv}")
     if len(gs) > 1 and cfg.get("step", "auto") == "auto":
-        raise SolverError("BAD_CONFIG", "a block of operators needs a pinned step")
+        raise SolverError("BAD_CONFIG", "a block of problems needs a pinned step")
     step = float(pin_step(gs[0], cfg, seed=int(cfg.get("seed", 0)))["step"])
     if step <= 0:
         raise SolverError("BAD_CONFIG", f"step must be positive, got {step}")
 
     run = _fista_tv if name == "fista_tv" else _gap_tv
-    xs, traces = run(gs, y_arr, iters, lam_tv, step)
-    return [ReconResult(Tensor(x), iters, tuple(trace), _problem=(g, y_arr))
-            for g, x, trace in zip(gs, xs, traces)]
+    xs, traces = run(gs, y_arrs, iters, lam_tv, step)
+    return [ReconResult(Tensor(x), iters, tuple(trace), _problem=(g, y))
+            for g, y, x, trace in zip(gs, y_arrs, xs, traces)]
+
+
+def solve_blocks(problems, cfg: dict):
+    """Yield ``reconstruct(g, y, cfg)`` for each (g, y) of ``problems``, in order.
+
+    Problems are drawn lazily, one block at a time, so a caller can compile
+    each block's operators as it goes.  A block holds
+    ``max(1, _BLOCK_ELEMENTS // n)`` problems for the first operator's
+    n-element input; a problem of more than half ``_BLOCK_ELEMENTS`` elements
+    solves alone: measured on the prox, two stacked (32, 32, 8) cubes already
+    run slower than two solo calls.  A lone problem goes through
+    ``reconstruct``, the name perfbench's tracer counts.
+    """
+    problems = iter(problems)
+    chunk = list(itertools.islice(problems, 1))
+    if not chunk:
+        return
+    block = max(1, _BLOCK_ELEMENTS // math.prod(chunk[0][0].input_shape))
+    chunk += itertools.islice(problems, block - 1)
+    while chunk:
+        if len(chunk) == 1:
+            yield reconstruct(*chunk[0], cfg)
+        else:
+            gs, ys = zip(*chunk)
+            yield from reconstruct_block(gs, ys, cfg)
+        chunk = list(itertools.islice(problems, block))

@@ -4,9 +4,11 @@
 reconstructions and reports the mismatch sensitivities at nominal.  Cost
 convention: C_mismatch is the quality lost to wrong parameters, C_noise the
 quality lost to the carrier budget, C_recover the headroom undersampling
-leaves on the table relative to the same solver at full sampling.  The rank
-scorer (``score_recoverability``, dense, capped at ``_DENSE_CAP`` input
-elements) is standalone: no command reports it.
+leaves on the table relative to the same solver at full sampling.  Every
+reconstruction of a diagnosis is posed first and solved once, in lockstep
+blocks per operator (``_Solves``).  The rank scorer
+(``score_recoverability``, dense, capped at ``_DENSE_CAP`` input elements)
+is standalone: no command reports it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import numpy as np
 from .graph import GraphOperator
 from .metrics import bootstrap_ci, psnr
 from .registry import default_registry
-from .solvers import pin_step, reconstruct
+# reconstruct stays bound here because perfbench/spans.py patches it by module
+from .solvers import pin_step, reconstruct, solve_blocks  # noqa: F401
 from .templates import Template, apply_noise, make_phantoms
 from .tensor import CodedError, Rng, Tensor, tensor
 
@@ -121,8 +124,13 @@ class _Solves:
     exact theta), keyed on the float64 bits as in ``calibration._Objective``;
     each solved graph's step is pinned once, with the seed ``reconstruct``
     itself would use; and each PSNR is kept per (graph, measurement bytes,
-    phantom bytes).  Solves still go through this module's ``reconstruct``
-    and ``psnr``.
+    phantom bytes).
+
+    ``solve`` takes a list of (graph, measurement, phantom) problems, drops
+    those already scored, groups the rest by graph and solves each group in
+    the lockstep blocks of ``solvers.solve_blocks`` under that graph's own
+    pinned config, so every PSNR is that of the problem's solo solve.
+    ``quality`` then reads a PSNR.
     """
 
     def __init__(self, template: Template, solver_cfg: dict | None):
@@ -139,42 +147,63 @@ class _Solves:
             self._graphs[key] = (template, template.operator(theta))
         return self._graphs[key][1]
 
-    def quality(self, g: GraphOperator, y: Tensor, x: Tensor) -> float:
-        key = (id(g), y.numpy().tobytes(), x.numpy().tobytes())
-        if key not in self._psnr:
+    @staticmethod
+    def _key(g: GraphOperator, y: Tensor, x: Tensor) -> tuple:
+        return id(g), y.numpy().tobytes(), x.numpy().tobytes()
+
+    def solve(self, problems) -> None:
+        """Score each (g, y, x) problem not yet scored, in blocks per graph."""
+        groups = {}
+        for g, y, x in problems:
+            key = self._key(g, y, x)
+            if key not in self._psnr:
+                groups.setdefault(id(g), (g, {}))[1].setdefault(key, (y, x))
+        for g, todo in groups.values():
             if id(g) not in self._pinned:
                 seed = int(self.solver.get("seed", 0))
                 self._pinned[id(g)] = (g, pin_step(g, self.solver, seed=seed))
             cfg = self._pinned[id(g)][1]
-            self._psnr[key] = psnr(reconstruct(g, y, cfg).x_hat, x)
-        return self._psnr[key]
+            solved = solve_blocks(((g, y) for y, _ in todo.values()), cfg)
+            for (key, (_, x)), res in zip(todo.items(), solved):
+                self._psnr[key] = psnr(res.x_hat, x)
+
+    def quality(self, g: GraphOperator, y: Tensor, x: Tensor) -> float:
+        """The PSNR of a problem that ``solve`` has scored."""
+        return self._psnr[self._key(g, y, x)]
 
 
-def sensitivity(template: Template, solver_cfg: dict | None, theta, k: int, h_k: float,
-                probe_seed: int = 0, _solves: _Solves | None = None, _probe=None) -> float:
-    """d(PSNR)/d(theta_k) by central difference, mismatched-reconstruction lane.
-
-    ``_probe`` is the scene ``make_phantoms(template, 1, seed=probe_seed)``
-    builds, when the caller already has it.
-    """
-    if h_k <= 0:
-        raise TriadError("BAD_STEP", f"need h_k > 0, got {h_k}")
+def _probe_problems(solves: _Solves, template: Template, theta, k: int, h_k: float, ph):
+    """The (g_nom, y, scene) problems of the probes at theta_k + h_k and theta_k - h_k."""
     fam = template.family
-    theta = list(fam.check(theta))
-    solves = _solves if _solves is not None else _Solves(template, solver_cfg)
-    g_nom = solves.operator(template)
-    ph = _probe if _probe is not None else make_phantoms(template, 1, seed=probe_seed)[0]
-
-    def quality(t_vec):
-        y = solves.operator(template, tuple(t_vec)).forward(ph.data)
-        return solves.quality(g_nom, y, ph.data)
-
     up, down = list(theta), list(theta)
     up[k] = theta[k] + h_k
     down[k] = theta[k] - h_k
     fam.check(up)
     fam.check(down)
-    return (quality(up) - quality(down)) / (2.0 * h_k)
+    g_nom = solves.operator(template)
+    return tuple((g_nom, solves.operator(template, tuple(t)).forward(ph.data), ph.data)
+                 for t in (up, down))
+
+
+def sensitivity(template: Template, solver_cfg: dict | None, theta, k: int, h_k: float,
+                probe_seed: int = 0, _solves: _Solves | None = None,
+                _problems=None) -> float:
+    """d(PSNR)/d(theta_k) by central difference, mismatched-reconstruction lane.
+
+    ``_problems`` is the pair ``_probe_problems`` builds for these arguments
+    on the scene ``make_phantoms(template, 1, seed=probe_seed)`` draws, when
+    the caller already has it.
+    """
+    if h_k <= 0:
+        raise TriadError("BAD_STEP", f"need h_k > 0, got {h_k}")
+    solves = _solves if _solves is not None else _Solves(template, solver_cfg)
+    if _problems is None:
+        theta = list(template.family.check(theta))
+        ph = make_phantoms(template, 1, seed=probe_seed)[0]
+        _problems = _probe_problems(solves, template, theta, k, h_k, ph)
+    solves.solve(_problems)
+    up, down = _problems
+    return (solves.quality(*up) - solves.quality(*down)) / (2.0 * h_k)
 
 
 def bind_gate(psnr_i: float, psnr_ii: float, psnr_noisy: float, psnr_ideal: float,
@@ -215,7 +244,12 @@ def make_triad_report(sensitivities: dict, binding, ci_width: float) -> TriadRep
 def diagnose(template: Template, theta_true, solver_cfg: dict | None = None,
              noisy: bool = False, n_scenes: int = 3, seed: int = 0) -> TriadReport:
     """Bind the dominant gate from quality gaps on the scenes, and probe the
-    mismatch sensitivities at nominal on scene 0."""
+    mismatch sensitivities at nominal on scene 0.
+
+    Every problem of the diagnosis is posed first and solved in one
+    ``_Solves.solve``; the sensitivities and the gate binding then read
+    their PSNRs.
+    """
     fam = template.family
     theta_true = fam.check(theta_true)
     solves = _Solves(template, solver_cfg)
@@ -223,37 +257,41 @@ def diagnose(template: Template, theta_true, solver_cfg: dict | None = None,
     # scene 0 is the scene make_phantoms(template, 1, seed) draws
     phantoms = make_phantoms(template, n_scenes, seed=seed)
 
-    sens = {}
+    probes = {}
     for k, (name, (lo, hi)) in enumerate(zip(fam.param_names, fam.theta_range)):
         h = 0.05 * (hi - lo)
         base = list(fam.theta_nom)
         # probe point nudged inside so the central stencil stays admissible
         base[k] = min(max(base[k], lo + h), hi - h)
-        sens[name] = sensitivity(template, solver_cfg, tuple(base), k, h,
-                                 _solves=solves, _probe=phantoms[0])
+        probes[name] = (tuple(base), k, h,
+                        _probe_problems(solves, template, base, k, h, phantoms[0]))
 
     g_true = solves.operator(template, theta_true)
     noise_rng = Rng(seed, _STREAM_PROBE)
-    q = solves.quality
-
+    # called once: each call builds a new template, and operators are kept per template
     full = template.full_sampling()
     g_full = None if full is template else solves.operator(full, theta_true)
 
-    p_i, p_ii, p_noisy, p_limit = [], [], [], []
+    # each scene's problem per lane; a problem posed twice is solved once
+    scenes = []
     for i, ph in enumerate(phantoms):
-        y = g_true.forward(ph.data)
-        p_i.append(q(g_true, y, ph.data))
-        p_ii.append(q(g_nom, y, ph.data))
-        if noisy and template.noise:
-            y_noisy = apply_noise(y, template.noise, noise_rng.child(i))
-            p_noisy.append(q(g_true, y_noisy, ph.data))
-        else:
-            p_noisy.append(p_i[-1])
-        if g_full is None:
-            # already at r = 1: no undersampling headroom by construction
-            p_limit.append(p_i[-1])
-        else:
-            p_limit.append(q(g_full, g_full.forward(ph.data), ph.data))
+        x = ph.data
+        y = g_true.forward(x)
+        lanes = {"I": (g_true, y, x), "II": (g_nom, y, x)}
+        # without noise, the noisy solve is I's
+        lanes["noisy"] = ((g_true, apply_noise(y, template.noise, noise_rng.child(i)), x)
+                          if noisy and template.noise else lanes["I"])
+        # already at r = 1: no undersampling headroom by construction
+        lanes["limit"] = lanes["I"] if g_full is None else (g_full, g_full.forward(x), x)
+        scenes.append(lanes)
+    solves.solve([p for *_, pair in probes.values() for p in pair]
+                 + [p for lanes in scenes for p in lanes.values()])
+
+    sens = {name: sensitivity(template, solver_cfg, base, k, h, _solves=solves,
+                              _problems=pair)
+            for name, (base, k, h, pair) in probes.items()}
+    p_i, p_ii, p_noisy, p_limit = ([solves.quality(*lanes[name]) for lanes in scenes]
+                                   for name in ("I", "II", "noisy", "limit"))
 
     binding = bind_gate(float(np.mean(p_i)), float(np.mean(p_ii)),
                         float(np.mean(p_noisy)), float(np.mean(p_i)),

@@ -13,10 +13,11 @@ import numpy as np
 from scipy import ndimage
 from scipy.linalg import dft
 
-from opgraph import triad
-from opgraph.metrics import bootstrap_ci, psnr
+from opgraph import protocol, triad
+from opgraph.calibration import CalibConfig
+from opgraph.metrics import MetricError, bootstrap_ci, psnr, recovery_ratio, scene_metrics
 from opgraph.registry import default_registry
-from opgraph.solvers import reconstruct
+from opgraph.solvers import pin_step, reconstruct
 from opgraph.templates import apply_noise, make_phantoms
 from opgraph.tensor import Rng
 
@@ -302,3 +303,43 @@ def diagnose_reference(template, theta_true, noisy=False, n_scenes=3, seed=0):
     else:
         ci_width = 0.0
     return triad.make_triad_report(sens, binding, ci_width)
+
+
+def run_scenarios_reference(template, theta_true, calib="alg1", noisy=False, n_scenes=3,
+                            seed=0, n_resamples=1000):
+    """``protocol.run_scenarios`` with every scenario of every scene solved alone.
+
+    Each solve is one ``reconstruct`` call under the config pinned at the
+    nominal operator; IV is solved afresh even when it is II's problem.
+    """
+    theta_true = template.family.check(theta_true)
+    phantoms = make_phantoms(template, n_scenes, seed=seed)
+    g_true = template.operator(theta_true)
+    g_nom = template.operator()
+    solver = pin_step(g_nom, template.solver, seed=template.solver.get("seed", 0))
+    measurements = protocol.measure(g_true, template.noise, phantoms, noisy, seed)
+    if calib == "none":
+        theta_hat = template.family.theta_nom
+    else:
+        theta_hat = protocol.calibrate(template, measurements[0], phantoms[0].data, calib,
+                                       CalibConfig()).theta_hat
+    g_hat = template.operator(theta_hat)
+
+    def metrics(g, ph, y):
+        return scene_metrics(reconstruct(g, y, solver).x_hat, ph.data,
+                             spectral=template.spectral)
+
+    scenes = []
+    for ph, y in zip(phantoms, measurements):
+        m_i = metrics(g_true, ph, y)
+        scenes.append({"I": m_i, "II": metrics(g_nom, ph, y), "III": m_i,
+                       "IV": metrics(g_hat, ph, y)})
+    means = {sc: protocol._mean_metrics(scenes, sc) for sc in protocol.SCENARIOS}
+    try:
+        rho = recovery_ratio(means["I"]["psnr_db"], means["II"]["psnr_db"],
+                             means["IV"]["psnr_db"])
+        ci = protocol._rho_ci(scenes, n_resamples, seed)
+    except MetricError:
+        rho, ci = None, None
+    return protocol.ScenarioResult(per_scene=tuple(scenes), means=means, rho=rho, rho_ci=ci,
+                                   theta_hat=tuple(theta_hat), theta_true=theta_true)

@@ -48,20 +48,20 @@ class FlatObjective:
 
 
 def _count_solves(monkeypatch):
-    """List that grows by 1 per lone calibration solve and by K per block of K."""
-    from opgraph import calibration
+    """List that grows by 1 per lone solve and by K per block of K.
+
+    Every solve, lone or in a block, enters through ``reconstruct_block``.
+    """
+    from opgraph import solvers
 
     solved = []
+    real = solvers.reconstruct_block
 
-    def counting(real, block):
-        def run(gs, y, cfg):
-            solved.append(len(gs) if block else 1)
-            return real(gs, y, cfg)
-        return run
+    def counting(gs, ys, cfg):
+        solved.append(len(gs))
+        return real(gs, ys, cfg)
 
-    monkeypatch.setattr(calibration, "reconstruct", counting(calibration.reconstruct, False))
-    monkeypatch.setattr(calibration, "reconstruct_block",
-                        counting(calibration.reconstruct_block, True))
+    monkeypatch.setattr(solvers, "reconstruct_block", counting)
     return solved
 
 
@@ -190,16 +190,17 @@ class TestObjective:
         assert obj.evals == 1
 
     def test_repeated_theta_solves_once(self, ct_setup, monkeypatch):
-        from opgraph import calibration
+        from opgraph import solvers
 
         t, ph, y = ct_setup
-        real, solves = calibration.reconstruct, []
+        real, solves = solvers.reconstruct, []
 
+        # a lone solve goes through solvers.reconstruct
         def counting(*args):
             solves.append(args)
             return real(*args)
 
-        monkeypatch.setattr(calibration, "reconstruct", counting)
+        monkeypatch.setattr(solvers, "reconstruct", counting)
         obj = _Objective(t, y, CalibConfig(), ph.data)
         first = obj((1.5,))
         assert obj((1.5,)) == first
@@ -214,16 +215,17 @@ class TestObjective:
         import gc
         import weakref
 
-        from opgraph import calibration
+        from opgraph import solvers
 
         t, ph, y = ct_setup
-        real, solves = calibration.reconstruct, []
+        real, solves = solvers.reconstruct, []
 
+        # a lone solve goes through solvers.reconstruct
         def counting(*args):
             solves.append(args)
             return real(*args)
 
-        monkeypatch.setattr(calibration, "reconstruct", counting)
+        monkeypatch.setattr(solvers, "reconstruct", counting)
         obj = _Objective(t, y, CalibConfig(objective=objective), ph.data)
         score, r = obj.residual((2.5,))
         assert obj((2.5,)) == score
@@ -250,7 +252,6 @@ class TestObjective:
         ph = make_phantoms(t, 1, seed=3)[0]
         y = t.operator((0.5, 0.3, 0.1, 2.02, 0.15)).forward(ph.data)
         obj = _Objective(t, y, CalibConfig(), ph.data)
-        assert obj.block == 8
         compiled, solved = [], _count_solves(monkeypatch)
         operator = type(t).operator
 
@@ -262,6 +263,7 @@ class TestObjective:
         # centred at the range edge, so clipping repeats points of the 5 x 5 grid
         beam_search(obj, t.family, (0, 1), (5, 5), (1.0, 1.0), 3)
         assert (obj.evals, obj.distinct_evals) == (25, 9)
+        # 9 distinct points: a block of 8 size-16 cassi cubes, then a lone solve
         assert solved == [8, 1]
         assert len(compiled) == len(set(compiled)) == 9
         # a second grid solves only its new points
@@ -340,7 +342,7 @@ class TestCalibrateAlg1:
 
     @pytest.mark.parametrize("objective", ["oracle_psnr", "measurement_residual"])
     def test_block_solves_match_solo_solves(self, objective, monkeypatch):
-        from opgraph import calibration
+        from opgraph import solvers
 
         t = instantiate("cassi", 8)
         ph = make_phantoms(t, 1, seed=3)[0]
@@ -348,7 +350,7 @@ class TestCalibrateAlg1:
         cfg = CalibConfig(objective=objective, cd_rounds=1)
         blocked = calibrate_alg1(t, y, cfg, x_gt=ph.data)
         # one element per block: every candidate is solved alone
-        monkeypatch.setattr(calibration, "_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(solvers, "_BLOCK_ELEMENTS", 1)
         solo = calibrate_alg1(t, y, cfg, x_gt=ph.data)
         assert json.dumps(blocked.as_dict()) == json.dumps(solo.as_dict())
 

@@ -124,6 +124,13 @@ class TestScenario:
         assert "rho" in stdout
         assert "binding_gate" in stdout
 
+    def test_bad_resamples_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        # the flags end with "--resamples", "50"
+        assert main(self._FLAGS[:-1] + ["-1", "--out", str(out)]) == 2
+        assert "BAD_CONFIG" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verify_separates_long_file_names(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(self._FLAGS + ["--out", str(out)]) == 0

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from reference_models import run_scenarios_reference
 
 from opgraph.calibration import CalibConfig
 from opgraph.protocol import ProtocolError, ScenarioResult, run_scenarios
@@ -87,6 +88,18 @@ class TestPlumbing:
         with pytest.raises(ProtocolError, match="BAD_CALIB"):
             run_scenarios(ct_template, (3.0,), calib="alg3", n_scenes=1)
 
+    @pytest.mark.parametrize("n_resamples", [0, -1])
+    def test_bad_resamples_rejected_before_any_solve(self, ct_template, monkeypatch,
+                                                     n_resamples):
+        from opgraph import solvers
+
+        def no_solve(*args):
+            raise AssertionError("solved before the resample count was checked")
+
+        monkeypatch.setattr(solvers, "reconstruct_block", no_solve)
+        with pytest.raises(ProtocolError, match="BAD_CONFIG"):
+            run_scenarios(ct_template, (3.0,), calib="alg1", n_resamples=n_resamples)
+
     def test_empty_phantoms(self, ct_template):
         with pytest.raises(TemplateError, match="BAD_COUNT"):
             run_scenarios(ct_template, (3.0,), calib="none", n_scenes=0)
@@ -98,15 +111,16 @@ class TestPlumbing:
         assert noisy.means["I"]["psnr_db"] < clean.means["I"]["psnr_db"]
 
     def test_calib_none_reuses_nominal_solve(self, ct_template, monkeypatch):
-        from opgraph import protocol
+        from opgraph import solvers
 
-        real, solves = protocol.reconstruct, []
+        real, solves = solvers.reconstruct_block, []
 
-        def counting(*args):
-            solves.append(args)
-            return real(*args)
+        # every solve, lone or in a block, enters through reconstruct_block
+        def counting(gs, ys, cfg):
+            solves.extend(zip(gs, ys))
+            return real(gs, ys, cfg)
 
-        monkeypatch.setattr(protocol, "reconstruct", counting)
+        monkeypatch.setattr(solvers, "reconstruct_block", counting)
         r = run_scenarios(ct_template, (3.0,), calib="none", n_scenes=3, seed=4)
         # I and II per scene; IV is II's solve, since theta_hat is theta_nom
         assert len(solves) == 2 * 3
@@ -119,6 +133,18 @@ class TestPlumbing:
         r = run_scenarios(ct_template, (3.0,), calib="alg1", n_scenes=1, seed=4)
         lo, hi = r.rho_ci
         assert lo == pytest.approx(hi)
+
+
+@pytest.mark.parametrize("modality, theta, calib", [
+    ("spc", (0.012,), "alg1"),      # FISTA-TV
+    ("cacti", (1.0, -0.5), "none"),  # GAP-TV
+    ("ct", (3.0,), "alg1"),         # FBP
+])
+def test_run_scenarios_matches_reference(modality, theta, calib):
+    t = instantiate(modality, 16)
+    kwargs = {"calib": calib, "n_scenes": 2, "seed": 4}
+    assert run_scenarios(t, theta, **kwargs).as_dict() == \
+        run_scenarios_reference(t, theta, **kwargs).as_dict()
 
 
 class TestOverriddenTemplate:

@@ -410,10 +410,9 @@ def test_fbp_cached_sinogram_is_read_only():
         filtered[0, 0] = 1.0
 
 
-def _block_matches_solos(t, thetas, y, cfg):
-    gs = [t.operator(theta) for theta in thetas]
-    block = reconstruct_block(gs, y, cfg)
-    for g, res in zip(gs, block):
+def _block_matches_solos(gs, ys, cfg):
+    block = reconstruct_block(gs, ys, cfg)
+    for g, y, res in zip(gs, ys, block):
         solo = reconstruct(g, y, cfg)
         assert res.x_hat.numpy().tobytes() == solo.x_hat.numpy().tobytes()
         assert np.array(res.objective_trace).tobytes() == np.array(solo.objective_trace).tobytes()
@@ -421,13 +420,21 @@ def _block_matches_solos(t, thetas, y, cfg):
         assert res.residual == solo.residual
 
 
+def _shared_and_distinct_measurements(t, gs):
+    """One measurement for every operator, and one per operator (each its own scene)."""
+    phantoms = make_phantoms(t, len(gs), seed=3)
+    g_true = gs[0]
+    shared = [g_true.forward(phantoms[0].data)] * len(gs)
+    distinct = [g_true.forward(ph.data) for ph in phantoms]
+    return shared, distinct
+
+
 def test_fista_block_matches_solo_solves_when_some_candidates_restart(monkeypatch):
     from opgraph import solvers
 
     t = instantiate("cassi", 8)
-    ph = make_phantoms(t, 1, seed=3)[0]
     thetas = [(0.5, 0.3, 0.1, 2.02, 0.15), (0.0, 0.0, 0.0, 2.0, 0.0), (-1.0, 1.0, 0.3, 1.9, 0.1)]
-    y = t.operator(thetas[0]).forward(ph.data)
+    gs = [t.operator(theta) for theta in thetas]
     pinned = pin_step(t.operator(), t.solver, seed=0)
     # a step past 1/L overshoots, so candidates restart on different iterations
     cfg = dict(pinned, iters=20, step=1.9 * pinned["step"])
@@ -438,28 +445,37 @@ def test_fista_block_matches_solo_solves_when_some_candidates_restart(monkeypatc
         return real(stack, lam)
 
     monkeypatch.setattr(solvers, "_prox", recording)
-    reconstruct_block([t.operator(theta) for theta in thetas], y, cfg)
-    assert any(0 < n < len(thetas) for n in sizes)
-    _block_matches_solos(t, thetas, y, cfg)
+    for ys in _shared_and_distinct_measurements(t, gs):
+        sizes.clear()
+        reconstruct_block(gs, ys, cfg)
+        assert any(0 < n < len(thetas) for n in sizes)
+        _block_matches_solos(gs, ys, cfg)
 
 
 def test_gap_block_matches_solo_solves():
     t = instantiate("cacti", 8)
-    ph = make_phantoms(t, 1, seed=3)[0]
-    thetas = [(1.0, -0.5), (0.0, 0.0), (-1.0, 1.0), (0.5, 0.5)]
-    y = t.operator(thetas[0]).forward(ph.data)
-    _block_matches_solos(t, thetas, y, pin_step(t.operator(), t.calib_solver, seed=0))
+    gs = [t.operator(theta) for theta in [(1.0, -0.5), (0.0, 0.0), (-1.0, 1.0), (0.5, 0.5)]]
+    cfg = pin_step(t.operator(), t.calib_solver, seed=0)
+    for ys in _shared_and_distinct_measurements(t, gs):
+        _block_matches_solos(gs, ys, cfg)
 
 
 def test_reconstruct_block_validation():
     g = _identity_graph(8)
     y = Tensor(np.zeros((8, 8)))
-    assert reconstruct_block([], y, {"name": "fista_tv"}) == []
+    assert reconstruct_block([], [], {"name": "fista_tv"}) == []
     with pytest.raises(SolverError, match="BAD_CONFIG"):
-        reconstruct_block([g, g], y, {"name": "fista_tv", "iters": 5})
+        reconstruct_block([g, g], [y, y], {"name": "fista_tv", "iters": 5})
     with pytest.raises(SolverError, match="BAD_SHAPE"):
-        reconstruct_block([g, _identity_graph(4)], y, {"name": "gap_tv", "step": 1.0})
-    adj = reconstruct_block([g, g], y, {"name": "adjoint"})
+        reconstruct_block([g, _identity_graph(4)], [y, y], {"name": "gap_tv", "step": 1.0})
+    # one measurement of the wrong shape fails the block
+    with pytest.raises(SolverError, match="BAD_SHAPE"):
+        reconstruct_block([g, g], [y, Tensor(np.zeros((4, 4)))],
+                          {"name": "fista_tv", "step": 1.0})
+    for ys in ([y], [y, y, y], []):
+        with pytest.raises(SolverError, match="BAD_BLOCK"):
+            reconstruct_block([g, g], ys, {"name": "fista_tv", "step": 1.0})
+    adj = reconstruct_block([g, g], [y, y], {"name": "adjoint"})
     assert [r.x_hat for r in adj] == [reconstruct(g, y, {"name": "adjoint"}).x_hat] * 2
 
 

@@ -229,12 +229,13 @@ def test_diagnose_matches_reference(modality, theta, kwargs):
 
 def test_diagnose_solves_each_distinct_problem_once(monkeypatch):
     solved, measured, materialized = [], [], []
-    reconstruct, power_iteration = triad.reconstruct, solvers.power_iteration
+    reconstruct_block, power_iteration = solvers.reconstruct_block, solvers.power_iteration
     materialize_dense = triad.materialize
 
-    def counting_reconstruct(g, y, cfg):
-        solved.append((id(g), y.numpy().tobytes()))
-        return reconstruct(g, y, cfg)
+    # every solve, lone or in a block, enters through reconstruct_block
+    def counting_reconstruct_block(gs, ys, cfg):
+        solved.extend((id(g), y.numpy().tobytes()) for g, y in zip(gs, ys))
+        return reconstruct_block(gs, ys, cfg)
 
     def counting_power_iteration(g, *args, **kwargs):
         measured.append(id(g))
@@ -244,7 +245,7 @@ def test_diagnose_solves_each_distinct_problem_once(monkeypatch):
         materialized.append(id(g))
         return materialize_dense(g)
 
-    monkeypatch.setattr(triad, "reconstruct", counting_reconstruct)
+    monkeypatch.setattr(solvers, "reconstruct_block", counting_reconstruct_block)
     monkeypatch.setattr(solvers, "power_iteration", counting_power_iteration)
     monkeypatch.setattr(triad, "materialize", counting_materialize)
     t = instantiate("spc", 8)

@@ -84,6 +84,10 @@ CLI_CASES = (
     ("scenario", ["--modality", "cassi", "--size", "17", "--theta-true",
                   "0.5", "0.3", "0.1", "2.02", "0.15", "--calib", "none"],
      ("scenario_result.json", "triad_report.json")),
+    # GAP-TV past 4096 input elements: every scenario and diagnose solve runs alone
+    ("scenario", ["--modality", "cacti", "--size", "33", "--theta-true", "1.0", "-0.5",
+                  "--calib", "none", "--scenes", "2"],
+     ("scenario_result.json", "triad_report.json")),
     ("calibrate", ["--modality", "spc", "--size", "16", "--theta-true", "0.012",
                    "--calib", "alg1"],
      ("calib_result.json",)),
@@ -112,6 +116,10 @@ CLI_CASES = (
     # probe is scene 0 of the one draw of the scenes
     ("diagnose", ["--modality", "mri", "--size", "16", "--seed", "4", "--theta-true", "0.05",
                   "--noisy"],
+     ("triad_report.json",)),
+    # 4096 input elements: diagnose's solves run in blocks of 2
+    ("diagnose", ["--modality", "lensless", "--size", "64", "--theta-true", "1.0",
+                  "--scenes", "2"],
      ("triad_report.json",)),
 )
 
