@@ -6,12 +6,13 @@ topological order plus shape/dtype propagation), contraction (below), and
 adjoint planning (reverse order, only when every node is linear).  Execution
 feeds the graph input to every source node; a node with several incoming edges
 receives the elementwise sum of its predecessors, and the plumbing id ``add``
-names an explicit no-op join for readability.  ``forward`` and ``adjoint`` validate the :class:`Tensor`
-they are given and the one they return; nodes hand plain ndarrays to each
-other.  Compile owns the shape rules: stage 3 applies each node's
-:func:`~opgraph.primitives.prim_output_shape`, and since ``forward`` and
-``adjoint`` check the boundary shape, every node then receives the shape
-planned for it and the kernels do not check shapes again.
+names an explicit no-op join for readability.  ``forward_array`` and
+``adjoint_array`` run the nodes on plain ndarrays, which the solvers' loops
+call; ``forward`` and ``adjoint`` wrap them for a validated :class:`Tensor` in
+and out.  Compile owns the shape rules: stage 3 applies each node's
+:func:`~opgraph.primitives.prim_output_shape`, and since the array runners
+check the boundary shape, every node then receives the shape planned for it
+and the kernels do not check shapes again.
 
 Contraction applies to one node pair: a pattern-stack ``Modulate`` whose only
 successor is an ``Accumulate`` that has no other predecessor and sums exactly
@@ -187,6 +188,13 @@ class GraphOperator:
     _contracted: dict = field(repr=False, default_factory=dict)
 
     def forward(self, x: Tensor) -> Tensor:
+        return Tensor(self.forward_array(x.numpy()))
+
+    def adjoint(self, y: Tensor) -> Tensor:
+        return Tensor(self.adjoint_array(y.numpy()))
+
+    def forward_array(self, x: np.ndarray) -> np.ndarray:
+        """``forward`` on a plain array; a pass-through graph returns ``x`` itself."""
         if x.shape != self.input_shape:
             raise GraphError(
                 "SHAPE_MISMATCH", f"input shape {x.shape} != expected {self.input_shape}"
@@ -195,7 +203,7 @@ class GraphOperator:
         for nid in self.plan_forward:
             preds = self._preds[nid]
             if not preds:
-                inp = x.numpy()
+                inp = x
             else:
                 inp = vals[preds[0]]
                 for p in preds[1:]:
@@ -210,9 +218,10 @@ class GraphOperator:
                     vals[nid] = prim_forward(prim, inp)
                 except PrimitiveError as exc:
                     raise GraphError("BAD_PARAM", f"node '{nid}': {exc}") from exc
-        return Tensor(vals[self.plan_forward[-1]])
+        return vals[self.plan_forward[-1]]
 
-    def adjoint(self, y: Tensor) -> Tensor:
+    def adjoint_array(self, y: np.ndarray) -> np.ndarray:
+        """``adjoint`` on a plain array; a pass-through graph returns ``y`` itself."""
         if self.plan_adjoint is None:
             raise GraphError(
                 "NONLINEAR_ADJOINT", "graph contains nonlinear nodes; no adjoint plan"
@@ -221,7 +230,7 @@ class GraphOperator:
             raise GraphError(
                 "SHAPE_MISMATCH", f"adjoint input shape {y.shape} != expected {self.output_shape}"
             )
-        cot: dict[str, np.ndarray] = {self.plan_adjoint[0]: y.numpy()}
+        cot: dict[str, np.ndarray] = {self.plan_adjoint[0]: y}
         xhat: np.ndarray | None = None
         for nid in self.plan_adjoint:
             g = cot.pop(nid)
@@ -240,7 +249,7 @@ class GraphOperator:
             else:
                 for p in preds:
                     cot[p] = cot[p] + z if p in cot else z
-        return Tensor(xhat)
+        return xhat
 
 
 def _validate_structure(spec: GraphSpec):

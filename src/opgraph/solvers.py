@@ -18,6 +18,11 @@ iterate) is taken per problem, so each result is byte for byte its solo
 solve.  ``solve_blocks`` is the one rule that cuts a list of problems into
 blocks; calibration, the protocol and ``diagnose`` all call it.
 
+A :class:`Tensor` is built only where data enters a solve (``y``) and where
+its result leaves (``x_hat``); iterations, power iteration and the residual
+run the graph's array methods, and since a pass-through graph hands its
+input back, no solver writes into an array it passed to the operator.
+
 A result's ``residual`` costs one operator forward, so it is computed on first
 read and kept; a caller that scores only ``x_hat`` never pays for it.  FBP
 ramp-filters each distinct measurement once: calibration solves one ``y``
@@ -61,7 +66,7 @@ class ReconResult:
     def residual_vector(self) -> np.ndarray:
         """A x_hat - y; one operator forward per call."""
         g, y = self._problem
-        return g.forward(self.x_hat).numpy() - y
+        return g.forward_array(self.x_hat.numpy()) - y
 
     @cached_property
     def residual(self) -> float:
@@ -193,7 +198,7 @@ def _require_adjoint(g: GraphOperator) -> None:
 
 
 def _adjoint_primal(g: GraphOperator, y: np.ndarray) -> np.ndarray:
-    out = g.adjoint(Tensor(y)).numpy()
+    out = g.adjoint_array(y)
     return out.real if _primal_is_real(g) and np.iscomplexobj(out) else out
 
 
@@ -209,7 +214,7 @@ def power_iteration(g: GraphOperator, n_iters: int = 50, seed: int = 0) -> float
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(n_iters):
-        w = g.forward(Tensor(v)).numpy()
+        w = g.forward_array(v)
         u = _adjoint_primal(g, w)
         nrm = np.linalg.norm(u)
         if nrm == 0.0:
@@ -246,14 +251,14 @@ def _gradient_step(gs, z: np.ndarray, ys, step: float) -> np.ndarray:
     """z_k - step * A_k^T (A_k z_k - y_k) for each problem (A_k, y_k) of the block."""
     out = np.empty_like(z)
     for g, zk, y, ok in zip(gs, z, ys, out):
-        r = g.forward(Tensor(zk)).numpy() - y
+        r = g.forward_array(zk) - y
         np.subtract(zk, step * _adjoint_primal(g, r), out=ok)
     return out
 
 
 def _fista_tv(gs, ys, iters: int, lam_tv: float, step: float):
     def objective(g, x, y):
-        r = g.forward(Tensor(x)).numpy() - y
+        r = g.forward_array(x) - y
         return 0.5 * float(np.vdot(r, r).real) + lam_tv * tv_norm(x)
 
     n = len(gs)
@@ -296,7 +301,7 @@ def _gap_tv(gs, ys, iters: int, lam_tv: float, step: float):
         x = np.empty_like(v)
         residuals = []
         for g, vk, y, xk in zip(gs, v, ys, x):
-            r = y - g.forward(Tensor(vk)).numpy()
+            r = y - g.forward_array(vk)
             np.add(vk, step * _adjoint_primal(g, r), out=xk)
             residuals.append(r)
         v = _prox(x, lam_tv)

@@ -3,11 +3,11 @@
 :class:`Tensor` is the boundary type: an immutable, row-major, C-contiguous
 array that is either ``real64`` or ``complex128`` and never holds NaN or Inf.
 It is built where data enters or leaves the program's API (user and file input,
-graph forward/adjoint entry and result, solver results, certificate probes);
-the nodes of a graph hand plain ndarrays to each other.  Randomness flows
-through :class:`Rng`, a thin wrapper over the Philox 4x64 counter-based bit
-generator, so a ``(seed, stream)`` pair reproduces the same draw sequence on
-every platform.
+measurements, ``GraphOperator.forward``/``adjoint`` results, solver results,
+certificate probes); the nodes of a graph and the solvers' iterations hand
+plain ndarrays to each other.  Randomness flows through :class:`Rng`, a thin
+wrapper over the Philox 4x64 counter-based bit generator, so a ``(seed,
+stream)`` pair reproduces the same draw sequence on every platform.
 """
 
 from __future__ import annotations

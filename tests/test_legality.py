@@ -2,8 +2,11 @@
 
 Each run calls ``cli.main`` in process and must exit 0 with the result files
 the README documents for its command.  Sizes 11 and 17 give the TV prox odd
-strides; size 8 is below the SSIM window.
+strides; size 8 is below the SSIM window, so a scenario reports every ``ssim``
+as null there and as a number at 11 and 17.
 """
+
+import json
 
 import pytest
 
@@ -46,3 +49,12 @@ def test_legal_run_exits_zero_with_result_files(tmp_path, capsys, modality, size
     for name in (*files, "runbundle.json"):
         assert (out / name).is_file(), name
     assert main(["verify", str(out)]) == 0
+    if command == "scenario":
+        result = json.loads((out / "scenario_result.json").read_text())
+        ssims = [m["ssim"] for scenes in (result["means"], *result["per_scene"])
+                 for m in scenes.values()]
+        assert len(ssims) == 8
+        if size < 11:
+            assert ssims == [None] * 8
+        else:
+            assert all(isinstance(v, float) for v in ssims), ssims

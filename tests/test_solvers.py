@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from reference_models import fbp_reference, tv_prox_reference
 
-from opgraph.graph import GraphOperator, compile_graph, make_spec
+from opgraph.graph import GraphError, GraphOperator, compile_graph, make_spec
 from opgraph.solvers import (
     ReconResult,
     SolverError,
@@ -18,7 +18,7 @@ from opgraph.solvers import (
     tv_prox,
 )
 from opgraph.templates import instantiate, make_phantoms
-from opgraph.tensor import Rng, Tensor
+from opgraph.tensor import Rng, Tensor, TensorError
 
 
 def _psnr(a, b):
@@ -357,13 +357,13 @@ def test_fbp_residual_forward_runs_on_first_read_only(monkeypatch):
     g = t.operator()
     y = g.forward(make_phantoms(t, 1, seed=0)[0].data)
     calls = []
-    forward = GraphOperator.forward
+    forward = GraphOperator.forward_array
 
     def counted(self, x):
         calls.append(1)
         return forward(self, x)
 
-    monkeypatch.setattr(GraphOperator, "forward", counted)
+    monkeypatch.setattr(GraphOperator, "forward_array", counted)
     res = reconstruct(g, y, {"name": "fbp"})
     assert len(calls) == 0
     first = res.residual
@@ -477,6 +477,60 @@ def test_reconstruct_block_validation():
             reconstruct_block([g, g], ys, {"name": "fista_tv", "step": 1.0})
     adj = reconstruct_block([g, g], [y, y], {"name": "adjoint"})
     assert [r.x_hat for r in adj] == [reconstruct(g, y, {"name": "adjoint"}).x_hat] * 2
+
+
+@pytest.mark.parametrize("modality", ["spc", "mri", "cassi"])
+@pytest.mark.parametrize("name", ["fista_tv", "gap_tv"])
+def test_block_mixing_input_shapes_is_a_shape_mismatch(modality, name):
+    gs = [instantiate(modality, n).operator() for n in (8, 12)]
+    ys = [Tensor(np.zeros(g.output_shape)) for g in gs]
+    with pytest.raises(GraphError) as exc:
+        reconstruct_block(gs, ys, {"name": name, "step": 0.1, "iters": 3})
+    assert exc.value.code == "SHAPE_MISMATCH"
+
+
+# overflow on the way to inf and NaN is the route under test
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("modality", ["cassi", "spc", "mri", "cacti"])
+def test_diverging_step(modality):
+    """A step far past 1/L: GAP-TV fails NON_FINITE (exit 3), FISTA-TV holds at 0."""
+    t = instantiate(modality, 8)
+    g = t.operator()
+    y = g.forward(make_phantoms(t, 1, seed=0)[0].data)
+    cfg = {"step": 1e3, "iters": 200, "lambda_tv": 0.01}
+    with pytest.raises(TensorError) as exc:
+        reconstruct(g, y, dict(cfg, name="gap_tv"))
+    assert exc.value.code == "NON_FINITE"
+    res = reconstruct(g, y, dict(cfg, name="fista_tv"))
+    assert res.x_hat.numpy().tobytes() == np.zeros(g.input_shape).tobytes()
+
+
+def test_pass_through_graph_matches_the_copying_tensor_path(monkeypatch):
+    """An ``add`` graph hands the caller's array back; no solver may write into it."""
+    g = compile_graph(make_spec([{"node_id": "a", "primitive_id": "add"}], [],
+                                metadata={"input_shape": [6, 5]}))
+    a = np.ones((6, 5))
+    assert g.forward_array(a) is a and g.adjoint_array(a) is a
+    ys = [Tensor(Rng(s).standard_normal((6, 5))) for s in range(3)]
+    saved = [y.numpy().tobytes() for y in ys]
+    cfgs = [{"name": name, "step": 0.5, "iters": 30, "lambda_tv": 0.05}
+            for name in ("fista_tv", "gap_tv")] + [{"name": "adjoint"}]
+
+    def run():
+        results = [r for cfg in cfgs for r in reconstruct_block([g] * len(ys), ys, cfg)]
+        return ([r.x_hat.numpy().tobytes() for r in results],
+                [np.array(r.objective_trace).tobytes() for r in results],
+                [r.residual for r in results], power_iteration(g))
+
+    got = run()
+    assert [y.numpy().tobytes() for y in ys] == saved
+    # the Tensor path: a fresh validated copy into and out of every operator call
+    fwd, adj = GraphOperator.forward_array, GraphOperator.adjoint_array
+    monkeypatch.setattr(GraphOperator, "forward_array",
+                        lambda self, x: Tensor(fwd(self, Tensor(x).numpy())).numpy())
+    monkeypatch.setattr(GraphOperator, "adjoint_array",
+                        lambda self, y: Tensor(adj(self, Tensor(y).numpy())).numpy())
+    assert run() == got
 
 
 def test_reconstruct_validation():

@@ -88,6 +88,10 @@ CLI_CASES = (
     ("scenario", ["--modality", "cacti", "--size", "33", "--theta-true", "1.0", "-0.5",
                   "--calib", "none", "--scenes", "2"],
      ("scenario_result.json", "triad_report.json")),
+    # the only case that runs the adjoint-map solver and its real projection
+    ("scenario", ["--modality", "mri", "--size", "16", "--theta-true", "0.05",
+                  "--solver", "adjoint"],
+     ("scenario_result.json", "triad_report.json")),
     ("calibrate", ["--modality", "spc", "--size", "16", "--theta-true", "0.012",
                    "--calib", "alg1"],
      ("calib_result.json",)),
