@@ -6,9 +6,9 @@ Both commits are exported with ``git archive`` into a scratch directory, so
 each runs ``perfbench/run.py`` from its own committed files.  The protocol is
 fixed: ten pairs per workload at seeds 11-20 and 5 s per run; pair ``i`` runs
 every workload at seed ``11 + i`` on both commits, even pairs base first and
-odd pairs head first.  The output records the core count,
-each end-to-end metric's per-run values with their median and quartiles,
-how many pairs the head won, the ``breakdown`` figures with whether
+odd pairs head first.  The output records the core count, each end-to-end
+metric's per-run values with their median and quartiles, how many pairs the
+head won, the rounds each run fitted, the ``breakdown`` figures with whether
 ``calib_evals`` and the PSNRs are equal pair by pair (``breakdown_equal_6sig``:
 perfbench prints them to 6 significant digits, so this reads true under
 rounding drift and cannot show byte identity), the median of three traced runs
@@ -164,7 +164,9 @@ def perfbench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
         if "=" in item:
             name, value = item.split("=", 1)
             figures[name] = float(value)
+    header = next(ln for ln in lines if ln.startswith("workload ")).split()
     return {
+        "rounds": int(header[header.index("rounds") + 1]),
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
@@ -198,6 +200,8 @@ def summarize(runs) -> dict:
         }
     out["all_correct"] = all(r[s]["correct"] for r in runs for s in ("base", "head"))
     out["failed_ops"] = {s: sum(r[s]["failed"] for r in runs) for s in ("base", "head")}
+    # perfbench keeps every round's output, so peak_rss_mb grows with the rounds a run fits
+    out["rounds"] = {s: [r[s]["rounds"] for r in runs] for s in ("base", "head")}
     out["breakdown_equal_6sig"] = all(
         r["base"]["breakdown"].get(k) == r["head"]["breakdown"].get(k)
         for r in runs for k in REPEATABLE
