@@ -218,7 +218,8 @@ class GraphOperator:
                     vals[nid] = prim_forward(prim, inp)
                 except PrimitiveError as exc:
                     raise GraphError("BAD_PARAM", f"node '{nid}': {exc}") from exc
-        return vals[self.plan_forward[-1]]
+        # C order as in a Tensor: BLAS sums a strided view (Convolve's .real) in another order
+        return np.asarray(vals[self.plan_forward[-1]], order="C")
 
     def adjoint_array(self, y: np.ndarray) -> np.ndarray:
         """``adjoint`` on a plain array; a pass-through graph returns ``y`` itself."""
@@ -249,7 +250,7 @@ class GraphOperator:
             else:
                 for p in preds:
                     cot[p] = cot[p] + z if p in cot else z
-        return xhat
+        return np.asarray(xhat, order="C")
 
 
 def _validate_structure(spec: GraphSpec):

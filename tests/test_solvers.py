@@ -505,26 +505,41 @@ def test_diverging_step(modality):
     assert res.x_hat.numpy().tobytes() == np.zeros(g.input_shape).tobytes()
 
 
-def test_pass_through_graph_matches_the_copying_tensor_path(monkeypatch):
-    """An ``add`` graph hands the caller's array back; no solver may write into it."""
-    g = compile_graph(make_spec([{"node_id": "a", "primitive_id": "add"}], [],
-                                metadata={"input_shape": [6, 5]}))
-    a = np.ones((6, 5))
-    assert g.forward_array(a) is a and g.adjoint_array(a) is a
-    ys = [Tensor(Rng(s).standard_normal((6, 5))) for s in range(3)]
+def _problems_with_distinct_measurements(modality):
+    """An operator and three measurements; None is an ``add`` graph, which hands
+    its input array back."""
+    if modality is None:
+        g = compile_graph(make_spec([{"node_id": "a", "primitive_id": "add"}], [],
+                                    metadata={"input_shape": [6, 5]}))
+        a = np.ones((6, 5))
+        assert g.forward_array(a) is a and g.adjoint_array(a) is a
+        return g, [Tensor(Rng(s).standard_normal((6, 5))) for s in range(3)], 0.5
+    t = instantiate(modality, 11)
+    g = t.operator()
+    ys = [g.forward(ph.data) for ph in make_phantoms(t, 3, seed=1)]
+    return g, ys, pin_step(g, {"name": "fista_tv"}, seed=0)["step"]
+
+
+@pytest.mark.parametrize("modality", [None, "cassi", "cacti", "spc", "ct", "mri", "lensless"])
+def test_array_runners_match_the_copying_tensor_path(monkeypatch, modality):
+    """Solves on plain arrays give the bytes of a validated copy at every operator call.
+
+    No solver may write into an array an ``add`` graph hands back, and a strided
+    result (lensless's Convolve) must reach BLAS in C order.
+    """
+    g, ys, step = _problems_with_distinct_measurements(modality)
     saved = [y.numpy().tobytes() for y in ys]
-    cfgs = [{"name": name, "step": 0.5, "iters": 30, "lambda_tv": 0.05}
+    cfgs = [{"name": name, "step": step, "iters": 10, "lambda_tv": 0.05}
             for name in ("fista_tv", "gap_tv")] + [{"name": "adjoint"}]
 
     def run():
         results = [r for cfg in cfgs for r in reconstruct_block([g] * len(ys), ys, cfg)]
         return ([r.x_hat.numpy().tobytes() for r in results],
                 [np.array(r.objective_trace).tobytes() for r in results],
-                [r.residual for r in results], power_iteration(g))
+                [r.residual for r in results], power_iteration(g).hex())
 
     got = run()
     assert [y.numpy().tobytes() for y in ys] == saved
-    # the Tensor path: a fresh validated copy into and out of every operator call
     fwd, adj = GraphOperator.forward_array, GraphOperator.adjoint_array
     monkeypatch.setattr(GraphOperator, "forward_array",
                         lambda self, x: Tensor(fwd(self, Tensor(x).numpy())).numpy())
