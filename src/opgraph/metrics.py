@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import convolve2d
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import CodedError, Rng, Tensor
 
@@ -60,17 +60,22 @@ def _gauss_window() -> np.ndarray:
     return w / w.sum()
 
 
+def _filter_valid(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """2-D convolution of ``a`` with ``w`` over the positions where ``w`` fits."""
+    return np.tensordot(sliding_window_view(a, w.shape), w[::-1, ::-1], axes=2)
+
+
 def _ssim_2d(a: np.ndarray, b: np.ndarray, peak: float) -> float:
     if min(a.shape) < _SSIM_WINDOW:
         raise MetricError(
             "TOO_SMALL", f"image {a.shape} smaller than the {_SSIM_WINDOW}-pixel window"
         )
     w = _gauss_window()
-    mu_a = convolve2d(a, w, mode="valid")
-    mu_b = convolve2d(b, w, mode="valid")
-    var_a = convolve2d(a * a, w, mode="valid") - mu_a**2
-    var_b = convolve2d(b * b, w, mode="valid") - mu_b**2
-    cov = convolve2d(a * b, w, mode="valid") - mu_a * mu_b
+    mu_a = _filter_valid(a, w)
+    mu_b = _filter_valid(b, w)
+    var_a = _filter_valid(a * a, w) - mu_a**2
+    var_b = _filter_valid(b * b, w) - mu_b**2
+    cov = _filter_valid(a * b, w) - mu_a * mu_b
     c1 = (_SSIM_K1 * peak) ** 2
     c2 = (_SSIM_K2 * peak) ** 2
     num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)

@@ -30,7 +30,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit
 
 from .tensor import Rng, Tensor, TensorError, dot
 
@@ -414,6 +413,12 @@ def _failed_check(x, message):
     return PrimitiveError(message)
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x); e^-x overflows to inf below about -709, giving an exact 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def detect_apply(p: dict, x: np.ndarray) -> np.ndarray:
     fam, g = p["family"], p["g"]
     if fam == "linear_field":
@@ -426,7 +431,7 @@ def detect_apply(p: dict, x: np.ndarray) -> np.ndarray:
         return g * np.log(x + off)
     if fam == "sigmoid":
         _require_real(x, "Detect.sigmoid")
-        return g * expit(x / p.get("p2", 1.0))
+        return g * _logistic(x / p.get("p2", 1.0))
     if fam == "intensity_square":
         return g * np.abs(x) ** 2
     if fam == "coherent_field":

@@ -11,12 +11,23 @@ problem is an operator and its own measurement: calibration poses one ``y``
 under many candidate operators, the scenario protocol each scene's ``y``
 under the true, nominal and calibrated operators, and ``diagnose`` many
 measurements under one operator.  Forwards, adjoints and objectives stay per
-problem, but the block runs one TV prox over its stacked iterates per step,
-so the prox's numpy call overhead, which dominates at a few thousand
-elements, is paid once per block.  Every decision (restart, hold, best
-iterate) is taken per problem, so each result is byte for byte its solo
-solve.  ``solve_blocks`` is the one rule that cuts a list of problems into
-blocks; calibration, the protocol and ``diagnose`` all call it.
+problem, but the block runs one TV prox over its stacked iterates per step
+and takes their TV norms in one stacked pass, so the numpy call overhead,
+which dominates at a few thousand elements, is paid once per block.  Every
+decision (restart, hold, best iterate) is taken per problem, so each result
+is byte for byte its solo solve.  ``solve_blocks`` is the one rule that
+cuts a list of problems into blocks; calibration, the protocol and
+``diagnose`` all call it.
+
+FISTA-TV makes one forward per problem per iteration.  The objective of the
+candidate c computes A c and keeps it; the operator is linear, so the next
+momentum point z = c + beta (c - x) has A z = A c + beta (A c - A x), formed
+from forwards already held.  A restart takes its plain step from the kept
+A x, and a held position keeps it, so a solve makes ``iters + 1`` forwards
+plus one per restart.  Every A z is made from forwards, never from the last
+A z, so rounding cannot build up over iterations.  GAP-TV's prox makes the
+next iterate nonlinear in the last one, so it keeps its forward per
+iteration; it fails ``NON_FINITE`` at the first non-finite residual.
 
 A :class:`Tensor` is built only where data enters a solve (``y``) and where
 its result leaves (``x_hat``); iterations, power iteration and the residual
@@ -41,7 +52,7 @@ import numpy as np
 
 from .graph import GraphOperator
 from .primitives import PrimitiveKind, prim_adjoint
-from .tensor import CodedError, Rng, Tensor
+from .tensor import CodedError, Rng, Tensor, TensorError
 
 _RESIDUAL_EPS = 1e-12
 # spectral-norm safety margin on the power-iteration estimate
@@ -85,9 +96,26 @@ def relative_residual(r: np.ndarray, y: np.ndarray) -> float:
 
 
 def tv_norm(x) -> float:
-    """Anisotropic TV: sum of absolute forward differences along every axis."""
+    """Anisotropic TV: sum of absolute forward differences along every axis.
+
+    The block of one of ``_tv_norms``.
+    """
     a = x.numpy() if isinstance(x, Tensor) else np.asarray(x)
-    return float(sum(np.abs(np.diff(a, axis=d)).sum() for d in range(a.ndim)))
+    return float(_tv_norms(a[None])[0])
+
+
+def _tv_norms(stack: np.ndarray) -> np.ndarray:
+    """``tv_norm`` of each stack[k] of a (K, *shape) stack, one pass per inner axis.
+
+    Each candidate's differences along an axis are one contiguous row of the
+    stacked differences, so its row sum is its solo sum; the axes' sums are
+    added in order from 0.0.
+    """
+    k = len(stack)
+    tv = np.zeros(k)
+    for d in range(1, stack.ndim):
+        tv += np.abs(np.diff(stack, axis=d)).reshape(k, -1).sum(axis=1)
+    return tv
 
 
 def tv_prox(x, lam: float, n_inner: int = 20) -> np.ndarray:
@@ -247,46 +275,54 @@ def pin_step(g: GraphOperator, cfg: dict, seed: int) -> dict:
 # solvers
 
 
-def _gradient_step(gs, z: np.ndarray, ys, step: float) -> np.ndarray:
-    """z_k - step * A_k^T (A_k z_k - y_k) for each problem (A_k, y_k) of the block."""
+def _gradient_step(gs, z: np.ndarray, az, ys, step: float) -> np.ndarray:
+    """z_k - step * A_k^T (A_k z_k - y_k) for each problem (A_k, y_k) of the block,
+    given each A_k z_k."""
     out = np.empty_like(z)
-    for g, zk, y, ok in zip(gs, z, ys, out):
-        r = g.forward_array(zk) - y
-        np.subtract(zk, step * _adjoint_primal(g, r), out=ok)
+    for g, zk, azk, y, ok in zip(gs, z, az, ys, out):
+        np.subtract(zk, step * _adjoint_primal(g, azk - y), out=ok)
     return out
 
 
 def _fista_tv(gs, ys, iters: int, lam_tv: float, step: float):
-    def objective(g, x, y):
-        r = g.forward_array(x) - y
-        return 0.5 * float(np.vdot(r, r).real) + lam_tv * tv_norm(x)
+    def objectives(ks, stack):
+        """A_k c and 0.5 ||A_k c - y_k||^2 + lam_tv TV(c) for each c of the stack,
+        c solved under problem ks[i]."""
+        fwd = [gs[k].forward_array(c) for k, c in zip(ks, stack)]
+        f = []
+        for k, ac, tv in zip(ks, fwd, _tv_norms(stack)):
+            r = ac - ys[k]
+            f.append(0.5 * float(np.vdot(r, r).real) + lam_tv * float(tv))
+        return fwd, f
 
     n = len(gs)
     lam = step * lam_tv
     x = np.zeros((n,) + gs[0].input_shape)
-    z = x
+    ax, f_x = objectives(range(n), x)
+    z, az = x, ax
     t = [1.0] * n
-    f_x = [objective(g, xk, y) for g, xk, y in zip(gs, x, ys)]
     best_x, best_f = list(x), list(f_x)
     traces = [[f] for f in f_x]
     for _ in range(iters):
-        cand = _prox(_gradient_step(gs, z, ys, step), lam)
-        f_c = [objective(g, c, y) for g, c, y in zip(gs, cand, ys)]
-        # momentum overshoot: restart these and take a plain proximal step
+        cand = _prox(_gradient_step(gs, z, az, ys, step), lam)
+        ac, f_c = objectives(range(n), cand)
+        # momentum overshoot: restart these and take a plain proximal step from x
         restart = [k for k in range(n) if f_c[k] > f_x[k]]
         if restart:
             retry = _prox(_gradient_step([gs[k] for k in restart], x[restart],
+                                         [ax[k] for k in restart],
                                          [ys[k] for k in restart], step), lam)
-            for k, c in zip(restart, retry):
+            for k, c, a, f in zip(restart, retry, *objectives(restart, retry)):
                 t[k] = 1.0
-                f = objective(gs[k], c, ys[k])
                 if f > f_x[k]:  # inexact prox can refuse; hold position
-                    c, f = x[k], f_x[k]
-                cand[k], f_c[k] = c, f
+                    c, a, f = x[k], ax[k], f_x[k]
+                cand[k], ac[k], f_c[k] = c, a, f
         t_next = [(1.0 + math.sqrt(1.0 + 4.0 * tk * tk)) / 2.0 for tk in t]
         beta = np.array([(tk - 1.0) / tn for tk, tn in zip(t, t_next)])
         z = cand + beta.reshape((n,) + (1,) * (x.ndim - 1)) * (cand - x)
-        x, f_x, t = cand, f_c, t_next
+        # A is linear: A z = A c + beta (A c - A x), from forwards already held
+        az = [a + b * (a - a_x) for a, a_x, b in zip(ac, ax, beta)]
+        x, ax, f_x, t = cand, ac, f_c, t_next
         for k in range(n):
             traces[k].append(f_x[k])
             if f_x[k] < best_f[k]:
@@ -299,14 +335,17 @@ def _gap_tv(gs, ys, iters: int, lam_tv: float, step: float):
     traces = [[] for _ in gs]
     for _ in range(iters):
         x = np.empty_like(v)
-        residuals = []
+        data_terms = []
         for g, vk, y, xk in zip(gs, v, ys, x):
             r = y - g.forward_array(vk)
+            data = 0.5 * float(np.vdot(r, r).real)
+            if not math.isfinite(data):
+                raise TensorError("NON_FINITE", "GAP-TV diverged: the residual is not finite")
             np.add(vk, step * _adjoint_primal(g, r), out=xk)
-            residuals.append(r)
+            data_terms.append(data)
         v = _prox(x, lam_tv)
-        for trace, r, vk in zip(traces, residuals, v):
-            trace.append(0.5 * float(np.vdot(r, r).real) + lam_tv * tv_norm(vk))
+        for trace, data, tv in zip(traces, data_terms, _tv_norms(v)):
+            trace.append(data + lam_tv * float(tv))
     return v, traces
 
 

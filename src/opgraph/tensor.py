@@ -59,7 +59,8 @@ def _coerce(data) -> np.ndarray:
         raise TensorError(
             "BAD_DTYPE", f"unsupported dtype {arr.dtype!r}; expected real or complex numeric"
         )
-    return np.ascontiguousarray(arr)
+    # not ascontiguousarray, which makes a 0-d array 1-d
+    return np.asarray(arr, order="C")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from opgraph.metrics import MetricError, bootstrap_ci, psnr, recovery_ratio, sce
 from opgraph.registry import default_registry
 from opgraph.solvers import pin_step, reconstruct
 from opgraph.templates import apply_noise, make_phantoms
-from opgraph.tensor import Rng
+from opgraph.tensor import Rng, Tensor
 
 
 def _node_params(template, node_id: str) -> dict:
@@ -167,6 +167,46 @@ def tv_prox_reference(a, lam, n_inner=20):
         u = a - lam * sum(_diff_adjoint(p, d, a.shape[d]) for d, p in enumerate(duals))
         duals = [np.clip(p + step * np.diff(u, axis=d), -1.0, 1.0) for d, p in enumerate(duals)]
     return a - lam * sum(_diff_adjoint(p, d, a.shape[d]) for d, p in enumerate(duals))
+
+
+def fista_tv_reference(g, y, iters, lam_tv, step):
+    """FISTA-TV of one problem with two forwards per iteration: one at z for the
+    gradient, one at each candidate for its objective.
+
+    Monotone accept and momentum restart as in ``solvers._fista_tv``, which
+    instead forms A z from the forwards it already holds.  Returns the best
+    iterate and the objective trace.
+    """
+    y = y.numpy()
+
+    def objective(x):
+        r = g.forward(Tensor(x)).numpy() - y
+        return 0.5 * float(np.vdot(r, r).real) + lam_tv * sum(
+            float(np.abs(np.diff(x, axis=d)).sum()) for d in range(x.ndim))
+
+    def proximal_step(z):
+        r = g.forward(Tensor(z)).numpy() - y
+        return tv_prox_reference(z - step * g.adjoint(Tensor(r)).numpy().real, step * lam_tv)
+
+    x = z = np.zeros(g.input_shape)
+    t, f_x = 1.0, objective(x)
+    best_x, best_f, trace = x, f_x, [f_x]
+    for _ in range(iters):
+        c = proximal_step(z)
+        f_c = objective(c)
+        if f_c > f_x:
+            t = 1.0
+            c = proximal_step(x)
+            f_c = objective(c)
+            if f_c > f_x:
+                c, f_c = x, f_x
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        z = c + (t - 1.0) / t_next * (c - x)
+        x, f_x, t = c, f_c, t_next
+        trace.append(f_x)
+        if f_x < best_f:
+            best_x, best_f = x, f_x
+    return best_x, trace
 
 
 def _radon_reference_geometry(p, shape):

@@ -270,3 +270,14 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "graph_hash" in proc.stdout
+
+    def test_import_loads_no_scipy(self):
+        """scipy is a test-only dependency: the package and its CLI never import it."""
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, opgraph, opgraph.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -319,6 +319,23 @@ class TestCompileAndRun:
         assert g.output_dtype == "complex128"
         assert g.output_shape == (2,)
 
+    def test_scalar_output_graph_certifies_and_solves(self):
+        """A full Accumulate gives a 0-d result, which a Tensor holds as shape ()."""
+        from opgraph.solvers import reconstruct
+
+        spec = make_spec(
+            [{"node_id": "acc", "primitive_id": "Accumulate",
+              "params": {"axes": [0, 1], "input_shape": [4, 4]}}],
+            [], {"input_shape": [4, 4]},
+        )
+        g = compile_graph(spec)
+        y = g.forward(tensor(np.arange(16.0).reshape(4, 4)))
+        assert g.output_shape == () and y.shape == ()
+        assert float(y.numpy()) == 120.0
+        assert adjoint_check_graph(g).passed
+        res = reconstruct(g, y, {"name": "adjoint"})
+        assert np.array_equal(res.x_hat.numpy(), np.full((4, 4), 120.0))
+
 
 class TestAdjointCertification:
     @settings(max_examples=25, deadline=None)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from opgraph import metrics
 from opgraph.metrics import (
     MetricError,
     SceneMetrics,
@@ -78,6 +79,20 @@ class TestSsim:
         b = r.child(1).uniform((16, 16, 3))
         per_band = [ssim(a[:, :, k], b[:, :, k]) for k in range(3)]
         assert ssim(a, b) == pytest.approx(np.mean(per_band))
+
+    def test_matches_scipy_convolution_reference(self, monkeypatch):
+        from scipy.signal import convolve2d
+
+        r = Rng(5, 1)
+        pairs = []
+        for shape in [(11, 11), (16, 16), (17, 29), (48, 48), (16, 16, 3)]:
+            a = r.uniform(shape)
+            pairs += [(a, a + 0.1 * r.standard_normal(shape)), (a, r.uniform(shape))]
+        got = [ssim(a, b) for a, b in pairs]
+        monkeypatch.setattr(metrics, "_filter_valid",
+                            lambda a, w: convolve2d(a, w, mode="valid"))
+        want = [ssim(a, b) for a, b in pairs]
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-14
 
     def test_too_small_image(self):
         with pytest.raises(MetricError, match="TOO_SMALL"):

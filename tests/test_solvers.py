@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from reference_models import fbp_reference, tv_prox_reference
+from reference_models import fbp_reference, fista_tv_reference, tv_prox_reference
 
 from opgraph.graph import GraphError, GraphOperator, compile_graph, make_spec
 from opgraph.solvers import (
     ReconResult,
     SolverError,
     _filtered_sinogram,
+    _tv_norms,
     _tv_prox_stack,
     pin_step,
     power_iteration,
@@ -59,6 +60,17 @@ def test_tv_norm_matches_loops():
             if j + 1 < 7:
                 want += abs(a[i, j + 1] - a[i, j])
     assert abs(tv_norm(a) - want) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (6, 7), (5, 1, 3), (16, 16, 8), (48, 48, 12)])
+def test_tv_norms_match_per_candidate_sums_bytes(shape):
+    """One stacked pass gives each candidate's own per-axis sums, added in axis order."""
+    for k in (1, 3, 8):
+        stack = Rng(k).standard_normal((k,) + shape)
+        want = [float(sum(np.abs(np.diff(a, axis=d)).sum() for d in range(a.ndim)))
+                for a in stack]
+        assert _tv_norms(stack).tolist() == want
+        assert [tv_norm(a) for a in stack] == want
 
 
 def test_tv_prox_lambda_zero_is_identity():
@@ -311,6 +323,73 @@ def test_fista_objective_monotone_after_burn_in():
         assert b <= a + 1e-12
 
 
+FISTA_MODALITIES = ["cassi", "spc", "mri", "lensless"]
+
+
+def _full_solve(modality):
+    t = instantiate(modality, 16)
+    g = t.operator()
+    truth = make_phantoms(t, 1, seed=0)[0].data
+    return g, truth, g.forward(truth), pin_step(g, t.solver, seed=0)
+
+
+def _count_forwards_and_prox_candidates(monkeypatch):
+    from opgraph import solvers
+
+    counts = {"forwards": 0, "prox_candidates": 0}
+    fwd, prox = GraphOperator.forward_array, solvers._prox
+
+    def forward(self, x):
+        counts["forwards"] += 1
+        return fwd(self, x)
+
+    def counted_prox(stack, lam):
+        counts["prox_candidates"] += len(stack)
+        return prox(stack, lam)
+
+    monkeypatch.setattr(GraphOperator, "forward_array", forward)
+    monkeypatch.setattr(solvers, "_prox", counted_prox)
+    return counts
+
+
+@pytest.mark.parametrize("modality", FISTA_MODALITIES)
+def test_fista_makes_one_forward_per_iteration(monkeypatch, modality):
+    """iters + 1 forwards per problem, plus one per restart; a restart is the
+    one extra prox candidate of its retry."""
+    g, _, y, cfg = _full_solve(modality)
+    counts = _count_forwards_and_prox_candidates(monkeypatch)
+    reconstruct(g, y, cfg)
+    restarts = counts["prox_candidates"] - cfg["iters"]
+    assert counts["forwards"] == cfg["iters"] + 1 + restarts
+    # the template solves of cassi, spc and lensless never restart; mri's do
+    assert (restarts > 0) == (modality == "mri")
+
+
+def test_fista_block_makes_one_forward_per_problem_and_iteration(monkeypatch):
+    t = instantiate("cassi", 8)
+    thetas = [(0.5, 0.3, 0.1, 2.02, 0.15), (0.0, 0.0, 0.0, 2.0, 0.0), (-1.0, 1.0, 0.3, 1.9, 0.1)]
+    gs = [t.operator(theta) for theta in thetas]
+    pinned = pin_step(t.operator(), t.solver, seed=0)
+    cfg = dict(pinned, iters=20, step=1.9 * pinned["step"])
+    ys = [gs[0].forward(make_phantoms(t, 1, seed=3)[0].data)] * len(gs)
+    counts = _count_forwards_and_prox_candidates(monkeypatch)
+    reconstruct_block(gs, ys, cfg)
+    restarts = counts["prox_candidates"] - len(gs) * cfg["iters"]
+    assert restarts > 0
+    assert counts["forwards"] == len(gs) * (cfg["iters"] + 1) + restarts
+
+
+@pytest.mark.parametrize("modality", FISTA_MODALITIES)
+def test_fista_matches_two_forward_reference(modality):
+    """Forming A z from held forwards moves only rounding: the same iterates as
+    a forward at z in every iteration."""
+    g, truth, y, cfg = _full_solve(modality)
+    res = reconstruct(g, y, cfg)
+    ref_x, ref_trace = fista_tv_reference(g, y, cfg["iters"], cfg["lambda_tv"], cfg["step"])
+    assert abs(_psnr(res.x_hat.numpy(), truth.numpy()) - _psnr(ref_x, truth.numpy())) <= 1e-10
+    np.testing.assert_allclose(res.objective_trace, ref_trace, rtol=1e-12, atol=0.0)
+
+
 def test_mri_complex_measurement_real_reconstruction():
     t = instantiate("mri", 16, 1, seed=0)
     g = t.operator()
@@ -492,15 +571,28 @@ def test_block_mixing_input_shapes_is_a_shape_mismatch(modality, name):
 # overflow on the way to inf and NaN is the route under test
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("modality", ["cassi", "spc", "mri", "cacti"])
-def test_diverging_step(modality):
-    """A step far past 1/L: GAP-TV fails NON_FINITE (exit 3), FISTA-TV holds at 0."""
+def test_diverging_step(monkeypatch, modality):
+    """A step far past 1/L: GAP-TV stops at its first non-finite residual and
+    fails NON_FINITE (exit 3), FISTA-TV holds at 0."""
+    from opgraph import solvers
+
     t = instantiate(modality, 8)
     g = t.operator()
     y = g.forward(make_phantoms(t, 1, seed=0)[0].data)
     cfg = {"step": 1e3, "iters": 200, "lambda_tv": 0.01}
+    prox_steps = []
+    prox = solvers._prox
+
+    def counted_prox(stack, lam):
+        prox_steps.append(len(stack))
+        return prox(stack, lam)
+
+    monkeypatch.setattr(solvers, "_prox", counted_prox)
     with pytest.raises(TensorError) as exc:
         reconstruct(g, y, dict(cfg, name="gap_tv"))
     assert exc.value.code == "NON_FINITE"
+    assert len(prox_steps) < cfg["iters"]
+    monkeypatch.undo()
     res = reconstruct(g, y, dict(cfg, name="fista_tv"))
     assert res.x_hat.numpy().tobytes() == np.zeros(g.input_shape).tobytes()
 

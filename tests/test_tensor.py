@@ -51,6 +51,12 @@ class TestTensor:
         with pytest.raises(TensorError):
             tensor([1.0 + 1j * np.nan])
 
+    def test_zero_dim_keeps_its_shape(self, tmp_path):
+        t = tensor(np.array(2.5))
+        assert t.shape == () and float(t.numpy()) == 2.5
+        save_tensor(t, tmp_path / "s.opt")
+        assert load_tensor(tmp_path / "s.opt") == t
+
     def test_immutable(self):
         t = tensor([1.0, 2.0])
         with pytest.raises(ValueError):

@@ -17,7 +17,8 @@ iterations; one traced run cannot tell a small change from noise), and
 whether a few ``scenario``, ``diagnose`` and ``calibrate`` CLI runs write
 byte-identical result files on both commits, with each run's wall seconds
 (one run each, process start included); only these ``cli_outputs`` show
-byte identity.
+byte identity.  ``fista_forwards`` counts, in process, the operator forwards
+and restarts of one full FISTA-TV solve per modality on each commit.
 Where a case's files differ, each file's largest absolute numeric drift is
 recorded with the field it occurs in, over all fields, over the PSNR fields
 and under each top-level key, with every field that differs otherwise
@@ -257,6 +258,45 @@ def drift(base, head) -> dict:
             "other_differences": [f for v, f in diffs if v is None]}
 
 
+# Counts, in one process, the operator forwards and restarts of one full template
+# FISTA-TV solve per modality (size 16, scene 0, the template's solver at its
+# pinned step).  perfbench's tracer cannot see the array runners the solvers call.
+FORWARD_COUNT = """
+import json
+from opgraph import solvers
+from opgraph.graph import GraphOperator
+from opgraph.templates import instantiate, make_phantoms
+counts = {"forwards": 0, "prox_candidates": 0}
+fwd, prox = GraphOperator.forward_array, solvers._prox
+def forward(self, x):
+    counts["forwards"] += 1
+    return fwd(self, x)
+def counted_prox(stack, lam):
+    counts["prox_candidates"] += len(stack)
+    return prox(stack, lam)
+GraphOperator.forward_array, solvers._prox = forward, counted_prox
+out = {}
+for modality in ("cassi", "spc", "mri", "lensless"):
+    t = instantiate(modality, 16)
+    g = t.operator()
+    y = g.forward(make_phantoms(t, 1, seed=0)[0].data)
+    cfg = solvers.pin_step(g, t.solver, seed=0)
+    counts.update(forwards=0, prox_candidates=0)
+    solvers.reconstruct(g, y, cfg)
+    out[modality] = {"iters": cfg["iters"], "forwards": counts["forwards"],
+                     "restarts": counts["prox_candidates"] - cfg["iters"]}
+print(json.dumps(out))
+"""
+
+
+def fista_forwards(checkout: Path) -> dict:
+    """Forwards and restarts of one full FISTA-TV solve per modality."""
+    proc = subprocess.run([sys.executable, "-c", FORWARD_COUNT], cwd=checkout, check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(checkout / "src")})
+    return json.loads(proc.stdout)
+
+
 def cli_outputs(checkouts: dict, scratch: Path) -> list:
     cases = []
     for i, (command, flags, files) in enumerate(CLI_CASES):
@@ -335,6 +375,8 @@ def main(argv=None) -> int:
                 side: {k: trace_median([run.get(k) for run in side_runs]) for k in TRACED}
                 for side, side_runs in runs.items()
             }
+        report["fista_forwards"] = {side: fista_forwards(checkout)
+                                    for side, checkout in checkouts.items()}
         report["cli_outputs"] = cli_outputs(checkouts, scratch)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
