@@ -60,9 +60,11 @@ def _gauss_window() -> np.ndarray:
     return w / w.sum()
 
 
-def _filter_valid(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """2-D convolution of ``a`` with ``w`` over the positions where ``w`` fits."""
-    return np.tensordot(sliding_window_view(a, w.shape), w[::-1, ::-1], axes=2)
+def _filter_valid(stack: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """2-D convolution of each image of a stack with ``w``, over the positions
+    where ``w`` fits."""
+    windows = sliding_window_view(stack, w.shape, axis=(-2, -1))
+    return np.tensordot(windows, w[::-1, ::-1], axes=2)
 
 
 def _ssim_2d(a: np.ndarray, b: np.ndarray, peak: float) -> float:
@@ -70,12 +72,12 @@ def _ssim_2d(a: np.ndarray, b: np.ndarray, peak: float) -> float:
         raise MetricError(
             "TOO_SMALL", f"image {a.shape} smaller than the {_SSIM_WINDOW}-pixel window"
         )
-    w = _gauss_window()
-    mu_a = _filter_valid(a, w)
-    mu_b = _filter_valid(b, w)
-    var_a = _filter_valid(a * a, w) - mu_a**2
-    var_b = _filter_valid(b * b, w) - mu_b**2
-    cov = _filter_valid(a * b, w) - mu_a * mu_b
+    mu_a, mu_b, e_aa, e_bb, e_ab = _filter_valid(
+        np.stack([a, b, a * a, b * b, a * b]), _gauss_window()
+    )
+    var_a = e_aa - mu_a**2
+    var_b = e_bb - mu_b**2
+    cov = e_ab - mu_a * mu_b
     c1 = (_SSIM_K1 * peak) ** 2
     c2 = (_SSIM_K2 * peak) ** 2
     num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)

@@ -89,8 +89,8 @@ class TestSsim:
             a = r.uniform(shape)
             pairs += [(a, a + 0.1 * r.standard_normal(shape)), (a, r.uniform(shape))]
         got = [ssim(a, b) for a, b in pairs]
-        monkeypatch.setattr(metrics, "_filter_valid",
-                            lambda a, w: convolve2d(a, w, mode="valid"))
+        monkeypatch.setattr(metrics, "_filter_valid", lambda stack, w: np.stack(
+            [convolve2d(a, w, mode="valid") for a in stack]))
         want = [ssim(a, b) for a, b in pairs]
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-14
 
