@@ -574,25 +574,15 @@ def test_block_mixing_input_shapes_is_a_shape_mismatch(modality, name):
 def test_diverging_step(monkeypatch, modality):
     """A step far past 1/L: GAP-TV stops at its first non-finite residual and
     fails NON_FINITE (exit 3), FISTA-TV holds at 0."""
-    from opgraph import solvers
-
     t = instantiate(modality, 8)
     g = t.operator()
     y = g.forward(make_phantoms(t, 1, seed=0)[0].data)
     cfg = {"step": 1e3, "iters": 200, "lambda_tv": 0.01}
-    prox_steps = []
-    prox = solvers._prox
-
-    def counted_prox(stack, lam):
-        prox_steps.append(len(stack))
-        return prox(stack, lam)
-
-    monkeypatch.setattr(solvers, "_prox", counted_prox)
+    counts = _count_forwards_and_prox_candidates(monkeypatch)
     with pytest.raises(TensorError) as exc:
         reconstruct(g, y, dict(cfg, name="gap_tv"))
     assert exc.value.code == "NON_FINITE"
-    assert len(prox_steps) < cfg["iters"]
-    monkeypatch.undo()
+    assert counts["prox_candidates"] < cfg["iters"]
     res = reconstruct(g, y, dict(cfg, name="fista_tv"))
     assert res.x_hat.numpy().tobytes() == np.zeros(g.input_shape).tobytes()
 
