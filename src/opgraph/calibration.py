@@ -68,7 +68,6 @@ class CalibConfig:
     cd_rounds: int = 3
     refine_steps: int = 30
     seeds_topk: int = 9
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,7 @@ class _Objective:
         self._scores = {}
         # residual vectors ``solve`` was asked to keep, by key
         self._kept = {}
-        self.solver = pin_step(template.operator(), template.calib_solver, seed=cfg.seed)
+        self.solver = pin_step(template.operator(), template.calib_solver)
 
     @property
     def distinct_evals(self) -> int:

@@ -193,7 +193,7 @@ def _cmd_calibrate(args) -> int:
     phantom = make_phantoms(template, 1, seed=args.seed)[0]
     (y,) = measure(template.operator(theta_true), template.noise, [phantom], args.noisy,
                    args.seed)
-    result = calibrate(template, y, phantom.data, args.calib, CalibConfig(seed=args.seed))
+    result = calibrate(template, y, phantom.data, args.calib, CalibConfig())
 
     errors = param_rmse([result.theta_hat], theta_true).tolist()
     run_dir = _run_dir("calibrate", args)

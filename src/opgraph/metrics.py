@@ -149,10 +149,8 @@ def bootstrap_ci(values, n_resamples: int = 1000, seed: int = 0) -> tuple[float,
         raise MetricError("EMPTY", "need at least one scene value")
     if n_resamples < 1:
         raise MetricError("BAD_CONFIG", f"need n_resamples >= 1, got {n_resamples}")
-    rng = Rng(seed, 23)
-    idx = rng.integers(0, vals.size, (n_resamples, vals.size))
-    stats = np.array([float(np.mean(vals[row])) for row in idx])
-    lo, hi = np.percentile(stats, CI_PERCENTILES)
+    idx = Rng(seed, 23).integers(0, vals.size, (n_resamples, vals.size))
+    lo, hi = np.percentile(vals[idx].mean(axis=1), CI_PERCENTILES)
     return float(lo), float(hi)
 
 

@@ -88,19 +88,16 @@ def _mean_metrics(scenes, scenario: str) -> dict:
 
 def _rho_ci(scenes, n_resamples: int, seed: int):
     """Percentile bootstrap of rho over scenes; non-binding resamples dropped."""
-    p_i = np.array([s["I"].psnr_db for s in scenes])
-    p_ii = np.array([s["II"].psnr_db for s in scenes])
-    p_iv = np.array([s["IV"].psnr_db for s in scenes])
+    p = np.array([[s[sc].psnr_db for sc in ("I", "II", "IV")] for s in scenes])
     n = len(scenes)
     idx = Rng(seed, _STREAM_BOOT).integers(0, n, (n_resamples, n))
-    vals = []
-    for row in idx:
-        mi, mii, miv = p_i[row].mean(), p_ii[row].mean(), p_iv[row].mean()
-        if mi > mii:
-            vals.append((miv - mii) / (mi - mii))
-    if not vals:
+    # each resample's mean PSNR per scenario
+    mi, mii, miv = (p[:, j][idx].mean(axis=1) for j in range(3))
+    binding = mi > mii
+    if not binding.any():
         return None
-    lo, hi = np.percentile(vals, CI_PERCENTILES)
+    mi, mii, miv = mi[binding], mii[binding], miv[binding]
+    lo, hi = np.percentile((miv - mii) / (mi - mii), CI_PERCENTILES)
     return float(lo), float(hi)
 
 
@@ -114,8 +111,7 @@ def run_scenarios(template: Template, theta_true, solver_cfg: dict | None = None
 
     g_true = template.operator(theta_true)
     g_nom = template.operator()
-    solver = solver_cfg if solver_cfg is not None else template.solver
-    solver = pin_step(g_nom, solver, seed=solver.get("seed", 0))
+    solver = pin_step(g_nom, solver_cfg if solver_cfg is not None else template.solver)
 
     measurements = measure(g_true, template.noise, phantoms, noisy, seed)
     if calib == "none":

@@ -252,22 +252,17 @@ def power_iteration(g: GraphOperator, n_iters: int = 50, seed: int = 0) -> float
     return lam
 
 
-def _auto_step(g: GraphOperator, seed: int) -> float:
-    lam = power_iteration(g, seed=seed) * _STEP_MARGIN
-    if lam <= 0.0:
-        raise SolverError("ZERO_OPERATOR", "spectral norm estimate is zero; no usable step")
-    return 1.0 / lam
-
-
-def pin_step(g: GraphOperator, cfg: dict, seed: int) -> dict:
-    """Copy of ``cfg`` with a TV solver's ``"auto"`` step fixed from ``g``'s norm.
-
-    Calibration and the scenario protocol pin once at the nominal operator and
-    reuse the step, because drift barely moves the spectral norm.
+def pin_step(g: GraphOperator, cfg: dict) -> dict:
+    """Copy of ``cfg`` with a TV solver's ``"auto"`` step fixed from ``g``'s norm,
+    which power iteration estimates from seed 0.  Calibration and the scenario
+    protocol pin once at the nominal operator and reuse the step under drift.
     """
     cfg = dict(cfg)
     if cfg.get("name") in _STEPPED_SOLVERS and cfg.get("step", "auto") == "auto":
-        cfg["step"] = _auto_step(g, seed)
+        lam = power_iteration(g) * _STEP_MARGIN
+        if lam <= 0.0:
+            raise SolverError("ZERO_OPERATOR", "spectral norm estimate is zero; no usable step")
+        cfg["step"] = 1.0 / lam
     return cfg
 
 
@@ -455,7 +450,7 @@ def reconstruct_block(gs, ys, cfg: dict) -> list[ReconResult]:
         raise SolverError("BAD_CONFIG", f"lambda_tv must be nonnegative, got {lam_tv}")
     if len(gs) > 1 and cfg.get("step", "auto") == "auto":
         raise SolverError("BAD_CONFIG", "a block of problems needs a pinned step")
-    step = float(pin_step(gs[0], cfg, seed=int(cfg.get("seed", 0)))["step"])
+    step = float(pin_step(gs[0], cfg)["step"])
     if step <= 0:
         raise SolverError("BAD_CONFIG", f"step must be positive, got {step}")
 

@@ -6,7 +6,7 @@ convention: C_mismatch is the quality lost to wrong parameters, C_noise the
 quality lost to the carrier budget, C_recover the headroom undersampling
 leaves on the table relative to the same solver at full sampling.  Every
 reconstruction of a diagnosis is posed first and solved once, in lockstep
-blocks per operator (``_Solves``).  The rank scorer
+blocks per operator (``_score``).  The rank scorer
 (``score_recoverability``, dense, capped at ``_DENSE_CAP`` input elements)
 is standalone: no command reports it.
 """
@@ -23,7 +23,7 @@ from .registry import default_registry
 # reconstruct stays bound here because perfbench/spans.py patches it by module
 from .solvers import pin_step, reconstruct, solve_blocks  # noqa: F401
 from .templates import Template, apply_noise, make_phantoms
-from .tensor import CodedError, Rng, Tensor, tensor
+from .tensor import CodedError, Rng, TensorError
 
 GATES = ("recoverability", "carrier_budget", "operator_mismatch")
 _ACTIONS = {
@@ -83,7 +83,9 @@ def materialize(g: GraphOperator) -> np.ndarray:
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
-        cols[:, j] = g.forward(tensor(e.reshape(g.input_shape))).numpy().reshape(-1)
+        cols[:, j] = g.forward_array(e.reshape(g.input_shape)).reshape(-1)
+    if not np.isfinite(cols).all():
+        raise TensorError("NON_FINITE", "dense matrix holds non-finite values")
     if np.allclose(cols.imag, 0.0):
         return cols.real
     return cols
@@ -114,96 +116,60 @@ def score_recoverability(g: GraphOperator) -> Gate1Report:
     )
 
 
-class _Solves:
-    """The reconstructions of one diagnosis, each distinct problem solved once.
+def _key(g: GraphOperator, y, x) -> tuple:
+    return id(g), y.numpy().tobytes(), x.numpy().tobytes()
 
-    A diagnosis poses the same problems more than once: I and II coincide
-    when theta_true is nominal, every sensitivity probe reconstructs with
-    the nominal operator, and every ``"auto"`` solve would rerun power
-    iteration on an operator already measured.  So graphs are compiled once per (template,
-    exact theta), keyed on the float64 bits as in ``calibration._Objective``;
-    each solved graph's step is pinned once, with the seed ``reconstruct``
-    itself would use; and each PSNR is kept per (graph, measurement bytes,
-    phantom bytes).
 
-    ``solve`` takes a list of (graph, measurement, phantom) problems, drops
-    those already scored, groups the rest by graph and solves each group in
-    the lockstep blocks of ``solvers.solve_blocks`` under that graph's own
-    pinned config, so every PSNR is that of the problem's solo solve.
-    ``quality`` then reads a PSNR.
+def _score(problems, solver: dict, psnrs: dict) -> None:
+    """Put the PSNR of each (g, y, x) problem that ``psnrs`` lacks into it.
+
+    ``psnrs`` is keyed on (graph id, y bytes, x bytes), so a problem posed
+    twice is solved once; the caller keeps every keyed graph alive.  The new
+    problems are grouped by graph, and each group is solved under one pin in
+    the lockstep blocks of ``solve_blocks``: every PSNR is its solo solve's.
     """
-
-    def __init__(self, template: Template, solver_cfg: dict | None):
-        self.solver = dict(solver_cfg if solver_cfg is not None else template.solver)
-        self._graphs = {}
-        self._pinned = {}
-        self._psnr = {}
-
-    def operator(self, template: Template, theta=None) -> GraphOperator:
-        point = template.family.theta_nom if theta is None else theta
-        key = (id(template), np.asarray(point, dtype=np.float64).tobytes())
-        if key not in self._graphs:
-            # the template is kept so its id cannot be reused while cached
-            self._graphs[key] = (template, template.operator(theta))
-        return self._graphs[key][1]
-
-    @staticmethod
-    def _key(g: GraphOperator, y: Tensor, x: Tensor) -> tuple:
-        return id(g), y.numpy().tobytes(), x.numpy().tobytes()
-
-    def solve(self, problems) -> None:
-        """Score each (g, y, x) problem not yet scored, in blocks per graph."""
-        groups = {}
-        for g, y, x in problems:
-            key = self._key(g, y, x)
-            if key not in self._psnr:
-                groups.setdefault(id(g), (g, {}))[1].setdefault(key, (y, x))
-        for g, todo in groups.values():
-            if id(g) not in self._pinned:
-                seed = int(self.solver.get("seed", 0))
-                self._pinned[id(g)] = (g, pin_step(g, self.solver, seed=seed))
-            cfg = self._pinned[id(g)][1]
-            solved = solve_blocks(((g, y) for y, _ in todo.values()), cfg)
-            for (key, (_, x)), res in zip(todo.items(), solved):
-                self._psnr[key] = psnr(res.x_hat, x)
-
-    def quality(self, g: GraphOperator, y: Tensor, x: Tensor) -> float:
-        """The PSNR of a problem that ``solve`` has scored."""
-        return self._psnr[self._key(g, y, x)]
+    groups = {}
+    for g, y, x in problems:
+        key = _key(g, y, x)
+        if key not in psnrs:
+            groups.setdefault(id(g), (g, {}))[1].setdefault(key, (y, x))
+    for g, todo in groups.values():
+        solved = solve_blocks(((g, y) for y, _ in todo.values()), pin_step(g, solver))
+        for (key, (_, x)), res in zip(todo.items(), solved):
+            psnrs[key] = psnr(res.x_hat, x)
 
 
-def _probe_problems(solves: _Solves, template: Template, theta, k: int, h_k: float, ph):
-    """The (g_nom, y, scene) problems of the probes at theta_k + h_k and theta_k - h_k."""
-    fam = template.family
+def _probe_problems(operator, fam, theta, k: int, h_k: float, ph):
+    """The (``operator()``, y, scene) problems of the probes at theta_k + h_k and
+    theta_k - h_k, each y measured through ``operator(probe theta)``."""
     up, down = list(theta), list(theta)
     up[k] = theta[k] + h_k
     down[k] = theta[k] - h_k
     fam.check(up)
     fam.check(down)
-    g_nom = solves.operator(template)
-    return tuple((g_nom, solves.operator(template, tuple(t)).forward(ph.data), ph.data)
-                 for t in (up, down))
+    g_nom = operator()
+    return tuple((g_nom, operator(tuple(t)).forward(ph.data), ph.data) for t in (up, down))
 
 
 def sensitivity(template: Template, solver_cfg: dict | None, theta, k: int, h_k: float,
-                probe_seed: int = 0, _solves: _Solves | None = None,
+                probe_seed: int = 0, _psnrs: dict | None = None,
                 _problems=None) -> float:
     """d(PSNR)/d(theta_k) by central difference, mismatched-reconstruction lane.
 
     ``_problems`` is the pair ``_probe_problems`` builds for these arguments
-    on the scene ``make_phantoms(template, 1, seed=probe_seed)`` draws, when
-    the caller already has it.
+    on the scene ``make_phantoms(template, 1, seed=probe_seed)`` draws, and
+    ``_psnrs`` a table ``_score`` fills, when the caller already has them.
     """
     if h_k <= 0:
         raise TriadError("BAD_STEP", f"need h_k > 0, got {h_k}")
-    solves = _solves if _solves is not None else _Solves(template, solver_cfg)
+    psnrs = {} if _psnrs is None else _psnrs
     if _problems is None:
         theta = list(template.family.check(theta))
         ph = make_phantoms(template, 1, seed=probe_seed)[0]
-        _problems = _probe_problems(solves, template, theta, k, h_k, ph)
-    solves.solve(_problems)
+        _problems = _probe_problems(template.operator, template.family, theta, k, h_k, ph)
+    _score(_problems, solver_cfg if solver_cfg is not None else template.solver, psnrs)
     up, down = _problems
-    return (solves.quality(*up) - solves.quality(*down)) / (2.0 * h_k)
+    return (psnrs[_key(*up)] - psnrs[_key(*down)]) / (2.0 * h_k)
 
 
 def bind_gate(psnr_i: float, psnr_ii: float, psnr_noisy: float, psnr_ideal: float,
@@ -246,17 +212,23 @@ def diagnose(template: Template, theta_true, solver_cfg: dict | None = None,
     """Bind the dominant gate from quality gaps on the scenes, and probe the
     mismatch sensitivities at nominal on scene 0.
 
-    Every problem of the diagnosis is posed first and solved in one
-    ``_Solves.solve``; the sensitivities and the gate binding then read
-    their PSNRs.
+    Every problem of the diagnosis is posed first and scored by one ``_score``
+    call; the sensitivities and the gate binding read its PSNR table.
     """
     fam = template.family
     theta_true = fam.check(theta_true)
-    solves = _Solves(template, solver_cfg)
-    g_nom = solves.operator(template)
+    solver = solver_cfg if solver_cfg is not None else template.solver
+    g_nom = template.operator()
+    nominal = np.asarray(fam.theta_nom, dtype=np.float64).tobytes()
+
+    def operator(theta=None) -> GraphOperator:
+        # nominal by its float64 bits, as calibration keys its points
+        if theta is None or np.asarray(theta, dtype=np.float64).tobytes() == nominal:
+            return g_nom
+        return template.operator(theta)
+
     # scene 0 is the scene make_phantoms(template, 1, seed) draws
     phantoms = make_phantoms(template, n_scenes, seed=seed)
-
     probes = {}
     for k, (name, (lo, hi)) in enumerate(zip(fam.param_names, fam.theta_range)):
         h = 0.05 * (hi - lo)
@@ -264,13 +236,12 @@ def diagnose(template: Template, theta_true, solver_cfg: dict | None = None,
         # probe point nudged inside so the central stencil stays admissible
         base[k] = min(max(base[k], lo + h), hi - h)
         probes[name] = (tuple(base), k, h,
-                        _probe_problems(solves, template, base, k, h, phantoms[0]))
+                        _probe_problems(operator, fam, base, k, h, phantoms[0]))
 
-    g_true = solves.operator(template, theta_true)
+    g_true = operator(theta_true)
     noise_rng = Rng(seed, _STREAM_PROBE)
-    # called once: each call builds a new template, and operators are kept per template
     full = template.full_sampling()
-    g_full = None if full is template else solves.operator(full, theta_true)
+    g_full = None if full is template else full.operator(theta_true)
 
     # each scene's problem per lane; a problem posed twice is solved once
     scenes = []
@@ -284,13 +255,13 @@ def diagnose(template: Template, theta_true, solver_cfg: dict | None = None,
         # already at r = 1: no undersampling headroom by construction
         lanes["limit"] = lanes["I"] if g_full is None else (g_full, g_full.forward(x), x)
         scenes.append(lanes)
-    solves.solve([p for *_, pair in probes.values() for p in pair]
-                 + [p for lanes in scenes for p in lanes.values()])
+    psnrs = {}
+    _score([p for *_, pair in probes.values() for p in pair]
+           + [p for lanes in scenes for p in lanes.values()], solver, psnrs)
 
-    sens = {name: sensitivity(template, solver_cfg, base, k, h, _solves=solves,
-                              _problems=pair)
+    sens = {name: sensitivity(template, solver_cfg, base, k, h, _psnrs=psnrs, _problems=pair)
             for name, (base, k, h, pair) in probes.items()}
-    p_i, p_ii, p_noisy, p_limit = ([solves.quality(*lanes[name]) for lanes in scenes]
+    p_i, p_ii, p_noisy, p_limit = ([psnrs[_key(*lanes[name])] for lanes in scenes]
                                    for name in ("I", "II", "noisy", "limit"))
 
     binding = bind_gate(float(np.mean(p_i)), float(np.mean(p_ii)),

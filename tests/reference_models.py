@@ -15,7 +15,7 @@ from scipy.linalg import dft
 
 from opgraph import protocol, triad
 from opgraph.calibration import CalibConfig
-from opgraph.metrics import MetricError, bootstrap_ci, psnr, recovery_ratio, scene_metrics
+from opgraph.metrics import CI_PERCENTILES, MetricError, psnr, recovery_ratio, scene_metrics
 from opgraph.registry import default_registry
 from opgraph.solvers import pin_step, reconstruct
 from opgraph.templates import apply_noise, make_phantoms
@@ -296,6 +296,33 @@ def _sensitivities_reference(template, solver, probe_seed):
     return sens
 
 
+def bootstrap_ci_reference(values, n_resamples=1000, seed=0):
+    """``metrics.bootstrap_ci`` with each resample's mean taken in a Python loop."""
+    vals = np.asarray(list(values), dtype=np.float64)
+    idx = Rng(seed, 23).integers(0, vals.size, (n_resamples, vals.size))
+    stats = np.array([float(np.mean(vals[row])) for row in idx])
+    lo, hi = np.percentile(stats, CI_PERCENTILES)
+    return float(lo), float(hi)
+
+
+def rho_ci_reference(scenes, n_resamples, seed):
+    """``protocol._rho_ci`` with one resample per Python loop iteration."""
+    p_i = np.array([s["I"].psnr_db for s in scenes])
+    p_ii = np.array([s["II"].psnr_db for s in scenes])
+    p_iv = np.array([s["IV"].psnr_db for s in scenes])
+    n = len(scenes)
+    idx = Rng(seed, protocol._STREAM_BOOT).integers(0, n, (n_resamples, n))
+    vals = []
+    for row in idx:
+        mi, mii, miv = p_i[row].mean(), p_ii[row].mean(), p_iv[row].mean()
+        if mi > mii:
+            vals.append((miv - mii) / (mi - mii))
+    if not vals:
+        return None
+    lo, hi = np.percentile(vals, CI_PERCENTILES)
+    return float(lo), float(hi)
+
+
 def diagnose_reference(template, theta_true, noisy=False, n_scenes=3, seed=0):
     """``triad.diagnose`` with every reconstruction solved from scratch.
 
@@ -337,8 +364,8 @@ def diagnose_reference(template, theta_true, noisy=False, n_scenes=3, seed=0):
                               float(np.mean(p_limit)))
     gaps = [a - b for a, b in zip(p_i, p_ii)]
     if len(gaps) > 1:
-        lo, hi = bootstrap_ci(gaps, n_resamples=reg.thresholds["bootstrap"]["n_resamples"],
-                              seed=seed)
+        lo, hi = bootstrap_ci_reference(
+            gaps, n_resamples=reg.thresholds["bootstrap"]["n_resamples"], seed=seed)
         ci_width = hi - lo
     else:
         ci_width = 0.0
@@ -356,7 +383,7 @@ def run_scenarios_reference(template, theta_true, calib="alg1", noisy=False, n_s
     phantoms = make_phantoms(template, n_scenes, seed=seed)
     g_true = template.operator(theta_true)
     g_nom = template.operator()
-    solver = pin_step(g_nom, template.solver, seed=template.solver.get("seed", 0))
+    solver = pin_step(g_nom, template.solver)
     measurements = protocol.measure(g_true, template.noise, phantoms, noisy, seed)
     if calib == "none":
         theta_hat = template.family.theta_nom
@@ -378,7 +405,7 @@ def run_scenarios_reference(template, theta_true, calib="alg1", noisy=False, n_s
     try:
         rho = recovery_ratio(means["I"]["psnr_db"], means["II"]["psnr_db"],
                              means["IV"]["psnr_db"])
-        ci = protocol._rho_ci(scenes, n_resamples, seed)
+        ci = rho_ci_reference(scenes, n_resamples, seed)
     except MetricError:
         rho, ci = None, None
     return protocol.ScenarioResult(per_scene=tuple(scenes), means=means, rho=rho, rho_ci=ci,

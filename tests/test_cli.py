@@ -7,9 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+from opgraph.calibration import CalibConfig
 from opgraph.cli import main
 from opgraph.graph import make_spec, serialize_spec
-from opgraph.protocol import measure
+from opgraph.protocol import calibrate, measure
 from opgraph.runbundle import stable_bytes
 from opgraph.templates import instantiate, make_phantoms
 from opgraph.tensor import load_tensor
@@ -205,6 +206,20 @@ class TestCalibrate:
         bundle = json.loads((out / "runbundle.json").read_text())
         assert bundle["metrics"]["distinct_evals"] == payload["distinct_evals"]
         assert main(["verify", str(out)]) == 0
+
+    def test_seed_draws_the_data_not_the_step(self, tmp_path):
+        # --seed draws the scene and the noise; the solver step is pinned
+        # from power iteration's seed 0, as every other pin is
+        out = tmp_path / "run"
+        assert main(["calibrate", "--modality", "mri", "--size", "16", "--seed", "2",
+                     "--theta-true", "0.05", "--noisy", "--calib", "alg1",
+                     "--out", str(out)]) == 0
+        payload = json.loads((out / "calib_result.json").read_text())
+        t = instantiate("mri", 16, seed=2)
+        ph = make_phantoms(t, 1, seed=2)[0]
+        (y,) = measure(t.operator((0.05,)), t.noise, [ph], True, 2)
+        expected = calibrate(t, y, ph.data, "alg1", CalibConfig()).as_dict()
+        assert {k: payload[k] for k in expected} == expected
 
 
 class TestExitCodes:

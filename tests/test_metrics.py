@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference_models import bootstrap_ci_reference
 
 from opgraph import metrics
 from opgraph.metrics import (
@@ -212,6 +213,15 @@ class TestBootstrapCi:
     def test_bad_resample_count(self):
         with pytest.raises(MetricError, match="BAD_CONFIG"):
             bootstrap_ci([1.0, 2.0], n_resamples=0)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_loop_reference(self, n):
+        # from 8 scenes on numpy sums each mean pairwise; the stacked means
+        # must still be each resample's own mean, bit for bit
+        for seed in range(4):
+            vals = list(Rng(n, seed).normal((n,), scale=3.0) + 20.0)
+            assert bootstrap_ci(vals, n_resamples=400, seed=seed) == \
+                bootstrap_ci_reference(vals, n_resamples=400, seed=seed)
 
     def test_empty_rejected(self):
         with pytest.raises(MetricError, match="EMPTY"):

@@ -1,14 +1,17 @@
 """Four-scenario runner: ordering, identity lane, recovery ratio, determinism."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from reference_models import run_scenarios_reference
+from reference_models import rho_ci_reference, run_scenarios_reference
 
+from opgraph import protocol
 from opgraph.calibration import CalibConfig
 from opgraph.protocol import ProtocolError, ScenarioResult, run_scenarios
 from opgraph.templates import TemplateError, instantiate
+from opgraph.tensor import Rng
 from opgraph.triad import GATES, diagnose
 
 
@@ -133,6 +136,27 @@ class TestPlumbing:
         r = run_scenarios(ct_template, (3.0,), calib="alg1", n_scenes=1, seed=4)
         lo, hi = r.rho_ci
         assert lo == pytest.approx(hi)
+
+
+def _psnr_scenes(p_i, p_ii, p_iv):
+    return [{sc: SimpleNamespace(psnr_db=float(v)) for sc, v in zip(("I", "II", "IV"), row)}
+            for row in zip(p_i, p_ii, p_iv)]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_rho_ci_matches_loop_reference(n):
+    rng = Rng(n, 3)
+    # a gap of 0 leaves some resamples non-binding (I <= II); they are dropped
+    for seed, gap in enumerate((0.0, 0.5, 2.0)):
+        p_ii = rng.normal((n,), scale=2.0) + 20.0
+        p_i = p_ii + rng.normal((n,)) + gap
+        p_iv = p_ii + rng.uniform((n,)) * (p_i - p_ii)
+        scenes = _psnr_scenes(p_i, p_ii, p_iv)
+        assert protocol._rho_ci(scenes, 300, seed) == rho_ci_reference(scenes, 300, seed)
+    # no resample binds
+    scenes = _psnr_scenes(np.full(n, 19.0), np.full(n, 20.0), np.full(n, 21.0))
+    assert protocol._rho_ci(scenes, 300, 0) is None
+    assert rho_ci_reference(scenes, 300, 0) is None
 
 
 @pytest.mark.parametrize("modality, theta, calib", [

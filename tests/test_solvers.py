@@ -240,10 +240,10 @@ def test_power_iteration_validates():
 def test_pin_step(cfg, pinned):
     g = instantiate("spc", 16, 1, seed=0).operator()
     before = dict(cfg)
-    out = pin_step(g, cfg, seed=3)
+    out = pin_step(g, cfg)
     assert cfg == before
     if pinned:
-        assert out == {**cfg, "step": 1.0 / (1.05 * power_iteration(g, seed=3))}
+        assert out == {**cfg, "step": 1.0 / (1.05 * power_iteration(g))}
     else:
         assert out == cfg
 
@@ -330,7 +330,7 @@ def _full_solve(modality):
     t = instantiate(modality, 16)
     g = t.operator()
     truth = make_phantoms(t, 1, seed=0)[0].data
-    return g, truth, g.forward(truth), pin_step(g, t.solver, seed=0)
+    return g, truth, g.forward(truth), pin_step(g, t.solver)
 
 
 def _count_forwards_and_prox_candidates(monkeypatch):
@@ -369,7 +369,7 @@ def test_fista_block_makes_one_forward_per_problem_and_iteration(monkeypatch):
     t = instantiate("cassi", 8)
     thetas = [(0.5, 0.3, 0.1, 2.02, 0.15), (0.0, 0.0, 0.0, 2.0, 0.0), (-1.0, 1.0, 0.3, 1.9, 0.1)]
     gs = [t.operator(theta) for theta in thetas]
-    pinned = pin_step(t.operator(), t.solver, seed=0)
+    pinned = pin_step(t.operator(), t.solver)
     cfg = dict(pinned, iters=20, step=1.9 * pinned["step"])
     ys = [gs[0].forward(make_phantoms(t, 1, seed=3)[0].data)] * len(gs)
     counts = _count_forwards_and_prox_candidates(monkeypatch)
@@ -514,7 +514,7 @@ def test_fista_block_matches_solo_solves_when_some_candidates_restart(monkeypatc
     t = instantiate("cassi", 8)
     thetas = [(0.5, 0.3, 0.1, 2.02, 0.15), (0.0, 0.0, 0.0, 2.0, 0.0), (-1.0, 1.0, 0.3, 1.9, 0.1)]
     gs = [t.operator(theta) for theta in thetas]
-    pinned = pin_step(t.operator(), t.solver, seed=0)
+    pinned = pin_step(t.operator(), t.solver)
     # a step past 1/L overshoots, so candidates restart on different iterations
     cfg = dict(pinned, iters=20, step=1.9 * pinned["step"])
     real, sizes = solvers._prox, []
@@ -534,7 +534,7 @@ def test_fista_block_matches_solo_solves_when_some_candidates_restart(monkeypatc
 def test_gap_block_matches_solo_solves():
     t = instantiate("cacti", 8)
     gs = [t.operator(theta) for theta in [(1.0, -0.5), (0.0, 0.0), (-1.0, 1.0), (0.5, 0.5)]]
-    cfg = pin_step(t.operator(), t.calib_solver, seed=0)
+    cfg = pin_step(t.operator(), t.calib_solver)
     for ys in _shared_and_distinct_measurements(t, gs):
         _block_matches_solos(gs, ys, cfg)
 
@@ -599,7 +599,7 @@ def _problems_with_distinct_measurements(modality):
     t = instantiate(modality, 11)
     g = t.operator()
     ys = [g.forward(ph.data) for ph in make_phantoms(t, 3, seed=1)]
-    return g, ys, pin_step(g, {"name": "fista_tv"}, seed=0)["step"]
+    return g, ys, pin_step(g, {"name": "fista_tv"})["step"]
 
 
 @pytest.mark.parametrize("modality", [None, "cassi", "cacti", "spc", "ct", "mri", "lensless"])

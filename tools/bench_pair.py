@@ -18,7 +18,8 @@ whether a few ``scenario``, ``diagnose`` and ``calibrate`` CLI runs write
 byte-identical result files on both commits, with each run's wall seconds
 (one run each, process start included); only these ``cli_outputs`` show
 byte identity.  ``fista_forwards`` counts, in process, the operator forwards
-and restarts of one full FISTA-TV solve per modality on each commit.
+and restarts of one full FISTA-TV solve per modality on each commit, and
+``src_lines`` the line count of ``src/opgraph/*.py`` of each commit.
 Where a case's files differ, each file's largest absolute numeric drift is
 recorded with the field it occurs in, over all fields, over the PSNR fields
 and under each top-level key, with every field that differs otherwise
@@ -280,7 +281,8 @@ for modality in ("cassi", "spc", "mri", "lensless"):
     t = instantiate(modality, 16)
     g = t.operator()
     y = g.forward(make_phantoms(t, 1, seed=0)[0].data)
-    cfg = solvers.pin_step(g, t.solver, seed=0)
+    # pin_step's step, spelled out: its signature differs across commits
+    cfg = {**t.solver, "step": 1.0 / (solvers._STEP_MARGIN * solvers.power_iteration(g))}
     counts.update(forwards=0, prox_candidates=0)
     solvers.reconstruct(g, y, cfg)
     out[modality] = {"iters": cfg["iters"], "forwards": counts["forwards"],
@@ -295,6 +297,12 @@ def fista_forwards(checkout: Path) -> dict:
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(checkout / "src")})
     return json.loads(proc.stdout)
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of ``src/opgraph/*.py``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in sorted((checkout / "src" / "opgraph").glob("*.py")))
 
 
 def cli_outputs(checkouts: dict, scratch: Path) -> list:
@@ -377,6 +385,7 @@ def main(argv=None) -> int:
             }
         report["fista_forwards"] = {side: fista_forwards(checkout)
                                     for side, checkout in checkouts.items()}
+        report["src_lines"] = {side: src_lines(checkout) for side, checkout in checkouts.items()}
         report["cli_outputs"] = cli_outputs(checkouts, scratch)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
