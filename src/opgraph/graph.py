@@ -6,13 +6,23 @@ topological order plus shape/dtype propagation), contraction (below), and
 adjoint planning (reverse order, only when every node is linear).  Execution
 feeds the graph input to every source node; a node with several incoming edges
 receives the elementwise sum of its predecessors, and the plumbing id ``add``
-names an explicit no-op join for readability.  ``forward_array`` and
-``adjoint_array`` run the nodes on plain ndarrays, which the solvers' loops
-call; ``forward`` and ``adjoint`` wrap them for a validated :class:`Tensor` in
-and out.  Compile owns the shape rules: stage 3 applies each node's
-:func:`~opgraph.primitives.prim_output_shape`, and since the array runners
-check the boundary shape, every node then receives the shape planned for it
-and the kernels do not check shapes again.
+names an explicit no-op join for readability.  Compile owns the shape rules:
+stage 3 applies each node's :func:`~opgraph.primitives.prim_output_shape`,
+and since the array runners check the boundary shape, every node then
+receives the shape planned for it and the kernels do not check shapes again.
+
+``compile_block`` compiles the K operators of a lockstep block, which must
+share one structure (node ids, kinds, plans, node shapes and the parameters
+:func:`~opgraph.primitives.block_key` names; else ``BAD_BLOCK``), into a
+:class:`BlockOperator`.  Its ``forward`` and ``adjoint`` take a (K, *shape)
+stack and run each node once over it, as one
+:class:`~opgraph.primitives.PrimitiveBlock` kernel, and each row of the
+result is byte for byte its operator's solo call.  That runner is the only
+node loop: ``forward_array`` and ``adjoint_array`` run the operator's block
+of one on plain ndarrays, and ``forward`` and ``adjoint`` wrap them for a
+validated :class:`Tensor` in and out.  A parameter every operator of a block
+holds the same object of (``diagnose`` blocks one graph K times) is
+broadcast over the stack instead of stacked.
 
 Contraction applies to one node pair: a pattern-stack ``Modulate`` whose only
 successor is an ``Accumulate`` that has no other predecessor and sums exactly
@@ -24,7 +34,9 @@ through and the ``Accumulate`` node applies ``M``; the spec, its hash, the plans
 and every other node are unchanged, and ``adjoint_check_graph`` certifies the
 contracted operator, since it calls the same ``forward`` and ``adjoint``.  The
 results differ from the node-by-node sums only at rounding level (BLAS sums in
-another order).
+another order).  A block runs the pair as one batched ``np.matmul`` over the
+stack of its operators' matrices, or over one shared matrix when their pattern
+stacks are one tensor; each row is its solo matrix-vector product.
 """
 
 from __future__ import annotations
@@ -32,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import yaml
@@ -42,6 +55,8 @@ from .primitives import (
     PrimitiveInstance,
     PrimitiveKind,
     _dot_test_report,
+    PrimitiveBlock,
+    block_key,
     make_primitive,
     prim_adjoint,
     prim_forward,
@@ -193,12 +208,87 @@ class GraphOperator:
     def adjoint(self, y: Tensor) -> Tensor:
         return Tensor(self.adjoint_array(y.numpy()))
 
+    @cached_property
+    def _solo(self) -> "BlockOperator":
+        return compile_block([self])
+
+    @cached_property
+    def _structure(self) -> tuple:
+        """What the operators of one block share: plans, shapes, dtypes, and per
+        node its predecessors, input shape and :func:`block_key`."""
+        return (
+            self.plan_forward, self.output_shape, self.input_dtype, self.output_dtype,
+            tuple(
+                (nid, tuple(self._preds[nid]), self._node_in_shapes[nid],
+                 None if self._prims[nid] is None else block_key(self._prims[nid]),
+                 self._contracted[nid].dtype if nid in self._contracted else None)
+                for nid in self.plan_forward
+            ),
+        )
+
     def forward_array(self, x: np.ndarray) -> np.ndarray:
-        """``forward`` on a plain array; a pass-through graph returns ``x`` itself."""
+        """``forward`` on a plain array, the block of one; a pass-through graph
+        returns ``x`` itself."""
         if x.shape != self.input_shape:
             raise GraphError(
                 "SHAPE_MISMATCH", f"input shape {x.shape} != expected {self.input_shape}"
             )
+        stack = x[None]
+        out = self._solo.forward(stack)
+        return x if out is stack else out[0]
+
+    def adjoint_array(self, y: np.ndarray) -> np.ndarray:
+        """``adjoint`` on a plain array, the block of one; a pass-through graph
+        returns ``y`` itself."""
+        if self.plan_adjoint is None:
+            raise GraphError(
+                "NONLINEAR_ADJOINT", "graph contains nonlinear nodes; no adjoint plan"
+            )
+        if y.shape != self.output_shape:
+            raise GraphError(
+                "SHAPE_MISMATCH", f"adjoint input shape {y.shape} != expected {self.output_shape}"
+            )
+        stack = y[None]
+        out = self._solo.adjoint(stack)
+        return y if out is stack else out[0]
+
+
+class BlockOperator:
+    """The K operators of a lockstep block, compiled to run each node once.
+
+    ``forward`` maps the (K, *input_shape) stack whose row k is operator k's
+    input to the (K, *output_shape) stack of their outputs, and ``adjoint``
+    does the same the other way; every row is byte for byte its operator's
+    solo call.  Each node runs one :class:`PrimitiveBlock` over the stack, and
+    a contracted pair one batched matrix product.  Built by
+    :func:`compile_block`.
+    """
+
+    def __init__(self, gs, nodes: dict, contracted: dict):
+        first = gs[0]
+        self.size = len(gs)
+        self.input_shape = first.input_shape
+        self.output_shape = first.output_shape
+        self.plan_forward = first.plan_forward
+        self.plan_adjoint = first.plan_adjoint
+        self._preds = first._preds
+        self._node_in_shapes = first._node_in_shapes
+        # node id -> its PrimitiveBlock; None passes the input through
+        self._nodes = nodes
+        # Accumulate id -> the (K, m, n) stack of its matrices, or one shared (m, n) matrix
+        self._contracted = contracted
+
+    def _check(self, a: np.ndarray, shape: tuple, what: str) -> None:
+        if a.shape != (self.size,) + shape:
+            raise GraphError(
+                "SHAPE_MISMATCH",
+                f"{what} stack shape {a.shape} != expected {(self.size,) + shape}",
+            )
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Row k of the result is operator k's forward of x[k]; a pass-through
+        graph returns ``x`` itself."""
+        self._check(x, self.input_shape, "input")
         vals: dict[str, np.ndarray] = {}
         for nid in self.plan_forward:
             preds = self._preds[nid]
@@ -208,42 +298,42 @@ class GraphOperator:
                 inp = vals[preds[0]]
                 for p in preds[1:]:
                     inp = inp + vals[p]
-            prim = self._prims[nid]
+            node = self._nodes[nid]
             if nid in self._contracted:
-                vals[nid] = self._contracted[nid] @ inp.reshape(-1)
-            elif prim is None:  # add join or contracted stack
+                vals[nid] = np.matmul(self._contracted[nid], inp.reshape(len(inp), -1, 1))[..., 0]
+            elif node is None:  # add join or contracted stack
                 vals[nid] = inp
             else:
                 try:
-                    vals[nid] = prim_forward(prim, inp)
+                    vals[nid] = prim_forward(node, inp)
                 except PrimitiveError as exc:
                     raise GraphError("BAD_PARAM", f"node '{nid}': {exc}") from exc
         # C order as in a Tensor: BLAS sums a strided view (Convolve's .real) in another order
         return np.asarray(vals[self.plan_forward[-1]], order="C")
 
-    def adjoint_array(self, y: np.ndarray) -> np.ndarray:
-        """``adjoint`` on a plain array; a pass-through graph returns ``y`` itself."""
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """Row k of the result is operator k's adjoint of y[k]."""
         if self.plan_adjoint is None:
             raise GraphError(
                 "NONLINEAR_ADJOINT", "graph contains nonlinear nodes; no adjoint plan"
             )
-        if y.shape != self.output_shape:
-            raise GraphError(
-                "SHAPE_MISMATCH", f"adjoint input shape {y.shape} != expected {self.output_shape}"
-            )
+        self._check(y, self.output_shape, "adjoint input")
         cot: dict[str, np.ndarray] = {self.plan_adjoint[0]: y}
         xhat: np.ndarray | None = None
         for nid in self.plan_adjoint:
             g = cot.pop(nid)
-            prim = self._prims[nid]
+            node = self._nodes[nid]
             if nid in self._contracted:
                 M = self._contracted[nid]
-                z = np.conj(np.conj(g) @ M) if np.iscomplexobj(M) else g @ M
-                z = z.reshape(self._node_in_shapes[nid][1:])
-            elif prim is None:
+                if np.iscomplexobj(M):
+                    z = np.conj(np.matmul(np.conj(g)[:, None], M))
+                else:
+                    z = np.matmul(g[:, None], M)
+                z = z.reshape((len(g),) + self._node_in_shapes[nid][1:])
+            elif node is None:
                 z = g
             else:
-                z = prim_adjoint(prim, g, input_shape=self._node_in_shapes[nid])
+                z = prim_adjoint(node, g, input_shape=self._node_in_shapes[nid])
             preds = self._preds[nid]
             if not preds:
                 xhat = z if xhat is None else xhat + z
@@ -251,6 +341,44 @@ class GraphOperator:
                 for p in preds:
                     cot[p] = cot[p] + z if p in cot else z
         return np.asarray(xhat, order="C")
+
+
+def _shared_or_stacked(arrays) -> np.ndarray:
+    """The one matrix every operator holds a view of (their pattern stacks are
+    one tensor), or the stack of the operators' matrices."""
+    first = arrays[0]
+    where = first.__array_interface__
+    if all(a.__array_interface__ == where for a in arrays):
+        return first
+    return np.stack(arrays)
+
+
+def compile_block(gs) -> BlockOperator:
+    """The :class:`BlockOperator` of the operators ``gs``, in order.
+
+    They must share one input shape (else ``SHAPE_MISMATCH``) and one
+    structure: node ids, kinds, plans, node shapes and the parameters
+    :func:`~opgraph.primitives.block_key` names (else ``BAD_BLOCK``).  A
+    parameter every operator holds the same object of, as when a block
+    repeats one graph, is broadcast over the stack, not stacked.
+    """
+    first = gs[0]
+    for g in gs:
+        if g.input_shape != first.input_shape:
+            raise GraphError(
+                "SHAPE_MISMATCH",
+                f"a block mixes input shapes {first.input_shape} and {g.input_shape}",
+            )
+    for g in gs:
+        if g is not first and g._structure != first._structure:
+            raise GraphError(
+                "BAD_BLOCK", "the operators of a block must share one graph structure"
+            )
+    nodes = {nid: None if prim is None else PrimitiveBlock([g._prims[nid] for g in gs])
+             for nid, prim in first._prims.items()}
+    contracted = {nid: _shared_or_stacked([g._contracted[nid] for g in gs])
+                  for nid in first._contracted}
+    return BlockOperator(gs, nodes, contracted)
 
 
 def _validate_structure(spec: GraphSpec):

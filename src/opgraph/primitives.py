@@ -7,6 +7,12 @@ dot-product certification in :func:`dot_product_test` meaningful: the test
 draws random vectors and checks ``<A*y, x> == <y, Ax>`` to near machine
 precision, not to a loose tolerance.
 
+Each kind has one kernel, which runs over a stack: :func:`prim_forward` and
+:func:`prim_adjoint` apply a :class:`PrimitiveBlock`, one node's primitives
+across the K operators of a block, to a (K, *shape) stack in one call, and
+a lone primitive is the block of one.  Every row of a block's result is
+byte for byte its member's solo call.
+
 Kinds
 -----
 Propagate   free-space field propagation (band-limited transfer function)
@@ -25,11 +31,13 @@ Transform   pointwise nonlinear map (five families)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import Rng, Tensor, TensorError, dot
 
@@ -248,36 +256,96 @@ def _validate_params(kind, p):
 # shared numeric helpers
 
 
-def _ishift(x: np.ndarray, k: int, axis: int) -> np.ndarray:
-    """Integer shift with zero fill; content moves +k along axis."""
-    out = np.zeros_like(x)
-    n = x.shape[axis]
-    if abs(k) >= n:
-        return out
-    src = [slice(None)] * x.ndim
-    dst = [slice(None)] * x.ndim
-    if k >= 0:
-        dst[axis] = slice(k, n)
-        src[axis] = slice(0, n - k)
-    else:
-        dst[axis] = slice(0, n + k)
-        src[axis] = slice(-k, n)
-    out[tuple(dst)] = x[tuple(src)]
+class _ShiftPlan(NamedTuple):
+    """Where ``_shift`` reads the taps of Q planes' fractional (row, col) shifts.
+
+    Per axis: the zero padding (before, after), each tap's window start per
+    plane, and the (1 - w, w, w == 0) weights as (Q, 1, 1) columns, or None
+    when every plane's shift on that axis is an integer (one tap); then the
+    combining order and the plane indices 0..Q-1.
+    """
+
+    pads: tuple
+    starts: tuple
+    weights: tuple
+    rows_first: bool
+    plane_ids: np.ndarray
+
+
+def _shift_plan(shifts, shape, rows_first: bool = False) -> _ShiftPlan:
+    """The plan of ``_shift`` for the (row, col) shift of each plane in ``shifts``."""
+    shifts = np.asarray(shifts, dtype=np.float64).reshape(-1, 2)
+    pads, starts, weights = [], [], []
+    for axis, n in enumerate(shape):
+        s = shifts[:, axis]
+        k = np.floor(s)
+        w = s - k
+        # a shift of n or more either way reads only zero fill
+        k = np.clip(k, -n - 1, n).astype(np.int64)
+        taps = 2 if np.any(w != 0.0) else 1
+        lo = max(0, int(k.max()) + taps - 1)
+        pads.append((lo, max(0, int(-k.min()))))
+        starts.append(tuple(lo - k - t for t in range(taps)))
+        col = (-1, 1, 1)
+        zero = (w == 0.0).reshape(col)
+        weights.append(None if taps == 1 else
+                       ((1.0 - w).reshape(col), w.reshape(col), zero if zero.any() else None))
+    return _ShiftPlan(tuple(pads), tuple(starts), tuple(weights), rows_first,
+                      np.arange(len(shifts)))
+
+
+def _lerp(taps, weights):
+    """(1 - w) a + w b per plane of the taps (a, b), written over b; a alone
+    where w == 0, as ``shift_linear`` takes its single tap there (so a -0.0
+    input stays -0.0).  Float addition commutes, so adding (1 - w) a to w b
+    gives the bytes of (1 - w) a + w b."""
+    if weights is None:
+        return taps[0]
+    one_minus, w, zero = weights
+    a, out = taps
+    out *= w
+    out += one_minus * a
+    if zero is not None:
+        np.copyto(out, a, where=zero)
     return out
+
+
+def _shift(plan: _ShiftPlan, planes: np.ndarray) -> np.ndarray:
+    """Shift each (h, w) plane of ``planes`` (leading axes flattened to Q) by its
+    plan's fractional (row, col) offset, as ``shift_linear`` along columns then
+    rows (rows then columns when ``plan.rows_first``); returns (Q, h, w).
+
+    The planes are laid once into a zero-padded buffer, and each bilinear tap
+    of every plane is one window of it at that plane's own integer offset.
+    """
+    h, w = planes.shape[-2:]
+    (r_lo, r_hi), (c_lo, c_hi) = plan.pads
+    buf = np.zeros(planes.shape[:-2] + (h + r_lo + r_hi, w + c_lo + c_hi), dtype=planes.dtype)
+    buf[..., r_lo:r_lo + h, c_lo:c_lo + w] = planes
+    win = sliding_window_view(buf.reshape((-1,) + buf.shape[-2:]), (h, w), axis=(1, 2))
+    rows, cols = plan.starts
+    w_rows, w_cols = plan.weights
+
+    def tap(r, c):
+        return win[plan.plane_ids, r, c]
+
+    if plan.rows_first:
+        return _lerp([_lerp([tap(r, c) for r in rows], w_rows) for c in cols], w_cols)
+    return _lerp([_lerp([tap(r, c) for c in cols], w_cols) for r in rows], w_rows)
 
 
 def shift_linear(x: np.ndarray, s: float, axis: int) -> np.ndarray:
     """Fractional shift with linear interpolation and zero fill.
 
-    out[i] = (1-w) x[i-k] + w x[i-k-1] with s = k + w.  The exact transpose of
-    this matrix is the same shift evaluated at -s, which is what the adjoint
-    paths rely on.
+    out[i] = (1-w) x[i-k] + w x[i-k-1] with s = k + w, and x[i-k] alone when
+    w == 0.  The exact transpose of this matrix is the same shift evaluated at
+    -s, which is what the adjoint paths rely on.  The one-axis form of
+    ``_shift``.
     """
-    k = int(math.floor(s))
-    w = s - k
-    if w == 0.0:
-        return _ishift(x, k, axis)
-    return (1.0 - w) * _ishift(x, k, axis) + w * _ishift(x, k + 1, axis)
+    lines = np.moveaxis(np.asarray(x), axis, -1)
+    flat = lines.reshape(-1, 1, lines.shape[-1])
+    out = _shift(_shift_plan([(0.0, s)] * len(flat), flat.shape[1:]), flat)
+    return np.moveaxis(out.reshape(lines.shape), -1, axis)
 
 
 def _gauss_blur_circular(x: np.ndarray, sigma: float, axis: int) -> np.ndarray:
@@ -508,105 +576,222 @@ def lipschitz_bound(prim: PrimitiveInstance, lo: float, hi: float) -> float:
 # ---------------------------------------------------------------------------
 # forward / adjoint dispatch
 
+# Parameters a block's members may hold each their own value of.  Every other
+# parameter, and the dtype of every tensor, is part of the block's structure.
+_MEMBER_PARAMS = {
+    PrimitiveKind.PROPAGATE: ("distance_m", "wavelength_m", "pitch_m"),
+    PrimitiveKind.MODULATE: ("m",),
+    PrimitiveKind.PROJECT: ("angles_deg", "n_det", "cor_offset"),
+    PrimitiveKind.CONVOLVE: ("h",),
+    PrimitiveKind.DETECT: ("g", "p2"),
+    PrimitiveKind.DISPERSE: ("a1", "alpha_deg"),
+    PrimitiveKind.SCATTER: ("sigma", "shift"),
+    PrimitiveKind.TRANSFORM: ("alpha", "g", "x0", "coeffs", "lo", "hi"),
+}
 
-def prim_forward(prim: PrimitiveInstance, a: np.ndarray) -> np.ndarray:
-    """Apply a primitive to an input of a shape :func:`prim_output_shape` accepts.
 
-    The shape is not checked again here; only the values are (domains,
-    overflow, real-only families).
+def block_key(prim: PrimitiveInstance) -> tuple:
+    """What the members of a :class:`PrimitiveBlock` must share with ``prim``."""
+    free = _MEMBER_PARAMS.get(prim.kind, ())
+    return prim.kind, tuple(
+        (name, value.dtype if isinstance(value, Tensor) else value)
+        for name, value in sorted(prim.params.items())
+        if isinstance(value, Tensor) or name not in free
+    )
+
+
+class PrimitiveBlock(PrimitiveInstance):
+    """One graph node's primitives across the K operators of a block.
+
+    :func:`prim_forward` and :func:`prim_adjoint` run it as one kernel over a
+    (K, *shape) stack whose row k is member k's input, and each row of the
+    result is byte for byte member k's solo call.  ``kind``, ``params`` and
+    ``is_linear`` are the first member's; the members share its
+    :func:`block_key`.  A tensor the members hold is stacked along a leading
+    K axis on first use, or, when they all hold the same one, given a leading
+    axis of 1 and broadcast.  Project, Propagate, Transform and the nonlinear
+    Detect families run member by member; Scatter blurs member by member.
     """
-    p = prim.params
-    k = prim.kind
+
+    def __init__(self, prims):
+        first = prims[0]
+        super().__init__(first.kind, first.params, first.is_linear)
+        object.__setattr__(self, "members", tuple(prims))
+        object.__setattr__(self, "_cache", {})
+
+    def cached(self, key, build):
+        """``build()``, made on the first call with ``key`` and kept."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+    def stacked(self, name: str) -> np.ndarray:
+        """The members' tensor ``name`` as a (K, ...) stack, or (1, ...) if shared."""
+        def build():
+            values = [p.params[name] for p in self.members]
+            if all(v is values[0] for v in values):
+                return values[0].numpy()[None]
+            return np.stack([v.numpy() for v in values])
+        return self.cached(name, build)
+
+
+def _per_member(blk: PrimitiveBlock, fn, a: np.ndarray) -> np.ndarray:
+    rows = [fn(p.params, x) for p, x in zip(blk.members, a)]
+    return rows[0][None] if len(rows) == 1 else np.stack(rows)
+
+
+def _gains(blk: PrimitiveBlock, ndim: int) -> np.ndarray:
+    """Linear Detect's gain per member, shaped to scale a stack of ``ndim`` axes."""
+    return blk.cached(("g", ndim), lambda: np.array(
+        [p.params["g"] for p in blk.members]).reshape((-1,) + (1,) * (ndim - 1)))
+
+
+def _spectra(blk: PrimitiveBlock, axes: tuple, conj: bool) -> np.ndarray:
+    """FFT of each member's Convolve kernel over the stack's inner axes."""
+    h = blk.cached(("H", axes), lambda: np.fft.fftn(blk.stacked("h"), axes=axes))
+    return blk.cached(("H*", axes), lambda: np.conj(h)) if conj else h
+
+
+def _stack_axes(axes, ndim: int) -> tuple:
+    """Per-operator ``axes`` (all of them if None) as axes of a stack."""
+    if axes is None:
+        return tuple(range(1, ndim))
+    return tuple(a + 1 if a >= 0 else a for a in axes)
+
+
+def _omega(blk: PrimitiveBlock) -> np.ndarray:
+    return blk.cached("omega", lambda: np.asarray(blk.params["omega"], dtype=np.int64))
+
+
+def _disperse(blk: PrimitiveBlock, a: np.ndarray, adjoint: bool) -> np.ndarray:
+    """Every band of every member in one ``_shift``: the adjoint is the same
+    shift at -s, rows before columns."""
+    k, h, w, bands = a.shape
+
+    def plan():
+        shifts = np.array([s for p in blk.members for s in _disperse_shifts(p.params, bands)])
+        return _shift_plan(-shifts if adjoint else shifts, (h, w), rows_first=adjoint)
+
+    out = _shift(blk.cached(("disperse", adjoint, a.shape[1:]), plan), a.transpose(0, 3, 1, 2))
+    return np.ascontiguousarray(out.reshape(k, bands, h, w).transpose(0, 2, 3, 1))
+
+
+def _scatter_shift(blk: PrimitiveBlock, a: np.ndarray, sign: float) -> np.ndarray:
+    return _shift(blk.cached(("scatter", sign, a.shape[1:]), lambda: _shift_plan(
+        [(0.0, sign * p.params["shift"]) for p in blk.members], a.shape[1:])), a)
+
+
+def _propagate(p: dict, x: np.ndarray, conj: bool = False) -> np.ndarray:
+    tf = _fresnel_tf(p, x.shape)
+    return np.fft.ifft2(np.fft.fft2(x.astype(np.complex128)) * (np.conj(tf) if conj else tf))
+
+
+def _block_forward(blk: PrimitiveBlock, a: np.ndarray) -> np.ndarray:
+    p = blk.params
+    k = blk.kind
     if k == PrimitiveKind.MODULATE:
-        out = p["m"].numpy() * (a[None] if p["pattern_stack"] else a)
+        out = blk.stacked("m") * (a[:, None] if p["pattern_stack"] else a)
     elif k == PrimitiveKind.CONVOLVE:
-        h = p["h"].numpy()
-        out = np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(h))
-        if not (np.iscomplexobj(a) or np.iscomplexobj(h)):
+        axes = tuple(range(1, a.ndim))
+        out = np.fft.ifftn(np.fft.fftn(a, axes=axes) * _spectra(blk, axes, False), axes=axes)
+        if not (np.iscomplexobj(a) or p["h"].dtype == "complex128"):
             out = out.real
     elif k == PrimitiveKind.ACCUMULATE:
-        out = a.sum(axis=tuple(p["axes"]))
+        out = a.sum(axis=_stack_axes(p["axes"], a.ndim))
     elif k == PrimitiveKind.SAMPLE:
-        out = a.reshape(-1)[np.asarray(p["omega"], dtype=np.int64)]
+        out = a.reshape(len(a), -1)[:, _omega(blk)]
     elif k == PrimitiveKind.ENCODE:
-        axes = p["axes"]
-        out = np.fft.fftn(a, axes=None if axes is None else tuple(axes), norm="ortho")
+        out = np.fft.fftn(a, axes=_stack_axes(p["axes"], a.ndim), norm="ortho")
     elif k == PrimitiveKind.PROJECT:
-        out = _radon_forward(p, a)
+        out = _per_member(blk, _radon_forward, a)
     elif k == PrimitiveKind.PROPAGATE:
-        tf = _fresnel_tf(p, a.shape)
-        out = np.fft.ifft2(np.fft.fft2(a.astype(np.complex128)) * tf)
+        out = _per_member(blk, _propagate, a)
     elif k == PrimitiveKind.DISPERSE:
-        out = np.empty_like(a)
-        for b, (dr, dcol) in enumerate(_disperse_shifts(p, a.shape[2])):
-            band = shift_linear(a[:, :, b], dcol, axis=1)
-            out[:, :, b] = shift_linear(band, dr, axis=0)
+        out = _disperse(blk, a, adjoint=False)
     elif k == PrimitiveKind.SCATTER:
-        out = shift_linear(_gauss_blur_circular(a, p["sigma"], axis=0), p["shift"], axis=1)
+        blurred = _per_member(blk, lambda q, x: _gauss_blur_circular(x, q["sigma"], axis=0), a)
+        out = _scatter_shift(blk, blurred, 1.0)
+    elif k == PrimitiveKind.DETECT and blk.is_linear:
+        out = _gains(blk, a.ndim) * a
     elif k == PrimitiveKind.DETECT:
-        out = detect_apply(p, a)
+        out = _per_member(blk, detect_apply, a)
     elif k == PrimitiveKind.TRANSFORM:
-        out = transform_apply(p, a)
+        out = _per_member(blk, transform_apply, a)
     else:
         raise AssertionError(k)
     return out
 
 
-def prim_adjoint(prim: PrimitiveInstance, a: np.ndarray, input_shape=None) -> np.ndarray:
-    """Adjoint of a linear primitive.
+def _block_adjoint(blk: PrimitiveBlock, a: np.ndarray, input_shape) -> np.ndarray:
+    p = blk.params
+    k = blk.kind
+    if k == PrimitiveKind.MODULATE:
+        m = blk.stacked("m")
+        if np.iscomplexobj(m):
+            m = blk.cached("m*", lambda: np.conj(m))
+        out = m * a
+        if p["pattern_stack"]:
+            out = out.sum(axis=1)
+    elif k == PrimitiveKind.CONVOLVE:
+        axes = tuple(range(1, a.ndim))
+        out = np.fft.ifftn(np.fft.fftn(a, axes=axes) * _spectra(blk, axes, True), axes=axes)
+        if not (np.iscomplexobj(a) or p["h"].dtype == "complex128"):
+            out = out.real
+    elif k == PrimitiveKind.ACCUMULATE:
+        expanded = np.expand_dims(a, tuple(ax + 1 for ax in sorted(p["axes"])))
+        out = np.broadcast_to(expanded, (len(a),) + tuple(p["input_shape"])).copy()
+    elif k == PrimitiveKind.SAMPLE:
+        flat = np.zeros((len(a), math.prod(p["input_shape"])), dtype=a.dtype)
+        np.add.at(flat, (slice(None), _omega(blk)), a)
+        out = flat.reshape((len(a),) + tuple(p["input_shape"]))
+    elif k == PrimitiveKind.ENCODE:
+        out = np.fft.ifftn(a, axes=_stack_axes(p["axes"], a.ndim), norm="ortho")
+    elif k == PrimitiveKind.PROJECT:
+        if input_shape is None:
+            raise PrimitiveError("Project adjoint: input_shape is required")
+        out = _per_member(blk, lambda q, y: _radon_adjoint(q, y, tuple(input_shape)), a)
+    elif k == PrimitiveKind.PROPAGATE:
+        out = _per_member(blk, lambda q, y: _propagate(q, y, conj=True), a)
+    elif k == PrimitiveKind.DISPERSE:
+        out = _disperse(blk, a, adjoint=True)
+    elif k == PrimitiveKind.SCATTER:
+        shifted = _scatter_shift(blk, a, -1.0)
+        out = _per_member(blk, lambda q, x: _gauss_blur_circular(x, q["sigma"], axis=0), shifted)
+    elif k == PrimitiveKind.DETECT:
+        out = _gains(blk, a.ndim) * a  # the gains are real: conj(g) = g
+    else:
+        raise AssertionError(k)
+    return out
 
-    Project and Propagate need the domain shape; for Project it is required
-    (pass ``input_shape``), the rest infer it from params or the output.  As
-    in :func:`prim_forward`, shapes are not checked.
+
+def prim_forward(prim: PrimitiveInstance, a: np.ndarray) -> np.ndarray:
+    """Apply a primitive to an input of a shape :func:`prim_output_shape` accepts,
+    or a :class:`PrimitiveBlock` to the (K, *shape) stack of its members' inputs.
+
+    The shape is not checked again here; only the values are (domains,
+    overflow, real-only families).  A lone primitive is the block of one.
+    """
+    if isinstance(prim, PrimitiveBlock):
+        return _block_forward(prim, a)
+    return _block_forward(PrimitiveBlock([prim]), a[None])[0]
+
+
+def prim_adjoint(prim: PrimitiveInstance, a: np.ndarray, input_shape=None) -> np.ndarray:
+    """Adjoint of a linear primitive, or of a :class:`PrimitiveBlock` over a stack.
+
+    Project needs its domain shape (one operator's ``input_shape``, required);
+    the rest infer it from params or the output.  As in
+    :func:`prim_forward`, shapes are not checked, and a lone primitive is the
+    block of one.
     """
     if not prim.is_linear:
         raise PrimitiveError(
             f"adjoint undefined for nonlinear primitive {prim.kind.value}"
             + (f" (family {prim.params.get('family')!r})" if "family" in prim.params else "")
         )
-    p = prim.params
-    k = prim.kind
-    if k == PrimitiveKind.MODULATE:
-        m = p["m"].numpy()
-        out = (np.conj(m) if np.iscomplexobj(m) else m) * a
-        if p["pattern_stack"]:
-            out = out.sum(axis=0)
-    elif k == PrimitiveKind.CONVOLVE:
-        h = p["h"].numpy()
-        out = np.fft.ifftn(np.fft.fftn(a) * np.conj(np.fft.fftn(h)))
-        if not (np.iscomplexobj(a) or np.iscomplexobj(h)):
-            out = out.real
-    elif k == PrimitiveKind.ACCUMULATE:
-        shp = p["input_shape"]
-        expanded = np.expand_dims(a, tuple(sorted(p["axes"])))
-        out = np.broadcast_to(expanded, shp).copy()
-    elif k == PrimitiveKind.SAMPLE:
-        shp = p["input_shape"]
-        flat = np.zeros(int(np.prod(shp)), dtype=a.dtype)
-        np.add.at(flat, np.asarray(p["omega"], dtype=np.int64), a)
-        out = flat.reshape(shp)
-    elif k == PrimitiveKind.ENCODE:
-        axes = p["axes"]
-        out = np.fft.ifftn(a, axes=None if axes is None else tuple(axes), norm="ortho")
-    elif k == PrimitiveKind.PROJECT:
-        if input_shape is None:
-            raise PrimitiveError("Project adjoint: input_shape is required")
-        out = _radon_adjoint(p, a, tuple(input_shape))
-    elif k == PrimitiveKind.PROPAGATE:
-        tf = _fresnel_tf(p, a.shape)
-        out = np.fft.ifft2(np.fft.fft2(a.astype(np.complex128)) * np.conj(tf))
-    elif k == PrimitiveKind.DISPERSE:
-        out = np.empty_like(a)
-        for b, (dr, dcol) in enumerate(_disperse_shifts(p, a.shape[2])):
-            band = shift_linear(a[:, :, b], -dr, axis=0)
-            out[:, :, b] = shift_linear(band, -dcol, axis=1)
-    elif k == PrimitiveKind.SCATTER:
-        out = _gauss_blur_circular(shift_linear(a, -p["shift"], axis=1), p["sigma"], axis=0)
-    elif k == PrimitiveKind.DETECT:
-        out = np.conj(p["g"]) * a
-    else:
-        raise AssertionError(k)
-    return out
+    if isinstance(prim, PrimitiveBlock):
+        return _block_adjoint(prim, a, input_shape)
+    return _block_adjoint(PrimitiveBlock([prim]), a[None], input_shape)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,24 +10,27 @@ in lockstep (``reconstruct_block``; ``reconstruct`` is the block of one).  A
 problem is an operator and its own measurement: calibration poses one ``y``
 under many candidate operators, the scenario protocol each scene's ``y``
 under the true, nominal and calibrated operators, and ``diagnose`` many
-measurements under one operator.  Forwards, adjoints and objectives stay per
-problem, but the block runs one TV prox over its stacked iterates per step
-and takes their TV norms in one stacked pass, so the numpy call overhead,
-which dominates at a few thousand elements, is paid once per block.  Every
-decision (restart, hold, best iterate) is taken per problem, so each result
-is byte for byte its solo solve.  ``solve_blocks`` is the one rule that
-cuts a list of problems into blocks; calibration, the protocol and
-``diagnose`` all call it.
+measurements under one operator.  The block's operators are compiled once
+into a :class:`~opgraph.graph.BlockOperator`, so each step makes one stacked
+forward, one stacked adjoint and one TV prox over the stacked iterates, and
+takes their TV norms in one stacked pass: the numpy call overhead, which
+dominates at a few thousand elements, is paid once per block.  Only the data
+terms (one ``np.vdot`` per problem) and every decision (restart, hold, best
+iterate) are per problem, so each result is byte for byte its solo solve.  A
+restart runs the block's operators of the restarting rows only.
+``solve_blocks`` is the one rule that cuts a list of problems into blocks;
+calibration, the protocol and ``diagnose`` all call it.
 
 FISTA-TV makes one forward per problem per iteration.  The objective of the
 candidate c computes A c and keeps it; the operator is linear, so the next
-momentum point z = c + beta (c - x) has A z = A c + beta (A c - A x), formed
-from forwards already held.  A restart takes its plain step from the kept
-A x, and a held position keeps it, so a solve makes ``iters + 1`` forwards
-plus one per restart.  Every A z is made from forwards, never from the last
-A z, so rounding cannot build up over iterations.  GAP-TV's prox makes the
-next iterate nonlinear in the last one, so it keeps its forward per
-iteration; it fails ``NON_FINITE`` at the first non-finite residual.
+momentum point z = c + beta (c - x) has A z = A c + beta (A c - A x), one
+stacked expression of forwards already held.  A restart takes its plain step
+from the kept A x, and a held position keeps it, so a solve makes
+``iters + 1`` forwards plus one per restart.  Every A z is made from
+forwards, never from the last A z, so rounding cannot build up over
+iterations.  GAP-TV's prox makes the next iterate nonlinear in the last one,
+so it keeps its forward per iteration; it fails ``NON_FINITE`` at the first
+problem whose residual is not finite.
 
 A :class:`Tensor` is built only where data enters a solve (``y``) and where
 its result leaves (``x_hat``); iterations, power iteration and the residual
@@ -50,7 +53,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .graph import GraphOperator
+from .graph import BlockOperator, GraphOperator, compile_block
 from .primitives import PrimitiveKind, prim_adjoint
 from .tensor import CodedError, Rng, Tensor, TensorError
 
@@ -270,44 +273,42 @@ def pin_step(g: GraphOperator, cfg: dict) -> dict:
 # solvers
 
 
-def _gradient_step(gs, z: np.ndarray, az, ys, step: float) -> np.ndarray:
-    """z_k - step * A_k^T (A_k z_k - y_k) for each problem (A_k, y_k) of the block,
-    given each A_k z_k."""
-    out = np.empty_like(z)
-    for g, zk, azk, y, ok in zip(gs, z, az, ys, out):
-        np.subtract(zk, step * _adjoint_primal(g, azk - y), out=ok)
-    return out
+def _real(a: np.ndarray) -> np.ndarray:
+    """The real part a TV solver's real primal keeps of an adjoint."""
+    return a.real if np.iscomplexobj(a) else a
 
 
-def _fista_tv(gs, ys, iters: int, lam_tv: float, step: float):
-    def objectives(ks, stack):
-        """A_k c and 0.5 ||A_k c - y_k||^2 + lam_tv TV(c) for each c of the stack,
-        c solved under problem ks[i]."""
-        fwd = [gs[k].forward_array(c) for k, c in zip(ks, stack)]
-        f = []
-        for k, ac, tv in zip(ks, fwd, _tv_norms(stack)):
-            r = ac - ys[k]
-            f.append(0.5 * float(np.vdot(r, r).real) + lam_tv * float(tv))
-        return fwd, f
+def _gradient_step(A: BlockOperator, z: np.ndarray, az: np.ndarray, ys: np.ndarray,
+                   step: float) -> np.ndarray:
+    """z_k - step * A_k^T (A_k z_k - y_k) for each problem k of the block, given A z."""
+    return z - step * _real(A.adjoint(az - ys))
+
+
+def _fista_tv(gs, A: BlockOperator, ys: np.ndarray, iters: int, lam_tv: float, step: float):
+    def objectives(A, ys, stack):
+        """A c and 0.5 ||A_k c_k - y_k||^2 + lam_tv TV(c_k) for the stack c."""
+        ac = A.forward(stack)
+        r = ac - ys
+        return ac, [0.5 * float(np.vdot(rk, rk).real) + lam_tv * float(tv)
+                    for rk, tv in zip(r, _tv_norms(stack))]
 
     n = len(gs)
     lam = step * lam_tv
-    x = np.zeros((n,) + gs[0].input_shape)
-    ax, f_x = objectives(range(n), x)
+    x = np.zeros((n,) + A.input_shape)
+    ax, f_x = objectives(A, ys, x)
     z, az = x, ax
     t = [1.0] * n
     best_x, best_f = list(x), list(f_x)
     traces = [[f] for f in f_x]
     for _ in range(iters):
-        cand = _prox(_gradient_step(gs, z, az, ys, step), lam)
-        ac, f_c = objectives(range(n), cand)
+        cand = _prox(_gradient_step(A, z, az, ys, step), lam)
+        ac, f_c = objectives(A, ys, cand)
         # momentum overshoot: restart these and take a plain proximal step from x
         restart = [k for k in range(n) if f_c[k] > f_x[k]]
         if restart:
-            retry = _prox(_gradient_step([gs[k] for k in restart], x[restart],
-                                         [ax[k] for k in restart],
-                                         [ys[k] for k in restart], step), lam)
-            for k, c, a, f in zip(restart, retry, *objectives(restart, retry)):
+            sub = A if len(restart) == n else compile_block([gs[k] for k in restart])
+            retry = _prox(_gradient_step(sub, x[restart], ax[restart], ys[restart], step), lam)
+            for k, c, a, f in zip(restart, retry, *objectives(sub, ys[restart], retry)):
                 t[k] = 1.0
                 if f > f_x[k]:  # inexact prox can refuse; hold position
                     c, a, f = x[k], ax[k], f_x[k]
@@ -316,7 +317,7 @@ def _fista_tv(gs, ys, iters: int, lam_tv: float, step: float):
         beta = np.array([(tk - 1.0) / tn for tk, tn in zip(t, t_next)])
         z = cand + beta.reshape((n,) + (1,) * (x.ndim - 1)) * (cand - x)
         # A is linear: A z = A c + beta (A c - A x), from forwards already held
-        az = [a + b * (a - a_x) for a, a_x, b in zip(ac, ax, beta)]
+        az = ac + beta.reshape((n,) + (1,) * (ac.ndim - 1)) * (ac - ax)
         x, ax, f_x, t = cand, ac, f_c, t_next
         for k in range(n):
             traces[k].append(f_x[k])
@@ -325,20 +326,18 @@ def _fista_tv(gs, ys, iters: int, lam_tv: float, step: float):
     return best_x, traces
 
 
-def _gap_tv(gs, ys, iters: int, lam_tv: float, step: float):
-    v = np.zeros((len(gs),) + gs[0].input_shape)
+def _gap_tv(gs, A: BlockOperator, ys: np.ndarray, iters: int, lam_tv: float, step: float):
+    v = np.zeros((len(gs),) + A.input_shape)
     traces = [[] for _ in gs]
     for _ in range(iters):
-        x = np.empty_like(v)
+        r = ys - A.forward(v)
         data_terms = []
-        for g, vk, y, xk in zip(gs, v, ys, x):
-            r = y - g.forward_array(vk)
-            data = 0.5 * float(np.vdot(r, r).real)
+        for rk in r:
+            data = 0.5 * float(np.vdot(rk, rk).real)
             if not math.isfinite(data):
                 raise TensorError("NON_FINITE", "GAP-TV diverged: the residual is not finite")
-            np.add(vk, step * _adjoint_primal(g, r), out=xk)
             data_terms.append(data)
-        v = _prox(x, lam_tv)
+        v = _prox(v + step * _real(A.adjoint(r)), lam_tv)
         for trace, data, tv in zip(traces, data_terms, _tv_norms(v)):
             trace.append(data + lam_tv * float(tv))
     return v, traces
@@ -455,7 +454,7 @@ def reconstruct_block(gs, ys, cfg: dict) -> list[ReconResult]:
         raise SolverError("BAD_CONFIG", f"step must be positive, got {step}")
 
     run = _fista_tv if name == "fista_tv" else _gap_tv
-    xs, traces = run(gs, y_arrs, iters, lam_tv, step)
+    xs, traces = run(gs, compile_block(gs), np.stack(y_arrs), iters, lam_tv, step)
     return [ReconResult(Tensor(x), iters, tuple(trace), _problem=(g, y))
             for g, y, x, trace in zip(gs, y_arrs, xs, traces)]
 

@@ -252,13 +252,15 @@ def _build_spc(size: int, level: int, rng: Rng, defaults: dict):
     child = rng.child(_STREAM_MASK)
     # 1/sqrt(pixels) keeps the ensemble near-isometric, so TV weights transfer
     scale = 1.0 / size
-    patterns = np.where(child.uniform((m_count, size, size)) < 0.5, -scale, scale)
+    # one Tensor for every theta: the operators of a calibration block then
+    # share their pattern matrix instead of stacking copies of it
+    patterns = Tensor(np.where(child.uniform((m_count, size, size)) < 0.5, -scale, scale))
 
     @functools.cache
     def patterns_full():
         # n x size x size floats (128 MiB at size 64), drawn on first use; the
         # next draw from ``child`` is still the one the eager stack used
-        return np.where(child.uniform((n, size, size)) < 0.5, -scale, scale)
+        return Tensor(np.where(child.uniform((n, size, size)) < 0.5, -scale, scale))
 
     def make(theta, pats):
         (alpha,) = theta
@@ -267,7 +269,7 @@ def _build_spc(size: int, level: int, rng: Rng, defaults: dict):
             {
                 "node_id": "patterns",
                 "primitive_id": "Modulate",
-                "params": {"m": Tensor(pats), "pattern_stack": True},
+                "params": {"m": pats, "pattern_stack": True},
             },
             {
                 "node_id": "bucket",

@@ -154,6 +154,45 @@ def _diff_adjoint(p, axis, n):
     return padded[tuple(sl_lo)] - padded[tuple(sl_hi)]
 
 
+def shift_linear_reference(x, s, axis):
+    """Fractional shift as two zero-filled integer shifts blended, or the one
+    integer shift when s is whole: the straight-line form of
+    ``primitives.shift_linear``, which must agree with it byte for byte."""
+
+    def integer_shift(k):
+        out = np.zeros_like(x)
+        n = x.shape[axis]
+        if abs(k) < n:
+            src, dst = [slice(None)] * x.ndim, [slice(None)] * x.ndim
+            src[axis] = slice(0, n - k) if k >= 0 else slice(-k, n)
+            dst[axis] = slice(k, n) if k >= 0 else slice(0, n + k)
+            out[tuple(dst)] = x[tuple(src)]
+        return out
+
+    k = int(math.floor(s))
+    w = s - k
+    if w == 0.0:
+        return integer_shift(k)
+    return (1.0 - w) * integer_shift(k) + w * integer_shift(k + 1)
+
+
+def disperse_reference(p, x, adjoint=False):
+    """Disperse band by band: band b shifts by a1 * b along the rotated axis,
+    columns then rows; the adjoint shifts rows then columns at -s."""
+    al = math.radians(p["alpha_deg"])
+    out = np.empty_like(x)
+    for b in range(x.shape[2]):
+        s = p["a1"] * b
+        dr, dc = s * math.sin(al), s * math.cos(al)
+        if adjoint:
+            band = shift_linear_reference(x[:, :, b], -dr, 0)
+            out[:, :, b] = shift_linear_reference(band, -dc, 1)
+        else:
+            band = shift_linear_reference(x[:, :, b], dc, 1)
+            out[:, :, b] = shift_linear_reference(band, dr, 0)
+    return out
+
+
 def tv_prox_reference(a, lam, n_inner=20):
     """Anisotropic TV prox by projected dual ascent, one fresh array per step.
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from reference_models import fbp_reference, fista_tv_reference, tv_prox_reference
 
-from opgraph.graph import GraphError, GraphOperator, compile_graph, make_spec
+from opgraph.graph import BlockOperator, GraphError, GraphOperator, compile_graph, make_spec
 from opgraph.solvers import (
     ReconResult,
     SolverError,
@@ -334,20 +334,21 @@ def _full_solve(modality):
 
 
 def _count_forwards_and_prox_candidates(monkeypatch):
+    """Per-candidate counts: a block forward counts each row of its stack."""
     from opgraph import solvers
 
     counts = {"forwards": 0, "prox_candidates": 0}
-    fwd, prox = GraphOperator.forward_array, solvers._prox
+    fwd, prox = BlockOperator.forward, solvers._prox
 
     def forward(self, x):
-        counts["forwards"] += 1
+        counts["forwards"] += len(x)
         return fwd(self, x)
 
     def counted_prox(stack, lam):
         counts["prox_candidates"] += len(stack)
         return prox(stack, lam)
 
-    monkeypatch.setattr(GraphOperator, "forward_array", forward)
+    monkeypatch.setattr(BlockOperator, "forward", forward)
     monkeypatch.setattr(solvers, "_prox", counted_prox)
     return counts
 
@@ -607,7 +608,8 @@ def test_array_runners_match_the_copying_tensor_path(monkeypatch, modality):
     """Solves on plain arrays give the bytes of a validated copy at every operator call.
 
     No solver may write into an array an ``add`` graph hands back, and a strided
-    result (lensless's Convolve) must reach BLAS in C order.
+    result (lensless's Convolve) must reach BLAS in C order.  Every operator
+    call runs a block runner, so the copies are made there.
     """
     g, ys, step = _problems_with_distinct_measurements(modality)
     saved = [y.numpy().tobytes() for y in ys]
@@ -622,11 +624,16 @@ def test_array_runners_match_the_copying_tensor_path(monkeypatch, modality):
 
     got = run()
     assert [y.numpy().tobytes() for y in ys] == saved
-    fwd, adj = GraphOperator.forward_array, GraphOperator.adjoint_array
-    monkeypatch.setattr(GraphOperator, "forward_array",
-                        lambda self, x: Tensor(fwd(self, Tensor(x).numpy())).numpy())
-    monkeypatch.setattr(GraphOperator, "adjoint_array",
-                        lambda self, y: Tensor(adj(self, Tensor(y).numpy())).numpy())
+
+    def copying(runner):
+        """The runner on validated copies of each row, returning copies of each row;
+        every operator call, a block's or a lone ``forward_array``, goes through it."""
+        def copies(stack):
+            return np.stack([Tensor(row).numpy() for row in stack])
+        return lambda self, stack: copies(runner(self, copies(stack)))
+
+    monkeypatch.setattr(BlockOperator, "forward", copying(BlockOperator.forward))
+    monkeypatch.setattr(BlockOperator, "adjoint", copying(BlockOperator.adjoint))
     assert run() == got
 
 

@@ -262,20 +262,26 @@ def drift(base, head) -> dict:
 # Counts, in one process, the operator forwards and restarts of one full template
 # FISTA-TV solve per modality (size 16, scene 0, the template's solver at its
 # pinned step).  perfbench's tracer cannot see the array runners the solvers call.
+# A block runner's forward counts each candidate of its stack, so the count
+# reads the same on commits before and after block operators.
 FORWARD_COUNT = """
 import json
-from opgraph import solvers
-from opgraph.graph import GraphOperator
+from opgraph import graph, solvers
 from opgraph.templates import instantiate, make_phantoms
 counts = {"forwards": 0, "prox_candidates": 0}
-fwd, prox = GraphOperator.forward_array, solvers._prox
+if hasattr(graph, "BlockOperator"):
+    owner, name, candidates = graph.BlockOperator, "forward", len
+else:
+    owner, name, candidates = graph.GraphOperator, "forward_array", lambda x: 1
+fwd, prox = getattr(owner, name), solvers._prox
 def forward(self, x):
-    counts["forwards"] += 1
+    counts["forwards"] += candidates(x)
     return fwd(self, x)
 def counted_prox(stack, lam):
     counts["prox_candidates"] += len(stack)
     return prox(stack, lam)
-GraphOperator.forward_array, solvers._prox = forward, counted_prox
+setattr(owner, name, forward)
+solvers._prox = counted_prox
 out = {}
 for modality in ("cassi", "spc", "mri", "lensless"):
     t = instantiate(modality, 16)
@@ -289,6 +295,97 @@ for modality in ("cassi", "spc", "mri", "lensless"):
                      "restarts": counts["prox_candidates"] - cfg["iters"]}
 print(json.dumps(out))
 """
+
+# Times, on the head only, each node kind's block kernel over K operators of its
+# size-16 template at K distinct thetas (drawn from the mismatch ranges) against
+# K solo calls, each through its operator's own block of one as
+# ``GraphOperator.forward_array`` runs it; ``bytes_equal`` says whether every row
+# of the block result is its solo call's bytes.  Rows named ``operator`` time
+# the whole graph: ``compile_block``'s runner against K ``forward_array`` or
+# ``adjoint_array`` calls, which covers spc's contracted pattern pair.  Seconds
+# are the best of 5 repeats of enough calls to fill about 20 ms.
+BLOCK_KERNELS = """
+import json, time
+import numpy as np
+from opgraph.graph import compile_block
+from opgraph.primitives import PrimitiveBlock, prim_adjoint, prim_forward
+from opgraph.templates import instantiate
+
+def best(fn):
+    n = 1
+    while True:
+        start = time.perf_counter()
+        for _ in range(n):
+            fn()
+        if time.perf_counter() - start > 0.02 or n >= 4096:
+            break
+        n *= 2
+    runs = []
+    for _ in range(5):
+        start = time.perf_counter()
+        for _ in range(n):
+            fn()
+        runs.append((time.perf_counter() - start) / n)
+    return min(runs)
+
+def draw(shape, dtype, rng):
+    a = rng.standard_normal(shape)
+    return a + 1j * rng.standard_normal(shape) if dtype == "complex128" else a
+
+def row(kind, template, node, direction, k, block_fn, solo_fns):
+    block = block_fn()
+    equal = all(block[i].tobytes() == np.ascontiguousarray(fn()).tobytes()
+                for i, fn in enumerate(solo_fns))
+    b, s = best(block_fn), best(lambda: [fn() for fn in solo_fns])
+    return {"kind": kind, "template": template, "node": node, "direction": direction, "K": k,
+            "block_us": b * 1e6, "solo_us": s * 1e6, "speedup": s / b, "bytes_equal": equal}
+
+rows = []
+KINDS = {"cassi": ("mask", "disperse", "sum", "det"), "mri": ("fourier", "keep"),
+         "lensless": ("psf",), "ct": ("proj",), "spc": ()}
+for template, nodes in KINDS.items():
+    t = instantiate(template, 16)
+    lo, hi = np.array(t.family.theta_range).T
+    for k in (1, 2, 8, 32):
+        rng = np.random.default_rng(k)
+        gs = [t.operator(tuple(lo + (hi - lo) * rng.random(len(lo)))) for _ in range(k)]
+        g0 = gs[0]
+        shapes = {nid: g0._node_in_shapes[nid] for nid in g0.plan_forward}
+        for nid in nodes:
+            prims = [g._prims[nid] for g in gs]
+            block, solos = PrimitiveBlock(prims), [PrimitiveBlock([p]) for p in prims]
+            x = draw((k,) + shapes[nid], "real64" if nid in ("mask", "proj", "psf", "coil") else
+                     "complex128", rng)
+            y = np.stack([prim_forward(b, xi[None])[0] for b, xi in zip(solos, x)])
+            y = draw(y.shape, "complex128" if np.iscomplexobj(y) else "real64", rng)
+            kind = prims[0].kind.value
+            rows.append(row(kind, template, nid, "forward", k, lambda: prim_forward(block, x),
+                            [lambda b=b, xi=xi: prim_forward(b, xi[None])[0]
+                             for b, xi in zip(solos, x)]))
+            if prims[0].is_linear:
+                rows.append(row(kind, template, nid, "adjoint", k,
+                                lambda: prim_adjoint(block, y, input_shape=shapes[nid]),
+                                [lambda b=b, yi=yi: prim_adjoint(b, yi[None],
+                                                                 input_shape=shapes[nid])[0]
+                                 for b, yi in zip(solos, y)]))
+        A = compile_block(gs)
+        x = draw((k,) + A.input_shape, g0.input_dtype, rng)
+        y = draw((k,) + A.output_shape, g0.output_dtype, rng)
+        rows.append(row("operator", template, "", "forward", k, lambda: A.forward(x),
+                        [lambda g=g, xi=xi: g.forward_array(xi) for g, xi in zip(gs, x)]))
+        rows.append(row("operator", template, "", "adjoint", k, lambda: A.adjoint(y),
+                        [lambda g=g, yi=yi: g.adjoint_array(yi) for g, yi in zip(gs, y)]))
+print(json.dumps(rows))
+"""
+
+
+def block_kernels(checkout: Path) -> list:
+    """The per-K table of block kernels against solo calls, on one checkout."""
+    proc = subprocess.run([sys.executable, "-c", BLOCK_KERNELS], cwd=checkout, check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(checkout / "src"),
+                               "OPENBLAS_NUM_THREADS": "1"})
+    return json.loads(proc.stdout)
 
 
 def fista_forwards(checkout: Path) -> dict:
@@ -386,6 +483,7 @@ def main(argv=None) -> int:
         report["fista_forwards"] = {side: fista_forwards(checkout)
                                     for side, checkout in checkouts.items()}
         report["src_lines"] = {side: src_lines(checkout) for side, checkout in checkouts.items()}
+        report["block_kernels"] = block_kernels(checkouts["head"])
         report["cli_outputs"] = cli_outputs(checkouts, scratch)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
