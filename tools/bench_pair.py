@@ -17,9 +17,13 @@ iterations; one traced run cannot tell a small change from noise), and
 whether a few ``scenario``, ``diagnose`` and ``calibrate`` CLI runs write
 byte-identical result files on both commits, with each run's wall seconds
 (one run each, process start included); only these ``cli_outputs`` show
-byte identity.  ``fista_forwards`` counts, in process, the operator forwards
-and restarts of one full FISTA-TV solve per modality on each commit, and
-``src_lines`` the line count of ``src/opgraph/*.py`` of each commit.
+byte identity.  ``trace.meaning`` says what the traced figures that depend
+on how the program calls its kernels count.  ``fista_forwards`` counts, in
+process, the operator forwards and restarts of one full FISTA-TV solve per
+modality on each commit, ``src_lines`` the line count of
+``src/opgraph/*.py`` of each commit, and ``block_kernels`` times, on the
+head, each node kind's block kernel against its K solo calls at
+K = 1, 2, 8 and 32, with whether their bytes agree.
 Where a case's files differ, each file's largest absolute numeric drift is
 recorded with the field it occurs in, over all fields, over the PSNR fields
 and under each top-level key, with every field that differs otherwise
@@ -67,6 +71,22 @@ TRACED = ("tensor.construct_n", "tensor.construct_s", "tensor.bytes_copied",
           "calibrate_s",
           "triad.materialize_n", "triad.materialize_s", "triad.recoverability_s",
           "triad.sensitivity_n", "scenario_s", "diagnose_s", "trace.wall_s")
+# What traced figures whose meaning depends on how the program calls its kernels
+# count; written with the figures so that a BENCH says which fields changed meaning.
+TRACE_MEANING = {
+    "primitives.{fwd,adj}.<kind>_n": (
+        "kernel calls: on a program with block operators (graph.compile_block), one "
+        "per node per block forward or adjoint, however many candidates the block "
+        "stacks, and one per lone-operator call (its block of one); on a program "
+        "without them, one per candidate"),
+    "primitives.{fwd,adj}.<kind>_s": "self seconds of those kernel calls",
+    "graph.forward_n, graph.adjoint_n": (
+        "Tensor-level GraphOperator.forward/adjoint calls; solver iterations and "
+        "block runners do not pass through them"),
+    "tensor.bytes_copied": (
+        "bytes copied into Tensors; a program with block operators builds spc's "
+        "pattern tensor once per template, not once per operator"),
+}
 # CLI runs whose result files must not change; flags after the subcommand
 CLI_CASES = (
     ("scenario", ["--modality", "spc", "--size", "16", "--theta-true", "0.012"],
@@ -469,7 +489,8 @@ def main(argv=None) -> int:
                 runs.append(run)
             report["workloads"][w] = {"summary": summarize(runs), "runs": runs}
         trace_seeds = [FIRST_SEED + i for i in range(TRACE_RUNS)]
-        report["trace"] = {"seeds": trace_seeds, "statistic": "median"}
+        report["trace"] = {"seeds": trace_seeds, "statistic": "median",
+                           "meaning": TRACE_MEANING}
         for w in TRACE_WORKLOADS:
             runs = {"base": [], "head": []}
             for i, seed in enumerate(trace_seeds):
