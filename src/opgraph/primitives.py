@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -256,24 +255,15 @@ def _validate_params(kind, p):
 # shared numeric helpers
 
 
-class _ShiftPlan(NamedTuple):
-    """Where ``_shift`` reads the taps of Q planes' fractional (row, col) shifts.
+def _shift_plan(shifts, shape, rows_first: bool = False) -> tuple:
+    """Where ``_shift`` reads the taps of the fractional (row, col) shift of each
+    of the Q planes in ``shifts``.
 
-    Per axis: the zero padding (before, after), each tap's window start per
+    Returns (pads, starts, weights, rows_first, plane indices 0..Q-1).  Per
+    axis: the zero padding (before, after), each tap's window start per
     plane, and the (1 - w, w, w == 0) weights as (Q, 1, 1) columns, or None
-    when every plane's shift on that axis is an integer (one tap); then the
-    combining order and the plane indices 0..Q-1.
+    when every plane's shift on that axis is an integer (one tap).
     """
-
-    pads: tuple
-    starts: tuple
-    weights: tuple
-    rows_first: bool
-    plane_ids: np.ndarray
-
-
-def _shift_plan(shifts, shape, rows_first: bool = False) -> _ShiftPlan:
-    """The plan of ``_shift`` for the (row, col) shift of each plane in ``shifts``."""
     shifts = np.asarray(shifts, dtype=np.float64).reshape(-1, 2)
     pads, starts, weights = [], [], []
     for axis, n in enumerate(shape):
@@ -290,8 +280,7 @@ def _shift_plan(shifts, shape, rows_first: bool = False) -> _ShiftPlan:
         zero = (w == 0.0).reshape(col)
         weights.append(None if taps == 1 else
                        ((1.0 - w).reshape(col), w.reshape(col), zero if zero.any() else None))
-    return _ShiftPlan(tuple(pads), tuple(starts), tuple(weights), rows_first,
-                      np.arange(len(shifts)))
+    return pads, starts, weights, rows_first, np.arange(len(shifts))
 
 
 def _lerp(taps, weights):
@@ -310,26 +299,24 @@ def _lerp(taps, weights):
     return out
 
 
-def _shift(plan: _ShiftPlan, planes: np.ndarray) -> np.ndarray:
+def _shift(plan: tuple, planes: np.ndarray) -> np.ndarray:
     """Shift each (h, w) plane of ``planes`` (leading axes flattened to Q) by its
-    plan's fractional (row, col) offset, as ``shift_linear`` along columns then
-    rows (rows then columns when ``plan.rows_first``); returns (Q, h, w).
+    ``_shift_plan`` offset, as ``shift_linear`` along columns then rows (rows
+    then columns when the plan says so); returns (Q, h, w).
 
     The planes are laid once into a zero-padded buffer, and each bilinear tap
     of every plane is one window of it at that plane's own integer offset.
     """
+    ((r_lo, r_hi), (c_lo, c_hi)), (rows, cols), (w_rows, w_cols), rows_first, ids = plan
     h, w = planes.shape[-2:]
-    (r_lo, r_hi), (c_lo, c_hi) = plan.pads
     buf = np.zeros(planes.shape[:-2] + (h + r_lo + r_hi, w + c_lo + c_hi), dtype=planes.dtype)
     buf[..., r_lo:r_lo + h, c_lo:c_lo + w] = planes
     win = sliding_window_view(buf.reshape((-1,) + buf.shape[-2:]), (h, w), axis=(1, 2))
-    rows, cols = plan.starts
-    w_rows, w_cols = plan.weights
 
     def tap(r, c):
-        return win[plan.plane_ids, r, c]
+        return win[ids, r, c]
 
-    if plan.rows_first:
+    if rows_first:
         return _lerp([_lerp([tap(r, c) for r in rows], w_rows) for c in cols], w_cols)
     return _lerp([_lerp([tap(r, c) for c in cols], w_cols) for r in rows], w_rows)
 
