@@ -8,7 +8,7 @@ feeds the graph input to every source node; a node with several incoming edges
 receives the elementwise sum of its predecessors, and the plumbing id ``add``
 names an explicit no-op join for readability.  Compile owns the shape rules:
 stage 3 applies each node's :func:`~opgraph.primitives.prim_output_shape`,
-and since the array runners check the boundary shape, every node then
+and since the block runner checks the boundary shape, every node then
 receives the shape planned for it and the kernels do not check shapes again.
 
 ``compile_block`` compiles the K operators of a lockstep block, which must
@@ -26,17 +26,16 @@ broadcast over the stack instead of stacked.
 
 Contraction applies to one node pair: a pattern-stack ``Modulate`` whose only
 successor is an ``Accumulate`` that has no other predecessor and sums exactly
-axes 1..ndim-1 of the K-pattern stack.  That pair is the dense K-by-n matrix
-``M = m.reshape(K, -1)``, so ``forward`` computes ``M @ x.ravel()`` and
+axes 1..ndim-1 of the m-pattern stack.  That pair is the dense m-by-n matrix
+``M`` of the stack's rows, so ``forward`` computes ``M @ x.ravel()`` and
 ``adjoint`` computes ``Mᴴ y`` reshaped to the input shape, instead of writing
-the K-by-input stack and summing it away.  The stack node passes its input
+the m-by-input stack and summing it away.  The stack node passes its input
 through and the ``Accumulate`` node applies ``M``; the spec, its hash, the plans
 and every other node are unchanged, and ``adjoint_check_graph`` certifies the
 contracted operator, since it calls the same ``forward`` and ``adjoint``.  The
 results differ from the node-by-node sums only at rounding level (BLAS sums in
-another order).  A block runs the pair as one batched ``np.matmul`` over the
-stack of its operators' matrices, or over one shared matrix when their pattern
-stacks are one tensor; each row is its solo matrix-vector product.
+another order).  A block stacks ``M`` by the rule above, to (K, m, n) or to
+(1, m, n), and runs the pair as one batched ``np.matmul``.
 """
 
 from __future__ import annotations
@@ -199,7 +198,7 @@ class GraphOperator:
     _prims: dict = field(repr=False, default_factory=dict)
     _preds: dict = field(repr=False, default_factory=dict)
     _node_in_shapes: dict = field(repr=False, default_factory=dict)
-    # contracted pairs: Accumulate id -> the K x n matrix of its stack
+    # contracted pairs: Accumulate id -> its pattern-stack Modulate
     _contracted: dict = field(repr=False, default_factory=dict)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -221,7 +220,7 @@ class GraphOperator:
             tuple(
                 (nid, tuple(self._preds[nid]), self._node_in_shapes[nid],
                  None if self._prims[nid] is None else block_key(self._prims[nid]),
-                 self._contracted[nid].dtype if nid in self._contracted else None)
+                 block_key(self._contracted[nid]) if nid in self._contracted else None)
                 for nid in self.plan_forward
             ),
         )
@@ -229,10 +228,6 @@ class GraphOperator:
     def forward_array(self, x: np.ndarray) -> np.ndarray:
         """``forward`` on a plain array, the block of one; a pass-through graph
         returns ``x`` itself."""
-        if x.shape != self.input_shape:
-            raise GraphError(
-                "SHAPE_MISMATCH", f"input shape {x.shape} != expected {self.input_shape}"
-            )
         stack = x[None]
         out = self._solo.forward(stack)
         return x if out is stack else out[0]
@@ -240,14 +235,6 @@ class GraphOperator:
     def adjoint_array(self, y: np.ndarray) -> np.ndarray:
         """``adjoint`` on a plain array, the block of one; a pass-through graph
         returns ``y`` itself."""
-        if self.plan_adjoint is None:
-            raise GraphError(
-                "NONLINEAR_ADJOINT", "graph contains nonlinear nodes; no adjoint plan"
-            )
-        if y.shape != self.output_shape:
-            raise GraphError(
-                "SHAPE_MISMATCH", f"adjoint input shape {y.shape} != expected {self.output_shape}"
-            )
         stack = y[None]
         out = self._solo.adjoint(stack)
         return y if out is stack else out[0]
@@ -275,14 +262,16 @@ class BlockOperator:
         self._node_in_shapes = first._node_in_shapes
         # node id -> its PrimitiveBlock; None passes the input through
         self._nodes = nodes
-        # Accumulate id -> the (K, m, n) stack of its matrices, or one shared (m, n) matrix
+        # Accumulate id -> the (K, m, n) stack of its matrices, or (1, m, n) if shared
         self._contracted = contracted
 
     def _check(self, a: np.ndarray, shape: tuple, what: str) -> None:
-        if a.shape != (self.size,) + shape:
+        """The one boundary check of every operator call, in per-operator terms."""
+        if a.shape[1:] != shape:
+            raise GraphError("SHAPE_MISMATCH", f"{what} shape {a.shape[1:]} != expected {shape}")
+        if len(a) != self.size:
             raise GraphError(
-                "SHAPE_MISMATCH",
-                f"{what} stack shape {a.shape} != expected {(self.size,) + shape}",
+                "SHAPE_MISMATCH", f"{len(a)} {what}s for a block of {self.size} operators"
             )
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -343,16 +332,6 @@ class BlockOperator:
         return np.asarray(xhat, order="C")
 
 
-def _shared_or_stacked(arrays) -> np.ndarray:
-    """The one matrix every operator holds a view of (their pattern stacks are
-    one tensor), or the stack of the operators' matrices."""
-    first = arrays[0]
-    where = first.__array_interface__
-    if all(a.__array_interface__ == where for a in arrays):
-        return first
-    return np.stack(arrays)
-
-
 def compile_block(gs) -> BlockOperator:
     """The :class:`BlockOperator` of the operators ``gs``, in order.
 
@@ -376,8 +355,10 @@ def compile_block(gs) -> BlockOperator:
             )
     nodes = {nid: None if prim is None else PrimitiveBlock([g._prims[nid] for g in gs])
              for nid, prim in first._prims.items()}
-    contracted = {nid: _shared_or_stacked([g._contracted[nid] for g in gs])
-                  for nid in first._contracted}
+    contracted = {}
+    for nid in first._contracted:
+        m = PrimitiveBlock([g._contracted[nid] for g in gs]).stacked("m")
+        contracted[nid] = m.reshape(m.shape[:2] + (-1,))
     return BlockOperator(gs, nodes, contracted)
 
 
@@ -447,7 +428,7 @@ def _infer_input_shape(spec: GraphSpec, prims: dict, sources) -> tuple[int, ...]
 
 
 def _contractions(prims: dict, preds: dict, out_deg: dict) -> dict:
-    """Accumulate id -> stack matrix, for each pattern-stack Modulate -> Accumulate pair."""
+    """Accumulate id -> stack primitive, for each pattern-stack Modulate -> Accumulate pair."""
     pairs = {}
     for nid, prim in prims.items():
         if prim is None or prim.kind != PrimitiveKind.ACCUMULATE or len(preds[nid]) != 1:
@@ -461,9 +442,8 @@ def _contractions(prims: dict, preds: dict, out_deg: dict) -> dict:
             or out_deg[stack_id] != 1
         ):
             continue
-        m = stack.params["m"].numpy()
-        if sorted(prim.params["axes"]) == list(range(1, m.ndim)):
-            pairs[nid] = m.reshape(m.shape[0], -1)
+        if sorted(prim.params["axes"]) == list(range(1, stack.params["m"].ndim)):
+            pairs[nid] = stack
     return pairs
 
 

@@ -90,11 +90,7 @@ _SCHEMAS: dict[PrimitiveKind, dict[str, tuple[str, bool]]] = {
         "p2": ("float", False),
     },
     PrimitiveKind.SAMPLE: {"omega": ("int_list", True), "input_shape": ("shape", True)},
-    PrimitiveKind.DISPERSE: {
-        "a1": ("float", True),
-        "alpha_deg": ("float", False),
-        "band_axis": ("int", False),
-    },
+    PrimitiveKind.DISPERSE: {"a1": ("float", True), "alpha_deg": ("float", False)},
     PrimitiveKind.SCATTER: {"sigma": ("float", True), "shift": ("float", False)},
     PrimitiveKind.TRANSFORM: {
         "family": ("str", True),
@@ -112,7 +108,7 @@ _DEFAULTS = {
     PrimitiveKind.PROJECT: {"cor_offset": 0.0},
     PrimitiveKind.ENCODE: {"axes": None},
     PrimitiveKind.DETECT: {"g": 1.0},
-    PrimitiveKind.DISPERSE: {"alpha_deg": 0.0, "band_axis": 2},
+    PrimitiveKind.DISPERSE: {"alpha_deg": 0.0},
     PrimitiveKind.SCATTER: {"shift": 0.0},
 }
 
@@ -475,9 +471,8 @@ def _logistic(x: np.ndarray) -> np.ndarray:
 
 
 def detect_apply(p: dict, x: np.ndarray) -> np.ndarray:
+    """A nonlinear Detect family; linear_field runs as a block's gains."""
     fam, g = p["family"], p["g"]
-    if fam == "linear_field":
-        return g * x
     if fam == "logarithmic":
         _require_real(x, "Detect.logarithmic")
         off = p["p2"]
@@ -824,8 +819,8 @@ def prim_output_shape(prim: PrimitiveInstance, input_shape) -> tuple[int, ...]:
             raise PrimitiveError("Propagate: expects a 2D field")
         return shp
     if k == PrimitiveKind.DISPERSE:
-        if len(shp) != 3 or p["band_axis"] != 2:
-            raise PrimitiveError("Disperse: expects a 3D cube with band_axis as the last axis")
+        if len(shp) != 3:
+            raise PrimitiveError("Disperse: expects a 3D cube with bands on the last axis")
         return shp
     if k == PrimitiveKind.SCATTER:
         if len(shp) != 2:

@@ -168,13 +168,15 @@ _LEVEL2_DETECT = {
 }
 
 
-def _detect_node(modality: str, level: int) -> dict:
-    params = {"family": "linear_field", "g": 1.0} if level == 1 else dict(_LEVEL2_DETECT[modality])
-    return {"node_id": "det", "primitive_id": "Detect", "params": params}
-
-
-def _chain_edges(node_ids: list[str]) -> list[tuple[str, str]]:
-    return [(a, b) for a, b in zip(node_ids, node_ids[1:])]
+def _chain(modality: str, level: int, input_shape: list[int], nodes: list[dict]) -> GraphSpec:
+    """The spec that runs ``nodes`` and then the modality's ``det`` node at
+    ``level``, one after the other, on an ``input_shape`` input."""
+    detect = {"family": "linear_field", "g": 1.0} if level == 1 else dict(_LEVEL2_DETECT[modality])
+    nodes = [*nodes, {"node_id": "det", "primitive_id": "Detect", "params": detect}]
+    ids = [n["node_id"] for n in nodes]
+    return make_spec(
+        nodes, list(zip(ids, ids[1:])), metadata={"modality": modality, "input_shape": input_shape}
+    )
 
 
 def _build_cassi(size: int, level: int, rng: Rng, defaults: dict):
@@ -189,10 +191,9 @@ def _build_cassi(size: int, level: int, rng: Rng, defaults: dict):
             {
                 "node_id": "disperse",
                 "primitive_id": "Disperse",
-                "params": {"a1": a1, "alpha_deg": alpha, "band_axis": 2},
+                "params": {"a1": a1, "alpha_deg": alpha},
             },
         ]
-        ids = ["mask", "disperse"]
         if not full:
             nodes.append(
                 {
@@ -201,14 +202,7 @@ def _build_cassi(size: int, level: int, rng: Rng, defaults: dict):
                     "params": {"axes": [2], "input_shape": [size, size, bands]},
                 }
             )
-            ids.append("sum")
-        nodes.append(_detect_node("cassi", level))
-        ids.append("det")
-        return make_spec(
-            nodes,
-            _chain_edges(ids),
-            metadata={"modality": "cassi", "input_shape": [size, size, bands]},
-        )
+        return _chain("cassi", level, [size, size, bands], nodes)
 
     return build, (lambda theta: build(theta, full=True))
 
@@ -225,7 +219,6 @@ def _build_cacti(size: int, level: int, rng: Rng, defaults: dict):
         nodes = [
             {"node_id": "mask", "primitive_id": "Modulate", "params": {"m": Tensor(shifted)}},
         ]
-        ids = ["mask"]
         if not full:
             nodes.append(
                 {
@@ -234,14 +227,7 @@ def _build_cacti(size: int, level: int, rng: Rng, defaults: dict):
                     "params": {"axes": [2], "input_shape": [size, size, frames]},
                 }
             )
-            ids.append("sum")
-        nodes.append(_detect_node("cacti", level))
-        ids.append("det")
-        return make_spec(
-            nodes,
-            _chain_edges(ids),
-            metadata={"modality": "cacti", "input_shape": [size, size, frames]},
-        )
+        return _chain("cacti", level, [size, size, frames], nodes)
 
     return build, (lambda theta: build(theta, full=True))
 
@@ -277,13 +263,8 @@ def _build_spc(size: int, level: int, rng: Rng, defaults: dict):
                 "params": {"axes": [1, 2], "input_shape": [pats.shape[0], size, size]},
             },
             {"node_id": "gain", "primitive_id": "Modulate", "params": {"m": Tensor(gains)}},
-            _detect_node("spc", level),
         ]
-        return make_spec(
-            nodes,
-            _chain_edges(["patterns", "bucket", "gain", "det"]),
-            metadata={"modality": "spc", "input_shape": [size, size]},
-        )
+        return _chain("spc", level, [size, size], nodes)
 
     return (lambda theta: make(theta, patterns)), (lambda theta: make(theta, patterns_full()))
 
@@ -303,13 +284,8 @@ def _build_ct(size: int, level: int, rng: Rng, defaults: dict):
                 "primitive_id": "Project",
                 "params": {"angles_deg": angles, "n_det": n_det, "cor_offset": cor},
             },
-            _detect_node("ct", level),
         ]
-        return make_spec(
-            nodes,
-            _chain_edges(["proj", "det"]),
-            metadata={"modality": "ct", "input_shape": [size, size]},
-        )
+        return _chain("ct", level, [size, size], nodes)
 
     return build, None
 
@@ -360,13 +336,8 @@ def _build_mri(size: int, level: int, rng: Rng, defaults: dict):
                 "primitive_id": "Sample",
                 "params": {"omega": omega, "input_shape": [size, size]},
             },
-            _detect_node("mri", level),
         ]
-        return make_spec(
-            nodes,
-            _chain_edges(["coil", "fourier", "keep", "det"]),
-            metadata={"modality": "mri", "input_shape": [size, size]},
-        )
+        return _chain("mri", level, [size, size], nodes)
 
     return (lambda theta: make(theta, rows)), (lambda theta: make(theta, list(range(size))))
 
@@ -379,13 +350,8 @@ def _build_lensless(size: int, level: int, rng: Rng, defaults: dict):
         kernel = _gauss_kernel(size, sigma0 + dsigma)
         nodes = [
             {"node_id": "psf", "primitive_id": "Convolve", "params": {"h": Tensor(kernel)}},
-            _detect_node("lensless", level),
         ]
-        return make_spec(
-            nodes,
-            _chain_edges(["psf", "det"]),
-            metadata={"modality": "lensless", "input_shape": [size, size]},
-        )
+        return _chain("lensless", level, [size, size], nodes)
 
     return build, None
 

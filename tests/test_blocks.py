@@ -195,12 +195,13 @@ def test_template_block_matches_solo_runs(modality, size, k, shared):
 
 def test_spc_contracted_pair_shares_or_stacks_its_matrix():
     """Thetas of one spc template share its pattern tensor, so the block holds one
-    matrix; templates drawn at different seeds stack theirs."""
+    matrix with a leading axis of 1; templates drawn at different seeds stack
+    theirs along a leading axis of 3."""
     A = _check_block_runner(_operators("spc", 16, 8, shared=False))
-    assert A._contracted["bucket"].ndim == 2
+    assert A._contracted["bucket"].shape == (1, 64, 256)
     gs = [instantiate("spc", 16, seed=s).operator() for s in range(3)]
     A = _check_block_runner(gs)
-    assert A._contracted["bucket"].shape[0] == 3
+    assert A._contracted["bucket"].shape == (3, 64, 256)
 
 
 def test_block_of_different_structure_is_bad_block(monkeypatch):

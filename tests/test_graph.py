@@ -128,14 +128,16 @@ class TestValidation:
             compile_graph(spec)
         assert e.value.code == "SHAPE_MISMATCH"
 
-    def test_disperse_band_axis_not_last_rejected_at_compile(self):
+    def test_disperse_band_axis_is_an_unknown_parameter(self):
+        """Bands are always the last axis; a spec naming ``band_axis`` fails as
+        any unknown parameter does."""
         spec = make_spec(
-            [{"node_id": "disp", "primitive_id": "Disperse", "params": {"a1": 1.0, "band_axis": 0}}],
+            [{"node_id": "disp", "primitive_id": "Disperse", "params": {"a1": 1.0, "band_axis": 2}}],
             [], {"input_shape": [4, 4, 3]},
         )
-        with pytest.raises(GraphError, match="node 'disp'.*band_axis") as e:
+        with pytest.raises(GraphError, match="node 'disp'.*unknown parameter 'band_axis'") as e:
             compile_graph(spec)
-        assert e.value.code == "SHAPE_MISMATCH"
+        assert e.value.code == "BAD_PARAM"
 
     def test_encode_axis_out_of_range_names_node(self):
         with pytest.raises(GraphError, match="node 'enc'.*out of range") as e:

@@ -3,7 +3,8 @@
 Each run calls ``cli.main`` in process and must exit 0 with the result files
 the README documents for its command.  Sizes 11 and 17 give the TV prox odd
 strides; size 8 is below the SSIM window, so a scenario reports every ``ssim``
-as null there and as a number at 11 and 17.
+as null there and as a number at 11 and 17.  ``simulate`` also runs at sizes
+33 and 64, the largest template, at both fidelity levels.
 """
 
 import json
@@ -37,18 +38,23 @@ def _commit_env(monkeypatch):
     monkeypatch.setenv("OPGRAPH_COMMIT", "testcommit")
 
 
+def _run_and_verify(tmp_path, capsys, argv, files):
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 0, capsys.readouterr().err
+    for name in (*files, "runbundle.json"):
+        assert (out / name).is_file(), name
+    assert main(["verify", str(out)]) == 0
+    return out
+
+
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
 @pytest.mark.parametrize("size", [8, 11, 17])
 @pytest.mark.parametrize("modality", sorted(_THETA))
 def test_legal_run_exits_zero_with_result_files(tmp_path, capsys, modality, size, command):
     theta_flag, flags, files = _COMMANDS[command]
-    out = tmp_path / "run"
     argv = [command, "--modality", modality, "--size", str(size),
-            theta_flag, *_THETA[modality], *flags, "--out", str(out)]
-    assert main(argv) == 0, capsys.readouterr().err
-    for name in (*files, "runbundle.json"):
-        assert (out / name).is_file(), name
-    assert main(["verify", str(out)]) == 0
+            theta_flag, *_THETA[modality], *flags]
+    out = _run_and_verify(tmp_path, capsys, argv, files)
     if command == "scenario":
         result = json.loads((out / "scenario_result.json").read_text())
         ssims = [m["ssim"] for scenes in (result["means"], *result["per_scene"])
@@ -58,3 +64,13 @@ def test_legal_run_exits_zero_with_result_files(tmp_path, capsys, modality, size
             assert ssims == [None] * 8
         else:
             assert all(isinstance(v, float) for v in ssims), ssims
+
+
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("size", [33, 64])
+@pytest.mark.parametrize("modality", sorted(_THETA))
+def test_large_simulate_exits_zero_with_result_files(tmp_path, capsys, modality, size, level):
+    theta_flag, flags, files = _COMMANDS["simulate"]
+    argv = ["simulate", "--modality", modality, "--size", str(size), "--level", str(level),
+            theta_flag, *_THETA[modality], *flags]
+    _run_and_verify(tmp_path, capsys, argv, files)

@@ -94,6 +94,30 @@ def test_nominal_theta_is_hash_fixed_point(modality):
     assert graph_hash(t.operator()) == graph_hash(t.operator(t.family.theta_nom))
 
 
+# graph_hash of each template at size 16, level 1, seed 0: (nominal, full_sampling()).
+# cassi's were taken after Disperse lost its band_axis parameter.
+GOLDEN_HASHES = {
+    "cassi": ("98b4104d5ab07821040fa517e1040db813639aa462ede359b80f2473ebf6897a",
+              "d671b9ad33af7818b114d4937a9a14f821e873552135c45f90f12620f174120e"),
+    "cacti": ("fce310cd0cdf8c76fb2dee5c41ef75db9bc994917137a5307ffc00fccd9d027f",
+              "c18578faa96258a79921ff54752b724f5d3b4c5c8d1f20349edce7c44a0caaad"),
+    "spc": ("5c7f8a0e3901cfd07f781c3d9d36b7f3c4f46d5f8ba6c7d625d9a0d54497eb77",
+            "e0c4e12dc4a766e492f3fa31cb8ca61834c781adf7ff2239590240614990abda"),
+    "ct": ("1ccca51f95e4d1862ccb428b49bd982557cffc8124b3abc9aa94fa9201fb2b13",
+           "1ccca51f95e4d1862ccb428b49bd982557cffc8124b3abc9aa94fa9201fb2b13"),
+    "mri": ("3ff26c835383301df236e997cd8400520837f04451599299f15b3b4f8186ce1c",
+            "ee4ceca1195e3fbaa4700315ae56fbc40929f9d6f58d95067c3e61ef1a33ebf0"),
+    "lensless": ("0e7049d0386f25163aa78934a0a30d03a9ebfe097aff02fc7750c76e18667244",
+                 "0e7049d0386f25163aa78934a0a30d03a9ebfe097aff02fc7750c76e18667244"),
+}
+
+
+@pytest.mark.parametrize("modality", MODALITIES)
+def test_template_hashes_are_pinned(modality):
+    t = instantiate(modality, 16)
+    assert (graph_hash(t.spec), graph_hash(t.full_sampling().spec)) == GOLDEN_HASHES[modality]
+
+
 @pytest.mark.parametrize("modality", MODALITIES)
 def test_instantiation_is_deterministic(modality):
     a = instantiate(modality, 16, 1, seed=3)
