@@ -189,7 +189,6 @@ class GraphOperator:
     spec: GraphSpec
     plan_forward: tuple[str, ...]
     plan_adjoint: tuple[str, ...] | None
-    all_linear: bool
     input_shape: tuple[int, ...]
     output_shape: tuple[int, ...]
     input_dtype: str
@@ -200,6 +199,11 @@ class GraphOperator:
     _node_in_shapes: dict = field(repr=False, default_factory=dict)
     # contracted pairs: Accumulate id -> its pattern-stack Modulate
     _contracted: dict = field(repr=False, default_factory=dict)
+
+    @property
+    def all_linear(self) -> bool:
+        """Every node is linear, so the graph has an adjoint plan."""
+        return self.plan_adjoint is not None
 
     def forward(self, x: Tensor) -> Tensor:
         return Tensor(self.forward_array(x.numpy()))
@@ -530,13 +534,11 @@ def compile_graph(spec: GraphSpec) -> GraphOperator:
 
     # stage 5: adjoint plan, only when every node is linear
     all_linear = all(p is None or p.is_linear for p in prims.values())
-    plan_adjoint = tuple(reversed(plan)) if all_linear else None
 
     return GraphOperator(
         spec=spec,
         plan_forward=plan,
-        plan_adjoint=plan_adjoint,
-        all_linear=all_linear,
+        plan_adjoint=tuple(reversed(plan)) if all_linear else None,
         input_shape=tuple(input_shape),
         output_shape=shapes[plan[-1]],
         input_dtype=input_dtype,

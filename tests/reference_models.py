@@ -193,11 +193,39 @@ def disperse_reference(p, x, adjoint=False):
     return out
 
 
-def tv_prox_reference(a, lam, n_inner=20):
-    """Anisotropic TV prox by projected dual ascent, one fresh array per step.
+def tv_prox_reference(a, lam, n_inner=10):
+    """Anisotropic TV prox by fast gradient projection (FGP) on the dual, one
+    fresh array per step.
 
     The straight-line form of ``solvers.tv_prox``: same float operations in
-    the same order, so the two must agree byte for byte.
+    the same order, so the two must agree byte for byte.  The dual q is kept
+    scaled by 4 ndim lam (box [-4 ndim lam, 4 ndim lam], unit step); r is its
+    extrapolation, and the primal is taken at the last q.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    box = 4.0 * a.ndim * lam
+    scale = 1.0 / (4.0 * a.ndim)
+
+    def primal(duals):
+        return a - sum(_diff_adjoint(p, d, a.shape[d]) for d, p in enumerate(duals)) * scale
+
+    q = r = [np.zeros_like(np.diff(a, axis=d)) for d in range(a.ndim)]
+    t = 1.0
+    for _ in range(max(1, n_inner)):
+        u = primal(r)
+        q_last, q = q, [np.clip(np.diff(u, axis=d) + p, -box, box) for d, p in enumerate(r)]
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        beta = (t - 1.0) / t_next
+        r = [p + (p - p_last) * beta for p, p_last in zip(q, q_last)]
+        t = t_next
+    return primal(q)
+
+
+def tv_prox_pg_reference(a, lam, n_inner=20):
+    """Anisotropic TV prox by plain projected dual ascent, one fresh array per step.
+
+    The oracle that FGP's momentum is checked against: run long, both must
+    reach the same prox.
     """
     a = np.asarray(a, dtype=np.float64)
     duals = [np.zeros_like(np.diff(a, axis=d)) for d in range(a.ndim)]

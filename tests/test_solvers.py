@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
-from reference_models import fbp_reference, fista_tv_reference, tv_prox_reference
+from reference_models import (
+    fbp_reference,
+    fista_tv_reference,
+    tv_prox_pg_reference,
+    tv_prox_reference,
+)
 
 from opgraph.graph import BlockOperator, GraphError, GraphOperator, compile_graph, make_spec
 from opgraph.solvers import (
@@ -96,6 +101,16 @@ def test_tv_prox_large_lambda_flattens_to_mean():
     a = Rng(4).uniform((6,))
     u = tv_prox(a, 10.0, n_inner=500)
     assert np.allclose(u, a.mean(), atol=1e-3)
+
+
+@pytest.mark.parametrize("shape", [(12, 12), (8, 8, 4)])
+@pytest.mark.parametrize("lam", [0.01, 1.0])
+def test_tv_prox_momentum_reaches_the_projected_gradient_prox(shape, lam):
+    # projected dual ascent run long is the oracle for the prox itself; at
+    # (12, 12) and lam = 1.0 its own 500 steps are still 1e-3 away from it, so
+    # a prox without momentum fails here
+    a = Rng(3).uniform(shape)
+    assert np.abs(tv_prox(a, lam, 500) - tv_prox_pg_reference(a, lam, 4000)).max() < 1e-4
 
 
 def _signed_zeros(shape, seed):

@@ -11,7 +11,8 @@ metric's per-run values with their median and quartiles, how many pairs the
 head won, the rounds each run fitted, the ``breakdown`` figures with whether
 ``calib_evals`` and the PSNRs are equal pair by pair (``breakdown_equal_6sig``:
 perfbench prints them to 6 significant digits, so this reads true under
-rounding drift and cannot show byte identity), the median of three traced runs
+rounding drift and cannot show byte identity) and each one's largest
+pair-by-pair absolute difference (``breakdown_max_abs_diff``), the median of three traced runs
 of each workload per commit at seeds 11-13 (layer times, call counts and solver
 iterations; one traced run cannot tell a small change from noise), and
 whether a few ``scenario``, ``diagnose`` and ``calibrate`` CLI runs write
@@ -20,7 +21,9 @@ byte-identical result files on both commits, with each run's wall seconds
 byte identity.  ``trace.meaning`` says what the traced figures that depend
 on how the program calls its kernels count.  ``fista_forwards`` counts, in
 process, the operator forwards and restarts of one full FISTA-TV solve per
-modality on each commit, ``src_lines`` the line count of
+modality on each commit, ``solve_psnr`` the PSNR of one full noisy solve per
+TV-solved template at sizes 16 and 32, seeds 0-2, on each commit, with the
+head's drift from the base, ``src_lines`` the line count of
 ``src/opgraph/*.py`` of each commit, and ``block_kernels`` times, on the
 head, each node kind's block kernel against its K solo calls at
 K = 1, 2, 8 and 32, with whether their bytes agree.
@@ -228,6 +231,12 @@ def summarize(runs) -> dict:
         r["base"]["breakdown"].get(k) == r["head"]["breakdown"].get(k)
         for r in runs for k in REPEATABLE
     )
+    # each figure's largest pair-by-pair drift; None where a run does not report it
+    out["breakdown_max_abs_diff"] = {
+        k: max((abs(r["head"]["breakdown"][k] - r["base"]["breakdown"][k]) for r in runs
+                if k in r["base"]["breakdown"] and k in r["head"]["breakdown"]), default=None)
+        for k in REPEATABLE
+    }
     return out
 
 
@@ -399,6 +408,43 @@ print(json.dumps(rows))
 """
 
 
+# Scores, in one process, one full solve of each TV-solved template at sizes 16
+# and 32 for scenes of seeds 0-2: the template's solver at its pinned step on
+# the noisy measurement of the nominal operator, PSNR against the scene.
+SOLVE_PSNR = """
+import json
+from opgraph import solvers
+from opgraph.metrics import psnr
+from opgraph.templates import apply_noise, instantiate, make_phantoms
+from opgraph.tensor import Rng
+out = {}
+for modality in ("cassi", "cacti", "spc", "mri", "lensless"):
+    for size in (16, 32):
+        t = instantiate(modality, size)
+        g = t.operator()
+        # pin_step's step, spelled out: its signature differs across commits
+        cfg = {**t.solver, "step": 1.0 / (solvers._STEP_MARGIN * solvers.power_iteration(g))}
+        for seed in (0, 1, 2):
+            x = make_phantoms(t, 1, seed=seed)[0].data
+            y = apply_noise(g.forward(x), t.noise, Rng(seed, 1))
+            out[f"{modality}/{size}/{seed}"] = psnr(solvers.reconstruct(g, y, cfg).x_hat, x)
+print(json.dumps(out))
+"""
+
+
+def solve_psnr(checkouts: dict) -> dict:
+    """Each commit's full-solve PSNR per template, size and scene, and their drift."""
+    psnrs = {}
+    for side, checkout in checkouts.items():
+        proc = subprocess.run([sys.executable, "-c", SOLVE_PSNR], cwd=checkout, check=True,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(checkout / "src")})
+        psnrs[side] = json.loads(proc.stdout)
+    drift_db = {case: psnrs["head"][case] - psnrs["base"][case] for case in psnrs["base"]}
+    return {**psnrs, "drift_db": drift_db,
+            "max_abs_drift_db": max(abs(d) for d in drift_db.values())}
+
+
 def block_kernels(checkout: Path) -> list:
     """The per-K table of block kernels against solo calls, on one checkout."""
     proc = subprocess.run([sys.executable, "-c", BLOCK_KERNELS], cwd=checkout, check=True,
@@ -503,6 +549,7 @@ def main(argv=None) -> int:
             }
         report["fista_forwards"] = {side: fista_forwards(checkout)
                                     for side, checkout in checkouts.items()}
+        report["solve_psnr"] = solve_psnr(checkouts)
         report["src_lines"] = {side: src_lines(checkout) for side, checkout in checkouts.items()}
         report["block_kernels"] = block_kernels(checkouts["head"])
         report["cli_outputs"] = cli_outputs(checkouts, scratch)
