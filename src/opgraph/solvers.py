@@ -174,7 +174,7 @@ def _tv_prox_stack(a: np.ndarray, lam: float, n_inner: int = _PROX_STEPS) -> np.
     # a scalar has no differences: its TV is 0 and the prox is the identity
     if lam == 0.0 or a.ndim == 1:
         return a.copy()
-    k, shape = a.shape[0], a.shape[1:]
+    shape = a.shape[1:]
     ndim, size = len(shape), a.size
     box = 4.0 * ndim * lam
     scale = 1.0 / (4.0 * ndim)
