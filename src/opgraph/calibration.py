@@ -8,12 +8,15 @@ seed).  Neither route ever reads the true parameters; ``oracle_psnr`` mode
 sees ground-truth images, ``measurement_residual`` mode sees only y.
 
 Every grid (a sweep, a beam, a descent sweep, alg2's seed grid) hands its
-points to the objective before scoring them.  The objective solves the
+points to the objective before scoring them, and grids that do not depend on
+each other's scores are handed over as one list: alg1's n sweeps, and its
+pair beams over every kept affine candidate.  The objective solves the
 distinct points it has not scored, in first-seen order, in the lockstep
 blocks of ``solvers.solve_blocks`` (the rule the scenario protocol and
 ``diagnose`` share), so one stacked TV prox serves a block; the scores then
 come out in grid order, one objective call per point, as they would one
-solve at a time.
+solve at a time.  alg2's Levenberg-Marquardt runs advance in lockstep the
+same way: each round poses every live run's next solves as one list.
 """
 
 from __future__ import annotations
@@ -69,6 +72,14 @@ class CalibConfig:
     refine_steps: int = 30
     seeds_topk: int = 9
 
+    def __post_init__(self):
+        if self.objective not in _OBJECTIVES:
+            raise CalibError("BAD_CONFIG", f"unknown objective {self.objective!r}")
+        for name, least in (("cd_rounds", 0), ("refine_steps", 1), ("seeds_topk", 1)):
+            value = getattr(self, name)
+            if value < least:
+                raise CalibError("BAD_CONFIG", f"need {name} >= {least}, got {value}")
+
 
 @dataclass(frozen=True)
 class CalibResult:
@@ -114,16 +125,14 @@ class _Objective:
 
     The score is a monotone function of the squared norm of a residual
     vector: x_hat - x_gt in ``oracle_psnr`` mode, A(theta) x_hat - y in
-    ``measurement_residual`` mode.  ``residual`` returns that vector with the
-    score.  The objective keeps only the vectors that ``solve`` was asked to
-    keep (alg2's grid seeds and warm start), so a refinement start costs no
-    second solve; any other theta already scored is solved once more for its
-    vector.
+    ``measurement_residual`` mode.  ``residuals`` returns those vectors with
+    the scores.  The objective keeps only the vectors that ``solve`` was asked
+    to keep (alg2's grid seeds and warm start), so a refinement start costs
+    no second solve, and drops each one once ``residuals`` has read it; any
+    other theta already scored is solved once more for its vector.
     """
 
     def __init__(self, template: Template, y: Tensor, cfg: CalibConfig, x_gt):
-        if cfg.objective not in _OBJECTIVES:
-            raise CalibError("BAD_CONFIG", f"unknown objective {cfg.objective!r}")
         if cfg.objective == "oracle_psnr" and x_gt is None:
             raise CalibError("BAD_CONFIG", "oracle_psnr objective needs ground truth images")
         self.template = template
@@ -184,14 +193,32 @@ class _Objective:
                                        key=lambda b: b[:2])
         self._kept.update((key, _flat(r)) for _, _, key, r in best)
 
-    def residual(self, theta):
-        """(score, residual vector flattened to real float64) at theta, one call."""
-        key = _key(theta)
-        r = self._kept.get(key)
-        if r is None:
-            ((_, _, r),) = self._solve([(key, theta)])
-            r = _flat(r)
-        return self(theta), r
+    def residuals(self, thetas):
+        """(score, residual vector flattened to real float64) at each theta.
+
+        One objective call per theta.  Kept vectors are read and dropped; the
+        distinct theta without one are solved in blocks, in first-seen order.
+        """
+        keys = [_key(theta) for theta in thetas]
+        vectors = {key: self._kept.pop(key) for key in keys if key in self._kept}
+        todo = {}
+        for key, theta in zip(keys, thetas):
+            if key not in vectors:
+                todo.setdefault(key, theta)
+        vectors.update((key, _flat(r)) for key, _, r in self._solve(list(todo.items())))
+        return [(self(theta), vectors[key]) for key, theta in zip(keys, thetas)]
+
+
+def _grid_points(base, axes, axis_values) -> list:
+    """The theta tuples of the grid over ``axes``, the rest held at ``base``,
+    in ``itertools.product`` order."""
+    thetas = []
+    for combo in itertools.product(*axis_values):
+        theta = list(base)
+        for a, v in zip(axes, combo):
+            theta[a] = float(v)
+        thetas.append(tuple(theta))
+    return thetas
 
 
 def _score_grid(obj, base, axes, axis_values, keep: int = 0):
@@ -202,12 +229,7 @@ def _score_grid(obj, base, axes, axis_values, keep: int = 0):
     callable is called point by point.  Returns ``(cost, index, theta)``
     triples in ``itertools.product`` order.
     """
-    thetas = []
-    for combo in itertools.product(*axis_values):
-        theta = list(base)
-        for a, v in zip(axes, combo):
-            theta[a] = float(v)
-        thetas.append(tuple(theta))
+    thetas = _grid_points(base, axes, axis_values)
     if hasattr(obj, "solve"):
         obj.solve(thetas, keep)
     return [(obj(theta), idx, theta) for idx, theta in enumerate(thetas)]
@@ -219,6 +241,13 @@ def sweep_1d(obj, fam, param_k: int, n_points: int):
     ``obj`` scores a theta tuple of the mismatch family ``fam``.  Returns
     (values, costs, best_index); ties go to the first grid point.
     """
+    values = _sweep_values(fam, param_k, n_points)
+    costs = [c for c, _, _ in _score_grid(obj, fam.theta_nom, (param_k,), (values,))]
+    best = int(np.argmin(costs))
+    return tuple(float(v) for v in values), tuple(costs), best
+
+
+def _sweep_values(fam, param_k: int, n_points: int) -> np.ndarray:
     if not 0 <= param_k < len(fam.param_names):
         raise CalibError("BAD_PARAM", f"param index {param_k} out of range")
     if n_points < 3:
@@ -226,14 +255,20 @@ def sweep_1d(obj, fam, param_k: int, n_points: int):
     lo, hi = fam.theta_range[param_k]
     if not hi > lo:
         raise CalibError("DEGENERATE_RANGE", f"{fam.param_names[param_k]}: [{lo}, {hi}]")
-    values = np.linspace(lo, hi, n_points)
-    costs = [c for c, _, _ in _score_grid(obj, fam.theta_nom, (param_k,), (values,))]
-    best = int(np.argmin(costs))
-    return tuple(float(v) for v in values), tuple(costs), best
+    return np.linspace(lo, hi, n_points)
 
 
 def _axis_grid(center: float, lo: float, hi: float, dim: int, span: float) -> np.ndarray:
     return np.clip(center + np.linspace(-span, span, dim), lo, hi)
+
+
+def _beam_axes(fam, axes, grid_dims, centers) -> list:
+    """Each beam axis's values: a quarter of its range either side of its center."""
+    axis_values = []
+    for a, dim, center in zip(axes, grid_dims, centers):
+        lo, hi = fam.theta_range[a]
+        axis_values.append(_axis_grid(float(center), lo, hi, int(dim), (hi - lo) / 4.0))
+    return axis_values
 
 
 def beam_search(obj, fam, axes, grid_dims, centers, beam_k: int, theta_base=None):
@@ -249,11 +284,7 @@ def beam_search(obj, fam, axes, grid_dims, centers, beam_k: int, theta_base=None
     if beam_k > total:
         raise CalibError("BEAM_TOO_WIDE", f"beam_k={beam_k} exceeds grid size {total}")
     base = list(theta_base if theta_base is not None else fam.theta_nom)
-    axis_values = []
-    for a, dim, center in zip(axes, grid_dims, centers):
-        lo, hi = fam.theta_range[a]
-        axis_values.append(_axis_grid(float(center), lo, hi, int(dim), (hi - lo) / 4.0))
-    scored = _score_grid(obj, base, axes, axis_values)
+    scored = _score_grid(obj, base, axes, _beam_axes(fam, axes, grid_dims, centers))
     scored.sort(key=lambda t: (t[0], t[1]))
     return [(theta, cost) for cost, _, theta in scored[:beam_k]]
 
@@ -298,6 +329,9 @@ def calibrate_alg1(template, y, cfg: CalibConfig | None = None, x_gt=None) -> Ca
     trace = []
 
     n_sweep = _GRID["sweep"]
+    # the sweeps are independent, so their points are solved as one list
+    obj.solve([theta for k in range(n) for theta in _grid_points(
+        fam.theta_nom, (k,), (_sweep_values(fam, k, n_sweep),))])
     centers = []
     for k in range(n):
         values, costs, best = sweep_1d(obj, fam, k, n_sweep)
@@ -316,6 +350,9 @@ def calibrate_alg1(template, y, cfg: CalibConfig | None = None, x_gt=None) -> Ca
         )
         trace.append(("beam:affine", tuple(t for t, _ in kept), tuple(c for _, c in kept)))
         dims2 = _GRID["beam2"][: len(other)]
+        # every kept candidate's pair beam, solved as one list
+        pair_axes = _beam_axes(fam, other, dims2, [centers[i] for i in other])
+        obj.solve([theta for cand, _ in kept for theta in _grid_points(cand, other, pair_axes)])
         pairs = []
         for cand, _ in kept:
             pairs.extend(
@@ -344,19 +381,26 @@ def calibrate_alg1(template, y, cfg: CalibConfig | None = None, x_gt=None) -> Ca
     return CalibResult(theta_hat, cost, tuple(trace), obj.evals, obj.distinct_evals)
 
 
-def _refine(obj, theta0, ranges, cfg: CalibConfig):
+def _lm_run(theta0, ranges, cfg: CalibConfig):
     """Levenberg-Marquardt on [0,1]-normalized coordinates, clipped to the box.
 
-    ``obj.residual(theta)`` gives the score and the residual vector whose
-    squared norm the score increases with.  Each iteration builds a
-    forward-difference Jacobian of that vector (backward at the upper bound),
-    n solves, and tries one damped Gauss-Newton step with Marquardt scaling,
+    A generator: it yields the list of theta it needs scored next and is
+    sent their (score, residual vector) pairs, where the score increases
+    with the vector's squared norm; it returns (theta, score) at its end
+    point.  Each iteration builds a forward-difference Jacobian of that
+    vector (backward at the upper bound), n solves, and tries one damped
+    Gauss-Newton step with Marquardt scaling,
     (J^T J + mu diag J^T J) d = -J^T r, one solve.  A step that lowers
     ||r||^2 by more than the fraction ``_EARLY_TOL``, whatever the score's
     units, is taken and mu shrinks; otherwise mu grows and the next
     iteration retries from the same point and Jacobian.
-    Stops after ``cfg.refine_steps`` iterations, or when the clipped step no
-    longer moves the point.
+    Stops after ``cfg.refine_steps`` iterations, when the clipped step no
+    longer moves the point, or before scoring a trial whose step d, taken
+    before clipping, predicts a decrease ||r||^2 - ||r + J d||^2 of at most
+    ``_EARLY_TOL`` / 100 of ||r||^2.  Such a step is accepted only if the
+    linear model is off a hundredfold, and at the same J the prediction only
+    falls as mu grows.  The clipped step's prediction does not: at the box
+    edge it can be tiny while a later, smaller step is still accepted.
     """
     lo = np.array([r[0] for r in ranges])
     hi = np.array([r[1] for r in ranges])
@@ -368,17 +412,22 @@ def _refine(obj, theta0, ranges, cfg: CalibConfig):
     # the start is scored at theta0 itself; alg2's objective kept its vector
     theta = tuple(float(v) for v in theta0)
     z = np.clip((np.asarray(theta) - lo) / width, 0.0, 1.0)
-    cost, r = obj.residual(theta)
+    ((cost, r),) = yield [theta]
     mu = _MU_START
     jac = None
     for _ in range(cfg.refine_steps):
         if jac is None:
-            jac = np.empty((r.size, z.size))
+            steps, probes = [], []
             for k in range(z.size):
                 h = _FD_STEP if z[k] + _FD_STEP <= 1.0 else -_FD_STEP
                 probe = z.copy()
                 probe[k] += h
-                jac[:, k] = (obj.residual(at(probe))[1] - r) / h
+                steps.append(h)
+                probes.append(at(probe))
+            answers = yield probes
+            jac = np.empty((r.size, z.size))
+            for k, (h, (_, r_k)) in enumerate(zip(steps, answers)):
+                jac[:, k] = (r_k - r) / h
             jtj = jac.T @ jac
             grad = jac.T @ r
             # Marquardt's diag(J^T J); a parameter the residual ignores scales by 1
@@ -386,9 +435,10 @@ def _refine(obj, theta0, ranges, cfg: CalibConfig):
             scale[scale == 0.0] = 1.0
         step = np.linalg.solve(jtj + mu * np.diag(scale), -grad)
         trial = np.clip(z + step, 0.0, 1.0)
-        if np.array_equal(trial, z):
+        predicted = -(2.0 * (step @ grad) + step @ jtj @ step)
+        if np.array_equal(trial, z) or predicted <= _EARLY_TOL / 100.0 * (r @ r):
             break
-        trial_cost, trial_r = obj.residual(at(trial))
+        ((trial_cost, trial_r),) = yield [at(trial)]
         if trial_r @ trial_r < (1.0 - _EARLY_TOL) * (r @ r):
             z, theta, cost, r = trial, at(trial), trial_cost, trial_r
             mu /= _MU_DOWN
@@ -396,6 +446,31 @@ def _refine(obj, theta0, ranges, cfg: CalibConfig):
         else:
             mu *= _MU_UP
     return theta, cost
+
+
+def _refine(obj, starts, ranges, cfg: CalibConfig) -> list:
+    """Run LM (``_lm_run``) from every start in lockstep; (theta, score) per start.
+
+    Each round gathers every live run's requests into one list for
+    ``obj.residuals``, so their solves share blocks.  A run reads only its
+    own answers and scores are kept per exact theta, so every run makes the
+    calls and decisions it would make alone.
+    """
+    runs = [_lm_run(theta0, ranges, cfg) for theta0 in starts]
+    asks = [next(run) for run in runs]
+    ends = [None] * len(runs)
+    live = list(range(len(runs)))
+    while live:
+        answers = iter(obj.residuals([theta for i in live for theta in asks[i]]))
+        still = []
+        for i in live:
+            try:
+                asks[i] = runs[i].send([next(answers) for _ in asks[i]])
+                still.append(i)
+            except StopIteration as end:
+                ends[i] = end.value
+        live = still
+    return ends
 
 
 def calibrate_alg2(template, y, cfg: CalibConfig | None = None, x_gt=None,
@@ -406,8 +481,6 @@ def calibrate_alg2(template, y, cfg: CalibConfig | None = None, x_gt=None,
     n = len(fam.param_names)
     if n == 0:
         raise CalibError("EMPTY_FAMILY", f"{fam.modality} has no drift parameters")
-    if cfg.refine_steps < 1:
-        raise CalibError("BAD_CONFIG", f"need refine_steps >= 1, got {cfg.refine_steps}")
     obj = _Objective(template, y, cfg, x_gt)
     trace = []
 
@@ -428,13 +501,10 @@ def calibrate_alg2(template, y, cfg: CalibConfig | None = None, x_gt=None,
     trace.append(("seeds", tuple(t for t, _ in seeds), tuple(c for _, c in seeds)))
 
     best_theta, best_cost = min(seeds, key=lambda t: t[1])
-    refined, refined_costs = [], []
-    for seed_theta, _ in seeds:
-        theta, cost = _refine(obj, seed_theta, fam.theta_range, cfg)
-        refined.append(theta)
-        refined_costs.append(cost)
+    ends = _refine(obj, [t for t, _ in seeds], fam.theta_range, cfg)
+    for theta, cost in ends:
         if cost < best_cost:
             best_theta, best_cost = theta, cost
-    trace.append(("refine", tuple(refined), tuple(refined_costs)))
+    trace.append(("refine", tuple(t for t, _ in ends), tuple(c for _, c in ends)))
     return CalibResult(tuple(best_theta), best_cost, tuple(trace), obj.evals,
                        obj.distinct_evals)

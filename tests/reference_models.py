@@ -13,7 +13,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.linalg import dft
 
-from opgraph import protocol, triad
+from opgraph import calibration, protocol, triad
 from opgraph.calibration import CalibConfig
 from opgraph.metrics import CI_PERCENTILES, MetricError, psnr, recovery_ratio, scene_metrics
 from opgraph.registry import default_registry
@@ -477,3 +477,99 @@ def run_scenarios_reference(template, theta_true, calib="alg1", noisy=False, n_s
         rho, ci = None, None
     return protocol.ScenarioResult(per_scene=tuple(scenes), means=means, rho=rho, rho_ci=ci,
                                    theta_hat=tuple(theta_hat), theta_true=theta_true)
+
+
+def refine_reference(obj, theta0, ranges, cfg):
+    """Levenberg-Marquardt from one start, solve by solve, without the stop rule.
+
+    The form ``calibration._refine`` ran before its runs advanced in
+    lockstep and stopped on the predicted decrease: a run ends after
+    ``cfg.refine_steps`` iterations or when the clipped step no longer moves
+    the point.  Returns (theta, score) at the end point.
+    """
+    lo = np.array([r[0] for r in ranges])
+    hi = np.array([r[1] for r in ranges])
+    width = hi - lo
+
+    def at(z):
+        return tuple(float(v) for v in lo + z * width)
+
+    def residual(theta):
+        ((score, r),) = obj.residuals([theta])
+        return score, r
+
+    theta = tuple(float(v) for v in theta0)
+    z = np.clip((np.asarray(theta) - lo) / width, 0.0, 1.0)
+    cost, r = residual(theta)
+    mu = calibration._MU_START
+    jac = None
+    for _ in range(cfg.refine_steps):
+        if jac is None:
+            jac = np.empty((r.size, z.size))
+            for k in range(z.size):
+                h = calibration._FD_STEP if z[k] + calibration._FD_STEP <= 1.0 \
+                    else -calibration._FD_STEP
+                probe = z.copy()
+                probe[k] += h
+                jac[:, k] = (residual(at(probe))[1] - r) / h
+            jtj = jac.T @ jac
+            grad = jac.T @ r
+            scale = np.diag(jtj).copy()
+            scale[scale == 0.0] = 1.0
+        step = np.linalg.solve(jtj + mu * np.diag(scale), -grad)
+        trial = np.clip(z + step, 0.0, 1.0)
+        if np.array_equal(trial, z):
+            break
+        trial_cost, trial_r = residual(at(trial))
+        if trial_r @ trial_r < (1.0 - calibration._EARLY_TOL) * (r @ r):
+            z, theta, cost, r = trial, at(trial), trial_cost, trial_r
+            mu /= calibration._MU_DOWN
+            jac = None
+        else:
+            mu *= calibration._MU_UP
+    return theta, cost
+
+
+def calibrate_alg1_reference(template, y, cfg, x_gt=None):
+    """``calibration.calibrate_alg1`` with every grid handed to the objective on its own.
+
+    Each sweep and each candidate's pair beam is posed as it is scored, so
+    the objective solves them grid by grid instead of as one list.
+    """
+    fam = template.family
+    n = len(fam.param_names)
+    obj = calibration._Objective(template, y, cfg, x_gt)
+    trace = []
+    centers = []
+    for k in range(n):
+        values, costs, best = calibration.sweep_1d(obj, fam, k, calibration._GRID["sweep"])
+        centers.append(values[best])
+        trace.append((f"sweep:{fam.param_names[k]}", tuple((v,) for v in values), costs))
+    affine, other = calibration._tag_partition(fam)
+    if n >= 3 and len(affine) == 3 and other:
+        base = list(fam.theta_nom)
+        for i in other:
+            base[i] = centers[i]
+        kept = calibration.beam_search(obj, fam, affine, calibration._GRID["beam3"],
+                                       [centers[i] for i in affine], calibration._BEAM_K,
+                                       theta_base=tuple(base))
+        trace.append(("beam:affine", tuple(t for t, _ in kept), tuple(c for _, c in kept)))
+        dims2 = calibration._GRID["beam2"][: len(other)]
+        pairs = []
+        for cand, _ in kept:
+            pairs.extend(calibration.beam_search(
+                obj, fam, other, dims2, [centers[i] for i in other],
+                min(calibration._BEAM_K, int(np.prod(dims2))), theta_base=cand))
+        pairs.sort(key=lambda t: t[1])
+        best_theta = pairs[0][0]
+        trace.append(("beam:pairs", tuple(t for t, _ in pairs[: calibration._BEAM_K]),
+                      tuple(c for _, c in pairs[: calibration._BEAM_K])))
+    else:
+        dims = (5,) * n
+        kept = calibration.beam_search(obj, fam, tuple(range(n)), dims, centers,
+                                       min(calibration._BEAM_K, int(np.prod(dims))))
+        trace.append(("beam:joint", tuple(t for t, _ in kept), tuple(c for _, c in kept)))
+        best_theta = kept[0][0]
+    theta_hat, cost = calibration.coordinate_descent(obj, fam, best_theta, rounds=cfg.cd_rounds)
+    trace.append(("cd", (theta_hat,), (cost,)))
+    return calibration.CalibResult(theta_hat, cost, tuple(trace), obj.evals, obj.distinct_evals)

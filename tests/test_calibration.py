@@ -1,10 +1,14 @@
 """Search stages and the two calibration pipelines."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
+from reference_models import calibrate_alg1_reference, refine_reference
 
+from opgraph import calibration
 from opgraph.calibration import (
     CalibConfig,
     CalibError,
@@ -34,8 +38,9 @@ class FakeObjective:
         self.evals += 1
         return float(np.sum((np.asarray(theta) - self.center) ** 2))
 
-    def residual(self, theta):
-        return self(theta), np.asarray(theta, dtype=np.float64) - self.center
+    def residuals(self, thetas):
+        return [(self(theta), np.asarray(theta, dtype=np.float64) - self.center)
+                for theta in thetas]
 
 
 class FlatObjective:
@@ -212,9 +217,6 @@ class TestObjective:
 
     @pytest.mark.parametrize("objective", ["oracle_psnr", "measurement_residual"])
     def test_scalar_and_vector_reads_share_one_solve(self, ct_setup, monkeypatch, objective):
-        import gc
-        import weakref
-
         from opgraph import solvers
 
         t, ph, y = ct_setup
@@ -227,7 +229,7 @@ class TestObjective:
 
         monkeypatch.setattr(solvers, "reconstruct", counting)
         obj = _Objective(t, y, CalibConfig(objective=objective), ph.data)
-        score, r = obj.residual((2.5,))
+        ((score, r),) = obj.residuals([(2.5,)])
         assert obj((2.5,)) == score
         assert len(solves) == 1
         assert (obj.evals, obj.distinct_evals) == (2, 1)
@@ -242,7 +244,7 @@ class TestObjective:
         gc.collect()
         assert gone() is None
         first = obj((1.5,))
-        again, _ = obj.residual((1.5,))
+        ((again, _),) = obj.residuals([(1.5,)])
         assert again == first
         assert len(solves) == 3
         assert (obj.evals, obj.distinct_evals) == (4, 2)
@@ -271,6 +273,24 @@ class TestObjective:
         assert obj.evals == 50
         assert sum(solved) == len(compiled) == len(set(compiled)) == obj.distinct_evals
 
+    def test_kept_vectors_are_dropped_once_read(self, ct_setup, monkeypatch):
+        t, ph, y = ct_setup
+        obj = _Objective(t, y, CalibConfig(), ph.data)
+        grid = [(v,) for v in (-2.0, 0.0, 2.0, 3.0)]
+        obj.solve(grid, keep=2)
+        assert len(obj._kept) == 2
+        solved = _count_solves(monkeypatch)
+        # one round reads every point: the two kept vectors, and two more solved together
+        read = obj.residuals(grid + grid[:1])
+        assert solved == [2]
+        assert obj._kept == {}
+        assert (obj.evals, obj.distinct_evals) == (5, 4)
+        assert read[0][1] is read[-1][1]
+        gone = [weakref.ref(r) for _, r in read]
+        del read
+        gc.collect()
+        assert all(ref() is None for ref in gone)
+
     def test_oracle_cost_is_negated_quality(self, ct_setup):
         t, ph, y = ct_setup
         obj = _Objective(t, y, CalibConfig(), ph.data)
@@ -281,21 +301,44 @@ class TestObjective:
 class TestRefine:
     def test_quadratic_reaches_minimum(self):
         obj = FakeObjective([2.9])
-        theta, cost = _refine(obj, (2.5,), ((-4.0, 4.0),), CalibConfig(refine_steps=80))
+        ((theta, cost),) = _refine(obj, [(2.5,)], ((-4.0, 4.0),), CalibConfig(refine_steps=80))
         assert abs(theta[0] - 2.9) < 8.0 * 1e-3
 
     def test_two_param_quadratic(self):
         obj = FakeObjective([0.3, -0.5])
-        theta, _ = _refine(
-            obj, (0.25, -0.3), ((0.0, 1.0), (-2.0, 2.0)), CalibConfig(refine_steps=80)
+        ((theta, _),) = _refine(
+            obj, [(0.25, -0.3)], ((0.0, 1.0), (-2.0, 2.0)), CalibConfig(refine_steps=80)
         )
         assert abs(theta[0] - 0.3) < 1e-3
         assert abs(theta[1] + 0.5) < 4.0 * 1e-3
 
     def test_stays_in_range(self):
         obj = FakeObjective([5.0])
-        theta, _ = _refine(obj, (3.9,), ((-4.0, 4.0),), CalibConfig(refine_steps=20))
+        ((theta, _),) = _refine(obj, [(3.9,)], ((-4.0, 4.0),), CalibConfig(refine_steps=20))
         assert -4.0 <= theta[0] <= 4.0
+
+    def test_runs_in_lockstep_end_as_alone(self):
+        # one run per start, each as if it ran alone; the second starts at its minimum
+        ranges = ((-4.0, 4.0), (-2.0, 2.0))
+        starts = [(2.5, -1.0), (2.9, 0.5), (-3.0, 1.5)]
+        cfg = CalibConfig(refine_steps=40)
+        together = _refine(FakeObjective([2.9, 0.5]), starts, ranges, cfg)
+        alone = [_refine(FakeObjective([2.9, 0.5]), [s], ranges, cfg)[0] for s in starts]
+        assert together == alone
+        assert together[1] == ((2.9, 0.5), 0.0)
+
+    def test_stops_when_the_model_rules_out_a_step(self):
+        # a residual floor of 1 that theta cannot reach: from 1e-4 off the
+        # minimum the best step predicts a 1e-8 decrease of ||r||^2, so the run
+        # ends after its Jacobian probe without scoring a step
+        class Floored(FakeObjective):
+            def residuals(self, thetas):
+                return [(s, np.append(r, 1.0)) for s, r in super().residuals(thetas)]
+
+        obj = Floored([0.5])
+        ((theta, _),) = _refine(obj, [(0.5001,)], ((0.0, 1.0),), CalibConfig(refine_steps=30))
+        assert theta == (0.5001,)
+        assert obj.evals == 2
 
 
 class TestCalibrateAlg1:
@@ -448,7 +491,9 @@ class TestCalibrateAlg2:
 def test_ct_alg1_then_alg2_pinned_at_size_8():
     """theta_hat, objective and eval counts pinned bit for bit: the FBP
     sinogram memo and the lazy residual must not move any solve.  The alg2
-    pins are Levenberg-Marquardt's; the alg1 pins predate it unchanged."""
+    pins are Levenberg-Marquardt's; the alg1 pins predate it unchanged.  LM's
+    stop on the predicted decrease cut alg2's counts from (403, 393) and left
+    its theta_hat and objective as they were."""
     t = instantiate("ct", 8)
     ph = make_phantoms(t, 1, seed=5)[0]
     y = t.operator((1.5,)).forward(ph.data)
@@ -459,7 +504,7 @@ def test_ct_alg1_then_alg2_pinned_at_size_8():
     assert (a1.evals, a1.distinct_evals) == (31, 19)
     assert [v.hex() for v in a2.theta_hat] == ["0x1.7eb1856c1efd0p+0"]
     assert a2.objective_value.hex() == "-0x1.93aef58e47288p+4"
-    assert (a2.evals, a2.distinct_evals) == (403, 393)
+    assert (a2.evals, a2.distinct_evals) == (324, 314)
 
 
 def test_calib_result_fields():
@@ -468,3 +513,137 @@ def test_calib_result_fields():
     assert (d["evals"], d["distinct_evals"]) == (31, 27)
     assert d["theta_hat"] == [1.0]
     assert d["stage_trace"][0]["stage"] == "cd"
+
+
+class TestCalibConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("seeds_topk", 0), ("seeds_topk", -1), ("refine_steps", 0), ("cd_rounds", -1),
+        ("objective", "psnr"),
+    ])
+    def test_bad_field_rejected_when_built(self, field, value):
+        with pytest.raises(CalibError, match="BAD_CONFIG"):
+            CalibConfig(**{field: value})
+
+    def test_least_legal_values_accepted(self):
+        cfg = CalibConfig(objective="measurement_residual", cd_rounds=0, refine_steps=1,
+                          seeds_topk=1)
+        assert (cfg.cd_rounds, cfg.refine_steps, cfg.seeds_topk) == (0, 1, 1)
+
+
+def _lm_alone(obj, starts, ranges, cfg):
+    """Today's LM with the lockstep driver's signature: each start run to its end, alone."""
+    return [refine_reference(obj, s, ranges, cfg) for s in starts]
+
+
+def _assert_reference_answer(res, ref):
+    """theta_hat, objective, every seed and every refine end point bit for bit,
+    with no more objective calls than the reference LM."""
+    assert res.theta_hat == ref.theta_hat
+    assert res.objective_value == ref.objective_value
+    assert res.stage_trace == ref.stage_trace
+    assert res.evals <= ref.evals
+
+
+@pytest.mark.parametrize("size, theta, seed",
+                         [(8, 1.5, s) for s in range(5)] + [(16, 3.0, s) for s in range(5)])
+def test_ct_alg2_stop_rule_keeps_the_answer(monkeypatch, size, theta, seed):
+    t = instantiate("ct", size)
+    ph = make_phantoms(t, 1, seed=seed)[0]
+    y = t.operator((theta,)).forward(ph.data)
+    res = calibrate_alg2(t, y, CalibConfig(), x_gt=ph.data)
+    monkeypatch.setattr(calibration, "_refine", _lm_alone)
+    _assert_reference_answer(res, calibrate_alg2(t, y, CalibConfig(), x_gt=ph.data))
+
+
+CASSI_TRUE = (0.5, 0.3, 0.1, 2.02, 0.15)
+
+
+@pytest.fixture(scope="module")
+def cassi8():
+    t = instantiate("cassi", 8)
+    ph = make_phantoms(t, 1, seed=3)[0]
+    return t, ph, t.operator(CASSI_TRUE).forward(ph.data)
+
+
+@pytest.fixture(scope="module")
+def cassi8_alg2(cassi8):
+    """cassi size-8 alg2 three ways: in lockstep, recording per LM round the live
+    runs, the sizes of the blocks solved and the vectors the objective still
+    keeps; with its LM runs one after another; with the reference LM."""
+    t, ph, y = cassi8
+    rounds, live = [], [0]
+    lm_run, residuals, lockstep_refine = (calibration._lm_run, _Objective.residuals,
+                                          calibration._refine)
+
+    def counted_run(*args):
+        live[0] += 1
+        try:
+            return (yield from lm_run(*args))
+        finally:
+            live[0] -= 1
+
+    with pytest.MonkeyPatch.context() as mp:
+        solved = _count_solves(mp)
+
+        def recording(obj, thetas):
+            before = len(solved)
+            out = residuals(obj, thetas)
+            rounds.append((live[0], solved[before:], len(obj._kept)))
+            return out
+
+        mp.setattr(calibration, "_lm_run", counted_run)
+        mp.setattr(_Objective, "residuals", recording)
+        lockstep = calibrate_alg2(t, y, CalibConfig(), x_gt=ph.data)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(calibration, "_refine", lambda obj, starts, ranges, cfg: [
+            lockstep_refine(obj, [s], ranges, cfg)[0] for s in starts])
+        one_by_one = calibrate_alg2(t, y, CalibConfig(), x_gt=ph.data)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(calibration, "_refine", _lm_alone)
+        reference = calibrate_alg2(t, y, CalibConfig(), x_gt=ph.data)
+    return lockstep, rounds, one_by_one, reference
+
+
+class TestLockstep:
+    def test_cassi_alg2_stop_rule_keeps_the_answer(self, cassi8_alg2):
+        lockstep, _, _, reference = cassi8_alg2
+        _assert_reference_answer(lockstep, reference)
+
+    def test_cassi_alg2_matches_its_runs_one_by_one(self, cassi8_alg2):
+        lockstep, _, one_by_one, _ = cassi8_alg2
+        assert lockstep == one_by_one
+
+    def test_cassi_alg2_solves_no_lone_problem_while_runs_are_live(self, cassi8_alg2):
+        _, rounds, _, _ = cassi8_alg2
+        # the first round reads the nine grid seeds' kept vectors and solves nothing
+        assert rounds[0] == (9, [], 0)
+        shared = [blocks for n_live, blocks, _ in rounds if n_live >= 2]
+        assert sum(map(len, shared)) > 0
+        assert all(1 not in blocks for blocks in shared)
+
+    def test_cassi_alg2_keeps_no_vector_past_its_round(self, cassi8_alg2):
+        _, rounds, _, _ = cassi8_alg2
+        assert [kept for _, _, kept in rounds] == [0] * len(rounds)
+
+    def test_cassi_alg1_poses_independent_grids_as_one_list(self, cassi8, monkeypatch):
+        t, ph, y = cassi8
+        calls = []
+        solved = _count_solves(monkeypatch)
+        solve = _Objective.solve
+
+        def recording(obj, thetas, keep=0):
+            before = len(solved)
+            solve(obj, thetas, keep)
+            calls.append((len(thetas), sum(solved[before:])))
+
+        monkeypatch.setattr(_Objective, "solve", recording)
+        res = calibrate_alg1(t, y, CalibConfig(), x_gt=ph.data)
+        # the five 11-point sweeps in one call; sweep_1d then finds them scored
+        assert calls[0][0] == 55 and calls[0][1] > 0
+        assert calls[1:6] == [(11, 0)] * 5
+        # the 125-point affine beam, then the five 35-point pair beams in one call
+        assert calls[6][0] == 125
+        assert calls[7][0] == 5 * 35 and calls[7][1] > 0
+        assert calls[8:13] == [(35, 0)] * 5
+        monkeypatch.setattr(_Objective, "solve", solve)
+        assert res == calibrate_alg1_reference(t, y, CalibConfig(), x_gt=ph.data)

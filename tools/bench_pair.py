@@ -28,8 +28,8 @@ head's drift from the base, ``src_lines`` the line count of
 head, each node kind's block kernel against its K solo calls at
 K = 1, 2, 8 and 32, with whether their bytes agree.
 Where a case's files differ, each file's largest absolute numeric drift is
-recorded with the field it occurs in, over all fields, over the PSNR fields
-and under each top-level key, with every field that differs otherwise
+recorded with the field it occurs in, over all fields but the eval counts
+that ``counts`` holds, over the PSNR fields and under each top-level key, with every field that differs otherwise
 (present on one side only, lists of different lengths, unequal non-numeric
 values).  Standard library only.
 """
@@ -90,6 +90,9 @@ TRACE_MEANING = {
         "bytes copied into Tensors; a program with block operators builds spc's "
         "pattern tensor once per template, not once per operator"),
 }
+# result-file counts that ``cli_outputs`` reports under ``counts``, so ``drift``
+# leaves them out
+COUNT_FIELDS = ("evals", "distinct_evals")
 # CLI runs whose result files must not change; flags after the subcommand
 CLI_CASES = (
     ("scenario", ["--modality", "spc", "--size", "16", "--theta-true", "0.012"],
@@ -272,8 +275,10 @@ def field_diffs(base, head, path=""):
 def drift(base, head) -> dict:
     """Largest absolute numeric drift of one result file, overall, over PSNR fields and
     under each top-level key, and the fields that differ in structure or in a
-    non-numeric value."""
-    diffs = list(field_diffs(base, head))
+    non-numeric value.  The top-level ``COUNT_FIELDS`` are left out: they are
+    reported under ``counts``, and a change in them is not numeric drift."""
+    diffs = list(field_diffs({k: v for k, v in base.items() if k not in COUNT_FIELDS},
+                             {k: v for k, v in head.items() if k not in COUNT_FIELDS}))
     numeric = sorted((d for d in diffs if d[0] is not None), key=lambda d: (d[0], d[1]))
     psnr = [d for d in numeric if "psnr" in d[1]]
     top = numeric[-1] if numeric else (0.0, None)
@@ -489,7 +494,7 @@ def cli_outputs(checkouts: dict, scratch: Path) -> list:
             for f in files for k, v in payloads["base"][f].items()
         )
         counts = {side: {k: payloads[side][f][k] for f in files
-                         for k in ("evals", "distinct_evals") if k in payloads[side][f]}
+                         for k in COUNT_FIELDS if k in payloads[side][f]}
                   for side in payloads}
         case = {"argv": [command, *flags], "sha256": hashes,
                 "byte_identical": hashes["base"] == hashes["head"],
