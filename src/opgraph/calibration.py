@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,8 +78,9 @@ class CalibConfig:
             raise CalibError("BAD_CONFIG", f"unknown objective {self.objective!r}")
         for name, least in (("cd_rounds", 0), ("refine_steps", 1), ("seeds_topk", 1)):
             value = getattr(self, name)
-            if value < least:
-                raise CalibError("BAD_CONFIG", f"need {name} >= {least}, got {value}")
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise CalibError("BAD_CONFIG", f"need an integer {name} >= {least}, "
+                                               f"got {value!r}")
 
 
 @dataclass(frozen=True)

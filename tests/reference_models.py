@@ -480,12 +480,14 @@ def run_scenarios_reference(template, theta_true, calib="alg1", noisy=False, n_s
 
 
 def refine_reference(obj, theta0, ranges, cfg):
-    """Levenberg-Marquardt from one start, solve by solve, without the stop rule.
+    """Levenberg-Marquardt from one start, without the stop rule.
 
     The form ``calibration._refine`` ran before its runs advanced in
     lockstep and stopped on the predicted decrease: a run ends after
     ``cfg.refine_steps`` iterations or when the clipped step no longer moves
-    the point.  Returns (theta, score) at the end point.
+    the point.  An iteration's n Jacobian probes are scored in one
+    ``obj.residuals`` call, which changes no score.  Returns (theta, score)
+    at the end point.
     """
     lo = np.array([r[0] for r in ranges])
     hi = np.array([r[1] for r in ranges])
@@ -505,13 +507,17 @@ def refine_reference(obj, theta0, ranges, cfg):
     jac = None
     for _ in range(cfg.refine_steps):
         if jac is None:
-            jac = np.empty((r.size, z.size))
+            steps, probes = [], []
             for k in range(z.size):
                 h = calibration._FD_STEP if z[k] + calibration._FD_STEP <= 1.0 \
                     else -calibration._FD_STEP
                 probe = z.copy()
                 probe[k] += h
-                jac[:, k] = (residual(at(probe))[1] - r) / h
+                steps.append(h)
+                probes.append(at(probe))
+            jac = np.empty((r.size, z.size))
+            for k, (h, (_, r_k)) in enumerate(zip(steps, obj.residuals(probes))):
+                jac[:, k] = (r_k - r) / h
             jtj = jac.T @ jac
             grad = jac.T @ r
             scale = np.diag(jtj).copy()

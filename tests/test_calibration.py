@@ -517,8 +517,8 @@ def test_calib_result_fields():
 
 class TestCalibConfig:
     @pytest.mark.parametrize("field, value", [
-        ("seeds_topk", 0), ("seeds_topk", -1), ("refine_steps", 0), ("cd_rounds", -1),
-        ("objective", "psnr"),
+        ("seeds_topk", 0), ("seeds_topk", -1), ("seeds_topk", 2.5), ("refine_steps", 0),
+        ("refine_steps", 2.5), ("cd_rounds", -1), ("cd_rounds", 1.5), ("objective", "psnr"),
     ])
     def test_bad_field_rejected_when_built(self, field, value):
         with pytest.raises(CalibError, match="BAD_CONFIG"):
@@ -526,7 +526,7 @@ class TestCalibConfig:
 
     def test_least_legal_values_accepted(self):
         cfg = CalibConfig(objective="measurement_residual", cd_rounds=0, refine_steps=1,
-                          seeds_topk=1)
+                          seeds_topk=np.int64(1))
         assert (cfg.cd_rounds, cfg.refine_steps, cfg.seeds_topk) == (0, 1, 1)
 
 
