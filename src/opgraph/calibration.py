@@ -110,6 +110,16 @@ def _key(theta) -> bytes:
     return np.asarray(theta, dtype=np.float64).tobytes()
 
 
+def _first_seen(thetas, done) -> list:
+    """(key, theta) of each distinct theta whose key ``done`` lacks, in first-seen order."""
+    todo = {}
+    for theta in thetas:
+        key = _key(theta)
+        if key not in done:
+            todo.setdefault(key, theta)
+    return list(todo.items())
+
+
 def _flat(r: np.ndarray) -> np.ndarray:
     r = r.ravel()
     return np.concatenate((r.real, r.imag)) if np.iscomplexobj(r) else r
@@ -183,13 +193,8 @@ class _Objective:
         (score, first-seen position), for ``residual``; at most ``keep``
         vectors outlive the block that made them.
         """
-        todo = {}
-        for theta in thetas:
-            key = _key(theta)
-            if key not in self._scores:
-                todo.setdefault(key, theta)
         best = []
-        for pos, (key, score, r) in enumerate(self._solve(list(todo.items()))):
+        for pos, (key, score, r) in enumerate(self._solve(_first_seen(thetas, self._scores))):
             if keep:
                 best = heapq.nsmallest(keep, best + [(score, pos, key, r)],
                                        key=lambda b: b[:2])
@@ -203,11 +208,7 @@ class _Objective:
         """
         keys = [_key(theta) for theta in thetas]
         vectors = {key: self._kept.pop(key) for key in keys if key in self._kept}
-        todo = {}
-        for key, theta in zip(keys, thetas):
-            if key not in vectors:
-                todo.setdefault(key, theta)
-        vectors.update((key, _flat(r)) for key, _, r in self._solve(list(todo.items())))
+        vectors.update((key, _flat(r)) for key, _, r in self._solve(_first_seen(thetas, vectors)))
         return [(self(theta), vectors[key]) for key, theta in zip(keys, thetas)]
 
 
@@ -226,14 +227,12 @@ def _grid_points(base, axes, axis_values) -> list:
 def _score_grid(obj, base, axes, axis_values, keep: int = 0):
     """Score every point of the grid over ``axes``, the rest held at ``base``.
 
-    An objective with a ``solve`` method gets the whole grid first (and
-    keeps the residual vectors of its best ``keep`` new points); a plain
-    callable is called point by point.  Returns ``(cost, index, theta)``
+    The objective gets the whole grid first (and keeps the residual vectors
+    of its best ``keep`` new points).  Returns ``(cost, index, theta)``
     triples in ``itertools.product`` order.
     """
     thetas = _grid_points(base, axes, axis_values)
-    if hasattr(obj, "solve"):
-        obj.solve(thetas, keep)
+    obj.solve(thetas, keep)
     return [(obj(theta), idx, theta) for idx, theta in enumerate(thetas)]
 
 
@@ -303,7 +302,7 @@ def coordinate_descent(obj, fam, theta0, rounds: int = 3):
     widths = [(hi - lo) / 4.0 for lo, hi in fam.theta_range]
     for _ in range(rounds):
         for k, (lo, hi) in enumerate(fam.theta_range):
-            values = np.clip(theta[k] + np.linspace(-widths[k], widths[k], n_points), lo, hi)
+            values = _axis_grid(theta[k], lo, hi, n_points, widths[k])
             costs = [c for c, _, _ in _score_grid(obj, theta, (k,), (values,))]
             best = int(np.argmin(costs))
             theta[k] = float(values[best])
@@ -314,20 +313,27 @@ def coordinate_descent(obj, fam, theta0, rounds: int = 3):
     return tuple(theta), best_cost
 
 
-def _tag_partition(fam):
+def _spatial_block(fam):
+    """(affine axes, other axes) when the family has three affine parameters
+    and at least one more, which the searches then take block by block; else None."""
     affine = tuple(i for i, t in enumerate(fam.tags) if t == "affine")
     other = tuple(i for i in range(len(fam.tags)) if i not in affine)
-    return affine, other
+    return (affine, other) if len(affine) == 3 and other else None
+
+
+def _start(template, y, cfg: CalibConfig | None, x_gt):
+    """The config, family and objective a calibration route runs on."""
+    cfg = cfg or CalibConfig()
+    fam = template.family
+    if not fam.param_names:
+        raise CalibError("EMPTY_FAMILY", f"{fam.modality} has no drift parameters")
+    return cfg, fam, _Objective(template, y, cfg, x_gt)
 
 
 def calibrate_alg1(template, y, cfg: CalibConfig | None = None, x_gt=None) -> CalibResult:
     """Hierarchical search: 1D sweeps, beam stages, coordinate descent."""
-    cfg = cfg or CalibConfig()
-    fam = template.family
+    cfg, fam, obj = _start(template, y, cfg, x_gt)
     n = len(fam.param_names)
-    if n == 0:
-        raise CalibError("EMPTY_FAMILY", f"{fam.modality} has no drift parameters")
-    obj = _Objective(template, y, cfg, x_gt)
     trace = []
 
     n_sweep = _GRID["sweep"]
@@ -340,9 +346,10 @@ def calibrate_alg1(template, y, cfg: CalibConfig | None = None, x_gt=None) -> Ca
         centers.append(values[best])
         trace.append((f"sweep:{fam.param_names[k]}", tuple((v,) for v in values), costs))
 
-    affine, other = _tag_partition(fam)
-    if n >= 3 and len(affine) == 3 and other:
+    block = _spatial_block(fam)
+    if block:
         # spatial block first, then the remaining block per retained candidate
+        affine, other = block
         base = list(fam.theta_nom)
         for i in other:
             base[i] = centers[i]
@@ -478,20 +485,13 @@ def _refine(obj, starts, ranges, cfg: CalibConfig) -> list:
 def calibrate_alg2(template, y, cfg: CalibConfig | None = None, x_gt=None,
                    warm_start=None) -> CalibResult:
     """Full-range grid seeding, then Levenberg-Marquardt from every seed."""
-    cfg = cfg or CalibConfig()
-    fam = template.family
-    n = len(fam.param_names)
-    if n == 0:
-        raise CalibError("EMPTY_FAMILY", f"{fam.modality} has no drift parameters")
-    obj = _Objective(template, y, cfg, x_gt)
+    cfg, fam, obj = _start(template, y, cfg, x_gt)
     trace = []
 
-    affine, _ = _tag_partition(fam)
-    grid_axes = affine if (n > 3 and len(affine) == 3) else tuple(range(n))
+    block = _spatial_block(fam)
+    grid_axes = block[0] if block else tuple(range(len(fam.param_names)))
     dims = _GRID["grid"][: len(grid_axes)]
-    axis_values = [
-        np.linspace(*fam.theta_range[a], d) for a, d in zip(grid_axes, dims)
-    ]
+    axis_values = [_sweep_values(fam, a, d) for a, d in zip(grid_axes, dims)]
     # the seeds' residual vectors are kept, so LM starts from them without a solve
     scored = _score_grid(obj, fam.theta_nom, grid_axes, axis_values, keep=cfg.seeds_topk)
     scored.sort(key=lambda t: (t[0], t[1]))

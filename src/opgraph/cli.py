@@ -40,11 +40,25 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _run_dir(command: str, args) -> Path:
-    """Create and return ``--out``, or runs/<command>_<modality>_<size>_s<seed>."""
-    name = f"{command}_{args.modality}_{args.size}_s{args.seed}"
+def _write_run(args, started: str, files: dict, seeds: dict, metrics: dict) -> Path:
+    """Write ``files`` and then their ``runbundle.json`` into the run directory.
+
+    The directory is ``--out``, or runs/<command>_<modality>_<size>_s<seed>.
+    A ``.json`` file's payload is a dict, any other file's a Tensor.
+    """
+    from .runbundle import write_runbundle
+    from .tensor import save_tensor
+
+    name = f"{args.command}_{args.modality}_{args.size}_s{args.seed}"
     run_dir = Path(args.out) if args.out else Path("runs") / name
     run_dir.mkdir(parents=True, exist_ok=True)
+    for fname, payload in files.items():
+        if fname.endswith(".json"):
+            _write_json(run_dir / fname, payload)
+        else:
+            save_tensor(payload, run_dir / fname)
+    write_runbundle(run_dir, seeds=seeds, metrics=metrics, outputs=list(files),
+                    commit=args.commit, started=started, finished=_now())
     return run_dir
 
 
@@ -83,9 +97,7 @@ def _cmd_adjoint_check(args) -> int:
 
 def _cmd_simulate(args) -> int:
     from .protocol import _STREAM_NOISE, measure
-    from .runbundle import write_runbundle
     from .templates import instantiate, make_phantoms
-    from .tensor import save_tensor
 
     started = _now()
     template = instantiate(args.modality, args.size, fidelity_level=args.level,
@@ -99,13 +111,8 @@ def _cmd_simulate(args) -> int:
     if args.noisy:
         seeds["noise_stream"] = _STREAM_NOISE
 
-    run_dir = _run_dir("simulate", args)
-    save_tensor(phantom.data, run_dir / "x_gt.opt")
-    save_tensor(y, run_dir / "y.opt")
-    write_runbundle(run_dir, seeds=seeds,
-                    metrics={"theta": list(theta), "phantom": phantom.name},
-                    outputs=["x_gt.opt", "y.opt"], commit=args.commit,
-                    started=started, finished=_now())
+    run_dir = _write_run(args, started, {"x_gt.opt": phantom.data, "y.opt": y}, seeds,
+                         {"theta": list(theta), "phantom": phantom.name})
     _emit("modality", args.modality)
     _emit("phantom", phantom.name)
     _emit("theta", ", ".join(f"{v:g}" for v in theta))
@@ -116,7 +123,6 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_scenario(args) -> int:
     from .protocol import _STREAM_BOOT, _STREAM_NOISE, run_scenarios
-    from .runbundle import write_runbundle
     from .templates import instantiate
     from .triad import diagnose
 
@@ -130,15 +136,11 @@ def _cmd_scenario(args) -> int:
     report = diagnose(template, theta_true, solver_cfg=solver_cfg,
                       noisy=args.noisy, n_scenes=args.scenes, seed=args.seed)
 
-    run_dir = _run_dir("scenario", args)
-    _write_json(run_dir / "scenario_result.json", result.as_dict())
-    _write_json(run_dir / "triad_report.json", report.as_dict())
-    write_runbundle(run_dir,
-                    seeds={"master": args.seed, "noise_stream": _STREAM_NOISE,
-                           "bootstrap_stream": _STREAM_BOOT},
-                    metrics={"means": result.means, "rho": result.rho},
-                    outputs=["scenario_result.json", "triad_report.json"],
-                    commit=args.commit, started=started, finished=_now())
+    run_dir = _write_run(args, started, {"scenario_result.json": result.as_dict(),
+                                         "triad_report.json": report.as_dict()},
+                         {"master": args.seed, "noise_stream": _STREAM_NOISE,
+                          "bootstrap_stream": _STREAM_BOOT},
+                         {"means": result.means, "rho": result.rho})
 
     _emit("modality", args.modality)
     _emit("calib", args.calib)
@@ -154,7 +156,6 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    from .runbundle import write_runbundle
     from .templates import instantiate
     from .triad import diagnose
 
@@ -163,17 +164,13 @@ def _cmd_diagnose(args) -> int:
     report = diagnose(template, _parse_theta(args.theta_true), noisy=args.noisy,
                       n_scenes=args.scenes, seed=args.seed)
 
-    run_dir = _run_dir("diagnose", args)
-    _write_json(run_dir / "triad_report.json", report.as_dict())
-    write_runbundle(run_dir, seeds={"master": args.seed},
-                    metrics={"binding": report.dominant_gate,
-                             "scores": list(report.evidence_scores)},
-                    outputs=["triad_report.json"], commit=args.commit,
-                    started=started, finished=_now())
-
     payload = report.as_dict()
-    for gate in ("operator_mismatch", "carrier_budget", "recoverability"):
-        _emit(gate, f"{payload['evidence_scores'][gate]:.3f}")
+    run_dir = _write_run(args, started, {"triad_report.json": payload}, {"master": args.seed},
+                         {"binding": report.dominant_gate,
+                          "scores": list(report.evidence_scores)})
+
+    for gate, score in payload["evidence_scores"].items():
+        _emit(gate, f"{score:.3f}")
     _emit("binding_gate", report.dominant_gate)
     _emit("action", report.recommended_action)
     _emit("run_dir", run_dir)
@@ -184,7 +181,6 @@ def _cmd_calibrate(args) -> int:
     from .calibration import CalibConfig
     from .metrics import param_rmse
     from .protocol import calibrate, measure
-    from .runbundle import write_runbundle
     from .templates import instantiate, make_phantoms
 
     started = _now()
@@ -196,17 +192,11 @@ def _cmd_calibrate(args) -> int:
     result = calibrate(template, y, phantom.data, args.calib, CalibConfig())
 
     errors = param_rmse([result.theta_hat], theta_true).tolist()
-    run_dir = _run_dir("calibrate", args)
-    payload = result.as_dict()
-    payload["theta_true"] = list(theta_true)
-    payload["param_errors"] = errors
-    _write_json(run_dir / "calib_result.json", payload)
-    write_runbundle(run_dir, seeds={"master": args.seed},
-                    metrics={"objective_value": result.objective_value,
-                             "param_errors": errors, "evals": result.evals,
-                             "distinct_evals": result.distinct_evals},
-                    outputs=["calib_result.json"], commit=args.commit,
-                    started=started, finished=_now())
+    payload = {**result.as_dict(), "theta_true": list(theta_true), "param_errors": errors}
+    run_dir = _write_run(args, started, {"calib_result.json": payload}, {"master": args.seed},
+                         {"objective_value": result.objective_value,
+                          "param_errors": errors, "evals": result.evals,
+                          "distinct_evals": result.distinct_evals})
 
     _emit("modality", args.modality)
     _emit("route", args.calib)

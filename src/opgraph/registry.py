@@ -9,7 +9,7 @@ distinct-primitive curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -18,8 +18,6 @@ import yaml
 
 from .primitives import _SCHEMAS, PrimitiveKind
 from .tensor import CodedError
-
-_FILES = ("primitives.yaml", "templates.yaml", "mismatch.yaml", "thresholds.yaml")
 
 _REQUIRED_THRESHOLDS = {
     "adjoint": ("delta_max", "n_trials"),
@@ -54,6 +52,8 @@ StrictLoader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _no
 
 @dataclass(frozen=True)
 class Registry:
+    """One mapping per registry file; field ``<name>`` is read from ``<name>.yaml``."""
+
     primitives: dict
     templates: dict
     mismatch: dict
@@ -140,24 +140,15 @@ def load_registry(path=None) -> Registry:
     ``path`` is a directory holding the YAML files; None loads the packaged
     defaults.
     """
+    base = resources.files("opgraph") / "registries" if path is None else Path(path)
+    # every file is read before any is parsed, so a missing file is reported first
     texts = {}
-    if path is None:
-        base = resources.files("opgraph") / "registries"
-        for fname in _FILES:
-            texts[fname] = (base / fname).read_text(encoding="utf-8")
-    else:
-        base = Path(path)
-        for fname in _FILES:
-            fpath = base / fname
-            if not fpath.exists():
-                raise RegistryError("MISSING_FILE", f"{fpath} not found")
-            texts[fname] = fpath.read_text(encoding="utf-8")
-    reg = Registry(
-        primitives=_load_yaml(texts["primitives.yaml"], "primitives.yaml"),
-        templates=_load_yaml(texts["templates.yaml"], "templates.yaml"),
-        mismatch=_load_yaml(texts["mismatch.yaml"], "mismatch.yaml"),
-        thresholds=_load_yaml(texts["thresholds.yaml"], "thresholds.yaml"),
-    )
+    for f in fields(Registry):
+        fpath = base / f"{f.name}.yaml"
+        if path is not None and not fpath.exists():
+            raise RegistryError("MISSING_FILE", f"{fpath} not found")
+        texts[f.name] = fpath.read_text(encoding="utf-8")
+    reg = Registry(**{name: _load_yaml(text, f"{name}.yaml") for name, text in texts.items()})
     _validate(reg)
     return reg
 
@@ -172,14 +163,9 @@ def serialize_registry(reg: Registry, out_dir) -> list[str]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for fname, payload in (
-        ("primitives.yaml", reg.primitives),
-        ("templates.yaml", reg.templates),
-        ("mismatch.yaml", reg.mismatch),
-        ("thresholds.yaml", reg.thresholds),
-    ):
-        p = out / fname
-        p.write_text(yaml.safe_dump(payload, sort_keys=True), encoding="utf-8")
+    for f in fields(Registry):
+        p = out / f"{f.name}.yaml"
+        p.write_text(yaml.safe_dump(getattr(reg, f.name), sort_keys=True), encoding="utf-8")
         written.append(str(p))
     return written
 

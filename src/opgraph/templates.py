@@ -179,14 +179,32 @@ def _chain(modality: str, level: int, input_shape: list[int], nodes: list[dict])
     )
 
 
+def _cube(modality: str, level: int, shape: tuple, nodes_at):
+    """The builders of ``nodes_at(theta)`` followed by a sum over the cube's
+    last axis, and of its full-sampling twin, which keeps the cube.
+
+    Every call builds fresh lists, so no list object appears twice in a spec
+    and ``serialize_spec`` writes no YAML alias.
+    """
+
+    def build(theta, full=False):
+        nodes = nodes_at(theta)
+        if not full:
+            nodes.append({"node_id": "sum", "primitive_id": "Accumulate",
+                          "params": {"axes": [2], "input_shape": list(shape)}})
+        return _chain(modality, level, list(shape), nodes)
+
+    return build, (lambda theta: build(theta, full=True))
+
+
 def _build_cassi(size: int, level: int, rng: Rng, defaults: dict):
     bands = max(2, size // int(defaults.get("bands_divisor", 2)))
     mask2d = (rng.child(_STREAM_MASK).uniform((size, size)) < 0.5).astype(np.float64)
 
-    def build(theta, full=False):
+    def nodes(theta):
         dx, dy, rot, a1, alpha = theta
         cube = np.repeat(warp_affine(mask2d, dx, dy, rot)[:, :, None], bands, axis=2)
-        nodes = [
+        return [
             {"node_id": "mask", "primitive_id": "Modulate", "params": {"m": Tensor(cube)}},
             {
                 "node_id": "disperse",
@@ -194,42 +212,22 @@ def _build_cassi(size: int, level: int, rng: Rng, defaults: dict):
                 "params": {"a1": a1, "alpha_deg": alpha},
             },
         ]
-        if not full:
-            nodes.append(
-                {
-                    "node_id": "sum",
-                    "primitive_id": "Accumulate",
-                    "params": {"axes": [2], "input_shape": [size, size, bands]},
-                }
-            )
-        return _chain("cassi", level, [size, size, bands], nodes)
 
-    return build, (lambda theta: build(theta, full=True))
+    return _cube("cassi", level, (size, size, bands), nodes)
 
 
 def _build_cacti(size: int, level: int, rng: Rng, defaults: dict):
     frames = int(defaults.get("frames", 4))
     masks = (rng.child(_STREAM_MASK).uniform((size, size, frames)) < 0.5).astype(np.float64)
 
-    def build(theta, full=False):
+    def nodes(theta):
         dx, dy = theta
         shifted = np.stack(
             [warp_affine(masks[:, :, f], dx, dy, 0.0) for f in range(frames)], axis=2
         )
-        nodes = [
-            {"node_id": "mask", "primitive_id": "Modulate", "params": {"m": Tensor(shifted)}},
-        ]
-        if not full:
-            nodes.append(
-                {
-                    "node_id": "sum",
-                    "primitive_id": "Accumulate",
-                    "params": {"axes": [2], "input_shape": [size, size, frames]},
-                }
-            )
-        return _chain("cacti", level, [size, size, frames], nodes)
+        return [{"node_id": "mask", "primitive_id": "Modulate", "params": {"m": Tensor(shifted)}}]
 
-    return build, (lambda theta: build(theta, full=True))
+    return _cube("cacti", level, (size, size, frames), nodes)
 
 
 def _build_spc(size: int, level: int, rng: Rng, defaults: dict):

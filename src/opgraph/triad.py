@@ -25,7 +25,8 @@ from .solvers import pin_step, reconstruct, solve_blocks  # noqa: F401
 from .templates import Template, apply_noise, make_phantoms
 from .tensor import CodedError, Rng, TensorError
 
-GATES = ("recoverability", "carrier_budget", "operator_mismatch")
+# the order of a report's evidence scores; ties bind the later gate
+GATES = ("operator_mismatch", "carrier_budget", "recoverability")
 _ACTIONS = {
     "recoverability": "increase compression ratio",
     "carrier_budget": "improve carrier budget",
@@ -58,11 +59,7 @@ class TriadReport:
     def as_dict(self) -> dict:
         return {
             "dominant_gate": self.dominant_gate,
-            "evidence_scores": {
-                "operator_mismatch": self.evidence_scores[0],
-                "carrier_budget": self.evidence_scores[1],
-                "recoverability": self.evidence_scores[2],
-            },
+            "evidence_scores": dict(zip(GATES, self.evidence_scores)),
             "confidence_interval": self.confidence_interval,
             "recommended_action": self.recommended_action,
             "parameter_sensitivities": dict(self.parameter_sensitivities),
@@ -152,12 +149,11 @@ def _probe_problems(operator, fam, theta, k: int, h_k: float, ph):
 
 
 def sensitivity(template: Template, solver_cfg: dict | None, theta, k: int, h_k: float,
-                probe_seed: int = 0, _psnrs: dict | None = None,
-                _problems=None) -> float:
+                _psnrs: dict | None = None, _problems=None) -> float:
     """d(PSNR)/d(theta_k) by central difference, mismatched-reconstruction lane.
 
     ``_problems`` is the pair ``_probe_problems`` builds for these arguments
-    on the scene ``make_phantoms(template, 1, seed=probe_seed)`` draws, and
+    on the scene ``make_phantoms(template, 1, seed=0)`` draws, and
     ``_psnrs`` a table ``_score`` fills, when the caller already has them.
     """
     if h_k <= 0:
@@ -165,7 +161,7 @@ def sensitivity(template: Template, solver_cfg: dict | None, theta, k: int, h_k:
     psnrs = {} if _psnrs is None else _psnrs
     if _problems is None:
         theta = list(template.family.check(theta))
-        ph = make_phantoms(template, 1, seed=probe_seed)[0]
+        ph = make_phantoms(template, 1, seed=0)[0]
         _problems = _probe_problems(template.operator, template.family, theta, k, h_k, ph)
     _score(_problems, solver_cfg if solver_cfg is not None else template.solver, psnrs)
     up, down = _problems
@@ -178,17 +174,10 @@ def bind_gate(psnr_i: float, psnr_ii: float, psnr_noisy: float, psnr_ideal: floa
     values = (psnr_i, psnr_ii, psnr_noisy, psnr_ideal, psnr_limit)
     if not all(np.isfinite(v) for v in values):
         raise TriadError("BAD_VALUE", f"gate binding needs finite inputs, got {values}")
-    c_mismatch = psnr_i - psnr_ii
-    c_noise = psnr_ideal - psnr_noisy
-    c_recover = psnr_limit - psnr_i
+    costs = (psnr_i - psnr_ii, psnr_ideal - psnr_noisy, psnr_limit - psnr_i)
     # tie priority: recoverability, then carrier budget, then mismatch
-    ordered = (
-        (c_recover, "recoverability"),
-        (c_noise, "carrier_budget"),
-        (c_mismatch, "operator_mismatch"),
-    )
-    best = max(range(3), key=lambda i: (ordered[i][0], -i))
-    return ordered[best][1], (c_mismatch, c_noise, c_recover)
+    best = max(range(3), key=lambda i: (costs[i], i))
+    return GATES[best], costs
 
 
 def make_triad_report(sensitivities: dict, binding, ci_width: float) -> TriadReport:

@@ -551,8 +551,10 @@ def calibrate_alg1_reference(template, y, cfg, x_gt=None):
         values, costs, best = calibration.sweep_1d(obj, fam, k, calibration._GRID["sweep"])
         centers.append(values[best])
         trace.append((f"sweep:{fam.param_names[k]}", tuple((v,) for v in values), costs))
-    affine, other = calibration._tag_partition(fam)
-    if n >= 3 and len(affine) == 3 and other:
+    # the spatial block: three affine parameters, and at least one more
+    affine = tuple(i for i in range(n) if fam.tags[i] == "affine")
+    other = tuple(i for i in range(n) if fam.tags[i] != "affine")
+    if len(affine) == 3 and other:
         base = list(fam.theta_nom)
         for i in other:
             base[i] = centers[i]

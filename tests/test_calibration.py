@@ -38,6 +38,9 @@ class FakeObjective:
         self.evals += 1
         return float(np.sum((np.asarray(theta) - self.center) ** 2))
 
+    def solve(self, thetas, keep=0):
+        pass
+
     def residuals(self, thetas):
         return [(self(theta), np.asarray(theta, dtype=np.float64) - self.center)
                 for theta in thetas]
@@ -50,6 +53,9 @@ class FlatObjective:
     def __call__(self, theta):
         self.evals += 1
         return 0.0
+
+    def solve(self, thetas, keep=0):
+        pass
 
 
 def _count_solves(monkeypatch):

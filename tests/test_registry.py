@@ -1,8 +1,15 @@
 """Registry loading, validation, round-trip, and the basis-growth curve."""
 
+import inspect
+
 import pytest
 import yaml
 
+from opgraph.cli import build_parser
+from opgraph.graph import adjoint_check_graph
+from opgraph.metrics import bootstrap_ci
+from opgraph.primitives import dot_product_test
+from opgraph.protocol import run_scenarios
 from opgraph.registry import (
     CANONICAL_ORDER,
     RegistryError,
@@ -161,3 +168,20 @@ def test_duplicate_yaml_key(tmp_path):
     with pytest.raises(RegistryError) as exc:
         load_registry(tmp_path)
     assert exc.value.code == "DUPLICATE_KEY"
+
+
+def _default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+def test_defaults_that_repeat_thresholds_equal_them():
+    th = default_registry().thresholds
+    parser = build_parser()
+    scenario = parser.parse_args(["scenario", "--modality", "ct", "--theta-true", "0"])
+    check = parser.parse_args(["adjoint-check", "spec.yaml"])
+    resamples = (_default(run_scenarios, "n_resamples"), _default(bootstrap_ci, "n_resamples"),
+                 scenario.resamples)
+    assert resamples == (th["bootstrap"]["n_resamples"],) * 3
+    trials = (_default(adjoint_check_graph, "n_trials"), _default(dot_product_test, "n_trials"),
+              check.trials)
+    assert trials == (th["adjoint"]["n_trials"],) * 3

@@ -1,12 +1,13 @@
 """Template instantiation, mismatch plumbing, phantoms, and noise models."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from opgraph.graph import adjoint_check_graph, graph_hash
+from opgraph.graph import adjoint_check_graph, graph_hash, serialize_spec
 from opgraph.templates import (
     _STREAM_MASK,
     Template,
@@ -108,7 +109,7 @@ GOLDEN_HASHES = {
     "mri": ("3ff26c835383301df236e997cd8400520837f04451599299f15b3b4f8186ce1c",
             "ee4ceca1195e3fbaa4700315ae56fbc40929f9d6f58d95067c3e61ef1a33ebf0"),
     "lensless": ("0e7049d0386f25163aa78934a0a30d03a9ebfe097aff02fc7750c76e18667244",
-                 "0e7049d0386f25163aa78934a0a30d03a9ebfe097aff02fc7750c76e18667244"),
+                  "0e7049d0386f25163aa78934a0a30d03a9ebfe097aff02fc7750c76e18667244"),
 }
 
 
@@ -116,6 +117,47 @@ GOLDEN_HASHES = {
 def test_template_hashes_are_pinned(modality):
     t = instantiate(modality, 16)
     assert (graph_hash(t.spec), graph_hash(t.full_sampling().spec)) == GOLDEN_HASHES[modality]
+
+
+# sha256 of the serialize_spec text of each template at size 8, seed 0, per
+# fidelity level: (nominal, full_sampling()).  graph_hash hashes parameter
+# values, so it cannot see a spec whose YAML text changes, such as one list
+# object shared by two nodes, which yaml.safe_dump writes as an &id001 alias.
+SPEC_TEXT_SHA256 = {
+    ("cassi", 1): ("5047723a9b9960067a95488316a329a703c46a5d2d9523a136654b880110467f",
+                   "f13a389c98cde32fe8c5f29a9b2937c8899ef040ba09eca74aaa5dece280e71f"),
+    ("cassi", 2): ("f89a17b311827a33e9f3e7f93b74a8c4ddc979e9f4620f4cf3c18a70c49a4fbd",
+                   "b65ee130cbf046ec1207ee200652c97aee14d75ce505fa586c1889c0016db28d"),
+    ("cacti", 1): ("364c2d49bfa8cee9abbedd41df4a3afc08fdcda062a5b981950ac175d956cc25",
+                   "c30c868e9b82206ee78d2c0cd975c2b4da1ebd6b1a91e625029e284a27507104"),
+    ("cacti", 2): ("e920f54f4c20f250df798239ddfe651cc6dd3426e7b736fd8702d0c985b38376",
+                   "8553458974a0571fb208ce0efa373be8080a889f8c36667e08477fb1dd61c48d"),
+    ("spc", 1): ("7b767cb5c56c11f485c901007ee69032d6328cae0a45f41616fde193550d270a",
+                 "9235fc1d2a8492acb79caefadf78a02c6a1d6adf93b4169bfbfd287f71858801"),
+    ("spc", 2): ("d55f5457fd117d5a8a51a067a1e26b0facbeb8c4a2f17cef90f951747aeb471d",
+                 "65a20cf50a52b3e6b61d7c2218d0e1d02319bedb599252202c6b60fc91245daf"),
+    ("ct", 1): ("6c2df5ed84e7d3eda0b25334cab611028fb8fb2136997b495e439da5a73bf23c",
+                "6c2df5ed84e7d3eda0b25334cab611028fb8fb2136997b495e439da5a73bf23c"),
+    ("ct", 2): ("0831d35a8c93f71e90816b36c60981ccb080fd744615d33e45cb3f52ef7bf643",
+                "0831d35a8c93f71e90816b36c60981ccb080fd744615d33e45cb3f52ef7bf643"),
+    ("mri", 1): ("6446c6a189923792e971b65a48d3c28a01c3862a909198f1d5337c61f2118e5d",
+                 "ab2e4d4cdf74a7a7096da50969418ff95a795e4c8b0da54922582c8bd0af6402"),
+    ("mri", 2): ("a282def189f6df89cf61244266ce8191adc066ab8170baf3a8cb7f690cf8af22",
+                 "3ad6faa4d4a062d38568b1a0fed5d9787ba22a37d44dba4cde883a0ae77228ba"),
+    ("lensless", 1): ("c34a98b7a19b4991d9533261bc5fc2f3a5186b1d3f9b261084dd998fb4806e61",
+                      "c34a98b7a19b4991d9533261bc5fc2f3a5186b1d3f9b261084dd998fb4806e61"),
+    ("lensless", 2): ("a2929409f3028dfab5ef13bee4ffbad844b97fc17e61bee22b0ca2d2a26fd363",
+                      "a2929409f3028dfab5ef13bee4ffbad844b97fc17e61bee22b0ca2d2a26fd363"),
+}
+
+
+@pytest.mark.parametrize("level", (1, 2))
+@pytest.mark.parametrize("modality", MODALITIES)
+def test_spec_texts_are_pinned(modality, level):
+    t = instantiate(modality, 8, fidelity_level=level)
+    texts = [serialize_spec(s) for s in (t.spec, t.full_sampling().spec)]
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in texts)
+    assert digests == SPEC_TEXT_SHA256[(modality, level)]
 
 
 @pytest.mark.parametrize("modality", MODALITIES)

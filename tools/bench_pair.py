@@ -296,33 +296,27 @@ def drift(base, head) -> dict:
 # Counts, in one process, the operator forwards and restarts of one full template
 # FISTA-TV solve per modality (size 16, scene 0, the template's solver at its
 # pinned step).  perfbench's tracer cannot see the array runners the solvers call.
-# A block runner's forward counts each candidate of its stack, so the count
-# reads the same on commits before and after block operators.
+# A block forward counts each candidate of its stack.
 FORWARD_COUNT = """
 import json
 from opgraph import graph, solvers
 from opgraph.templates import instantiate, make_phantoms
 counts = {"forwards": 0, "prox_candidates": 0}
-if hasattr(graph, "BlockOperator"):
-    owner, name, candidates = graph.BlockOperator, "forward", len
-else:
-    owner, name, candidates = graph.GraphOperator, "forward_array", lambda x: 1
-fwd, prox = getattr(owner, name), solvers._prox
+fwd, prox = graph.BlockOperator.forward, solvers._prox
 def forward(self, x):
-    counts["forwards"] += candidates(x)
+    counts["forwards"] += len(x)
     return fwd(self, x)
 def counted_prox(stack, lam):
     counts["prox_candidates"] += len(stack)
     return prox(stack, lam)
-setattr(owner, name, forward)
+graph.BlockOperator.forward = forward
 solvers._prox = counted_prox
 out = {}
 for modality in ("cassi", "spc", "mri", "lensless"):
     t = instantiate(modality, 16)
     g = t.operator()
     y = g.forward(make_phantoms(t, 1, seed=0)[0].data)
-    # pin_step's step, spelled out: its signature differs across commits
-    cfg = {**t.solver, "step": 1.0 / (solvers._STEP_MARGIN * solvers.power_iteration(g))}
+    cfg = solvers.pin_step(g, t.solver)
     counts.update(forwards=0, prox_candidates=0)
     solvers.reconstruct(g, y, cfg)
     out[modality] = {"iters": cfg["iters"], "forwards": counts["forwards"],
@@ -427,8 +421,7 @@ for modality in ("cassi", "cacti", "spc", "mri", "lensless"):
     for size in (16, 32):
         t = instantiate(modality, size)
         g = t.operator()
-        # pin_step's step, spelled out: its signature differs across commits
-        cfg = {**t.solver, "step": 1.0 / (solvers._STEP_MARGIN * solvers.power_iteration(g))}
+        cfg = solvers.pin_step(g, t.solver)
         for seed in (0, 1, 2):
             x = make_phantoms(t, 1, seed=seed)[0].data
             y = apply_noise(g.forward(x), t.noise, Rng(seed, 1))
