@@ -290,7 +290,7 @@ def beam_search(obj, fam, axes, grid_dims, centers, beam_k: int, theta_base=None
     return [(theta, cost) for cost, _, theta in scored[:beam_k]]
 
 
-def coordinate_descent(obj, fam, theta0, rounds: int = 3):
+def coordinate_descent(obj, fam, theta0, rounds: int):
     """Per-round axis sweeps on a halving interval; returns (theta, cost).
 
     The sweep grid is odd so the incumbent is always a candidate, which makes

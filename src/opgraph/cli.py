@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -128,13 +129,15 @@ def _cmd_scenario(args) -> int:
 
     started = _now()
     template = instantiate(args.modality, args.size, seed=args.seed)
-    solver_cfg = {"name": args.solver} if args.solver else None
+    if args.solver:
+        # the template's other solver settings (iterations, TV weight) are kept
+        template = replace(template, solver={**template.solver, "name": args.solver})
     theta_true = _parse_theta(args.theta_true)
-    result = run_scenarios(template, theta_true, solver_cfg=solver_cfg,
-                           seed=args.seed, calib=args.calib, noisy=args.noisy,
-                           n_scenes=args.scenes, n_resamples=args.resamples)
-    report = diagnose(template, theta_true, solver_cfg=solver_cfg,
-                      noisy=args.noisy, n_scenes=args.scenes, seed=args.seed)
+    result = run_scenarios(template, theta_true, seed=args.seed, calib=args.calib,
+                           noisy=args.noisy, n_scenes=args.scenes,
+                           n_resamples=args.resamples)
+    report = diagnose(template, theta_true, noisy=args.noisy, n_scenes=args.scenes,
+                      seed=args.seed)
 
     run_dir = _write_run(args, started, {"scenario_result.json": result.as_dict(),
                                          "triad_report.json": report.as_dict()},
@@ -178,7 +181,6 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    from .calibration import CalibConfig
     from .metrics import param_rmse
     from .protocol import calibrate, measure
     from .templates import instantiate, make_phantoms
@@ -189,7 +191,7 @@ def _cmd_calibrate(args) -> int:
     phantom = make_phantoms(template, 1, seed=args.seed)[0]
     (y,) = measure(template.operator(theta_true), template.noise, [phantom], args.noisy,
                    args.seed)
-    result = calibrate(template, y, phantom.data, args.calib, CalibConfig())
+    result = calibrate(template, y, phantom.data, args.calib)
 
     errors = param_rmse([result.theta_hat], theta_true).tolist()
     payload = {**result.as_dict(), "theta_true": list(theta_true), "param_errors": errors}

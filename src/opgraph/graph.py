@@ -59,7 +59,6 @@ from .primitives import (
     make_primitive,
     prim_adjoint,
     prim_forward,
-    prim_input_dtype,
     prim_output_dtype,
     prim_output_shape,
 )

@@ -120,13 +120,13 @@ def sam(x_hat, x_gt) -> float:
     return float(np.mean(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))))
 
 
-def scene_metrics(x_hat, x_gt, peak: float = 1.0, spectral: bool = False) -> SceneMetrics:
-    """PSNR, SSIM and SAM of one scene; SSIM is None below the window size, SAM
-    when the scene is not spectral."""
+def scene_metrics(x_hat, x_gt, spectral: bool = False) -> SceneMetrics:
+    """PSNR and SSIM at peak 1 and SAM of one scene; SSIM is None below the
+    window size, SAM when the scene is not spectral."""
     a, b = _as_array(x_hat), _as_array(x_gt)
     sam_deg = sam(a, b) if spectral and a.ndim >= 2 and a.shape[-1] >= 2 else None
-    ssim_val = ssim(a, b, peak) if min(a.shape[:2]) >= _SSIM_WINDOW else None
-    return SceneMetrics(psnr_db=psnr(a, b, peak), ssim=ssim_val, sam_deg=sam_deg)
+    ssim_val = ssim(a, b) if min(a.shape[:2]) >= _SSIM_WINDOW else None
+    return SceneMetrics(psnr_db=psnr(a, b), ssim=ssim_val, sam_deg=sam_deg)
 
 
 # ---------------------------------------------------------------------------

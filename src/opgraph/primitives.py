@@ -111,6 +111,12 @@ _DEFAULTS = {
     PrimitiveKind.DISPERSE: {"alpha_deg": 0.0},
     PrimitiveKind.SCATTER: {"shift": 0.0},
 }
+# defaults of one Detect or Transform family, filled in before validation
+_FAMILY_DEFAULTS = {
+    (PrimitiveKind.DETECT, "sigmoid"): {"p2": 1.0},
+    (PrimitiveKind.DETECT, "coherent_field"): {"p2": 1.0},
+    (PrimitiveKind.TRANSFORM, "log_compression"): {"g": 1.0},
+}
 
 
 def _check_type(kind, name, tag, value):
@@ -183,6 +189,7 @@ def make_primitive(kind, params: dict) -> PrimitiveInstance:
     for name, (tag, required) in schema.items():
         if required and name not in clean:
             raise PrimitiveError(f"{kind.value}: missing required parameter {name!r}")
+    clean = {**_FAMILY_DEFAULTS.get((kind, clean.get("family")), {}), **clean}
     _validate_params(kind, clean)
     is_linear = kind not in (PrimitiveKind.DETECT, PrimitiveKind.TRANSFORM)
     if kind == PrimitiveKind.DETECT:
@@ -211,7 +218,7 @@ def _validate_params(kind, p):
     elif kind == PrimitiveKind.DETECT:
         if p["family"] not in DETECT_FAMILIES:
             raise PrimitiveError(f"Detect: unknown family {p['family']!r}")
-        if p["family"] == "sigmoid" and p.get("p2", 1.0) <= 0:
+        if p["family"] == "sigmoid" and p["p2"] <= 0:
             raise PrimitiveError("Detect.sigmoid: scale p2 must be positive")
         if p["family"] == "logarithmic" and "p2" not in p:
             raise PrimitiveError("Detect.logarithmic: offset p2 is required")
@@ -481,12 +488,11 @@ def detect_apply(p: dict, x: np.ndarray) -> np.ndarray:
         return g * np.log(x + off)
     if fam == "sigmoid":
         _require_real(x, "Detect.sigmoid")
-        return g * _logistic(x / p.get("p2", 1.0))
+        return g * _logistic(x / p["p2"])
     if fam == "intensity_square":
         return g * np.abs(x) ** 2
     if fam == "coherent_field":
-        ref = p.get("p2", 1.0)
-        return g * np.abs(x + ref) ** 2
+        return g * np.abs(x + p["p2"]) ** 2
     raise AssertionError(fam)
 
 
@@ -502,7 +508,7 @@ def transform_apply(p: dict, x: np.ndarray) -> np.ndarray:
         x0 = p["x0"]
         if np.any(x <= -x0):
             raise _failed_check(x, "Transform.log_compression domain violated: needs x > -x0")
-        return p.get("g", 1.0) * np.log1p(x / x0)
+        return p["g"] * np.log1p(x / x0)
     if fam == "phase_wrap":
         return np.angle(np.exp(1j * x))
     if fam == "polynomial":
@@ -526,11 +532,11 @@ def lipschitz_bound(prim: PrimitiveInstance, lo: float, hi: float) -> float:
                 raise PrimitiveError("Detect.logarithmic unbounded on this box")
             return g / (lo + p["p2"])
         if fam == "sigmoid":
-            return g / (4.0 * p.get("p2", 1.0))
+            return g / (4.0 * p["p2"])
         if fam == "intensity_square":
             return 2.0 * g * max(abs(lo), abs(hi))
         if fam == "coherent_field":
-            ref = p.get("p2", 1.0)
+            ref = p["p2"]
             return 2.0 * g * max(abs(lo + ref), abs(hi + ref))
     if prim.kind == PrimitiveKind.TRANSFORM:
         fam = p["family"]
@@ -540,7 +546,7 @@ def lipschitz_bound(prim: PrimitiveInstance, lo: float, hi: float) -> float:
         if fam == "log_compression":
             if lo <= -p["x0"]:
                 raise PrimitiveError("Transform.log_compression unbounded on this box")
-            return abs(p.get("g", 1.0)) / (p["x0"] + lo)
+            return abs(p["g"]) / (p["x0"] + lo)
         if fam == "phase_wrap":
             # the wrap jumps by 2*pi at each branch cut pi + 2*pi*k
             cut = math.pi + 2.0 * math.pi * math.ceil((lo - math.pi) / (2.0 * math.pi))
@@ -558,27 +564,18 @@ def lipschitz_bound(prim: PrimitiveInstance, lo: float, hi: float) -> float:
 # ---------------------------------------------------------------------------
 # forward / adjoint dispatch
 
-# Parameters a block's members may hold each their own value of.  Every other
-# parameter, and the dtype of every tensor, is part of the block's structure.
-_MEMBER_PARAMS = {
-    PrimitiveKind.PROPAGATE: ("distance_m", "wavelength_m", "pitch_m"),
-    PrimitiveKind.MODULATE: ("m",),
-    PrimitiveKind.PROJECT: ("angles_deg", "n_det", "cor_offset"),
-    PrimitiveKind.CONVOLVE: ("h",),
-    PrimitiveKind.DETECT: ("g", "p2"),
-    PrimitiveKind.DISPERSE: ("a1", "alpha_deg"),
-    PrimitiveKind.SCATTER: ("sigma", "shift"),
-    PrimitiveKind.TRANSFORM: ("alpha", "g", "x0", "coeffs", "lo", "hi"),
-}
+# The parameters the kernels read from a block's first member, so the block's
+# members must share them; with the dtype of every tensor they are its
+# structure.  Members may hold each their own value of every other parameter.
+_STRUCTURE_PARAMS = ("family", "pattern_stack", "axes", "input_shape", "omega")
 
 
 def block_key(prim: PrimitiveInstance) -> tuple:
     """What the members of a :class:`PrimitiveBlock` must share with ``prim``."""
-    free = _MEMBER_PARAMS.get(prim.kind, ())
     return prim.kind, tuple(
         (name, value.dtype if isinstance(value, Tensor) else value)
         for name, value in sorted(prim.params.items())
-        if isinstance(value, Tensor) or name not in free
+        if isinstance(value, Tensor) or name in _STRUCTURE_PARAMS
     )
 
 

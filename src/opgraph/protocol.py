@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import CalibConfig, CalibResult, calibrate_alg1, calibrate_alg2
+from .calibration import CalibResult, calibrate_alg1, calibrate_alg2
 from .metrics import CI_PERCENTILES, MetricError, recovery_ratio, scene_metrics
 # power_iteration and reconstruct stay bound here because perfbench/spans.py
 # patches them by module
@@ -63,16 +63,16 @@ def measure(g, noise: dict, phantoms, noisy: bool, seed: int) -> list:
     return [apply_noise(y, noise, noise_rng.child(i)) for i, y in enumerate(ys)]
 
 
-def calibrate(template: Template, y, x_gt, route: str,
-              cfg: CalibConfig | None = None) -> CalibResult:
-    """Run one calibration route; alg1+2 warm-starts alg2 from alg1's estimate."""
+def calibrate(template: Template, y, x_gt, route: str) -> CalibResult:
+    """Run one calibration route under the default ``CalibConfig``; alg1+2
+    warm-starts alg2 from alg1's estimate."""
     if route == "alg1":
-        return calibrate_alg1(template, y, cfg, x_gt=x_gt)
+        return calibrate_alg1(template, y, x_gt=x_gt)
     if route == "alg2":
-        return calibrate_alg2(template, y, cfg, x_gt=x_gt)
+        return calibrate_alg2(template, y, x_gt=x_gt)
     if route == "alg1+2":
-        warm = calibrate_alg1(template, y, cfg, x_gt=x_gt).theta_hat
-        return calibrate_alg2(template, y, cfg, x_gt=x_gt, warm_start=warm)
+        warm = calibrate_alg1(template, y, x_gt=x_gt).theta_hat
+        return calibrate_alg2(template, y, x_gt=x_gt, warm_start=warm)
     raise ProtocolError("BAD_CALIB", f"unknown calibration route {route!r}")
 
 
@@ -101,9 +101,9 @@ def _rho_ci(scenes, n_resamples: int, seed: int):
     return float(lo), float(hi)
 
 
-def run_scenarios(template: Template, theta_true, solver_cfg: dict | None = None,
-                  seed: int = 0, calib: str = "alg1", noisy: bool = False,
-                  n_scenes: int = 3, n_resamples: int = 1000) -> ScenarioResult:
+def run_scenarios(template: Template, theta_true, seed: int = 0, calib: str = "alg1",
+                  noisy: bool = False, n_scenes: int = 3,
+                  n_resamples: int = 1000) -> ScenarioResult:
     if n_resamples < 1:
         raise ProtocolError("BAD_CONFIG", f"need n_resamples >= 1, got {n_resamples}")
     theta_true = template.family.check(theta_true)
@@ -111,15 +111,14 @@ def run_scenarios(template: Template, theta_true, solver_cfg: dict | None = None
 
     g_true = template.operator(theta_true)
     g_nom = template.operator()
-    solver = pin_step(g_nom, solver_cfg if solver_cfg is not None else template.solver)
+    solver = pin_step(g_nom, template.solver)
 
     measurements = measure(g_true, template.noise, phantoms, noisy, seed)
     if calib == "none":
         # IV reconstructs at theta_nom, which is II's operator and solve
         theta_hat, g_hat = template.family.theta_nom, None
     else:
-        theta_hat = calibrate(template, measurements[0], phantoms[0].data, calib,
-                              CalibConfig()).theta_hat
+        theta_hat = calibrate(template, measurements[0], phantoms[0].data, calib).theta_hat
         g_hat = template.operator(theta_hat)
 
     # I, II and (when calibrated) IV of each scene, in scene order

@@ -90,12 +90,12 @@ def _validate(reg: Registry) -> None:
             f"primitive catalog mismatch: missing {sorted(missing)}, extra {sorted(extra)}",
         )
     for kind_name, entry in reg.primitives.items():
-        declared = set(entry.get("params", {}))
-        builtin = set(_SCHEMAS[PrimitiveKind(kind_name)])
+        declared = entry.get("params", {})
+        builtin = {name: tag for name, (tag, _) in _SCHEMAS[PrimitiveKind(kind_name)].items()}
         if declared != builtin:
             raise RegistryError(
                 "UNKNOWN_PRIMITIVE",
-                f"{kind_name}: registry params {sorted(declared)} != schema {sorted(builtin)}",
+                f"{kind_name}: registry params {declared} != schema {builtin}",
             )
     for name, entry in reg.templates.items():
         dag = entry.get("dag")

@@ -65,6 +65,8 @@ _STEPPED_SOLVERS = ("fista_tv", "gap_tv")
 _BLOCK_ELEMENTS = 8192
 # dual steps of one TV prox
 _PROX_STEPS = 10
+# iterations of the spectral-norm estimate, started from seed 0
+_POWER_ITERS = 50
 
 
 class SolverError(CodedError):
@@ -246,34 +248,30 @@ def _prox(stack: np.ndarray, lam: float) -> np.ndarray:
 # operator plumbing
 
 
-def _primal_is_real(g: GraphOperator) -> bool:
-    return g.input_dtype == "real64"
-
-
 def _require_adjoint(g: GraphOperator) -> None:
     if not g.all_linear:
         raise SolverError("NONLINEAR", "solver needs an all-linear graph with an adjoint")
 
 
-def _adjoint_primal(g: GraphOperator, y: np.ndarray) -> np.ndarray:
-    out = g.adjoint_array(y)
-    return out.real if _primal_is_real(g) and np.iscomplexobj(out) else out
+def _primal(a: np.ndarray, real: bool = True) -> np.ndarray:
+    """An adjoint's output ``a`` as a primal: its real part when the primal is
+    real, as a TV solver's always is."""
+    return a.real if real and np.iscomplexobj(a) else a
 
 
-def power_iteration(g: GraphOperator, n_iters: int = 50, seed: int = 0) -> float:
+def power_iteration(g: GraphOperator) -> float:
     """Largest eigenvalue of H*H (squared spectral norm), no margin applied."""
     _require_adjoint(g)
-    if n_iters < 1:
-        raise SolverError("BAD_CONFIG", f"need n_iters >= 1, got {n_iters}")
-    rng = Rng(seed, 17)
+    real = g.input_dtype == "real64"
+    rng = Rng(0, 17)
     v = rng.standard_normal(g.input_shape)
-    if not _primal_is_real(g):
+    if not real:
         v = v + 1j * rng.standard_normal(g.input_shape)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(n_iters):
+    for _ in range(_POWER_ITERS):
         w = g.forward_array(v)
-        u = _adjoint_primal(g, w)
+        u = _primal(g.adjoint_array(w), real)
         nrm = np.linalg.norm(u)
         if nrm == 0.0:
             return 0.0
@@ -300,15 +298,10 @@ def pin_step(g: GraphOperator, cfg: dict) -> dict:
 # solvers
 
 
-def _real(a: np.ndarray) -> np.ndarray:
-    """The real part a TV solver's real primal keeps of an adjoint."""
-    return a.real if np.iscomplexobj(a) else a
-
-
 def _gradient_step(A: BlockOperator, z: np.ndarray, az: np.ndarray, ys: np.ndarray,
                    step: float) -> np.ndarray:
     """z_k - step * A_k^T (A_k z_k - y_k) for each problem k of the block, given A z."""
-    return z - step * _real(A.adjoint(az - ys))
+    return z - step * _primal(A.adjoint(az - ys))
 
 
 def _fista_tv(gs, A: BlockOperator, ys: np.ndarray, iters: int, lam_tv: float, step: float):
@@ -364,7 +357,7 @@ def _gap_tv(gs, A: BlockOperator, ys: np.ndarray, iters: int, lam_tv: float, ste
             if not math.isfinite(data):
                 raise TensorError("NON_FINITE", "GAP-TV diverged: the residual is not finite")
             data_terms.append(data)
-        v = _prox(v + step * _real(A.adjoint(r)), lam_tv)
+        v = _prox(v + step * _primal(A.adjoint(r)), lam_tv)
         for trace, data, tv in zip(traces, data_terms, _tv_norms(v)):
             trace.append(data + lam_tv * float(tv))
     return v, traces
@@ -459,14 +452,15 @@ def reconstruct_block(gs, ys, cfg: dict) -> list[ReconResult]:
     if name == "adjoint":
         for g in gs:
             _require_adjoint(g)
-        return [ReconResult(Tensor(_adjoint_primal(g, y)), 1, _problem=(g, y))
+        return [ReconResult(Tensor(_primal(g.adjoint_array(y), g.input_dtype == "real64")),
+                            1, _problem=(g, y))
                 for g, y in zip(gs, y_arrs)]
     if name not in _STEPPED_SOLVERS:
         raise SolverError("BAD_CONFIG", f"unknown solver {name!r}")
 
     for g in gs:
         _require_adjoint(g)
-        if not _primal_is_real(g):
+        if g.input_dtype != "real64":
             raise SolverError("COMPLEX_PRIMAL", "TV solvers support real-valued signals only")
     iters = int(cfg.get("iters", 50))
     if iters < 1:

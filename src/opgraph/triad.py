@@ -148,7 +148,7 @@ def _probe_problems(operator, fam, theta, k: int, h_k: float, ph):
     return tuple((g_nom, operator(tuple(t)).forward(ph.data), ph.data) for t in (up, down))
 
 
-def sensitivity(template: Template, solver_cfg: dict | None, theta, k: int, h_k: float,
+def sensitivity(template: Template, theta, k: int, h_k: float,
                 _psnrs: dict | None = None, _problems=None) -> float:
     """d(PSNR)/d(theta_k) by central difference, mismatched-reconstruction lane.
 
@@ -163,18 +163,18 @@ def sensitivity(template: Template, solver_cfg: dict | None, theta, k: int, h_k:
         theta = list(template.family.check(theta))
         ph = make_phantoms(template, 1, seed=0)[0]
         _problems = _probe_problems(template.operator, template.family, theta, k, h_k, ph)
-    _score(_problems, solver_cfg if solver_cfg is not None else template.solver, psnrs)
+    _score(_problems, template.solver, psnrs)
     up, down = _problems
     return (psnrs[_key(*up)] - psnrs[_key(*down)]) / (2.0 * h_k)
 
 
-def bind_gate(psnr_i: float, psnr_ii: float, psnr_noisy: float, psnr_ideal: float,
-              psnr_limit: float):
-    """Quality gaps to gate costs; returns (dominant_gate, (C_m, C_n, C_r))."""
-    values = (psnr_i, psnr_ii, psnr_noisy, psnr_ideal, psnr_limit)
+def bind_gate(psnr_i: float, psnr_ii: float, psnr_noisy: float, psnr_limit: float):
+    """Quality gaps to gate costs; returns (dominant_gate, (C_m, C_n, C_r)).
+    C_n is the matched (I) PSNR that noise takes away."""
+    values = (psnr_i, psnr_ii, psnr_noisy, psnr_limit)
     if not all(np.isfinite(v) for v in values):
         raise TriadError("BAD_VALUE", f"gate binding needs finite inputs, got {values}")
-    costs = (psnr_i - psnr_ii, psnr_ideal - psnr_noisy, psnr_limit - psnr_i)
+    costs = (psnr_i - psnr_ii, psnr_i - psnr_noisy, psnr_limit - psnr_i)
     # tie priority: recoverability, then carrier budget, then mismatch
     best = max(range(3), key=lambda i: (costs[i], i))
     return GATES[best], costs
@@ -196,8 +196,8 @@ def make_triad_report(sensitivities: dict, binding, ci_width: float) -> TriadRep
     )
 
 
-def diagnose(template: Template, theta_true, solver_cfg: dict | None = None,
-             noisy: bool = False, n_scenes: int = 3, seed: int = 0) -> TriadReport:
+def diagnose(template: Template, theta_true, noisy: bool = False, n_scenes: int = 3,
+             seed: int = 0) -> TriadReport:
     """Bind the dominant gate from quality gaps on the scenes, and probe the
     mismatch sensitivities at nominal on scene 0.
 
@@ -206,7 +206,6 @@ def diagnose(template: Template, theta_true, solver_cfg: dict | None = None,
     """
     fam = template.family
     theta_true = fam.check(theta_true)
-    solver = solver_cfg if solver_cfg is not None else template.solver
     g_nom = template.operator()
     nominal = np.asarray(fam.theta_nom, dtype=np.float64).tobytes()
 
@@ -246,16 +245,15 @@ def diagnose(template: Template, theta_true, solver_cfg: dict | None = None,
         scenes.append(lanes)
     psnrs = {}
     _score([p for *_, pair in probes.values() for p in pair]
-           + [p for lanes in scenes for p in lanes.values()], solver, psnrs)
+           + [p for lanes in scenes for p in lanes.values()], template.solver, psnrs)
 
-    sens = {name: sensitivity(template, solver_cfg, base, k, h, _psnrs=psnrs, _problems=pair)
+    sens = {name: sensitivity(template, base, k, h, _psnrs=psnrs, _problems=pair)
             for name, (base, k, h, pair) in probes.items()}
     p_i, p_ii, p_noisy, p_limit = ([psnrs[_key(*lanes[name])] for lanes in scenes]
                                    for name in ("I", "II", "noisy", "limit"))
 
     binding = bind_gate(float(np.mean(p_i)), float(np.mean(p_ii)),
-                        float(np.mean(p_noisy)), float(np.mean(p_i)),
-                        float(np.mean(p_limit)))
+                        float(np.mean(p_noisy)), float(np.mean(p_limit)))
     gaps = [a - b for a, b in zip(p_i, p_ii)]
     if len(gaps) > 1:
         n_resamples = default_registry().thresholds["bootstrap"]["n_resamples"]

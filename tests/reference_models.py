@@ -14,7 +14,6 @@ from scipy import ndimage
 from scipy.linalg import dft
 
 from opgraph import calibration, protocol, triad
-from opgraph.calibration import CalibConfig
 from opgraph.metrics import CI_PERCENTILES, MetricError, psnr, recovery_ratio, scene_metrics
 from opgraph.registry import default_registry
 from opgraph.solvers import pin_step, reconstruct
@@ -427,8 +426,7 @@ def diagnose_reference(template, theta_true, noisy=False, n_scenes=3, seed=0):
             p_limit.append(q(g_full, g_full.forward(ph.data), ph.data))
 
     binding = triad.bind_gate(float(np.mean(p_i)), float(np.mean(p_ii)),
-                              float(np.mean(p_noisy)), float(np.mean(p_i)),
-                              float(np.mean(p_limit)))
+                              float(np.mean(p_noisy)), float(np.mean(p_limit)))
     gaps = [a - b for a, b in zip(p_i, p_ii)]
     if len(gaps) > 1:
         lo, hi = bootstrap_ci_reference(
@@ -455,8 +453,8 @@ def run_scenarios_reference(template, theta_true, calib="alg1", noisy=False, n_s
     if calib == "none":
         theta_hat = template.family.theta_nom
     else:
-        theta_hat = protocol.calibrate(template, measurements[0], phantoms[0].data, calib,
-                                       CalibConfig()).theta_hat
+        theta_hat = protocol.calibrate(template, measurements[0], phantoms[0].data,
+                                       calib).theta_hat
     g_hat = template.operator(theta_hat)
 
     def metrics(g, ph, y):

@@ -7,7 +7,6 @@ import sys
 import numpy as np
 import pytest
 
-from opgraph.calibration import CalibConfig
 from opgraph.cli import main
 from opgraph.graph import make_spec, serialize_spec
 from opgraph.protocol import calibrate, measure
@@ -160,6 +159,21 @@ class TestScenario:
         assert result["per_scene"][0]["I"]["ssim"] is None
         assert result["means"]["I"]["psnr_db"] > result["means"]["II"]["psnr_db"]
 
+    @pytest.mark.parametrize("modality, theta, solver", [
+        ("spc", ["0.012"], "fista_tv"),
+        ("cacti", ["1.0", "-0.5"], "gap_tv"),
+    ])
+    def test_naming_the_template_solver_changes_nothing(self, tmp_path, modality, theta,
+                                                        solver):
+        # --solver replaces the name only; the template's iterations and TV weight stay
+        flags = ["scenario", "--modality", modality, "--size", "8", "--theta-true", *theta,
+                 "--calib", "none", "--scenes", "1"]
+        plain, named = tmp_path / "plain", tmp_path / "named"
+        assert main(flags + ["--out", str(plain)]) == 0
+        assert main(flags + ["--solver", solver, "--out", str(named)]) == 0
+        for name in ("scenario_result.json", "triad_report.json"):
+            assert (plain / name).read_bytes() == (named / name).read_bytes()
+
     def test_reruns_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         main(self._FLAGS + ["--out", str(out_a)])
@@ -218,7 +232,7 @@ class TestCalibrate:
         t = instantiate("mri", 16, seed=2)
         ph = make_phantoms(t, 1, seed=2)[0]
         (y,) = measure(t.operator((0.05,)), t.noise, [ph], True, 2)
-        expected = calibrate(t, y, ph.data, "alg1", CalibConfig()).as_dict()
+        expected = calibrate(t, y, ph.data, "alg1").as_dict()
         assert {k: payload[k] for k in expected} == expected
 
 

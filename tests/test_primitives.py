@@ -425,6 +425,10 @@ class TestLipschitz:
             ("Transform", {"family": "polynomial", "coeffs": [0.0, 1.0, 0.5, 0.25]}, -1.5, 1.5),
             ("Transform", {"family": "saturation", "lo": 0.0, "hi": 1.0}, -2.0, 2.0),
             ("Transform", {"family": "phase_wrap"}, -3.0, 3.0),
+            # families whose defaults make_primitive fills in
+            ("Detect", {"family": "sigmoid", "g": 2.0}, -4.0, 4.0),
+            ("Detect", {"family": "coherent_field", "g": 0.5}, -2.0, 1.0),
+            ("Transform", {"family": "log_compression", "x0": 0.5}, 0.0, 3.0),
         ],
     )
     def test_bound_dominates_sampled_slopes(self, kind, params, lo, hi):
@@ -435,6 +439,14 @@ class TestLipschitz:
         ys = prim_forward(prim, xs)
         slopes = np.abs(np.diff(ys)) / np.diff(xs)
         assert slopes.max() <= L * (1 + 1e-6) + 1e-12
+
+    @pytest.mark.parametrize("kind,params,name", [
+        ("Detect", {"family": "sigmoid"}, "p2"),
+        ("Detect", {"family": "coherent_field"}, "p2"),
+        ("Transform", {"family": "log_compression", "x0": 0.5}, "g"),
+    ])
+    def test_family_default_is_filled(self, kind, params, name):
+        assert make_primitive(kind, params).params[name] == 1.0
 
     @pytest.mark.parametrize("lo,hi", [(-6.0, 6.0), (3.0, 3.3), (-3.3, -3.0), (np.pi, np.pi)])
     def test_phase_wrap_box_across_a_branch_cut_rejected(self, lo, hi):

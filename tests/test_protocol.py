@@ -1,6 +1,7 @@
 """Four-scenario runner: ordering, identity lane, recovery ratio, determinism."""
 
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -199,13 +200,15 @@ class TestSpectralLane:
 
 
 class TestSolverOverride:
+    """The run's solver is its template's."""
+
     def test_adjoint_solver_accepted(self, ct_template):
-        r = run_scenarios(ct_template, (3.0,), solver_cfg={"name": "adjoint"},
+        r = run_scenarios(replace(ct_template, solver={"name": "adjoint"}), (3.0,),
                           calib="none", n_scenes=1, seed=4)
         assert isinstance(r, ScenarioResult)
 
     def test_weaker_solver_scores_lower(self, ct_template):
         fbp = run_scenarios(ct_template, (3.0,), calib="none", n_scenes=1, seed=4)
-        adj = run_scenarios(ct_template, (3.0,), solver_cfg={"name": "adjoint"},
+        adj = run_scenarios(replace(ct_template, solver={"name": "adjoint"}), (3.0,),
                             calib="none", n_scenes=1, seed=4)
         assert fbp.means["I"]["psnr_db"] > adj.means["I"]["psnr_db"]

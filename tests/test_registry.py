@@ -120,6 +120,16 @@ def test_unknown_primitive_in_template(tmp_path):
     assert exc.value.code == "UNKNOWN_PRIMITIVE"
 
 
+def test_primitive_param_type_tag_must_match_schema(tmp_path):
+    _write_default(tmp_path)
+    doc = yaml.safe_load((tmp_path / "primitives.yaml").read_text())
+    doc["Project"]["params"]["n_det"] = "float"
+    (tmp_path / "primitives.yaml").write_text(yaml.safe_dump(doc))
+    with pytest.raises(RegistryError, match="n_det") as exc:
+        load_registry(tmp_path)
+    assert exc.value.code == "UNKNOWN_PRIMITIVE"
+
+
 def test_zero_width_range(tmp_path):
     _write_default(tmp_path)
     doc = yaml.safe_load((tmp_path / "mismatch.yaml").read_text())

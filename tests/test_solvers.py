@@ -240,12 +240,6 @@ def test_power_iteration_bounds_operator_norm(modality):
         assert np.vdot(hx, hx).real <= bound * np.vdot(x, x).real * (1.0 + 1e-3)
 
 
-def test_power_iteration_validates():
-    g = _identity_graph(4)
-    with pytest.raises(SolverError):
-        power_iteration(g, n_iters=0)
-
-
 @pytest.mark.parametrize("cfg, pinned", [
     ({"name": "fista_tv"}, True),
     ({"name": "gap_tv", "step": "auto"}, True),

@@ -101,52 +101,52 @@ class TestRecoverability:
 class TestSensitivity:
     def test_ct_cor_responds(self):
         t = instantiate("ct", 16)
-        s = sensitivity(t, None, (0.0,), 0, 0.4)
+        s = sensitivity(t, (0.0,), 0, 0.4)
         assert abs(s) > 0.1
 
     def test_zero_step_rejected(self):
         t = instantiate("ct", 16)
         with pytest.raises(TriadError, match="BAD_STEP"):
-            sensitivity(t, None, (0.0,), 0, 0.0)
+            sensitivity(t, (0.0,), 0, 0.0)
 
     def test_stencil_must_stay_in_range(self):
         t = instantiate("ct", 16)
         with pytest.raises(TemplateError, match="OUT_OF_RANGE"):
-            sensitivity(t, None, (3.9,), 0, 0.4)
+            sensitivity(t, (3.9,), 0, 0.4)
 
     def test_deterministic(self):
         t = instantiate("ct", 16)
-        assert sensitivity(t, None, (1.0,), 0, 0.4) == sensitivity(t, None, (1.0,), 0, 0.4)
+        assert sensitivity(t, (1.0,), 0, 0.4) == sensitivity(t, (1.0,), 0, 0.4)
 
 
 class TestBindGate:
     def test_mismatch_dominates(self):
-        gate, c = bind_gate(30, 20, 29, 30, 31)
+        gate, c = bind_gate(30, 20, 29, 31)
         assert gate == "operator_mismatch"
         assert c == (10, 1, 1)
 
     def test_noise_dominates(self):
-        gate, c = bind_gate(30, 30, 20, 30, 31)
+        gate, c = bind_gate(30, 30, 20, 31)
         assert gate == "carrier_budget"
         assert c == (0, 10, 1)
 
     def test_recoverability_dominates(self):
-        gate, c = bind_gate(30, 30, 30, 30, 45)
+        gate, c = bind_gate(30, 30, 30, 45)
         assert gate == "recoverability"
         assert c == (0, 0, 15)
 
     def test_tie_priority(self):
         # all costs equal: recoverability wins, then carrier budget
-        gate, _ = bind_gate(30, 25, 25, 30, 35)
+        gate, _ = bind_gate(30, 25, 25, 35)
         assert gate == "recoverability"
-        gate2, _ = bind_gate(30, 25, 25, 30, 30)
+        gate2, _ = bind_gate(30, 25, 25, 30)
         assert gate2 == "carrier_budget"
 
     def test_sentinels_rejected(self):
         with pytest.raises(TriadError, match="BAD_VALUE"):
-            bind_gate(float("inf"), 20, 20, 20, 20)
+            bind_gate(float("inf"), 20, 20, 20)
         with pytest.raises(TriadError, match="BAD_VALUE"):
-            bind_gate(30, float("nan"), 20, 20, 20)
+            bind_gate(30, float("nan"), 20, 20)
 
 
 class TestTriadReport:

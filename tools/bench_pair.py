@@ -120,6 +120,10 @@ CLI_CASES = (
     ("scenario", ["--modality", "mri", "--size", "16", "--theta-true", "0.05",
                   "--solver", "adjoint"],
      ("scenario_result.json", "triad_report.json")),
+    # names the template's own solver, so it should equal the run without --solver
+    ("scenario", ["--modality", "spc", "--size", "16", "--theta-true", "0.012",
+                  "--solver", "fista_tv", "--calib", "none"],
+     ("scenario_result.json", "triad_report.json")),
     ("calibrate", ["--modality", "spc", "--size", "16", "--theta-true", "0.012",
                    "--calib", "alg1"],
      ("calib_result.json",)),
