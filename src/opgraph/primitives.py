@@ -363,6 +363,26 @@ _GUARD = 2
 
 
 @lru_cache(maxsize=8)
+def _radon_factors(angles_key: tuple, shape: tuple):
+    """The offset-free parts of a ray's detector coordinate.
+
+    Returns ``((c - cc_c) cos, (r - cc_r) sin)``, shaped (angles, 1, w) and
+    (angles, h, 1): small enough to keep for every offset a calibration tries.
+    """
+    h, w = shape
+    cc_r = (h - 1) / 2.0
+    cc_c = (w - 1) / 2.0
+    th = np.deg2rad(np.asarray(angles_key, dtype=np.float64))[:, None, None]
+    cols = np.arange(w, dtype=np.float64)[None, None, :]
+    rows = np.arange(h, dtype=np.float64)[None, :, None]
+    colpart = (cols - cc_c) * np.cos(th)
+    rowpart = (rows - cc_r) * np.sin(th)
+    colpart.setflags(write=False)
+    rowpart.setflags(write=False)
+    return colpart, rowpart
+
+
+@lru_cache(maxsize=8)
 def _radon_geometry(angles_key: tuple, n_det: int, cor_offset: float, shape: tuple):
     """Pixel-driven projection tables for every (angle, pixel) pair.
 
@@ -372,15 +392,10 @@ def _radon_geometry(angles_key: tuple, n_det: int, cor_offset: float, shape: tup
     whose detector holds columns _GUARD .. _GUARD + n_det - 1.  ``frac`` is
     the upper neighbour's weight.
     """
-    h, w = shape
-    cc_r = (h - 1) / 2.0
-    cc_c = (w - 1) / 2.0
+    colpart, rowpart = _radon_factors(angles_key, shape)
     dc = (n_det - 1) / 2.0
-    th = np.deg2rad(np.asarray(angles_key, dtype=np.float64))[:, None, None]
-    cols = np.arange(w, dtype=np.float64)[None, None, :]
-    rows = np.arange(h, dtype=np.float64)[None, :, None]
     # t = (c - cc_c) cos + (r - cc_r) sin + dc + cor_offset, summed left to right
-    t = (cols - cc_c) * np.cos(th) + (rows - cc_r) * np.sin(th)
+    t = colpart + rowpart
     t += dc
     t += cor_offset
     row = n_det + 2 * _GUARD

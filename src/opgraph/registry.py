@@ -33,8 +33,9 @@ class RegistryError(CodedError):
     pass
 
 
-class StrictLoader(yaml.SafeLoader):
-    """SafeLoader that rejects duplicate mapping keys instead of keeping the last."""
+# libyaml's C parser where PyYAML was built with it, the pure-Python one otherwise
+class StrictLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """Safe loader that rejects duplicate mapping keys instead of keeping the last."""
 
 
 def _no_duplicates(loader, node, deep=False):
@@ -140,7 +141,7 @@ def load_registry(path=None) -> Registry:
     ``path`` is a directory holding the YAML files; None loads the packaged
     defaults.
     """
-    base = resources.files("opgraph") / "registries" if path is None else Path(path)
+    base = resources.files(__package__) / "registries" if path is None else Path(path)
     # every file is read before any is parsed, so a missing file is reported first
     texts = {}
     for f in fields(Registry):

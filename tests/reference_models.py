@@ -15,6 +15,7 @@ from scipy.linalg import dft
 
 from opgraph import calibration, protocol, triad
 from opgraph.metrics import CI_PERCENTILES, MetricError, psnr, recovery_ratio, scene_metrics
+from opgraph.primitives import _GUARD
 from opgraph.registry import default_registry
 from opgraph.solvers import pin_step, reconstruct
 from opgraph.templates import apply_noise, make_phantoms
@@ -273,6 +274,33 @@ def fista_tv_reference(g, y, iters, lam_tv, step):
         if f_x < best_f:
             best_x, best_f = x, f_x
     return best_x, trace
+
+
+def radon_geometry_reference(angles_key, n_det, cor_offset, shape):
+    """``primitives._radon_geometry`` as one uncached build per offset.
+
+    Every (angle, pixel) coordinate is formed in full for each call; the
+    program's version must return the same ``(bins, frac)`` bytes.
+    """
+    h, w = shape
+    cc_r = (h - 1) / 2.0
+    cc_c = (w - 1) / 2.0
+    dc = (n_det - 1) / 2.0
+    th = np.deg2rad(np.asarray(angles_key, dtype=np.float64))[:, None, None]
+    cols = np.arange(w, dtype=np.float64)[None, None, :]
+    rows = np.arange(h, dtype=np.float64)[None, :, None]
+    t = (cols - cc_c) * np.cos(th) + (rows - cc_r) * np.sin(th)
+    t += dc
+    t += cor_offset
+    row = n_det + 2 * _GUARD
+    bins = np.empty((2,) + t.shape, dtype=np.int64)
+    i0 = bins[0]
+    np.floor(t, out=i0, casting="unsafe")
+    frac = np.subtract(t, i0, out=t)
+    np.clip(i0, -_GUARD, n_det, out=i0)
+    i0 += _GUARD + row * np.arange(len(angles_key), dtype=np.int64)[:, None, None]
+    np.add(i0, 1, out=bins[1])
+    return bins, frac
 
 
 def _radon_reference_geometry(p, shape):

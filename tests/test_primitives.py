@@ -7,13 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_models import radon_adjoint_reference, radon_forward_reference
+from reference_models import (
+    radon_adjoint_reference,
+    radon_forward_reference,
+    radon_geometry_reference,
+)
 
 from opgraph.graph import adjoint_check_graph, compile_graph
 from opgraph.primitives import (
     PrimitiveError,
     PrimitiveKind,
     _dot_test_report,
+    _radon_geometry,
     dot_product_test,
     lipschitz_bound,
     make_primitive,
@@ -236,6 +241,21 @@ class TestProject:
                     back = prim_adjoint(p, y, input_shape=x.shape)
                     ref = radon_adjoint_reference(p.params, y, x.shape)
                     assert back.dtype == ref.dtype and back.tobytes() == ref.tobytes(), (n_det, cor, y.dtype)
+
+    @pytest.mark.parametrize("shape", [(8, 8), (11, 11), (16, 16), (48, 48), (9, 14), (33, 17)])
+    @pytest.mark.parametrize("n_angles", [1, 7, 90])
+    def test_geometry_bytes_match_reference(self, shape, n_angles):
+        # the offset-free factors are cached per (angles, shape); each offset's
+        # tables must still be the bytes of one full build
+        angles = tuple(180.0 * k / n_angles + 0.3 for k in range(n_angles))
+        n_det = math.ceil(math.sqrt(2.0) * max(shape)) + 9 | 1
+        for det, cor in [(n_det, c) for c in (0.0, -0.0, 0.5, -1.25, 0.37, 4.0, -30.0)] + [(4, 1.0)]:
+            for build in (_radon_geometry.__wrapped__, _radon_geometry):
+                bins, frac = build(angles, det, cor, shape)
+                ref_bins, ref_frac = radon_geometry_reference(angles, det, cor, shape)
+                assert bins.dtype == ref_bins.dtype and bins.tobytes() == ref_bins.tobytes()
+                assert frac.dtype == ref_frac.dtype and frac.tobytes() == ref_frac.tobytes()
+                assert frac.shape == ref_frac.shape == (n_angles,) + shape
 
     def test_rays_off_the_detector_scatter_nothing(self):
         x = Rng(12).uniform((8, 8))

@@ -1,18 +1,27 @@
 """Registry loading, validation, round-trip, and the basis-growth curve."""
 
+import importlib
 import inspect
+import shutil
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 import yaml
 
-from opgraph.cli import build_parser
-from opgraph.graph import adjoint_check_graph
+import opgraph
+from opgraph.cli import build_parser, main
+from opgraph.graph import GraphError, adjoint_check_graph, parse_spec
 from opgraph.metrics import bootstrap_ci
 from opgraph.primitives import dot_product_test
 from opgraph.protocol import run_scenarios
 from opgraph.registry import (
     CANONICAL_ORDER,
+    Registry,
     RegistryError,
+    StrictLoader,
+    _no_duplicates,
     basis_growth,
     default_registry,
     load_registry,
@@ -178,6 +187,69 @@ def test_duplicate_yaml_key(tmp_path):
     with pytest.raises(RegistryError) as exc:
         load_registry(tmp_path)
     assert exc.value.code == "DUPLICATE_KEY"
+
+
+class _PyStrictLoader(yaml.SafeLoader):
+    """StrictLoader's pure-Python twin: PyYAML's own scanner, the same constructor."""
+
+
+_PyStrictLoader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _no_duplicates)
+
+_PACKAGE_DIR = Path(opgraph.__file__).parent
+
+
+class TestLoader:
+    def test_parses_in_c_where_pyyaml_has_libyaml(self):
+        base = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        assert issubclass(StrictLoader, base)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(Registry)])
+    def test_shipped_registries_parse_equal_to_pure_python(self, name):
+        text = (_PACKAGE_DIR / "registries" / f"{name}.yaml").read_text(encoding="utf-8")
+        doc = yaml.load(text, Loader=StrictLoader)
+        assert doc == yaml.load(text, Loader=_PyStrictLoader)
+        assert doc == getattr(default_registry(), name)
+
+    @pytest.mark.parametrize("loader", [StrictLoader, _PyStrictLoader])
+    @pytest.mark.parametrize("text", ["a: 1\nb: 2\na: 3\n", "a:\n  b: [1, {c: 2, c: 3}]\n"])
+    def test_duplicate_key_rejected_top_level_and_nested(self, loader, text):
+        with pytest.raises(RegistryError) as exc:
+            yaml.load(text, Loader=loader)
+        assert exc.value.code == "DUPLICATE_KEY"
+
+    def test_malformed_registry_is_bad_yaml(self, tmp_path):
+        _write_default(tmp_path)
+        (tmp_path / "mismatch.yaml").write_text("cassi: [}\n")
+        with pytest.raises(RegistryError) as exc:
+            load_registry(tmp_path)
+        assert exc.value.code == "BAD_YAML"
+
+    def test_malformed_spec_is_bad_spec(self, tmp_path, capsys):
+        with pytest.raises(GraphError) as exc:
+            parse_spec("nodes:\n  - {node_id: a\n")
+        assert exc.value.code == "BAD_SPEC"
+        spec = tmp_path / "spec.yaml"
+        spec.write_text("nodes: [}\n")
+        assert main(["compile", str(spec)]) == 2
+        assert "BAD_SPEC" in capsys.readouterr().err
+
+
+def test_registry_read_from_its_own_package(tmp_path, monkeypatch):
+    # a copy imported under another name reads its own registry files
+    shutil.copytree(_PACKAGE_DIR, tmp_path / "opgraph_copy",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    thresholds = tmp_path / "opgraph_copy" / "registries" / "thresholds.yaml"
+    text = thresholds.read_text(encoding="utf-8")
+    assert text.count("n_resamples: 1000") == 1
+    thresholds.write_text(text.replace("n_resamples: 1000", "n_resamples: 777"), encoding="utf-8")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        copy = importlib.import_module("opgraph_copy.registry")
+        assert copy.load_registry().thresholds["bootstrap"]["n_resamples"] == 777
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] == "opgraph_copy"]:
+            del sys.modules[name]
+    assert default_registry().thresholds["bootstrap"]["n_resamples"] == 1000
 
 
 def _default(fn, name):

@@ -14,7 +14,9 @@ perfbench prints them to 6 significant digits, so this reads true under
 rounding drift and cannot show byte identity) and each one's largest
 pair-by-pair absolute difference (``breakdown_max_abs_diff``), the median of three traced runs
 of each workload per commit at seeds 11-13 (layer times, call counts and solver
-iterations; one traced run cannot tell a small change from noise), and
+iterations; one traced run cannot tell a small change from noise), each run
+one round long (``--seconds 0``) so that its counts are whole and equal
+programs read equal counts, and
 whether a few ``scenario``, ``diagnose`` and ``calibrate`` CLI runs write
 byte-identical result files on both commits, with each run's wall seconds
 (one run each, process start included); only these ``cli_outputs`` show
@@ -180,9 +182,12 @@ def export(rev: str, dest: Path) -> dict:
 
 
 def perfbench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    # a traced run is one round: per-round averages over however many rounds
+    # fit would spread a one-time cost unevenly between two equal programs
+    seconds = 0 if trace else SECONDS
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", f"{SECONDS:g}", "--trace", str(trace)],
+         "--seconds", f"{seconds:g}", "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -537,8 +542,8 @@ def main(argv=None) -> int:
                 runs.append(run)
             report["workloads"][w] = {"summary": summarize(runs), "runs": runs}
         trace_seeds = [FIRST_SEED + i for i in range(TRACE_RUNS)]
-        report["trace"] = {"seeds": trace_seeds, "statistic": "median",
-                           "meaning": TRACE_MEANING}
+        report["trace"] = {"seeds": trace_seeds, "statistic": "median", "seconds": 0,
+                           "rounds_per_run": 1, "meaning": TRACE_MEANING}
         for w in TRACE_WORKLOADS:
             runs = {"base": [], "head": []}
             for i, seed in enumerate(trace_seeds):
