@@ -256,6 +256,8 @@ def _add_run_flags(p, theta_flag: str, theta_required: bool) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .solvers import SOLVERS
+
     parser = argparse.ArgumentParser(
         prog="opgraph",
         description="Forward-model compilation, simulation, calibration, and "
@@ -280,8 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p, "--theta-true", theta_required=True)
     p.add_argument("--calib", choices=("none", "alg1", "alg2", "alg1+2"),
                    default="alg1")
-    p.add_argument("--solver", choices=("fbp", "adjoint", "fista_tv", "gap_tv"),
-                   default=None)
+    p.add_argument("--solver", choices=SOLVERS, default=None)
     p.add_argument("--scenes", type=int, default=3)
     p.add_argument("--resamples", type=int, default=1000)
 

@@ -1,12 +1,12 @@
 """Reconstruction solvers that touch the operator only through forward/adjoint.
 
-FISTA-TV (monotone accept, momentum restart on objective increase), GAP-TV
-(scalar-preconditioned alternating projection), filtered back-projection for
-projection chains, and the plain adjoint map.  Total variation is anisotropic,
-with a prox by fast gradient projection on the dual.
+FISTA-TV (monotone accept, momentum restart on objective increase), filtered
+back-projection for projection chains, and the plain adjoint map; ``SOLVERS``
+names them.  Total variation is anisotropic, with a prox by fast gradient
+projection on the dual.
 
-FISTA-TV and GAP-TV advance a block of problems that share one pinned config
-in lockstep (``reconstruct_block``; ``reconstruct`` is the block of one).  A
+FISTA-TV advances a block of problems that share one pinned config in
+lockstep (``reconstruct_block``; ``reconstruct`` is the block of one).  A
 problem is an operator and its own measurement: calibration poses one ``y``
 under many candidate operators, the scenario protocol each scene's ``y``
 under the true, nominal and calibrated operators, and ``diagnose`` many
@@ -28,9 +28,7 @@ stacked expression of forwards already held.  A restart takes its plain step
 from the kept A x, and a held position keeps it, so a solve makes
 ``iters + 1`` forwards plus one per restart.  Every A z is made from
 forwards, never from the last A z, so rounding cannot build up over
-iterations.  GAP-TV's prox makes the next iterate nonlinear in the last one,
-so it keeps its forward per iteration; it fails ``NON_FINITE`` at the first
-problem whose residual is not finite.
+iterations.
 
 A :class:`Tensor` is built only where data enters a solve (``y``) and where
 its result leaves (``x_hat``); iterations, power iteration and the residual
@@ -55,12 +53,13 @@ import numpy as np
 
 from .graph import BlockOperator, GraphOperator, compile_block
 from .primitives import PrimitiveKind, prim_adjoint
-from .tensor import CodedError, Rng, Tensor, TensorError
+from .tensor import CodedError, Rng, Tensor
 
 _RESIDUAL_EPS = 1e-12
 # spectral-norm safety margin on the power-iteration estimate
 _STEP_MARGIN = 1.05
-_STEPPED_SOLVERS = ("fista_tv", "gap_tv")
+# every solver name a config may give
+SOLVERS = ("fbp", "adjoint", "fista_tv")
 # input elements of one lockstep block of solves (about 8 size-16 cassi cubes)
 _BLOCK_ELEMENTS = 8192
 # dual steps of one TV prox
@@ -102,17 +101,9 @@ def relative_residual(r: np.ndarray, y: np.ndarray) -> float:
 # total variation
 
 
-def tv_norm(x) -> float:
-    """Anisotropic TV: sum of absolute forward differences along every axis.
-
-    The block of one of ``_tv_norms``.
-    """
-    a = x.numpy() if isinstance(x, Tensor) else np.asarray(x)
-    return float(_tv_norms(a[None])[0])
-
-
 def _tv_norms(stack: np.ndarray) -> np.ndarray:
-    """``tv_norm`` of each stack[k] of a (K, *shape) stack, one pass per inner axis.
+    """Anisotropic TV of each stack[k] of a (K, *shape) stack: the sum of absolute
+    forward differences along every inner axis, one pass per axis.
 
     Each candidate's differences along an axis are one contiguous row of the
     stacked differences, so its row sum is its solo sum; the axes' sums are
@@ -286,7 +277,7 @@ def pin_step(g: GraphOperator, cfg: dict) -> dict:
     protocol pin once at the nominal operator and reuse the step under drift.
     """
     cfg = dict(cfg)
-    if cfg.get("name") in _STEPPED_SOLVERS and cfg.get("step", "auto") == "auto":
+    if cfg.get("name") == "fista_tv" and cfg.get("step", "auto") == "auto":
         lam = power_iteration(g) * _STEP_MARGIN
         if lam <= 0.0:
             raise SolverError("ZERO_OPERATOR", "spectral norm estimate is zero; no usable step")
@@ -346,23 +337,6 @@ def _fista_tv(gs, A: BlockOperator, ys: np.ndarray, iters: int, lam_tv: float, s
     return best_x, traces
 
 
-def _gap_tv(gs, A: BlockOperator, ys: np.ndarray, iters: int, lam_tv: float, step: float):
-    v = np.zeros((len(gs),) + A.input_shape)
-    traces = [[] for _ in gs]
-    for _ in range(iters):
-        r = ys - A.forward(v)
-        data_terms = []
-        for rk in r:
-            data = 0.5 * float(np.vdot(rk, rk).real)
-            if not math.isfinite(data):
-                raise TensorError("NON_FINITE", "GAP-TV diverged: the residual is not finite")
-            data_terms.append(data)
-        v = _prox(v + step * _primal(A.adjoint(r)), lam_tv)
-        for trace, data, tv in zip(traces, data_terms, _tv_norms(v)):
-            trace.append(data + lam_tv * float(tv))
-    return v, traces
-
-
 def _find_projection(g: GraphOperator):
     """FBP needs a Project node followed only by linear-field detection.
 
@@ -420,18 +394,18 @@ def _fbp(g: GraphOperator, y: np.ndarray) -> np.ndarray:
 
 
 def reconstruct(g: GraphOperator, y: Tensor, cfg: dict) -> ReconResult:
-    """Dispatch on cfg['name']: fista_tv, gap_tv, fbp, or adjoint."""
+    """Dispatch on cfg['name'], one of ``SOLVERS``."""
     return reconstruct_block([g], [y], cfg)[0]
 
 
 def reconstruct_block(gs, ys, cfg: dict) -> list[ReconResult]:
     """``reconstruct`` of each problem (gs[k], ys[k]), in order.
 
-    FISTA-TV and GAP-TV solve the block in lockstep, each result byte for
-    byte its solo solve; their operators must share an input shape (the
-    graph's boundary check rejects any other), and a block of more than one
-    needs a pinned ``step``.  FBP and the adjoint map solve one problem at a
-    time.
+    FISTA-TV solves the block in lockstep, each result byte for byte its solo
+    solve; its config gives ``iters`` and ``lambda_tv``, its operators must
+    share an input shape (the graph's boundary check rejects any other), and a
+    block of more than one needs a pinned ``step``.  FBP and the adjoint map
+    solve one problem at a time.
     """
     if len(gs) != len(ys):
         raise SolverError(
@@ -440,6 +414,8 @@ def reconstruct_block(gs, ys, cfg: dict) -> list[ReconResult]:
     if not gs:
         return []
     name = cfg.get("name")
+    if name not in SOLVERS:
+        raise SolverError("BAD_CONFIG", f"unknown solver {name!r}")
     for g, y in zip(gs, ys):
         if y.shape != g.output_shape:
             raise SolverError(
@@ -455,17 +431,18 @@ def reconstruct_block(gs, ys, cfg: dict) -> list[ReconResult]:
         return [ReconResult(Tensor(_primal(g.adjoint_array(y), g.input_dtype == "real64")),
                             1, _problem=(g, y))
                 for g, y in zip(gs, y_arrs)]
-    if name not in _STEPPED_SOLVERS:
-        raise SolverError("BAD_CONFIG", f"unknown solver {name!r}")
 
     for g in gs:
         _require_adjoint(g)
         if g.input_dtype != "real64":
-            raise SolverError("COMPLEX_PRIMAL", "TV solvers support real-valued signals only")
-    iters = int(cfg.get("iters", 50))
+            raise SolverError("COMPLEX_PRIMAL", "FISTA-TV supports real-valued signals only")
+    for key in ("iters", "lambda_tv"):
+        if key not in cfg:
+            raise SolverError("BAD_CONFIG", f"fista_tv needs {key!r}")
+    iters = int(cfg["iters"])
     if iters < 1:
         raise SolverError("BAD_CONFIG", f"need iters >= 1, got {iters}")
-    lam_tv = float(cfg.get("lambda_tv", 0.0))
+    lam_tv = float(cfg["lambda_tv"])
     if lam_tv < 0:
         raise SolverError("BAD_CONFIG", f"lambda_tv must be nonnegative, got {lam_tv}")
     if len(gs) > 1 and cfg.get("step", "auto") == "auto":
@@ -474,8 +451,7 @@ def reconstruct_block(gs, ys, cfg: dict) -> list[ReconResult]:
     if step <= 0:
         raise SolverError("BAD_CONFIG", f"step must be positive, got {step}")
 
-    run = _fista_tv if name == "fista_tv" else _gap_tv
-    xs, traces = run(gs, compile_block(gs), np.stack(y_arrs), iters, lam_tv, step)
+    xs, traces = _fista_tv(gs, compile_block(gs), np.stack(y_arrs), iters, lam_tv, step)
     return [ReconResult(Tensor(x), iters, tuple(trace), _problem=(g, y))
             for g, y, x, trace in zip(gs, y_arrs, xs, traces)]
 

@@ -222,7 +222,8 @@ def test_block_of_different_structure_is_bad_block(monkeypatch):
     monkeypatch.setattr(solvers, "_prox", no_solve)
     ys = [Tensor(np.zeros(g.output_shape)) for g in (cassi, cacti)]
     with pytest.raises(GraphError) as exc:
-        reconstruct_block([cassi, cacti], ys, {"name": "fista_tv", "step": 0.1, "iters": 3})
+        reconstruct_block([cassi, cacti], ys,
+                          {"name": "fista_tv", "step": 0.1, "iters": 3, "lambda_tv": 0.0})
     assert exc.value.code == "BAD_BLOCK"
 
 

@@ -161,7 +161,7 @@ class TestScenario:
 
     @pytest.mark.parametrize("modality, theta, solver", [
         ("spc", ["0.012"], "fista_tv"),
-        ("cacti", ["1.0", "-0.5"], "gap_tv"),
+        ("cacti", ["1.0", "-0.5"], "fista_tv"),
     ])
     def test_naming_the_template_solver_changes_nothing(self, tmp_path, modality, theta,
                                                         solver):
@@ -259,6 +259,21 @@ class TestExitCodes:
         rc = main(["simulate", "--modality", "ct", "--out", str(tmp_path / "r")])
         assert rc == 3
         assert "NON_FINITE" in capsys.readouterr().err
+
+    def test_tv_solver_without_tv_settings_exits_two(self, tmp_path, capsys):
+        # ct's template solver is FBP, so it holds no iterations or TV weight
+        rc = main(["scenario", "--modality", "ct", "--size", "16", "--theta-true", "3.0",
+                   "--solver", "fista_tv", "--calib", "none", "--scenes", "1",
+                   "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert "BAD_CONFIG: fista_tv needs 'iters'" in capsys.readouterr().err
+
+    def test_unknown_solver_name_exits_two(self, tmp_path, capsys):
+        rc = main(["scenario", "--modality", "cacti", "--size", "8", "--theta-true",
+                   "1.0", "-0.5", "--solver", "gap_tv", "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert "invalid choice: 'gap_tv'" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
 
 class TestBasisGrowth:

@@ -11,6 +11,7 @@ from reference_models import rho_ci_reference, run_scenarios_reference
 from opgraph import protocol
 from opgraph.calibration import CalibConfig
 from opgraph.protocol import ProtocolError, ScenarioResult, run_scenarios
+from opgraph.registry import default_registry
 from opgraph.templates import TemplateError, instantiate
 from opgraph.tensor import Rng
 from opgraph.triad import GATES, diagnose
@@ -162,7 +163,7 @@ def test_rho_ci_matches_loop_reference(n):
 
 @pytest.mark.parametrize("modality, theta, calib", [
     ("spc", (0.012,), "alg1"),      # FISTA-TV
-    ("cacti", (1.0, -0.5), "none"),  # GAP-TV
+    ("cacti", (1.0, -0.5), "none"),  # FISTA-TV, no calibration
     ("ct", (3.0,), "alg1"),         # FBP
 ])
 def test_run_scenarios_matches_reference(modality, theta, calib):
@@ -170,6 +171,15 @@ def test_run_scenarios_matches_reference(modality, theta, calib):
     kwargs = {"calib": calib, "n_scenes": 2, "seed": 4}
     assert run_scenarios(t, theta, **kwargs).as_dict() == \
         run_scenarios_reference(t, theta, **kwargs).as_dict()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cacti_calibration_recovers(seed):
+    """alg1 under cacti's calib_solver recovers both drift parameters well enough
+    that rho clears the multi-parameter threshold, noiseless, on every seed 0-3."""
+    rho_min = default_registry().thresholds["recovery"]["rho_min_multi_param"]
+    result = run_scenarios(instantiate("cacti", 16), (1.0, -0.5), calib="alg1", seed=seed)
+    assert result.rho is not None and result.rho >= rho_min
 
 
 class TestOverriddenTemplate:

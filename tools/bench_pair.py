@@ -101,7 +101,7 @@ CLI_CASES = (
      ("scenario_result.json", "triad_report.json")),
     ("scenario", ["--modality", "ct", "--size", "16", "--theta-true", "3.0"],
      ("scenario_result.json", "triad_report.json")),
-    # the only case that runs GAP-TV and the cacti builder
+    # the cacti builder, with its template's FISTA-TV solves and alg1 calibration
     ("scenario", ["--modality", "cacti", "--size", "16", "--theta-true", "1.0", "-0.5"],
      ("scenario_result.json", "triad_report.json")),
     # Encode, Sample, Convolve and the noise path
@@ -114,7 +114,7 @@ CLI_CASES = (
     ("scenario", ["--modality", "cassi", "--size", "17", "--theta-true",
                   "0.5", "0.3", "0.1", "2.02", "0.15", "--calib", "none"],
      ("scenario_result.json", "triad_report.json")),
-    # GAP-TV past 4096 input elements: every scenario and diagnose solve runs alone
+    # FISTA-TV past 4096 input elements: every scenario and diagnose solve runs alone
     ("scenario", ["--modality", "cacti", "--size", "33", "--theta-true", "1.0", "-0.5",
                   "--calib", "none", "--scenes", "2"],
      ("scenario_result.json", "triad_report.json")),
@@ -321,7 +321,7 @@ def counted_prox(stack, lam):
 graph.BlockOperator.forward = forward
 solvers._prox = counted_prox
 out = {}
-for modality in ("cassi", "spc", "mri", "lensless"):
+for modality in ("cassi", "cacti", "spc", "mri", "lensless"):
     t = instantiate(modality, 16)
     g = t.operator()
     y = g.forward(make_phantoms(t, 1, seed=0)[0].data)
