@@ -198,6 +198,8 @@ class GraphOperator:
     _node_in_shapes: dict = field(repr=False, default_factory=dict)
     # contracted pairs: Accumulate id -> its pattern-stack Modulate
     _contracted: dict = field(repr=False, default_factory=dict)
+    # squared spectral norm estimate, kept by solvers.pin_step once it is made
+    _norm_sq: float | None = field(repr=False, default=None, compare=False)
 
     @property
     def all_linear(self) -> bool:

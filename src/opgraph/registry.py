@@ -159,18 +159,6 @@ def default_registry() -> Registry:
     return load_registry(None)
 
 
-def serialize_registry(reg: Registry, out_dir) -> list[str]:
-    """Write the registry back out as the four YAML files; returns the paths."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for f in fields(Registry):
-        p = out / f"{f.name}.yaml"
-        p.write_text(yaml.safe_dump(getattr(reg, f.name), sort_keys=True), encoding="utf-8")
-        written.append(str(p))
-    return written
-
-
 CANONICAL_ORDER = (
     "cassi",
     "cacti",

@@ -126,9 +126,3 @@ def verify_runbundle(run_dir) -> dict:
         "seeds": manifest.get("seeds", {}),
     }
 
-
-def stable_bytes(run_dir) -> bytes:
-    """Manifest bytes with the volatile section struck, for rerun comparison."""
-    manifest = json.loads((Path(run_dir) / MANIFEST_NAME).read_text())
-    manifest.pop("volatile", None)
-    return json.dumps(manifest, indent=2, sort_keys=True).encode()

@@ -35,6 +35,10 @@ its result leaves (``x_hat``); iterations, power iteration and the residual
 run the graph's array methods, and since a pass-through graph hands its
 input back, no solver writes into an array it passed to the operator.
 
+A pin's spectral-norm estimate is made once per compiled operator and kept
+on it, and ``Template.operator()`` compiles a template's nominal operator
+once, so calibration, the protocol and ``diagnose`` share one estimate of it.
+
 A result's ``residual`` costs one operator forward, so it is computed on first
 read and kept; a caller that scores only ``x_hat`` never pays for it.  FBP
 ramp-filters each distinct measurement once: calibration solves one ``y``
@@ -275,12 +279,18 @@ def pin_step(g: GraphOperator, cfg: dict) -> dict:
     """Copy of ``cfg`` with a TV solver's ``"auto"`` step fixed from ``g``'s norm,
     which power iteration estimates from seed 0.  Calibration and the scenario
     protocol pin once at the nominal operator and reuse the step under drift.
+
+    ``g`` keeps its estimate, so power iteration runs once per compiled
+    operator; a nonlinear graph or a zero estimate keeps nothing and raises
+    on every pin.
     """
     cfg = dict(cfg)
     if cfg.get("name") == "fista_tv" and cfg.get("step", "auto") == "auto":
-        lam = power_iteration(g) * _STEP_MARGIN
+        norm_sq = g._norm_sq or power_iteration(g)
+        lam = norm_sq * _STEP_MARGIN
         if lam <= 0.0:
             raise SolverError("ZERO_OPERATOR", "spectral norm estimate is zero; no usable step")
+        g._norm_sq = norm_sq
         cfg["step"] = 1.0 / lam
     return cfg
 

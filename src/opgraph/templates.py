@@ -86,9 +86,18 @@ class Template:
     _full_build: Callable | None = field(default=None, repr=False)
 
     def operator(self, theta=None) -> GraphOperator:
-        if theta is None:
-            return compile_graph(self.spec)
-        return compile_graph(self.family.apply(theta))
+        """The operator at ``theta``.  The nominal one (``None``, or a theta with
+        ``theta_nom``'s float64 bits) is compiled once and shared, so it keeps
+        one spectral-norm estimate; any other theta compiles anew."""
+        if theta is not None:
+            theta = self.family.check(theta)
+            if np.array(theta).tobytes() != np.array(self.family.theta_nom).tobytes():
+                return compile_graph(self.family.apply(theta))
+        return self._nominal
+
+    @functools.cached_property
+    def _nominal(self) -> GraphOperator:
+        return compile_graph(self.spec)
 
     def full_sampling(self) -> "Template":
         """Same physics with the compressive stage removed (r = 1)."""

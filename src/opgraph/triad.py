@@ -136,16 +136,14 @@ def _score(problems, solver: dict, psnrs: dict) -> None:
             psnrs[key] = psnr(res.x_hat, x)
 
 
-def _probe_problems(operator, fam, theta, k: int, h_k: float, ph):
-    """The (``operator()``, y, scene) problems of the probes at theta_k + h_k and
-    theta_k - h_k, each y measured through ``operator(probe theta)``."""
+def _probe_problems(template: Template, theta, k: int, h_k: float, ph):
+    """The (nominal operator, y, scene) problems of the probes at theta_k + h_k
+    and theta_k - h_k, each y measured through the operator at the probe theta."""
     up, down = list(theta), list(theta)
     up[k] = theta[k] + h_k
     down[k] = theta[k] - h_k
-    fam.check(up)
-    fam.check(down)
-    g_nom = operator()
-    return tuple((g_nom, operator(tuple(t)).forward(ph.data), ph.data) for t in (up, down))
+    g_nom = template.operator()
+    return tuple((g_nom, template.operator(t).forward(ph.data), ph.data) for t in (up, down))
 
 
 def sensitivity(template: Template, theta, k: int, h_k: float,
@@ -162,7 +160,7 @@ def sensitivity(template: Template, theta, k: int, h_k: float,
     if _problems is None:
         theta = list(template.family.check(theta))
         ph = make_phantoms(template, 1, seed=0)[0]
-        _problems = _probe_problems(template.operator, template.family, theta, k, h_k, ph)
+        _problems = _probe_problems(template, theta, k, h_k, ph)
     _score(_problems, template.solver, psnrs)
     up, down = _problems
     return (psnrs[_key(*up)] - psnrs[_key(*down)]) / (2.0 * h_k)
@@ -207,13 +205,6 @@ def diagnose(template: Template, theta_true, noisy: bool = False, n_scenes: int 
     fam = template.family
     theta_true = fam.check(theta_true)
     g_nom = template.operator()
-    nominal = np.asarray(fam.theta_nom, dtype=np.float64).tobytes()
-
-    def operator(theta=None) -> GraphOperator:
-        # nominal by its float64 bits, as calibration keys its points
-        if theta is None or np.asarray(theta, dtype=np.float64).tobytes() == nominal:
-            return g_nom
-        return template.operator(theta)
 
     # scene 0 is the scene make_phantoms(template, 1, seed) draws
     phantoms = make_phantoms(template, n_scenes, seed=seed)
@@ -224,9 +215,9 @@ def diagnose(template: Template, theta_true, noisy: bool = False, n_scenes: int 
         # probe point nudged inside so the central stencil stays admissible
         base[k] = min(max(base[k], lo + h), hi - h)
         probes[name] = (tuple(base), k, h,
-                        _probe_problems(operator, fam, base, k, h, phantoms[0]))
+                        _probe_problems(template, base, k, h, phantoms[0]))
 
-    g_true = operator(theta_true)
+    g_true = template.operator(theta_true)
     noise_rng = Rng(seed, _STREAM_PROBE)
     full = template.full_sampling()
     g_full = None if full is template else full.operator(theta_true)

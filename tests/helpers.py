@@ -1,13 +1,20 @@
-"""Shared test utilities: dense oracles and random graph sampling."""
+"""Shared test utilities: dense oracles, random graph sampling, and the
+registry and manifest round trips."""
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
+import yaml
 
 from opgraph.graph import GraphOperator, compile_graph, make_spec
 from opgraph.primitives import prim_adjoint, prim_forward
+from opgraph.registry import Registry
+from opgraph.runbundle import MANIFEST_NAME
 from opgraph.tensor import Rng, Tensor
 
 
@@ -130,3 +137,22 @@ def random_linear_chain(key: int, max_nodes: int = 3, start_shape=(8, 8)):
         prev = nid
     spec = make_spec(nodes, edges, {"input_shape": list(start_shape)})
     return compile_graph(spec)
+
+
+def serialize_registry(reg: Registry, out_dir) -> list[str]:
+    """Write the registry back out as the four YAML files; returns the paths."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    for f in fields(Registry):
+        p = out / f"{f.name}.yaml"
+        p.write_text(yaml.safe_dump(getattr(reg, f.name), sort_keys=True), encoding="utf-8")
+        written.append(str(p))
+    return written
+
+
+def stable_bytes(run_dir) -> bytes:
+    """Manifest bytes with the volatile section struck, for rerun comparison."""
+    manifest = json.loads((Path(run_dir) / MANIFEST_NAME).read_text())
+    manifest.pop("volatile", None)
+    return json.dumps(manifest, indent=2, sort_keys=True).encode()

@@ -6,11 +6,12 @@ import sys
 
 import numpy as np
 import pytest
+from helpers import stable_bytes
 
+from opgraph import solvers
 from opgraph.cli import main
 from opgraph.graph import make_spec, serialize_spec
 from opgraph.protocol import calibrate, measure
-from opgraph.runbundle import stable_bytes
 from opgraph.templates import instantiate, make_phantoms
 from opgraph.tensor import load_tensor
 
@@ -139,6 +140,21 @@ class TestScenario:
         lines = capsys.readouterr().out.splitlines()
         assert "scenario_result.json ok" in lines
         assert "triad_report.json ok" in lines
+
+    def test_each_operator_norm_is_estimated_once(self, tmp_path, monkeypatch):
+        # run_scenarios, calibration and diagnose pin at one shared nominal
+        # operator; diagnose adds its true and full-sampling operators
+        estimated = []
+        estimate = solvers.power_iteration
+
+        def counting(g):
+            estimated.append(g)
+            return estimate(g)
+
+        monkeypatch.setattr(solvers, "power_iteration", counting)
+        assert main(["scenario", "--modality", "spc", "--size", "16", "--theta-true", "0.012",
+                     "--out", str(tmp_path / "run")]) == 0
+        assert len(estimated) == len({id(g) for g in estimated}) == 3
 
     def test_result_fields(self, tmp_path):
         out = tmp_path / "run"

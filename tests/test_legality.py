@@ -4,7 +4,8 @@ Each run calls ``cli.main`` in process and must exit 0 with the result files
 the README documents for its command.  Sizes 11 and 17 give the TV prox odd
 strides; size 8 is below the SSIM window, so a scenario reports every ``ssim``
 as null there and as a number at 11 and 17.  ``simulate`` also runs at sizes
-33 and 64, the largest template, at both fidelity levels.
+33 and 64, the largest template, at both fidelity levels, and ``scenario``
+(one scene, no calibration) at size 33.
 """
 
 import json
@@ -72,5 +73,13 @@ def test_legal_run_exits_zero_with_result_files(tmp_path, capsys, modality, size
 def test_large_simulate_exits_zero_with_result_files(tmp_path, capsys, modality, size, level):
     theta_flag, flags, files = _COMMANDS["simulate"]
     argv = ["simulate", "--modality", modality, "--size", str(size), "--level", str(level),
+            theta_flag, *_THETA[modality], *flags]
+    _run_and_verify(tmp_path, capsys, argv, files)
+
+
+@pytest.mark.parametrize("modality", sorted(_THETA))
+def test_size_33_scenario_exits_zero_with_result_files(tmp_path, capsys, modality):
+    theta_flag, flags, files = _COMMANDS["scenario"]
+    argv = ["scenario", "--modality", modality, "--size", "33",
             theta_flag, *_THETA[modality], *flags]
     _run_and_verify(tmp_path, capsys, argv, files)

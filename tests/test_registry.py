@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 import yaml
+from helpers import serialize_registry
 
 import opgraph
 from opgraph.cli import build_parser, main
@@ -25,7 +26,6 @@ from opgraph.registry import (
     basis_growth,
     default_registry,
     load_registry,
-    serialize_registry,
 )
 
 

@@ -4,11 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from helpers import stable_bytes
 
 from opgraph.runbundle import (
     MANIFEST_NAME,
     BundleError,
-    stable_bytes,
     verify_runbundle,
     write_runbundle,
 )

@@ -9,6 +9,7 @@ from reference_models import (
     tv_prox_reference,
 )
 
+from opgraph import solvers
 from opgraph.graph import BlockOperator, GraphError, GraphOperator, compile_graph, make_spec
 from opgraph.solvers import (
     ReconResult,
@@ -259,6 +260,48 @@ def test_pin_step(cfg, pinned):
         assert out == {**cfg, "step": 1.0 / (1.05 * power_iteration(g))}
     else:
         assert out == cfg
+
+
+def _count_estimates(monkeypatch) -> list:
+    """The operators ``pin_step`` estimates, one entry per power iteration run."""
+    estimated = []
+
+    def counting(g):
+        estimated.append(g)
+        return power_iteration(g)
+
+    monkeypatch.setattr(solvers, "power_iteration", counting)
+    return estimated
+
+
+def test_pin_step_estimates_once_per_operator(monkeypatch):
+    estimated = _count_estimates(monkeypatch)
+    spec = instantiate("spc", 16, 1, seed=0).spec
+    g = compile_graph(spec)
+    cfg = {"name": "fista_tv", "iters": 5, "lambda_tv": 0.01}
+    first, second = pin_step(g, cfg)["step"], pin_step(g, cfg)["step"]
+    assert len(estimated) == 1 and estimated[0] is g
+    assert second.hex() == first.hex()
+    # a fresh compile of the same spec is estimated anew, to the same bits
+    fresh = pin_step(compile_graph(spec), cfg)["step"]
+    assert len(estimated) == 2
+    assert fresh.hex() == first.hex()
+
+
+def test_failed_pins_raise_on_every_pin(monkeypatch):
+    estimated = _count_estimates(monkeypatch)
+    nonlinear = instantiate("ct", 16, fidelity_level=2, seed=0).operator()
+    zero = compile_graph(make_spec(
+        [{"node_id": "m", "primitive_id": "Modulate", "params": {"m": Tensor(np.zeros((4, 4)))}},
+         {"node_id": "det", "primitive_id": "Detect",
+          "params": {"family": "linear_field", "g": 1.0}}],
+        [("m", "det")]))
+    for g, code in ((nonlinear, "NONLINEAR"), (zero, "ZERO_OPERATOR")):
+        for _ in range(2):
+            with pytest.raises(SolverError, match=f"^{code}"):
+                pin_step(g, {"name": "fista_tv"})
+    # nothing is kept from a failed estimate, so each pin runs one
+    assert len(estimated) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -192,6 +193,22 @@ def test_theta_validation():
     with pytest.raises(TemplateError) as exc:
         t.operator((0.0, 1.0))
     assert exc.value.code == "BAD_THETA"
+
+
+def test_operator_compiles_the_nominal_once():
+    # ct's range holds both zeros, so -0.0 is a legal, off-nominal theta
+    t = instantiate("ct", 8)
+    g = t.operator()
+    assert t.family.theta_nom == (0.0,)
+    for theta in (None, (0.0,), [0.0], np.zeros(1), t.family.theta_nom):
+        assert t.operator(theta) is g
+    drifted = t.operator((3.0,))
+    assert drifted is not g and t.operator((3.0,)) is not drifted
+    assert t.operator((-0.0,)) is not g
+    # a template made from another keeps its own nominal operator
+    assert replace(t, solver={"name": "adjoint"}).operator() is not g
+    with pytest.raises(TemplateError, match="^OUT_OF_RANGE"):
+        t.operator((5.0,))
 
 
 def test_apply_mismatch_does_not_mutate():

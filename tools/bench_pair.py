@@ -23,7 +23,9 @@ byte-identical result files on both commits, with each run's wall seconds
 byte identity.  ``trace.meaning`` says what the traced figures that depend
 on how the program calls its kernels count.  ``fista_forwards`` counts, in
 process, the operator forwards and restarts of one full FISTA-TV solve per
-modality on each commit, ``solve_psnr`` the PSNR of one full noisy solve per
+modality on each commit, ``power_iterations``, in process, the spectral-norm
+estimates of rounds 1 and 2 of each workload on each commit (a traced run is
+round 1 only), ``solve_psnr`` the PSNR of one full noisy solve per
 TV-solved template at sizes 16 and 32, seeds 0-2, on each commit, with the
 head's drift from the base, ``src_lines`` the line count of
 ``src/opgraph/*.py`` of each commit, and ``block_kernels`` times, on the
@@ -91,6 +93,13 @@ TRACE_MEANING = {
     "tensor.bytes_copied": (
         "bytes copied into Tensors; a program with block operators builds spc's "
         "pattern tensor once per template, not once per operator"),
+    "solvers.power_iteration_n": (
+        "spectral-norm estimates made in one traced run, which is one round, the "
+        "first; a program that keeps each operator's estimate saves only where a "
+        "round estimates one operator twice (protocol16: 12 at a program that "
+        "re-estimates on every pin, 10 at one that keeps them), not where later "
+        "rounds reuse an earlier round's operators (recon48); ``power_iterations`` "
+        "counts rounds 1 and 2"),
 }
 # result-file counts that ``cli_outputs`` reports under ``counts``, so ``drift``
 # leaves them out
@@ -333,6 +342,36 @@ for modality in ("cassi", "cacti", "spc", "mri", "lensless"):
 print(json.dumps(out))
 """
 
+# Counts, in one process, the spectral-norm estimates (``solvers.power_iteration``
+# calls) of rounds 1 and 2 of each workload after one set-up, at the seed given
+# as its argument: the traced count sees round 1 only.
+POWER_ITERATIONS = """
+import json, shutil, sys, time
+sys.path[:0] = ["perfbench", "src"]
+import run
+from opgraph import solvers
+from workloads import WORKLOADS, Ops
+SEED = int(sys.argv[1])
+count = [0]
+estimate = solvers.power_iteration
+def counted(g):
+    count[0] += 1
+    return estimate(g)
+solvers.power_iteration = counted
+out = {}
+for name in sorted(WORKLOADS):
+    ctx = run.context(name, SEED)
+    workload = WORKLOADS[name](SEED, ctx)
+    workload.setup()
+    out[name] = []
+    for _ in range(2):
+        count[0] = 0
+        workload.round(Ops(time.perf_counter))
+        out[name].append(count[0])
+    shutil.rmtree(ctx.scratch, ignore_errors=True)
+print(json.dumps(out))
+"""
+
 # Times, on the head only, each node kind's block kernel over K operators of its
 # size-16 template at K distinct thetas (drawn from the mismatch ranges) against
 # K solo calls, each through its operator's own block of one as
@@ -469,6 +508,13 @@ def fista_forwards(checkout: Path) -> dict:
     return json.loads(proc.stdout)
 
 
+def power_iterations(checkout: Path) -> dict:
+    """Spectral-norm estimates of rounds 1 and 2 of each workload, at the first seed."""
+    proc = subprocess.run([sys.executable, "-c", POWER_ITERATIONS, str(FIRST_SEED)],
+                          cwd=checkout, check=True, capture_output=True, text=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def src_lines(checkout: Path) -> int:
     """Lines of ``src/opgraph/*.py``, as ``wc -l`` counts them."""
     return sum(path.read_bytes().count(b"\n")
@@ -556,6 +602,8 @@ def main(argv=None) -> int:
             }
         report["fista_forwards"] = {side: fista_forwards(checkout)
                                     for side, checkout in checkouts.items()}
+        report["power_iterations"] = {side: power_iterations(checkout)
+                                      for side, checkout in checkouts.items()}
         report["solve_psnr"] = solve_psnr(checkouts)
         report["src_lines"] = {side: src_lines(checkout) for side, checkout in checkouts.items()}
         report["block_kernels"] = block_kernels(checkouts["head"])
