@@ -14,12 +14,20 @@ from scipy import ndimage
 from scipy.linalg import dft
 
 from opgraph import calibration, protocol, triad
+from opgraph.graph import compile_graph
 from opgraph.metrics import CI_PERCENTILES, MetricError, psnr, recovery_ratio, scene_metrics
 from opgraph.primitives import _GUARD
 from opgraph.registry import default_registry
 from opgraph.solvers import pin_step, reconstruct
 from opgraph.templates import apply_noise, make_phantoms
 from opgraph.tensor import Rng, Tensor
+
+
+def _compiled(template, theta=None):
+    """A fresh compile of the template at ``theta`` (nominal when None), so a
+    reference never reads the step estimate memoized on the template's own
+    shared nominal operator."""
+    return compile_graph(template.spec if theta is None else template.family.apply(theta))
 
 
 def _node_params(template, node_id: str) -> dict:
@@ -366,11 +374,11 @@ def fbp_reference(g, y):
 
 
 def _sensitivity_reference(template, solver, theta, k, h_k, probe_seed):
-    g_nom = template.operator()
+    g_nom = _compiled(template)
     ph = make_phantoms(template, 1, seed=probe_seed)[0]
 
     def quality(t_vec):
-        y = template.operator(tuple(t_vec)).forward(ph.data)
+        y = _compiled(template, tuple(t_vec)).forward(ph.data)
         return psnr(reconstruct(g_nom, y, solver).x_hat, ph.data)
 
     up, down = list(theta), list(theta)
@@ -429,15 +437,15 @@ def diagnose_reference(template, theta_true, noisy=False, n_scenes=3, seed=0):
     sens = _sensitivities_reference(template, solver, seed)
 
     phantoms = make_phantoms(template, n_scenes, seed=seed)
-    g_true = template.operator(theta_true)
-    g_nom = template.operator()
+    g_true = _compiled(template, theta_true)
+    g_nom = _compiled(template)
     noise_rng = Rng(seed, triad._STREAM_PROBE)
 
     def q(g, y, x):
         return psnr(reconstruct(g, y, solver).x_hat, x)
 
     full = template.full_sampling()
-    g_full = None if full is template else full.operator(theta_true)
+    g_full = None if full is template else _compiled(full, theta_true)
     p_i, p_ii, p_noisy, p_limit = [], [], [], []
     for i, ph in enumerate(phantoms):
         y = g_true.forward(ph.data)
@@ -474,8 +482,8 @@ def run_scenarios_reference(template, theta_true, calib="alg1", noisy=False, n_s
     """
     theta_true = template.family.check(theta_true)
     phantoms = make_phantoms(template, n_scenes, seed=seed)
-    g_true = template.operator(theta_true)
-    g_nom = template.operator()
+    g_true = _compiled(template, theta_true)
+    g_nom = _compiled(template)
     solver = pin_step(g_nom, template.solver)
     measurements = protocol.measure(g_true, template.noise, phantoms, noisy, seed)
     if calib == "none":
@@ -483,7 +491,7 @@ def run_scenarios_reference(template, theta_true, calib="alg1", noisy=False, n_s
     else:
         theta_hat = protocol.calibrate(template, measurements[0], phantoms[0].data,
                                        calib).theta_hat
-    g_hat = template.operator(theta_hat)
+    g_hat = _compiled(template, theta_hat)
 
     def metrics(g, ph, y):
         return scene_metrics(reconstruct(g, y, solver).x_hat, ph.data,

@@ -93,7 +93,7 @@ def test_shapes_and_adjoint(modality):
 @pytest.mark.parametrize("modality", MODALITIES)
 def test_nominal_theta_is_hash_fixed_point(modality):
     t = instantiate(modality, 16, 1, seed=0)
-    assert graph_hash(t.operator()) == graph_hash(t.operator(t.family.theta_nom))
+    assert graph_hash(t.spec) == graph_hash(t.family.apply(t.family.theta_nom))
 
 
 # graph_hash of each template at size 16, level 1, seed 0: (nominal, full_sampling()).
@@ -318,7 +318,7 @@ def test_spc_full_patterns_match_eager_draw():
 
 def test_full_sampling_keeps_fixed_point():
     t = instantiate("cassi", 16).full_sampling()
-    assert graph_hash(t.operator()) == graph_hash(t.operator(t.family.theta_nom))
+    assert graph_hash(t.spec) == graph_hash(t.family.apply(t.family.theta_nom))
 
 
 # ---------------------------------------------------------------------------
