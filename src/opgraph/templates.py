@@ -100,9 +100,14 @@ class Template:
         return compile_graph(self.spec)
 
     def full_sampling(self) -> "Template":
-        """Same physics with the compressive stage removed (r = 1)."""
+        """Same physics with the compressive stage removed (r = 1).  Built once,
+        so repeated diagnoses share its nominal operator and norm estimate."""
         if self._full_build is None:
             return self
+        return self._full
+
+    @functools.cached_property
+    def _full(self) -> "Template":
         spec = self._full_build(self.family.theta_nom)
         fam = replace(self.family, _build=self._full_build)
         return replace(self, spec=spec, family=fam, _full_build=None)

@@ -4,8 +4,10 @@ Each run calls ``cli.main`` in process and must exit 0 with the result files
 the README documents for its command.  Sizes 11 and 17 give the TV prox odd
 strides; size 8 is below the SSIM window, so a scenario reports every ``ssim``
 as null there and as a number at 11 and 17.  ``simulate`` also runs at sizes
-33 and 64, the largest template, at both fidelity levels, and ``scenario``
-(one scene, no calibration) at size 33.
+33 and 64, the largest template, at both fidelity levels, ``scenario``
+(one scene, no calibration) at size 33, and ct, whose Project kernel keeps
+one ray table, runs ``calibrate --calib alg1+2`` and ``diagnose --scenes 1``
+at sizes 33 and 64.
 """
 
 import json
@@ -82,4 +84,16 @@ def test_size_33_scenario_exits_zero_with_result_files(tmp_path, capsys, modalit
     theta_flag, flags, files = _COMMANDS["scenario"]
     argv = ["scenario", "--modality", modality, "--size", "33",
             theta_flag, *_THETA[modality], *flags]
+    _run_and_verify(tmp_path, capsys, argv, files)
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("calibrate", ["--calib", "alg1+2"]),
+    ("diagnose", ["--scenes", "1"]),
+])
+@pytest.mark.parametrize("size", [33, 64])
+def test_large_ct_calibrate_and_diagnose_exit_zero(tmp_path, capsys, size, command, flags):
+    theta_flag, _, files = _COMMANDS[command]
+    argv = [command, "--modality", "ct", "--size", str(size),
+            theta_flag, *_THETA["ct"], *flags]
     _run_and_verify(tmp_path, capsys, argv, files)

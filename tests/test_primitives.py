@@ -13,6 +13,7 @@ from reference_models import (
     radon_geometry_reference,
 )
 
+from opgraph.calibration import CalibConfig, calibrate_alg1
 from opgraph.graph import adjoint_check_graph, compile_graph
 from opgraph.primitives import (
     PrimitiveError,
@@ -28,7 +29,7 @@ from opgraph.primitives import (
     shift_linear,
 )
 from opgraph.registry import default_registry
-from opgraph.templates import instantiate
+from opgraph.templates import instantiate, make_phantoms
 from opgraph.tensor import Rng, Tensor, tensor
 
 from helpers import adjoint_matrix, brute_force_projection, materialize
@@ -256,6 +257,25 @@ class TestProject:
                 assert bins.dtype == ref_bins.dtype and bins.tobytes() == ref_bins.tobytes()
                 assert frac.dtype == ref_frac.dtype and frac.tobytes() == ref_frac.tobytes()
                 assert frac.shape == ref_frac.shape == (n_angles,) + shape
+
+    def test_calibration_keeps_one_table(self):
+        # calibration scores each centre-of-rotation once; only the table in
+        # use is kept
+        t = instantiate("ct", 16)
+        ph = make_phantoms(t, 1, seed=5)[0]
+        y = t.operator((3.0,)).forward(ph.data)
+        _radon_geometry.cache_clear()
+        calibrate_alg1(t, y, CalibConfig(), x_gt=ph.data)
+        info = _radon_geometry.cache_info()
+        assert info.misses > 8 and info.currsize == 1
+
+    def test_one_operator_builds_its_table_once(self):
+        g = compile_graph(instantiate("ct", 16).family.apply((1.5,)))
+        _radon_geometry.cache_clear()
+        adjoint_check_graph(g, n_trials=5, seed=0)
+        # five forwards and five adjoints
+        info = _radon_geometry.cache_info()
+        assert (info.misses, info.hits) == (1, 9)
 
     def test_rays_off_the_detector_scatter_nothing(self):
         x = Rng(12).uniform((8, 8))

@@ -316,6 +316,14 @@ def test_spc_full_patterns_match_eager_draw():
     assert full.family.apply((0.01,)).nodes[0].params["m"].numpy().tobytes() == eager.tobytes()
 
 
+def test_full_sampling_is_built_once():
+    for modality in MODALITIES:
+        t = instantiate(modality, 16)
+        assert t.full_sampling() is t.full_sampling()
+        # already at full sampling: the template is its own
+        assert (t.full_sampling() is t) == (modality in ("ct", "lensless"))
+
+
 def test_full_sampling_keeps_fixed_point():
     t = instantiate("cassi", 16).full_sampling()
     assert graph_hash(t.spec) == graph_hash(t.family.apply(t.family.theta_nom))

@@ -259,6 +259,24 @@ def test_diagnose_solves_each_distinct_problem_once(monkeypatch):
     assert materialized == []
 
 
+def test_repeated_diagnosis_reuses_the_full_sampling_estimate(monkeypatch):
+    measured = []
+    power_iteration = solvers.power_iteration
+
+    def counting_power_iteration(g, *args, **kwargs):
+        measured.append(id(g))
+        return power_iteration(g, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "power_iteration", counting_power_iteration)
+    starved = instantiate("spc", 16, overrides={"compression": 0.05})
+    first = diagnose(starved, (0.0,), n_scenes=2)
+    assert measured
+    # full_sampling() is built once, so its nominal operator keeps its estimate
+    measured.clear()
+    assert diagnose(starved, (0.0,), n_scenes=2).as_dict() == first.as_dict()
+    assert measured == []
+
+
 def test_diagnose_builds_the_probe_scene_once(monkeypatch):
     built = []
     make_phantoms = triad.make_phantoms
