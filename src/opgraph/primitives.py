@@ -400,6 +400,12 @@ def _radon_geometry(angles_key: tuple, n_det: int, cor_offset: float, shape: tup
     22 / 84, recon48 11 / 11 and 11 / 11.  On calib16 and protocol16 eight
     entries held 4.4 MB; one holds 0.55 MB.  The new table is built before
     the old one is dropped, so the heap keeps its pages and nothing refaults.
+
+    Both arrays handed out are read-only.  ``bins`` is a read-only view of a
+    writable int64 table that no caller receives: ``np.bincount`` copies a
+    read-only index array (3.3 MB per forward at size 48, with a page fault
+    per fresh page), so ``_radon_forward`` passes it the owner,
+    ``bins.base``, which bincount only reads.
     """
     colpart, rowpart = _radon_factors(angles_key, shape)
     dc = (n_det - 1) / 2.0
@@ -408,13 +414,14 @@ def _radon_geometry(angles_key: tuple, n_det: int, cor_offset: float, shape: tup
     t += dc
     t += cor_offset
     row = n_det + 2 * _GUARD
-    bins = np.empty((2,) + t.shape, dtype=np.int64)
-    i0 = bins[0]
+    table = np.empty((2,) + t.shape, dtype=np.int64)
+    i0 = table[0]
     np.floor(t, out=i0, casting="unsafe")
     frac = np.subtract(t, i0, out=t)
     np.clip(i0, -_GUARD, n_det, out=i0)
     i0 += _GUARD + row * np.arange(len(angles_key), dtype=np.int64)[:, None, None]
-    np.add(i0, 1, out=bins[1])
+    np.add(i0, 1, out=table[1])
+    bins = table.view()
     bins.setflags(write=False)
     frac.setflags(write=False)
     return bins, frac
@@ -428,8 +435,9 @@ def _radon_forward(p: dict, x: np.ndarray) -> np.ndarray:
     np.multiply(c[0], x, out=c[0])
     np.multiply(frac, x, out=c[1])
     # one bincount adds the lower then the upper contributions in input order
-    # from 0.0, as two sequential np.add.at calls would
-    flat_bins = bins.reshape(-1)
+    # from 0.0, as two sequential np.add.at calls would; it reads the writable
+    # owner of ``bins``, since it would copy a read-only index array
+    flat_bins = bins.base.reshape(-1)
     size = n_angles * (n_det + 2 * _GUARD)
 
     def scatter(weights):

@@ -250,15 +250,29 @@ def _build_spc(size: int, level: int, rng: Rng, defaults: dict):
     child = rng.child(_STREAM_MASK)
     # 1/sqrt(pixels) keeps the ensemble near-isometric, so TV weights transfer
     scale = 1.0 / size
+
+    def signs(count):
+        # np.where(draw < 0.5, -scale, scale) written over the draw and frozen,
+        # so the Tensor keeps that buffer: one stack-sized array and a byte
+        # mask (freed before the Tensor's finiteness check makes its own), not
+        # a draw, the np.where result and the Tensor's copy of it
+        draw = child.uniform((count, size, size))
+        negative = draw < 0.5
+        draw.fill(scale)
+        np.copyto(draw, -scale, where=negative)
+        del negative
+        draw.setflags(write=False)
+        return Tensor(draw)
+
     # one Tensor for every theta: the operators of a calibration block then
     # share their pattern matrix instead of stacking copies of it
-    patterns = Tensor(np.where(child.uniform((m_count, size, size)) < 0.5, -scale, scale))
+    patterns = signs(m_count)
 
     @functools.cache
     def patterns_full():
         # n x size x size floats (128 MiB at size 64), drawn on first use; the
         # next draw from ``child`` is still the one the eager stack used
-        return Tensor(np.where(child.uniform((n, size, size)) < 0.5, -scale, scale))
+        return signs(n)
 
     def make(theta, pats):
         (alpha,) = theta

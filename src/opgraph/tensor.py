@@ -5,9 +5,12 @@ array that is either ``real64`` or ``complex128`` and never holds NaN or Inf.
 It is built where data enters or leaves the program's API (user and file input,
 measurements, ``GraphOperator.forward``/``adjoint`` results, solver results,
 certificate probes); the nodes of a graph and the solvers' iterations hand
-plain ndarrays to each other.  Randomness flows through :class:`Rng`, a thin
-wrapper over the Philox 4x64 counter-based bit generator, so a ``(seed,
-stream)`` pair reproduces the same draw sequence on every platform.
+plain ndarrays to each other.  A Tensor copies its input unless the input
+owns its memory and is already read-only: such an array is taken as the
+payload, so its maker hands it over and keeps no writable view of it.
+Randomness flows through :class:`Rng`, a thin wrapper over the Philox 4x64
+counter-based bit generator, so a ``(seed, stream)`` pair reproduces the same
+draw sequence on every platform.
 """
 
 from __future__ import annotations
@@ -65,7 +68,13 @@ def _coerce(data) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Tensor:
-    """Immutable dense array, real64 or complex128, row-major."""
+    """Immutable dense array, real64 or complex128, row-major.
+
+    The payload is read-only and owns its memory.  An input that already is
+    such an array (a frozen array built for the Tensor, or another Tensor's
+    payload) is kept without a copy; a writable array or any view is copied,
+    so later writes through the caller's array never reach the Tensor.
+    """
 
     data: np.ndarray
 
@@ -73,8 +82,9 @@ class Tensor:
         arr = _coerce(self.data)
         if not np.all(np.isfinite(arr)):
             raise TensorError("NON_FINITE", "tensor holds non-finite values")
-        arr = arr.copy()
-        arr.setflags(write=False)
+        if arr.flags.writeable or not arr.flags.owndata:
+            arr = arr.copy()
+            arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
     @property

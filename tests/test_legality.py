@@ -7,7 +7,8 @@ as null there and as a number at 11 and 17.  ``simulate`` also runs at sizes
 33 and 64, the largest template, at both fidelity levels, ``scenario``
 (one scene, no calibration) at size 33, and ct, whose Project kernel keeps
 one ray table, runs ``calibrate --calib alg1+2`` and ``diagnose --scenes 1``
-at sizes 33 and 64.
+at sizes 33 and 64.  spc runs ``diagnose --scenes 1`` at size 64, which
+builds its largest pattern stack, the 128 MiB full-sampling one.
 """
 
 import json
@@ -96,4 +97,12 @@ def test_large_ct_calibrate_and_diagnose_exit_zero(tmp_path, capsys, size, comma
     theta_flag, _, files = _COMMANDS[command]
     argv = [command, "--modality", "ct", "--size", str(size),
             theta_flag, *_THETA["ct"], *flags]
+    _run_and_verify(tmp_path, capsys, argv, files)
+
+
+def test_size_64_spc_diagnose_exits_zero(tmp_path, capsys):
+    # diagnose builds the full-sampling stack: 4096 patterns of 64 x 64
+    theta_flag, _, files = _COMMANDS["diagnose"]
+    argv = ["diagnose", "--modality", "spc", "--size", "64",
+            theta_flag, *_THETA["spc"], "--scenes", "1"]
     _run_and_verify(tmp_path, capsys, argv, files)

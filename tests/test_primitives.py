@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from opgraph.primitives import (
     PrimitiveError,
     PrimitiveKind,
     _dot_test_report,
+    _radon_forward,
     _radon_geometry,
     dot_product_test,
     lipschitz_bound,
@@ -257,6 +259,28 @@ class TestProject:
                 assert bins.dtype == ref_bins.dtype and bins.tobytes() == ref_bins.tobytes()
                 assert frac.dtype == ref_frac.dtype and frac.tobytes() == ref_frac.tobytes()
                 assert frac.shape == ref_frac.shape == (n_angles,) + shape
+
+    def test_geometry_arrays_are_read_only(self):
+        bins, frac = _radon_geometry((0.0, 45.0, 90.0), 13, 0.5, (8, 8))
+        assert not bins.flags.writeable and not frac.flags.writeable
+        with pytest.raises(ValueError):
+            bins[0, 0, 0, 0] = 0
+
+    def test_forward_does_not_copy_its_table(self):
+        # np.bincount copies a read-only index array; the forward must hand
+        # it the table's writable owner.  Its own weight buffer is as large
+        # as ``bins``, so a copy of the table would lift the peak past 2x.
+        p = instantiate("ct", 48).operator()._prims["proj"].params
+        x = Rng(3).uniform((48, 48))
+        prim_forward(make_primitive("Project", p), x)
+        bins, _ = _radon_geometry(tuple(p["angles_deg"]), p["n_det"], p["cor_offset"], x.shape)
+        tracemalloc.start()
+        try:
+            _radon_forward(p, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * bins.nbytes
 
     def test_calibration_keeps_one_table(self):
         # calibration scores each centre-of-rotation once; only the table in

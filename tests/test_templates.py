@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -248,6 +249,31 @@ def test_spc_forward_is_pattern_inner_product():
     want = np.exp(-0.01 * np.arange(64)) * np.einsum("mij,ij->m", pats, x)
     got = g.forward(Tensor(x)).numpy()
     assert np.allclose(got, want, atol=1e-12)
+
+
+def test_spc_patterns_match_where_reference():
+    # the stack is written over its uniform draw; its bytes are np.where's
+    size, seed = 48, 0
+    t = instantiate("spc", size, seed=seed)
+    pats = next(n for n in t.spec.nodes if n.node_id == "patterns").params["m"].numpy()
+    draw = Rng(seed).child(_STREAM_MASK).uniform(pats.shape)
+    scale = 1.0 / size
+    assert pats.tobytes() == np.where(draw < 0.5, -scale, scale).tobytes()
+    assert not pats.flags.writeable
+
+
+def test_spc_stack_is_built_in_its_draw():
+    # the draw, a byte mask and the Tensor's finiteness check: no second
+    # stack-sized array (np.where's result, then the Tensor's copy of it)
+    instantiate("spc", 16)
+    tracemalloc.start()
+    try:
+        t = instantiate("spc", 48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pats = next(n for n in t.spec.nodes if n.node_id == "patterns").params["m"].numpy()
+    assert peak <= 1.25 * pats.nbytes
 
 
 def test_cacti_forward_is_masked_frame_sum():

@@ -62,6 +62,31 @@ class TestTensor:
         with pytest.raises(ValueError):
             t.data[0] = 5.0
 
+    def test_frozen_owner_is_kept(self):
+        arr = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+        arr.setflags(write=False)
+        assert Tensor(arr).numpy() is arr
+
+    def test_writable_input_is_copied(self):
+        arr = np.arange(4.0)
+        t = Tensor(arr)
+        arr[0] = 9.0
+        assert t.numpy().tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert not t.numpy().flags.writeable
+
+    def test_read_only_view_is_copied(self):
+        base = np.arange(6.0)
+        view = base.reshape(2, 3)
+        view.setflags(write=False)
+        t = Tensor(view)
+        base[0] = 9.0
+        assert t.numpy()[0, 0] == 0.0
+        assert t.numpy().flags.owndata and not t.numpy().flags.writeable
+
+    def test_payload_is_shared_between_tensors(self):
+        t = tensor([1.0, 2.0])
+        assert Tensor(t.numpy()).numpy() is t.numpy()
+
     def test_equality(self):
         assert tensor([1.0, 2.0]) == tensor([1, 2])
         assert tensor([1.0]) != tensor([2.0])

@@ -19,7 +19,8 @@ one round long (``--seconds 0``) so that its counts are whole and equal
 programs read equal counts, and
 whether a few ``scenario``, ``diagnose`` and ``calibrate`` CLI runs write
 byte-identical result files on both commits, with each run's wall seconds
-(one run each, process start included); only these ``cli_outputs`` show
+(one run each, process start included) and peak RSS (the child's
+``ru_maxrss`` from ``os.wait4``); only these ``cli_outputs`` show
 byte identity.  ``trace.meaning`` says what the traced figures that depend
 on how the program calls its kernels count.  ``fista_forwards`` counts, in
 process, the operator forwards and restarts of one full FISTA-TV solve per
@@ -167,6 +168,10 @@ CLI_CASES = (
     # 4096 input elements: diagnose's solves run in blocks of 2
     ("diagnose", ["--modality", "lensless", "--size", "64", "--theta-true", "1.0",
                   "--scenes", "2"],
+     ("triad_report.json",)),
+    # the largest pattern stack: spc's full-sampling one, 128 MiB at size 64
+    ("diagnose", ["--modality", "spc", "--size", "64", "--theta-true", "0.012",
+                  "--scenes", "1"],
      ("triad_report.json",)),
 )
 
@@ -521,18 +526,31 @@ def src_lines(checkout: Path) -> int:
                for path in sorted((checkout / "src" / "opgraph").glob("*.py")))
 
 
+def run_child(argv, checkout: Path) -> float:
+    """Run ``argv`` in ``checkout`` to completion; return the child's peak RSS in MB."""
+    proc = subprocess.Popen(argv, cwd=checkout, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": str(checkout / "src")})
+    with proc:
+        err = proc.stderr.read()
+        # wait4 reports the child's own ru_maxrss (KiB on Linux), as perfbench does
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        raise subprocess.CalledProcessError(proc.returncode, argv, stderr=err)
+    return usage.ru_maxrss / 1024.0
+
+
 def cli_outputs(checkouts: dict, scratch: Path) -> list:
     cases = []
     for i, (command, flags, files) in enumerate(CLI_CASES):
-        hashes, payloads, seconds = {}, {}, {}
+        hashes, payloads, seconds, peak_rss_mb = {}, {}, {}, {}
         for side, checkout in checkouts.items():
             run_dir = scratch / f"cli-{side}-{i}"
             start = time.perf_counter()
-            subprocess.run(
+            peak_rss_mb[side] = run_child(
                 [sys.executable, "-m", "opgraph.cli", command, *flags, "--out", str(run_dir)],
-                cwd=checkout, check=True, capture_output=True,
-                env={**os.environ, "PYTHONPATH": str(checkout / "src")},
-            )
+                checkout)
             seconds[side] = time.perf_counter() - start
             hashes[side] = {f: sha256(run_dir / f) for f in files}
             payloads[side] = {f: json.loads((run_dir / f).read_text()) for f in files}
@@ -547,7 +565,7 @@ def cli_outputs(checkouts: dict, scratch: Path) -> list:
         case = {"argv": [command, *flags], "sha256": hashes,
                 "byte_identical": hashes["base"] == hashes["head"],
                 "base_fields_identical": base_fields_equal, "counts": counts,
-                "seconds": seconds}
+                "seconds": seconds, "peak_rss_mb": peak_rss_mb}
         if not case["byte_identical"]:
             case["drift"] = {f: drift(payloads["base"][f], payloads["head"][f]) for f in files}
         cases.append(case)
