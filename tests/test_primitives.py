@@ -272,7 +272,7 @@ class TestProject:
         # as ``bins``, so a copy of the table would lift the peak past 2x.
         p = instantiate("ct", 48).operator()._prims["proj"].params
         x = Rng(3).uniform((48, 48))
-        prim_forward(make_primitive("Project", p), x)
+        _radon_forward(p, x)  # builds the cached table outside the traced call
         bins, _ = _radon_geometry(tuple(p["angles_deg"]), p["n_det"], p["cor_offset"], x.shape)
         tracemalloc.start()
         try:
