@@ -64,11 +64,10 @@ class PrimitiveKind(str, Enum):
     TRANSFORM = "Transform"
 
 
-DETECT_FAMILIES = ("linear_field", "logarithmic", "sigmoid", "intensity_square", "coherent_field")
-TRANSFORM_FAMILIES = ("exp_attenuation", "log_compression", "phase_wrap", "polynomial", "saturation")
-
 # Parameter schema per kind: name -> (type tag, required).  Unknown names are
 # rejected at construction so registry entries and graph specs cannot drift.
+# Detect and Transform list every parameter of any of their families; each
+# family's record in ``_FAMILIES`` says which of them it takes.
 _SCHEMAS: dict[PrimitiveKind, dict[str, tuple[str, bool]]] = {
     PrimitiveKind.PROPAGATE: {
         "distance_m": ("float", True),
@@ -107,15 +106,8 @@ _DEFAULTS = {
     PrimitiveKind.MODULATE: {"pattern_stack": False},
     PrimitiveKind.PROJECT: {"cor_offset": 0.0},
     PrimitiveKind.ENCODE: {"axes": None},
-    PrimitiveKind.DETECT: {"g": 1.0},
     PrimitiveKind.DISPERSE: {"alpha_deg": 0.0},
     PrimitiveKind.SCATTER: {"shift": 0.0},
-}
-# defaults of one Detect or Transform family, filled in before validation
-_FAMILY_DEFAULTS = {
-    (PrimitiveKind.DETECT, "sigmoid"): {"p2": 1.0},
-    (PrimitiveKind.DETECT, "coherent_field"): {"p2": 1.0},
-    (PrimitiveKind.TRANSFORM, "log_compression"): {"g": 1.0},
 }
 
 
@@ -189,12 +181,29 @@ def make_primitive(kind, params: dict) -> PrimitiveInstance:
     for name, (tag, required) in schema.items():
         if required and name not in clean:
             raise PrimitiveError(f"{kind.value}: missing required parameter {name!r}")
-    clean = {**_FAMILY_DEFAULTS.get((kind, clean.get("family")), {}), **clean}
+    fam, clean = _family_params(kind, clean) if "family" in schema else (None, clean)
     _validate_params(kind, clean)
-    is_linear = kind not in (PrimitiveKind.DETECT, PrimitiveKind.TRANSFORM)
-    if kind == PrimitiveKind.DETECT:
-        is_linear = clean["family"] == "linear_field"
-    return PrimitiveInstance(kind=kind, params=clean, is_linear=is_linear)
+    return PrimitiveInstance(kind=kind, params=clean, is_linear=fam is None or fam.linear)
+
+
+def _family_params(kind, given: dict):
+    """The record of the family ``given`` names, and ``given`` checked against
+    it with the family's defaults filled in."""
+    fam = _FAMILIES.get((kind, given["family"]))
+    if fam is None:
+        raise PrimitiveError(f"{kind.value}: unknown family {given['family']!r}")
+    name = _family_name(kind, given)
+    for key in given:
+        if key != "family" and key not in fam.params:
+            raise PrimitiveError(f"{name}: unknown parameter {key!r}")
+    p = {**{k: v for k, v in fam.params.items() if v is not None}, **given}
+    for key in fam.params:
+        if key not in p:
+            raise PrimitiveError(f"{name}: {key} is required")
+    problem = fam.check(p) if fam.check else None
+    if problem:
+        raise PrimitiveError(f"{name}: {problem}")
+    return fam, p
 
 
 def _validate_params(kind, p):
@@ -215,13 +224,6 @@ def _validate_params(kind, p):
         nd = len(p["input_shape"])
         if any(a < 0 or a >= nd for a in axes):
             raise PrimitiveError("Accumulate: axis out of range for input_shape")
-    elif kind == PrimitiveKind.DETECT:
-        if p["family"] not in DETECT_FAMILIES:
-            raise PrimitiveError(f"Detect: unknown family {p['family']!r}")
-        if p["family"] == "sigmoid" and p["p2"] <= 0:
-            raise PrimitiveError("Detect.sigmoid: scale p2 must be positive")
-        if p["family"] == "logarithmic" and "p2" not in p:
-            raise PrimitiveError("Detect.logarithmic: offset p2 is required")
     elif kind == PrimitiveKind.SAMPLE:
         omega = p["omega"]
         if len(omega) == 0:
@@ -234,24 +236,6 @@ def _validate_params(kind, p):
     elif kind == PrimitiveKind.SCATTER:
         if p["sigma"] < 0:
             raise PrimitiveError("Scatter: sigma must be >= 0")
-    elif kind == PrimitiveKind.TRANSFORM:
-        fam = p["family"]
-        if fam not in TRANSFORM_FAMILIES:
-            raise PrimitiveError(f"Transform: unknown family {fam!r}")
-        if fam == "exp_attenuation" and "alpha" not in p:
-            raise PrimitiveError("Transform.exp_attenuation: alpha is required")
-        if fam == "log_compression":
-            if p.get("x0", 0.0) <= 0:
-                raise PrimitiveError("Transform.log_compression: x0 must be positive")
-        if fam == "polynomial":
-            coeffs = p.get("coeffs")
-            if not coeffs:
-                raise PrimitiveError("Transform.polynomial: coeffs is required")
-            if len(coeffs) > 6:
-                raise PrimitiveError("Transform.polynomial: degree above 5 is not supported")
-        if fam == "saturation":
-            if "lo" not in p or "hi" not in p or not p["lo"] < p["hi"]:
-                raise PrimitiveError("Transform.saturation: needs lo < hi")
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +272,8 @@ def _shift_plan(shifts, shape, rows_first: bool = False) -> tuple:
 
 def _lerp(taps, weights):
     """(1 - w) a + w b per plane of the taps (a, b), written over b; a alone
-    where w == 0, as ``shift_linear`` takes its single tap there (so a -0.0
-    input stays -0.0).  Float addition commutes, so adding (1 - w) a to w b
+    where w == 0, so a whole-pixel shift takes its single tap and a -0.0
+    input stays -0.0.  Float addition commutes, so adding (1 - w) a to w b
     gives the bytes of (1 - w) a + w b."""
     if weights is None:
         return taps[0]
@@ -304,8 +288,10 @@ def _lerp(taps, weights):
 
 def _shift(plan: tuple, planes: np.ndarray) -> np.ndarray:
     """Shift each (h, w) plane of ``planes`` (leading axes flattened to Q) by its
-    ``_shift_plan`` offset, as ``shift_linear`` along columns then rows (rows
-    then columns when the plan says so); returns (Q, h, w).
+    ``_shift_plan`` offset, a linear-interpolation shift with zero fill along
+    columns then rows (rows then columns when the plan says so); returns
+    (Q, h, w).  Shifting by -s is the exact transpose of shifting by s, which
+    is what the adjoint paths rely on.
 
     The planes are laid once into a zero-padded buffer, and each bilinear tap
     of every plane is one window of it at that plane's own integer offset.
@@ -322,20 +308,6 @@ def _shift(plan: tuple, planes: np.ndarray) -> np.ndarray:
     if rows_first:
         return _lerp([_lerp([tap(r, c) for r in rows], w_rows) for c in cols], w_cols)
     return _lerp([_lerp([tap(r, c) for c in cols], w_cols) for r in rows], w_rows)
-
-
-def shift_linear(x: np.ndarray, s: float, axis: int) -> np.ndarray:
-    """Fractional shift with linear interpolation and zero fill.
-
-    out[i] = (1-w) x[i-k] + w x[i-k-1] with s = k + w, and x[i-k] alone when
-    w == 0.  The exact transpose of this matrix is the same shift evaluated at
-    -s, which is what the adjoint paths rely on.  The one-axis form of
-    ``_shift``.
-    """
-    lines = np.moveaxis(np.asarray(x), axis, -1)
-    flat = lines.reshape(-1, 1, lines.shape[-1])
-    out = _shift(_shift_plan([(0.0, s)] * len(flat), flat.shape[1:]), flat)
-    return np.moveaxis(out.reshape(lines.shape), -1, axis)
 
 
 def _gauss_blur_circular(x: np.ndarray, sigma: float, axis: int) -> np.ndarray:
@@ -486,11 +458,6 @@ def _disperse_shifts(p: dict, n_bands: int):
 # pointwise families
 
 
-def _require_real(x, what):
-    if np.iscomplexobj(x):
-        raise PrimitiveError(f"{what} requires real input")
-
-
 def _failed_check(x, message):
     """The error for a failed domain or overflow check on input ``x``.
 
@@ -509,45 +476,98 @@ def _logistic(x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def detect_apply(p: dict, x: np.ndarray) -> np.ndarray:
-    """A nonlinear Detect family; linear_field runs as a block's gains."""
-    fam, g = p["family"], p["g"]
-    if fam == "logarithmic":
-        _require_real(x, "Detect.logarithmic")
-        off = p["p2"]
-        if np.any(x <= -off):
-            raise _failed_check(x, "Detect.logarithmic domain violated: needs x > -p2")
-        return g * np.log(x + off)
-    if fam == "sigmoid":
-        _require_real(x, "Detect.sigmoid")
-        return g * _logistic(x / p["p2"])
-    if fam == "intensity_square":
-        return g * np.abs(x) ** 2
-    if fam == "coherent_field":
-        return g * np.abs(x + p["p2"]) ** 2
-    raise AssertionError(fam)
+def _exp_attenuation(p: dict, x: np.ndarray) -> np.ndarray:
+    out = np.exp(-p["alpha"] * x)
+    if not np.all(np.isfinite(out)):
+        raise _failed_check(x, "Transform.exp_attenuation overflow")
+    return out
 
 
-def transform_apply(p: dict, x: np.ndarray) -> np.ndarray:
-    fam = p["family"]
-    _require_real(x, f"Transform.{fam}")
-    if fam == "exp_attenuation":
-        out = np.exp(-p["alpha"] * x)
-        if not np.all(np.isfinite(out)):
-            raise _failed_check(x, "Transform.exp_attenuation overflow")
-        return out
-    if fam == "log_compression":
-        x0 = p["x0"]
-        if np.any(x <= -x0):
-            raise _failed_check(x, "Transform.log_compression domain violated: needs x > -x0")
-        return p["g"] * np.log1p(x / x0)
-    if fam == "phase_wrap":
-        return np.angle(np.exp(1j * x))
-    if fam == "polynomial":
-        return np.polynomial.polynomial.polyval(x, np.asarray(p["coeffs"]))
-    if fam == "saturation":
-        return np.clip(x, p["lo"], p["hi"])
-    raise AssertionError(fam)
+def _phase_wrap_bound(p: dict, lo: float, hi: float) -> float:
+    # the wrap jumps by 2*pi at each branch cut pi + 2*pi*k
+    cut = math.pi + 2.0 * math.pi * math.ceil((lo - math.pi) / (2.0 * math.pi))
+    if cut <= hi:
+        raise PrimitiveError("Transform.phase_wrap unbounded on this box")
+    return 1.0
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One canonical Detect or Transform family.
+
+    ``params`` maps each parameter it takes to its default (None: required),
+    and ``check(p)`` says what is wrong with the filled-in parameters, if
+    anything.  Its domain is x > -p[floor] when ``floor`` names a parameter,
+    and real x only when ``real_input``.  ``map(p, x)`` is the forward on one
+    operator's input (linear_field, the one linear family, has none: it runs
+    as a block's gains) and ``bound(p, lo, hi)`` the Lipschitz constant on a
+    box [lo, hi] inside the domain.
+    """
+
+    params: dict
+    map: object
+    bound: object
+    check: object = None
+    floor: str | None = None
+    real_input: bool = True
+    real_output: bool = True
+    linear: bool = False
+
+
+_DETECT, _TRANSFORM = PrimitiveKind.DETECT, PrimitiveKind.TRANSFORM
+# The paper's families: at most two scalar parameters each, except the
+# polynomial's coefficient list (degree at most 5).
+_FAMILIES = {
+    (_DETECT, "linear_field"): _Family(
+        {"g": 1.0}, None, lambda p, lo, hi: abs(p["g"]),
+        real_input=False, real_output=False, linear=True),
+    (_DETECT, "logarithmic"): _Family(
+        {"g": 1.0, "p2": None}, lambda p, x: p["g"] * np.log(x + p["p2"]),
+        lambda p, lo, hi: abs(p["g"]) / (lo + p["p2"]), floor="p2", real_output=False),
+    (_DETECT, "sigmoid"): _Family(
+        {"g": 1.0, "p2": 1.0}, lambda p, x: p["g"] * _logistic(x / p["p2"]),
+        lambda p, lo, hi: abs(p["g"]) / (4.0 * p["p2"]),
+        check=lambda p: "scale p2 must be positive" if p["p2"] <= 0 else None, real_output=False),
+    (_DETECT, "intensity_square"): _Family(
+        {"g": 1.0}, lambda p, x: p["g"] * np.abs(x) ** 2,
+        lambda p, lo, hi: 2.0 * abs(p["g"]) * max(abs(lo), abs(hi)), real_input=False),
+    (_DETECT, "coherent_field"): _Family(
+        {"g": 1.0, "p2": 1.0}, lambda p, x: p["g"] * np.abs(x + p["p2"]) ** 2,
+        lambda p, lo, hi: 2.0 * abs(p["g"]) * max(abs(lo + p["p2"]), abs(hi + p["p2"])),
+        real_input=False),
+    (_TRANSFORM, "exp_attenuation"): _Family(
+        {"alpha": None}, _exp_attenuation,
+        lambda p, lo, hi: abs(p["alpha"]) * max(math.exp(-p["alpha"] * lo), math.exp(-p["alpha"] * hi))),
+    (_TRANSFORM, "log_compression"): _Family(
+        {"g": 1.0, "x0": None}, lambda p, x: p["g"] * np.log1p(x / p["x0"]),
+        lambda p, lo, hi: abs(p["g"]) / (p["x0"] + lo),
+        check=lambda p: "x0 must be positive" if p["x0"] <= 0 else None, floor="x0"),
+    (_TRANSFORM, "phase_wrap"): _Family({}, lambda p, x: np.angle(np.exp(1j * x)), _phase_wrap_bound),
+    (_TRANSFORM, "polynomial"): _Family(
+        {"coeffs": None}, lambda p, x: np.polynomial.polynomial.polyval(x, np.asarray(p["coeffs"])),
+        lambda p, lo, hi: float(sum(k * abs(a) * max(abs(lo), abs(hi)) ** (k - 1)
+                                    for k, a in enumerate(p["coeffs"]) if k >= 1)),
+        check=lambda p: ("coeffs is required" if not p["coeffs"] else
+                         "degree above 5 is not supported" if len(p["coeffs"]) > 6 else None)),
+    (_TRANSFORM, "saturation"): _Family(
+        {"lo": None, "hi": None}, lambda p, x: np.clip(x, p["lo"], p["hi"]), lambda p, lo, hi: 1.0,
+        check=lambda p: None if p["lo"] < p["hi"] else "needs lo < hi"),
+}
+
+
+def _family_name(kind, p: dict) -> str:
+    return f"{kind.value}.{p['family']}"
+
+
+def _pointwise(kind, p: dict, x: np.ndarray) -> np.ndarray:
+    """One operator's nonlinear Detect or Transform family on its input ``x``."""
+    fam = _FAMILIES[kind, p["family"]]
+    if fam.real_input and np.iscomplexobj(x):
+        raise PrimitiveError(f"{_family_name(kind, p)} requires real input")
+    if fam.floor and np.any(x <= -p[fam.floor]):
+        raise _failed_check(
+            x, f"{_family_name(kind, p)} domain violated: needs x > -{fam.floor}")
+    return fam.map(p, x)
 
 
 def lipschitz_bound(prim: PrimitiveInstance, lo: float, hi: float) -> float:
@@ -555,42 +575,18 @@ def lipschitz_bound(prim: PrimitiveInstance, lo: float, hi: float) -> float:
     if lo > hi:
         raise PrimitiveError("lipschitz_bound: needs lo <= hi")
     p = prim.params
-    if prim.kind == PrimitiveKind.DETECT:
-        fam, g = p["family"], abs(p["g"])
-        if fam == "linear_field":
-            return g
-        if fam == "logarithmic":
-            if lo <= -p["p2"]:
-                raise PrimitiveError("Detect.logarithmic unbounded on this box")
-            return g / (lo + p["p2"])
-        if fam == "sigmoid":
-            return g / (4.0 * p["p2"])
-        if fam == "intensity_square":
-            return 2.0 * g * max(abs(lo), abs(hi))
-        if fam == "coherent_field":
-            ref = p["p2"]
-            return 2.0 * g * max(abs(lo + ref), abs(hi + ref))
-    if prim.kind == PrimitiveKind.TRANSFORM:
-        fam = p["family"]
-        if fam == "exp_attenuation":
-            a = p["alpha"]
-            return abs(a) * max(math.exp(-a * lo), math.exp(-a * hi))
-        if fam == "log_compression":
-            if lo <= -p["x0"]:
-                raise PrimitiveError("Transform.log_compression unbounded on this box")
-            return abs(p["g"]) / (p["x0"] + lo)
-        if fam == "phase_wrap":
-            # the wrap jumps by 2*pi at each branch cut pi + 2*pi*k
-            cut = math.pi + 2.0 * math.pi * math.ceil((lo - math.pi) / (2.0 * math.pi))
-            if cut <= hi:
-                raise PrimitiveError("Transform.phase_wrap unbounded on this box")
-            return 1.0
-        if fam == "polynomial":
-            m = max(abs(lo), abs(hi))
-            return float(sum(k * abs(a) * m ** (k - 1) for k, a in enumerate(p["coeffs"]) if k >= 1))
-        if fam == "saturation":
-            return 1.0
-    raise PrimitiveError(f"lipschitz_bound only applies to Detect/Transform, not {prim.kind.value}")
+    fam = _FAMILIES.get((prim.kind, p.get("family")))
+    if fam is None:
+        raise PrimitiveError(f"lipschitz_bound only applies to Detect/Transform, not {prim.kind.value}")
+    if fam.floor and lo <= -p[fam.floor]:
+        raise PrimitiveError(f"{_family_name(prim.kind, p)} unbounded on this box")
+    try:
+        bound = fam.bound(p, lo, hi)
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise PrimitiveError(f"{_family_name(prim.kind, p)} overflow: no finite bound on this box")
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -724,10 +720,8 @@ def _block_forward(blk: PrimitiveBlock, a: np.ndarray) -> np.ndarray:
         out = _scatter_shift(blk, blurred, 1.0)
     elif k == PrimitiveKind.DETECT and blk.is_linear:
         out = _gains(blk, a.ndim) * a
-    elif k == PrimitiveKind.DETECT:
-        out = _per_member(blk, detect_apply, a)
-    elif k == PrimitiveKind.TRANSFORM:
-        out = _per_member(blk, transform_apply, a)
+    elif k in (PrimitiveKind.DETECT, PrimitiveKind.TRANSFORM):
+        out = _per_member(blk, lambda q, x: _pointwise(k, q, x), a)
     else:
         raise AssertionError(k)
     return out
@@ -871,9 +865,7 @@ def prim_output_dtype(prim: PrimitiveInstance, input_dtype: str) -> str:
         return "complex128"
     if k == PrimitiveKind.CONVOLVE and p["h"].dtype == "complex128":
         return "complex128"
-    if k == PrimitiveKind.DETECT and p["family"] in ("intensity_square", "coherent_field"):
-        return "real64"
-    if k == PrimitiveKind.TRANSFORM:
+    if "family" in p and _FAMILIES[k, p["family"]].real_output:
         return "real64"
     return input_dtype
 

@@ -1,5 +1,5 @@
-"""Shared test utilities: dense oracles, random graph sampling, and the
-registry and manifest round trips."""
+"""Shared test utilities: dense oracles, the one-axis shift, random graph
+sampling, and the registry and manifest round trips."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import numpy as np
 import yaml
 
 from opgraph.graph import GraphOperator, compile_graph, make_spec
-from opgraph.primitives import prim_adjoint, prim_forward
+from opgraph.primitives import _shift, _shift_plan, prim_adjoint, prim_forward
 from opgraph.registry import Registry
 from opgraph.runbundle import MANIFEST_NAME
 from opgraph.tensor import Rng, Tensor
@@ -62,6 +62,20 @@ def graph_adjoint_matrix(g: GraphOperator):
         e[j] = 1.0
         cols.append(g.adjoint(Tensor(e.reshape(g.output_shape))).numpy().reshape(-1))
     return np.stack(cols, axis=1)
+
+
+def shift_linear(x: np.ndarray, s: float, axis: int) -> np.ndarray:
+    """Fractional shift with linear interpolation and zero fill.
+
+    out[i] = (1-w) x[i-k] + w x[i-k-1] with s = k + w, and x[i-k] alone when
+    w == 0.  The exact transpose of this matrix is the same shift evaluated at
+    -s, which is what the adjoint paths rely on.  The one-axis form of
+    ``_shift``.
+    """
+    lines = np.moveaxis(np.asarray(x), axis, -1)
+    flat = lines.reshape(-1, 1, lines.shape[-1])
+    out = _shift(_shift_plan([(0.0, s)] * len(flat), flat.shape[1:]), flat)
+    return np.moveaxis(out.reshape(lines.shape), -1, axis)
 
 
 def brute_force_projection(x, angles_deg, n_det, cor_offset=0.0):

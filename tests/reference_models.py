@@ -165,7 +165,7 @@ def _diff_adjoint(p, axis, n):
 def shift_linear_reference(x, s, axis):
     """Fractional shift as two zero-filled integer shifts blended, or the one
     integer shift when s is whole: the straight-line form of
-    ``primitives.shift_linear``, which must agree with it byte for byte."""
+    ``helpers.shift_linear``, which must agree with it byte for byte."""
 
     def integer_shift(k):
         out = np.zeros_like(x)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import shift_linear
 from reference_models import disperse_reference, shift_linear_reference
 
 from opgraph import solvers
@@ -16,7 +17,6 @@ from opgraph.primitives import (
     prim_adjoint,
     prim_forward,
     prim_output_shape,
-    shift_linear,
 )
 from opgraph.solvers import pin_step, reconstruct, reconstruct_block
 from opgraph.templates import instantiate, make_phantoms

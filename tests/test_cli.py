@@ -52,6 +52,18 @@ class TestCompile:
         assert main(["compile", str(tmp_path / "absent.yaml")]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_parameter_its_family_does_not_take_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "sat.yaml"
+        path.write_text(serialize_spec(make_spec(
+            [{"node_id": "sat", "primitive_id": "Transform",
+              "params": {"family": "saturation", "lo": 0.0, "hi": 1.0, "alpha": 2.0}}],
+            [], {"input_shape": [4, 4]},
+        )))
+        assert main(["compile", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "BAD_PARAM" in err
+        assert "Transform.saturation: unknown parameter 'alpha'" in err
+
 
 class TestAdjointCheck:
     def test_linear_template_passes(self, ct_spec, capsys):

@@ -17,6 +17,8 @@ from reference_models import (
 from opgraph.calibration import CalibConfig, calibrate_alg1
 from opgraph.graph import adjoint_check_graph, compile_graph
 from opgraph.primitives import (
+    _FAMILIES,
+    _SCHEMAS,
     PrimitiveError,
     PrimitiveKind,
     _dot_test_report,
@@ -28,13 +30,12 @@ from opgraph.primitives import (
     prim_adjoint,
     prim_forward,
     prim_output_shape,
-    shift_linear,
 )
 from opgraph.registry import default_registry
 from opgraph.templates import instantiate, make_phantoms
 from opgraph.tensor import Rng, Tensor, tensor
 
-from helpers import adjoint_matrix, brute_force_projection, materialize
+from helpers import adjoint_matrix, brute_force_projection, materialize, shift_linear
 
 
 class TestConstruction:
@@ -49,6 +50,27 @@ class TestConstruction:
     def test_missing_required(self):
         with pytest.raises(PrimitiveError, match="missing required"):
             make_primitive("Convolve", {})
+
+    @pytest.mark.parametrize("kind,params,name", [
+        ("Transform", {"family": "saturation", "lo": 0.0, "hi": 1.0, "alpha": 2.0}, "alpha"),
+        ("Detect", {"family": "intensity_square", "p2": 0.5}, "p2"),
+        ("Transform", {"family": "phase_wrap", "g": 1.0}, "g"),
+    ])
+    def test_parameter_the_family_does_not_take_rejected(self, kind, params, name):
+        with pytest.raises(PrimitiveError,
+                           match=rf"{kind}\.{params['family']}: unknown parameter '{name}'"):
+            make_primitive(kind, params)
+
+    @pytest.mark.parametrize("kind,params,name", [
+        ("Detect", {"family": "logarithmic"}, "p2"),
+        ("Transform", {"family": "exp_attenuation"}, "alpha"),
+        ("Transform", {"family": "log_compression"}, "x0"),
+        ("Transform", {"family": "polynomial"}, "coeffs"),
+        ("Transform", {"family": "saturation", "hi": 1.0}, "lo"),
+    ])
+    def test_missing_family_parameter_named(self, kind, params, name):
+        with pytest.raises(PrimitiveError, match=rf"{kind}\.{params['family']}: {name} is required"):
+            make_primitive(kind, params)
 
     def test_linearity_flags(self):
         assert make_primitive("Modulate", {"m": tensor([1.0])}).is_linear
@@ -477,24 +499,26 @@ class TestTransform:
             prim_forward(p, np.array([-2.0]))
 
 
+_BOXES = [
+    ("Detect", {"family": "linear_field", "g": 3.0}, -1.0, 1.0),
+    ("Detect", {"family": "logarithmic", "g": 1.0, "p2": 1.0}, 0.0, 5.0),
+    ("Detect", {"family": "sigmoid", "g": 2.0, "p2": 0.5}, -4.0, 4.0),
+    ("Detect", {"family": "intensity_square", "g": 1.0}, -2.0, 2.0),
+    ("Transform", {"family": "exp_attenuation", "alpha": 0.7}, 0.0, 3.0),
+    ("Transform", {"family": "polynomial", "coeffs": [0.0, 1.0, 0.5, 0.25]}, -1.5, 1.5),
+    ("Transform", {"family": "saturation", "lo": 0.0, "hi": 1.0}, -2.0, 2.0),
+    ("Transform", {"family": "phase_wrap"}, -3.0, 3.0),
+    # families whose defaults make_primitive fills in
+    ("Detect", {"family": "sigmoid", "g": 2.0}, -4.0, 4.0),
+    ("Detect", {"family": "coherent_field", "g": 0.5}, -2.0, 1.0),
+    ("Transform", {"family": "log_compression", "x0": 0.5}, 0.0, 3.0),
+]
+# the two families whose domain ends: x > -p2 and x > -x0
+_DOMAIN_ENDS = {"logarithmic": "p2", "log_compression": "x0"}
+
+
 class TestLipschitz:
-    @pytest.mark.parametrize(
-        "kind,params,lo,hi",
-        [
-            ("Detect", {"family": "linear_field", "g": 3.0}, -1.0, 1.0),
-            ("Detect", {"family": "logarithmic", "g": 1.0, "p2": 1.0}, 0.0, 5.0),
-            ("Detect", {"family": "sigmoid", "g": 2.0, "p2": 0.5}, -4.0, 4.0),
-            ("Detect", {"family": "intensity_square", "g": 1.0}, -2.0, 2.0),
-            ("Transform", {"family": "exp_attenuation", "alpha": 0.7}, 0.0, 3.0),
-            ("Transform", {"family": "polynomial", "coeffs": [0.0, 1.0, 0.5, 0.25]}, -1.5, 1.5),
-            ("Transform", {"family": "saturation", "lo": 0.0, "hi": 1.0}, -2.0, 2.0),
-            ("Transform", {"family": "phase_wrap"}, -3.0, 3.0),
-            # families whose defaults make_primitive fills in
-            ("Detect", {"family": "sigmoid", "g": 2.0}, -4.0, 4.0),
-            ("Detect", {"family": "coherent_field", "g": 0.5}, -2.0, 1.0),
-            ("Transform", {"family": "log_compression", "x0": 0.5}, 0.0, 3.0),
-        ],
-    )
+    @pytest.mark.parametrize("kind,params,lo,hi", _BOXES)
     def test_bound_dominates_sampled_slopes(self, kind, params, lo, hi):
         prim = make_primitive(kind, params)
         L = lipschitz_bound(prim, lo, hi)
@@ -522,6 +546,39 @@ class TestLipschitz:
         p = make_primitive("Modulate", {"m": tensor([1.0])})
         with pytest.raises(PrimitiveError, match="Detect/Transform"):
             lipschitz_bound(p, 0.0, 1.0)
+
+    @pytest.mark.parametrize("kind,params,lo,hi", [
+        case for case in _BOXES if case[1]["family"] in _DOMAIN_ENDS])
+    def test_box_reaching_the_domain_end_rejected(self, kind, params, lo, hi):
+        prim = make_primitive(kind, params)
+        end = -prim.params[_DOMAIN_ENDS[params["family"]]]
+        with pytest.raises(PrimitiveError, match=f"{kind}.{params['family']} unbounded on this box"):
+            lipschitz_bound(prim, end, hi)
+        with pytest.raises(PrimitiveError, match=f"{kind}.{params['family']} domain violated"):
+            prim_forward(prim, np.array([end, hi]))
+        assert math.isfinite(lipschitz_bound(prim, np.nextafter(end, 0.0), hi))
+
+    def test_only_the_log_families_have_a_domain_end(self):
+        assert {fam for (_, fam), record in _FAMILIES.items()
+                if record.floor} == set(_DOMAIN_ENDS)
+
+    @pytest.mark.parametrize("params,lo,hi", [
+        ({"family": "exp_attenuation", "alpha": 1.0}, -1000.0, 0.0),  # exp(1000) overflows
+        ({"family": "exp_attenuation", "alpha": 10.0}, -70.9, 0.0),  # 10 * exp(709) does
+        ({"family": "polynomial", "coeffs": [0.0, 0.0, 0.0, 1.0]}, -1e200, 1e200),
+    ])
+    def test_bound_that_overflows_is_coded(self, params, lo, hi):
+        prim = make_primitive("Transform", params)
+        with pytest.raises(PrimitiveError, match=f"Transform.{params['family']} overflow"):
+            lipschitz_bound(prim, lo, hi)
+
+    def test_exp_attenuation_bound_and_forward_agree_on_overflow(self):
+        prim = make_primitive("Transform", {"family": "exp_attenuation", "alpha": 1.0})
+        with pytest.raises(PrimitiveError, match="Transform.exp_attenuation overflow"):
+            lipschitz_bound(prim, -1000.0, 0.0)
+        with pytest.raises(PrimitiveError, match="Transform.exp_attenuation overflow"), \
+                np.errstate(over="ignore"):
+            prim_forward(prim, np.array([-1000.0, 0.0]))
 
 
 def _random_linear_prim(key: int, shape):
@@ -568,6 +625,28 @@ _POINTWISE = [
     ("Transform", {"family": "polynomial", "coeffs": [0.0, 1.0, 0.5]}),
     ("Transform", {"family": "saturation", "lo": 0.2, "hi": 0.8}),
 ]
+
+
+class TestFamilies:
+    """The paper's restriction: five canonical families per kind, each with at
+    most two scalar parameters; the polynomial's coefficient list (degree at
+    most 5) is the one exception."""
+
+    def test_five_families_per_kind(self):
+        kinds = [kind for kind, _ in _FAMILIES]
+        assert kinds.count(PrimitiveKind.DETECT) == kinds.count(PrimitiveKind.TRANSFORM) == 5
+        assert len(_FAMILIES) == 10
+
+    @pytest.mark.parametrize("kind,params", _POINTWISE)
+    def test_at_most_two_scalar_parameters(self, kind, params):
+        kind = PrimitiveKind(kind)
+        taken = _FAMILIES[kind, params["family"]].params
+        scalars = [name for name in taken if _SCHEMAS[kind][name][0] == "float"]
+        assert len(scalars) <= 2
+        assert set(taken) - set(scalars) == ({"coeffs"} if params["family"] == "polynomial" else set())
+
+    def test_pointwise_cases_cover_every_family(self):
+        assert {(PrimitiveKind(k), p["family"]) for k, p in _POINTWISE} == set(_FAMILIES)
 
 
 class TestShapeContract:
