@@ -53,6 +53,7 @@ from .primitives import (
     PrimitiveError,
     PrimitiveInstance,
     PrimitiveKind,
+    _KINDS,
     _dot_test_report,
     PrimitiveBlock,
     block_key,
@@ -419,16 +420,9 @@ def _infer_input_shape(spec: GraphSpec, prims: dict, sources) -> tuple[int, ...]
         return tuple(int(s) for s in meta)
     for nid in sources:
         prim = prims[nid]
-        if prim is None:
-            continue
-        p = prim.params
-        if prim.kind == PrimitiveKind.MODULATE:
-            m = p["m"]
-            return tuple(m.shape[1:]) if p["pattern_stack"] else tuple(m.shape)
-        if prim.kind == PrimitiveKind.CONVOLVE:
-            return tuple(p["h"].shape)
-        if prim.kind in (PrimitiveKind.ACCUMULATE, PrimitiveKind.SAMPLE):
-            return tuple(p["input_shape"])
+        implied = None if prim is None else _KINDS[prim.kind].implied_shape
+        if implied:
+            return tuple(implied(prim.params))
     return None
 
 
@@ -489,13 +483,8 @@ def compile_graph(spec: GraphSpec) -> GraphOperator:
         )
     input_dtype = spec.metadata.get("input_dtype")
     if input_dtype is None:
-        input_dtype = (
-            "complex128"
-            if any(
-                prims[s] is not None and prims[s].kind == PrimitiveKind.PROPAGATE for s in sources
-            )
-            else "real64"
-        )
+        takes_field = any(prims[s] is not None and _KINDS[prims[s].kind].complex_input for s in sources)
+        input_dtype = "complex128" if takes_field else "real64"
     if input_dtype not in ("real64", "complex128"):
         raise GraphError("BAD_SPEC", f"metadata.input_dtype {input_dtype!r}")
 
@@ -526,7 +515,10 @@ def compile_graph(spec: GraphSpec) -> GraphOperator:
                 shapes[nid] = tuple(prim_output_shape(prim, in_shape))
             except PrimitiveError as exc:
                 raise GraphError("SHAPE_MISMATCH", f"node '{nid}': {exc}") from exc
-            dtypes[nid] = prim_output_dtype(prim, in_dtype)
+            try:
+                dtypes[nid] = prim_output_dtype(prim, in_dtype)
+            except PrimitiveError as exc:
+                raise GraphError("BAD_PARAM", f"node '{nid}': {exc}") from exc
 
     # stage 4: contract pattern-stack Modulate -> Accumulate pairs
     contracted = _contractions(prims, preds, out_deg)

@@ -7,25 +7,29 @@ dot-product certification in :func:`dot_product_test` meaningful: the test
 draws random vectors and checks ``<A*y, x> == <y, Ax>`` to near machine
 precision, not to a loose tolerance.
 
-Each kind has one kernel, which runs over a stack: :func:`prim_forward` and
-:func:`prim_adjoint` apply a :class:`PrimitiveBlock`, one node's primitives
-across the K operators of a block, to a (K, *shape) stack in one call, and
-a lone primitive is the block of one.  Every row of a block's result is
-byte for byte its member's solo call.
+Each kind is one record in ``_KINDS``: its parameter schema and check, its
+shape and dtype rules, and its forward and adjoint kernels.  A kernel runs
+over a stack: :func:`prim_forward` and :func:`prim_adjoint` apply a
+:class:`PrimitiveBlock`, one node's primitives across the K operators of a
+block, to a (K, *shape) stack in one call, and a lone primitive is the
+block of one.  Every row of a block's result is byte for byte its member's
+solo call.  Where the list below says "per member", the kernel loops over
+the members inside that one call.
 
 Kinds
 -----
-Propagate   free-space field propagation (band-limited transfer function)
+Propagate   free-space field propagation (band-limited transfer function), per member
 Modulate    elementwise mask/gain, with an optional leading pattern axis
-Project     parallel-beam ray sums over an angle list (pixel-driven, linear interp)
+Project     parallel-beam ray sums over an angle list (pixel-driven, linear interp), per member
 Encode      unitary DFT over chosen axes
 Convolve    circular convolution with a same-shape kernel
 Accumulate  sum over named axes
-Detect      pointwise detector response (five families; only linear_field is linear)
+Detect      pointwise detector response (five families; only linear_field is linear;
+            the other four per member)
 Sample      gather on a flat index set
 Disperse    per-band fractional shear along a rotated axis
-Scatter     fixed angular blur plus energy-axis shift
-Transform   pointwise nonlinear map (five families)
+Scatter     fixed angular blur (per member) plus energy-axis shift
+Transform   pointwise nonlinear map (five families), per member
 """
 
 from __future__ import annotations
@@ -64,97 +68,44 @@ class PrimitiveKind(str, Enum):
     TRANSFORM = "Transform"
 
 
-# Parameter schema per kind: name -> (type tag, required).  Unknown names are
-# rejected at construction so registry entries and graph specs cannot drift.
-# Detect and Transform list every parameter of any of their families; each
-# family's record in ``_FAMILIES`` says which of them it takes.
-_SCHEMAS: dict[PrimitiveKind, dict[str, tuple[str, bool]]] = {
-    PrimitiveKind.PROPAGATE: {
-        "distance_m": ("float", True),
-        "wavelength_m": ("float", True),
-        "pitch_m": ("float", True),
-    },
-    PrimitiveKind.MODULATE: {"m": ("tensor", True), "pattern_stack": ("bool", False)},
-    PrimitiveKind.PROJECT: {
-        "angles_deg": ("float_list", True),
-        "n_det": ("int", True),
-        "cor_offset": ("float", False),
-    },
-    PrimitiveKind.ENCODE: {"axes": ("int_list", False)},
-    PrimitiveKind.CONVOLVE: {"h": ("tensor", True)},
-    PrimitiveKind.ACCUMULATE: {"axes": ("int_list", True), "input_shape": ("shape", True)},
-    PrimitiveKind.DETECT: {
-        "family": ("str", True),
-        "g": ("float", False),
-        "p2": ("float", False),
-    },
-    PrimitiveKind.SAMPLE: {"omega": ("int_list", True), "input_shape": ("shape", True)},
-    PrimitiveKind.DISPERSE: {"a1": ("float", True), "alpha_deg": ("float", False)},
-    PrimitiveKind.SCATTER: {"sigma": ("float", True), "shift": ("float", False)},
-    PrimitiveKind.TRANSFORM: {
-        "family": ("str", True),
-        "alpha": ("float", False),
-        "g": ("float", False),
-        "x0": ("float", False),
-        "coeffs": ("float_list", False),
-        "lo": ("float", False),
-        "hi": ("float", False),
-    },
-}
+# Schema defaults that are not values: the parameter must be given, or its family gives it.
+_REQUIRED, _BY_FAMILY = object(), object()
 
-_DEFAULTS = {
-    PrimitiveKind.MODULATE: {"pattern_stack": False},
-    PrimitiveKind.PROJECT: {"cor_offset": 0.0},
-    PrimitiveKind.ENCODE: {"axes": None},
-    PrimitiveKind.DISPERSE: {"alpha_deg": 0.0},
-    PrimitiveKind.SCATTER: {"shift": 0.0},
+
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _list_of(item):
+    return lambda v: isinstance(v, (list, tuple)) and all(item(x) for x in v)
+
+
+# Parameter type tags: tag -> (accepts a value, the bound value, what a
+# rejected value should have been).  An int_list also takes None or one integer.
+_TAGS = {
+    "tensor": (lambda v: isinstance(v, Tensor), lambda v: v, "a Tensor"),
+    "float": (_number, float, "a number"),
+    "int": (_integer, int, "an integer"),
+    "float_list": (_list_of(_number), lambda v: [float(x) for x in v], "a list of numbers"),
+    "int_list": (_list_of(_integer), lambda v: [int(x) for x in v], "an integer list"),
+    "shape": (_list_of(lambda x: _integer(x) and x > 0), lambda v: [int(x) for x in v],
+              "a positive shape"),
+    "str": (lambda v: isinstance(v, str), lambda v: v, "a string"),
+    "bool": (lambda v: isinstance(v, bool), lambda v: v, "a bool"),
 }
 
 
 def _check_type(kind, name, tag, value):
-    if tag == "tensor":
-        if not isinstance(value, Tensor):
-            raise PrimitiveError(f"{kind.value}.{name}: expected a Tensor")
-        return value
-    if tag == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise PrimitiveError(f"{kind.value}.{name}: expected a number")
-        return float(value)
-    if tag == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise PrimitiveError(f"{kind.value}.{name}: expected an integer")
-        return int(value)
-    if tag == "float_list":
-        if not isinstance(value, (list, tuple)) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-        ):
-            raise PrimitiveError(f"{kind.value}.{name}: expected a list of numbers")
-        return [float(v) for v in value]
-    if tag == "int_list":
-        if value is None:
-            return None
-        if isinstance(value, int) and not isinstance(value, bool):
-            return [value]
-        if not isinstance(value, (list, tuple)) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in value
-        ):
-            raise PrimitiveError(f"{kind.value}.{name}: expected an integer list")
-        return [int(v) for v in value]
-    if tag == "shape":
-        if not isinstance(value, (list, tuple)) or not all(
-            isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in value
-        ):
-            raise PrimitiveError(f"{kind.value}.{name}: expected a positive shape")
-        return [int(v) for v in value]
-    if tag == "str":
-        if not isinstance(value, str):
-            raise PrimitiveError(f"{kind.value}.{name}: expected a string")
-        return value
-    if tag == "bool":
-        if not isinstance(value, bool):
-            raise PrimitiveError(f"{kind.value}.{name}: expected a bool")
-        return value
-    raise AssertionError(tag)
+    if tag == "int_list" and (value is None or _integer(value)):
+        return None if value is None else [value]
+    accepts, bind, expected = _TAGS[tag]
+    if not accepts(value):
+        raise PrimitiveError(f"{kind.value}.{name}: expected {expected}")
+    return bind(value)
 
 
 @dataclass(frozen=True)
@@ -172,17 +123,21 @@ def make_primitive(kind, params: dict) -> PrimitiveInstance:
             kind = PrimitiveKind(kind)
         except ValueError:
             raise PrimitiveError(f"unknown primitive kind {kind!r}") from None
-    schema = _SCHEMAS[kind]
-    clean = dict(_DEFAULTS.get(kind, {}))
+    record = _KINDS[kind]
+    schema = record.params
+    clean = {name: default for name, (_, default) in schema.items()
+             if default is not _REQUIRED and default is not _BY_FAMILY}
     for name, value in params.items():
         if name not in schema:
             raise PrimitiveError(f"{kind.value}: unknown parameter {name!r}")
         clean[name] = _check_type(kind, name, schema[name][0], value)
-    for name, (tag, required) in schema.items():
-        if required and name not in clean:
+    for name, (_, default) in schema.items():
+        if default is _REQUIRED and name not in clean:
             raise PrimitiveError(f"{kind.value}: missing required parameter {name!r}")
     fam, clean = _family_params(kind, clean) if "family" in schema else (None, clean)
-    _validate_params(kind, clean)
+    problem = record.check(clean) if record.check else None
+    if problem:
+        raise PrimitiveError(f"{kind.value}: {problem}")
     return PrimitiveInstance(kind=kind, params=clean, is_linear=fam is None or fam.linear)
 
 
@@ -204,38 +159,6 @@ def _family_params(kind, given: dict):
     if problem:
         raise PrimitiveError(f"{name}: {problem}")
     return fam, p
-
-
-def _validate_params(kind, p):
-    if kind == PrimitiveKind.PROPAGATE:
-        if p["wavelength_m"] <= 0 or p["pitch_m"] <= 0:
-            raise PrimitiveError("Propagate: wavelength_m and pitch_m must be positive")
-    elif kind == PrimitiveKind.PROJECT:
-        if len(p["angles_deg"]) == 0:
-            raise PrimitiveError("Project: angles_deg must be nonempty")
-        if p["n_det"] < 1:
-            raise PrimitiveError("Project: n_det must be >= 1")
-    elif kind == PrimitiveKind.ACCUMULATE:
-        axes = p["axes"]
-        if axes is None or len(axes) == 0:
-            raise PrimitiveError("Accumulate: axes must be nonempty")
-        if len(set(axes)) != len(axes):
-            raise PrimitiveError("Accumulate: duplicate axes")
-        nd = len(p["input_shape"])
-        if any(a < 0 or a >= nd for a in axes):
-            raise PrimitiveError("Accumulate: axis out of range for input_shape")
-    elif kind == PrimitiveKind.SAMPLE:
-        omega = p["omega"]
-        if len(omega) == 0:
-            raise PrimitiveError("Sample: omega must be nonempty")
-        if len(set(omega)) != len(omega):
-            raise PrimitiveError("Sample: duplicate indices in omega")
-        n = int(np.prod(p["input_shape"]))
-        if any(i < 0 or i >= n for i in omega):
-            raise PrimitiveError("Sample: omega index out of range")
-    elif kind == PrimitiveKind.SCATTER:
-        if p["sigma"] < 0:
-            raise PrimitiveError("Scatter: sigma must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +433,6 @@ class _Family:
     check: object = None
     floor: str | None = None
     real_input: bool = True
-    real_output: bool = True
     linear: bool = False
 
 
@@ -520,14 +442,14 @@ _DETECT, _TRANSFORM = PrimitiveKind.DETECT, PrimitiveKind.TRANSFORM
 _FAMILIES = {
     (_DETECT, "linear_field"): _Family(
         {"g": 1.0}, None, lambda p, lo, hi: abs(p["g"]),
-        real_input=False, real_output=False, linear=True),
+        real_input=False, linear=True),
     (_DETECT, "logarithmic"): _Family(
         {"g": 1.0, "p2": None}, lambda p, x: p["g"] * np.log(x + p["p2"]),
-        lambda p, lo, hi: abs(p["g"]) / (lo + p["p2"]), floor="p2", real_output=False),
+        lambda p, lo, hi: abs(p["g"]) / (lo + p["p2"]), floor="p2"),
     (_DETECT, "sigmoid"): _Family(
         {"g": 1.0, "p2": 1.0}, lambda p, x: p["g"] * _logistic(x / p["p2"]),
         lambda p, lo, hi: abs(p["g"]) / (4.0 * p["p2"]),
-        check=lambda p: "scale p2 must be positive" if p["p2"] <= 0 else None, real_output=False),
+        check=lambda p: "scale p2 must be positive" if p["p2"] <= 0 else None),
     (_DETECT, "intensity_square"): _Family(
         {"g": 1.0}, lambda p, x: p["g"] * np.abs(x) ** 2,
         lambda p, lo, hi: 2.0 * abs(p["g"]) * max(abs(lo), abs(hi)), real_input=False),
@@ -562,8 +484,6 @@ def _family_name(kind, p: dict) -> str:
 def _pointwise(kind, p: dict, x: np.ndarray) -> np.ndarray:
     """One operator's nonlinear Detect or Transform family on its input ``x``."""
     fam = _FAMILIES[kind, p["family"]]
-    if fam.real_input and np.iscomplexobj(x):
-        raise PrimitiveError(f"{_family_name(kind, p)} requires real input")
     if fam.floor and np.any(x <= -p[fam.floor]):
         raise _failed_check(
             x, f"{_family_name(kind, p)} domain violated: needs x > -{fam.floor}")
@@ -590,7 +510,7 @@ def lipschitz_bound(prim: PrimitiveInstance, lo: float, hi: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# forward / adjoint dispatch
+# blocks
 
 # The parameters the kernels read from a block's first member, so the block's
 # members must share them; with the dtype of every tensor they are its
@@ -616,8 +536,8 @@ class PrimitiveBlock(PrimitiveInstance):
     ``is_linear`` are the first member's; the members share its
     :func:`block_key`.  A tensor the members hold is stacked along a leading
     K axis on first use, or, when they all hold the same one, given a leading
-    axis of 1 and broadcast.  Project, Propagate, Transform and the nonlinear
-    Detect families run member by member; Scatter blurs member by member.
+    axis of 1 and broadcast.  The kinds the module docstring marks "per
+    member" loop over the members inside that one kernel.
     """
 
     def __init__(self, prims):
@@ -647,16 +567,10 @@ def _per_member(blk: PrimitiveBlock, fn, a: np.ndarray) -> np.ndarray:
     return rows[0][None] if len(rows) == 1 else np.stack(rows)
 
 
-def _gains(blk: PrimitiveBlock, ndim: int) -> np.ndarray:
-    """Linear Detect's gain per member, shaped to scale a stack of ``ndim`` axes."""
-    return blk.cached(("g", ndim), lambda: np.array(
-        [p.params["g"] for p in blk.members]).reshape((-1,) + (1,) * (ndim - 1)))
-
-
-def _spectra(blk: PrimitiveBlock, axes: tuple, conj: bool) -> np.ndarray:
-    """FFT of each member's Convolve kernel over the stack's inner axes."""
-    h = blk.cached(("H", axes), lambda: np.fft.fftn(blk.stacked("h"), axes=axes))
-    return blk.cached(("H*", axes), lambda: np.conj(h)) if conj else h
+def _gains(blk: PrimitiveBlock, a: np.ndarray) -> np.ndarray:
+    """Linear Detect on the stack ``a``: each member's gain times its row."""
+    return blk.cached(("g", a.ndim), lambda: np.array(
+        [p.params["g"] for p in blk.members]).reshape((-1,) + (1,) * (a.ndim - 1))) * a
 
 
 def _stack_axes(axes, ndim: int) -> tuple:
@@ -693,80 +607,208 @@ def _propagate(p: dict, x: np.ndarray, conj: bool = False) -> np.ndarray:
     return np.fft.ifft2(np.fft.fft2(x.astype(np.complex128)) * (np.conj(tf) if conj else tf))
 
 
-def _block_forward(blk: PrimitiveBlock, a: np.ndarray) -> np.ndarray:
-    p = blk.params
-    k = blk.kind
-    if k == PrimitiveKind.MODULATE:
-        out = blk.stacked("m") * (a[:, None] if p["pattern_stack"] else a)
-    elif k == PrimitiveKind.CONVOLVE:
-        axes = tuple(range(1, a.ndim))
-        out = np.fft.ifftn(np.fft.fftn(a, axes=axes) * _spectra(blk, axes, False), axes=axes)
-        if not (np.iscomplexobj(a) or p["h"].dtype == "complex128"):
-            out = out.real
-    elif k == PrimitiveKind.ACCUMULATE:
-        out = a.sum(axis=_stack_axes(p["axes"], a.ndim))
-    elif k == PrimitiveKind.SAMPLE:
-        out = a.reshape(len(a), -1)[:, _omega(blk)]
-    elif k == PrimitiveKind.ENCODE:
-        out = np.fft.fftn(a, axes=_stack_axes(p["axes"], a.ndim), norm="ortho")
-    elif k == PrimitiveKind.PROJECT:
-        out = _per_member(blk, _radon_forward, a)
-    elif k == PrimitiveKind.PROPAGATE:
-        out = _per_member(blk, _propagate, a)
-    elif k == PrimitiveKind.DISPERSE:
-        out = _disperse(blk, a, adjoint=False)
-    elif k == PrimitiveKind.SCATTER:
-        blurred = _per_member(blk, lambda q, x: _gauss_blur_circular(x, q["sigma"], axis=0), a)
-        out = _scatter_shift(blk, blurred, 1.0)
-    elif k == PrimitiveKind.DETECT and blk.is_linear:
-        out = _gains(blk, a.ndim) * a
-    elif k in (PrimitiveKind.DETECT, PrimitiveKind.TRANSFORM):
-        out = _per_member(blk, lambda q, x: _pointwise(k, q, x), a)
-    else:
-        raise AssertionError(k)
+# ---------------------------------------------------------------------------
+# the kinds
+
+
+def _modulate_adjoint(blk: PrimitiveBlock, a: np.ndarray, input_shape) -> np.ndarray:
+    m = blk.stacked("m")
+    if np.iscomplexobj(m):
+        m = blk.cached("m*", lambda: np.conj(m))
+    out = m * a
+    return out.sum(axis=1) if blk.params["pattern_stack"] else out
+
+
+def _convolve(blk: PrimitiveBlock, a: np.ndarray, conj: bool) -> np.ndarray:
+    """Each member's circular convolution, or its adjoint when ``conj``; the
+    FFT of each member's kernel over the stack's inner axes is made once."""
+    axes = tuple(range(1, a.ndim))
+    h = blk.cached(("H", axes), lambda: np.fft.fftn(blk.stacked("h"), axes=axes))
+    if conj:
+        h = blk.cached(("H*", axes), lambda: np.conj(h))
+    out = np.fft.ifftn(np.fft.fftn(a, axes=axes) * h, axes=axes)
+    if not (np.iscomplexobj(a) or blk.params["h"].dtype == "complex128"):
+        out = out.real
     return out
 
 
-def _block_adjoint(blk: PrimitiveBlock, a: np.ndarray, input_shape) -> np.ndarray:
+def _accumulate_adjoint(blk: PrimitiveBlock, a: np.ndarray, input_shape) -> np.ndarray:
     p = blk.params
-    k = blk.kind
-    if k == PrimitiveKind.MODULATE:
-        m = blk.stacked("m")
-        if np.iscomplexobj(m):
-            m = blk.cached("m*", lambda: np.conj(m))
-        out = m * a
-        if p["pattern_stack"]:
-            out = out.sum(axis=1)
-    elif k == PrimitiveKind.CONVOLVE:
-        axes = tuple(range(1, a.ndim))
-        out = np.fft.ifftn(np.fft.fftn(a, axes=axes) * _spectra(blk, axes, True), axes=axes)
-        if not (np.iscomplexobj(a) or p["h"].dtype == "complex128"):
-            out = out.real
-    elif k == PrimitiveKind.ACCUMULATE:
-        expanded = np.expand_dims(a, tuple(ax + 1 for ax in sorted(p["axes"])))
-        out = np.broadcast_to(expanded, (len(a),) + tuple(p["input_shape"])).copy()
-    elif k == PrimitiveKind.SAMPLE:
-        flat = np.zeros((len(a), math.prod(p["input_shape"])), dtype=a.dtype)
-        np.add.at(flat, (slice(None), _omega(blk)), a)
-        out = flat.reshape((len(a),) + tuple(p["input_shape"]))
-    elif k == PrimitiveKind.ENCODE:
-        out = np.fft.ifftn(a, axes=_stack_axes(p["axes"], a.ndim), norm="ortho")
-    elif k == PrimitiveKind.PROJECT:
-        if input_shape is None:
-            raise PrimitiveError("Project adjoint: input_shape is required")
-        out = _per_member(blk, lambda q, y: _radon_adjoint(q, y, tuple(input_shape)), a)
-    elif k == PrimitiveKind.PROPAGATE:
-        out = _per_member(blk, lambda q, y: _propagate(q, y, conj=True), a)
-    elif k == PrimitiveKind.DISPERSE:
-        out = _disperse(blk, a, adjoint=True)
-    elif k == PrimitiveKind.SCATTER:
-        shifted = _scatter_shift(blk, a, -1.0)
-        out = _per_member(blk, lambda q, x: _gauss_blur_circular(x, q["sigma"], axis=0), shifted)
-    elif k == PrimitiveKind.DETECT:
-        out = _gains(blk, a.ndim) * a  # the gains are real: conj(g) = g
-    else:
-        raise AssertionError(k)
-    return out
+    expanded = np.expand_dims(a, tuple(ax + 1 for ax in sorted(p["axes"])))
+    return np.broadcast_to(expanded, (len(a),) + tuple(p["input_shape"])).copy()
+
+
+def _sample_adjoint(blk: PrimitiveBlock, a: np.ndarray, input_shape) -> np.ndarray:
+    p = blk.params
+    flat = np.zeros((len(a), math.prod(p["input_shape"])), dtype=a.dtype)
+    np.add.at(flat, (slice(None), _omega(blk)), a)
+    return flat.reshape((len(a),) + tuple(p["input_shape"]))
+
+
+def _project_adjoint(blk: PrimitiveBlock, a: np.ndarray, input_shape) -> np.ndarray:
+    if input_shape is None:
+        raise PrimitiveError("Project adjoint: input_shape is required")
+    return _per_member(blk, lambda q, y: _radon_adjoint(q, y, tuple(input_shape)), a)
+
+
+def _scatter_blur(blk: PrimitiveBlock, a: np.ndarray) -> np.ndarray:
+    return _per_member(blk, lambda q, x: _gauss_blur_circular(x, q["sigma"], axis=0), a)
+
+
+def _pointwise_block(blk: PrimitiveBlock, a: np.ndarray) -> np.ndarray:
+    # the members share a family: the dtype rule rejects complex input into a real-input one
+    prim_output_dtype(blk, "complex128" if np.iscomplexobj(a) else "real64")
+    return _per_member(blk, lambda q, x: _pointwise(blk.kind, q, x), a)
+
+
+def _of_ndim(nd: int, message: str, out=lambda p, shp: shp):
+    """The shape rule of a kind that takes ``nd``-axis input: ``out(p, shape)``,
+    by default the input's shape."""
+    def rule(p, shp):
+        if len(shp) != nd:
+            raise PrimitiveError(message)
+        return out(p, shp)
+    return rule
+
+
+def _declared(kind: str, out):
+    """The shape rule of a kind whose ``input_shape`` parameter fixes its input."""
+    def rule(p, shp):
+        if list(shp) != p["input_shape"]:
+            raise PrimitiveError(
+                f"{kind}: input shape {shp} != declared {tuple(p['input_shape'])}")
+        return out(p, shp)
+    return rule
+
+
+def _modulate_shape(p: dict, shp: tuple) -> tuple:
+    m = p["m"]
+    if p["pattern_stack"]:
+        if m.ndim == len(shp) + 1 and m.shape[1:] == shp:
+            return m.shape
+        raise PrimitiveError(f"Modulate: pattern stack {m.shape} incompatible with input {shp}")
+    if m.shape == shp:
+        return shp
+    raise PrimitiveError(f"Modulate: mask shape {m.shape} != input {shp}")
+
+
+def _convolve_shape(p: dict, shp: tuple) -> tuple:
+    if p["h"].shape != shp:
+        raise PrimitiveError(f"Convolve: kernel shape {p['h'].shape} != input {shp}")
+    return shp
+
+
+def _encode_shape(p: dict, shp: tuple) -> tuple:
+    bad = [a for a in p["axes"] or () if not -len(shp) <= a < len(shp)]
+    if bad:
+        raise PrimitiveError(f"Encode: axes {bad} out of range for a {len(shp)}D input")
+    return shp
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One primitive kind.
+
+    ``params`` maps each parameter to its type tag and default, and
+    ``check(p)`` says what is wrong with the filled-in parameters, if
+    anything.  ``forward(blk, a)`` and ``adjoint(blk, a, input_shape)`` run a
+    :class:`PrimitiveBlock` over a (K, *shape) stack; a nonlinear kind has no
+    adjoint.  ``shape(p, in_shape)`` is the output shape or raises (None: the
+    input's shape), and ``implied_shape(p)`` the input shape ``p`` fixes.  A
+    ``complex_output`` kind returns complex128 on any input, and a graph
+    feeds a ``complex_input`` kind a complex field by default.
+    """
+
+    params: dict
+    forward: object
+    adjoint: object
+    check: object = None
+    shape: object = None
+    implied_shape: object = None
+    complex_input: bool = False
+    complex_output: bool = False
+
+
+_KINDS = {
+    PrimitiveKind.PROPAGATE: _Kind(
+        {"distance_m": ("float", _REQUIRED), "wavelength_m": ("float", _REQUIRED),
+         "pitch_m": ("float", _REQUIRED)},
+        lambda blk, a: _per_member(blk, _propagate, a),
+        lambda blk, a, _: _per_member(blk, lambda q, y: _propagate(q, y, conj=True), a),
+        check=lambda p: ("wavelength_m and pitch_m must be positive"
+                         if p["wavelength_m"] <= 0 or p["pitch_m"] <= 0 else None),
+        shape=_of_ndim(2, "Propagate: expects a 2D field"),
+        complex_input=True, complex_output=True),
+    PrimitiveKind.MODULATE: _Kind(
+        {"m": ("tensor", _REQUIRED), "pattern_stack": ("bool", False)},
+        lambda blk, a: blk.stacked("m") * (a[:, None] if blk.params["pattern_stack"] else a),
+        _modulate_adjoint, shape=_modulate_shape,
+        implied_shape=lambda p: p["m"].shape[1:] if p["pattern_stack"] else p["m"].shape),
+    PrimitiveKind.PROJECT: _Kind(
+        {"angles_deg": ("float_list", _REQUIRED), "n_det": ("int", _REQUIRED),
+         "cor_offset": ("float", 0.0)},
+        lambda blk, a: _per_member(blk, _radon_forward, a), _project_adjoint,
+        check=lambda p: ("angles_deg must be nonempty" if len(p["angles_deg"]) == 0 else
+                         "n_det must be >= 1" if p["n_det"] < 1 else None),
+        shape=_of_ndim(2, "Project: expects a 2D image",
+                       lambda p, shp: (len(p["angles_deg"]), p["n_det"]))),
+    PrimitiveKind.ENCODE: _Kind(
+        {"axes": ("int_list", None)},
+        lambda blk, a: np.fft.fftn(a, axes=_stack_axes(blk.params["axes"], a.ndim), norm="ortho"),
+        lambda blk, a, _: np.fft.ifftn(a, axes=_stack_axes(blk.params["axes"], a.ndim),
+                                       norm="ortho"),
+        shape=_encode_shape, complex_output=True),
+    PrimitiveKind.CONVOLVE: _Kind(
+        {"h": ("tensor", _REQUIRED)},
+        lambda blk, a: _convolve(blk, a, conj=False),
+        lambda blk, a, _: _convolve(blk, a, conj=True),
+        shape=_convolve_shape, implied_shape=lambda p: p["h"].shape),
+    PrimitiveKind.ACCUMULATE: _Kind(
+        {"axes": ("int_list", _REQUIRED), "input_shape": ("shape", _REQUIRED)},
+        lambda blk, a: a.sum(axis=_stack_axes(blk.params["axes"], a.ndim)),
+        _accumulate_adjoint,
+        check=lambda p: ("axes must be nonempty" if not p["axes"] else
+                         "duplicate axes" if len(set(p["axes"])) != len(p["axes"]) else
+                         "axis out of range for input_shape"
+                         if min(p["axes"]) < 0 or max(p["axes"]) >= len(p["input_shape"]) else None),
+        shape=_declared("Accumulate",
+                        lambda p, shp: tuple(s for i, s in enumerate(shp) if i not in p["axes"])),
+        implied_shape=lambda p: p["input_shape"]),
+    PrimitiveKind.DETECT: _Kind(
+        {"family": ("str", _REQUIRED), "g": ("float", _BY_FAMILY), "p2": ("float", _BY_FAMILY)},
+        lambda blk, a: _gains(blk, a) if blk.is_linear else _pointwise_block(blk, a),
+        lambda blk, a, _: _gains(blk, a)),  # the gains are real: conj(g) = g
+    PrimitiveKind.SAMPLE: _Kind(
+        {"omega": ("int_list", _REQUIRED), "input_shape": ("shape", _REQUIRED)},
+        lambda blk, a: a.reshape(len(a), -1)[:, _omega(blk)], _sample_adjoint,
+        check=lambda p: ("omega must be nonempty" if len(p["omega"]) == 0 else
+                         "duplicate indices in omega" if len(set(p["omega"])) != len(p["omega"]) else
+                         "omega index out of range"
+                         if min(p["omega"]) < 0 or max(p["omega"]) >= math.prod(p["input_shape"])
+                         else None),
+        shape=_declared("Sample", lambda p, shp: (len(p["omega"]),)),
+        implied_shape=lambda p: p["input_shape"]),
+    PrimitiveKind.DISPERSE: _Kind(
+        {"a1": ("float", _REQUIRED), "alpha_deg": ("float", 0.0)},
+        lambda blk, a: _disperse(blk, a, adjoint=False),
+        lambda blk, a, _: _disperse(blk, a, adjoint=True),
+        shape=_of_ndim(3, "Disperse: expects a 3D cube with bands on the last axis")),
+    PrimitiveKind.SCATTER: _Kind(
+        {"sigma": ("float", _REQUIRED), "shift": ("float", 0.0)},
+        lambda blk, a: _scatter_shift(blk, _scatter_blur(blk, a), 1.0),
+        lambda blk, a, _: _scatter_blur(blk, _scatter_shift(blk, a, -1.0)),
+        check=lambda p: "sigma must be >= 0" if p["sigma"] < 0 else None,
+        shape=_of_ndim(2, "Scatter: expects a 2D array")),
+    PrimitiveKind.TRANSFORM: _Kind(
+        {"family": ("str", _REQUIRED), "alpha": ("float", _BY_FAMILY), "g": ("float", _BY_FAMILY),
+         "x0": ("float", _BY_FAMILY), "coeffs": ("float_list", _BY_FAMILY),
+         "lo": ("float", _BY_FAMILY), "hi": ("float", _BY_FAMILY)},
+        _pointwise_block, None),
+}
+
+
+# ---------------------------------------------------------------------------
+# forward / adjoint / shape / dtype
 
 
 def prim_forward(prim: PrimitiveInstance, a: np.ndarray) -> np.ndarray:
@@ -777,8 +819,8 @@ def prim_forward(prim: PrimitiveInstance, a: np.ndarray) -> np.ndarray:
     overflow, real-only families).  A lone primitive is the block of one.
     """
     if isinstance(prim, PrimitiveBlock):
-        return _block_forward(prim, a)
-    return _block_forward(PrimitiveBlock([prim]), a[None])[0]
+        return _KINDS[prim.kind].forward(prim, a)
+    return _KINDS[prim.kind].forward(PrimitiveBlock([prim]), a[None])[0]
 
 
 def prim_adjoint(prim: PrimitiveInstance, a: np.ndarray, input_shape=None) -> np.ndarray:
@@ -795,89 +837,38 @@ def prim_adjoint(prim: PrimitiveInstance, a: np.ndarray, input_shape=None) -> np
             + (f" (family {prim.params.get('family')!r})" if "family" in prim.params else "")
         )
     if isinstance(prim, PrimitiveBlock):
-        return _block_adjoint(prim, a, input_shape)
-    return _block_adjoint(PrimitiveBlock([prim]), a[None], input_shape)[0]
-
-
-# ---------------------------------------------------------------------------
-# shape / dtype propagation
+        return _KINDS[prim.kind].adjoint(prim, a, input_shape)
+    return _KINDS[prim.kind].adjoint(PrimitiveBlock([prim]), a[None], input_shape)[0]
 
 
 def prim_output_shape(prim: PrimitiveInstance, input_shape) -> tuple[int, ...]:
     """Output shape of ``prim`` on ``input_shape``, or :class:`PrimitiveError`.
 
-    The only statement of each kind's shape rule: graph compile and
+    Each kind's rule is its ``_KINDS`` record's: graph compile and
     :func:`dot_product_test` apply it before any kernel runs.
     """
-    p = prim.params
-    k = prim.kind
     shp = tuple(int(s) for s in input_shape)
-    if k == PrimitiveKind.MODULATE:
-        m = p["m"]
-        if p["pattern_stack"]:
-            if m.ndim == len(shp) + 1 and m.shape[1:] == shp:
-                return m.shape
-            raise PrimitiveError(f"Modulate: pattern stack {m.shape} incompatible with input {shp}")
-        if m.shape == shp:
-            return shp
-        raise PrimitiveError(f"Modulate: mask shape {m.shape} != input {shp}")
-    if k == PrimitiveKind.PROJECT:
-        if len(shp) != 2:
-            raise PrimitiveError("Project: expects a 2D image")
-        return (len(p["angles_deg"]), p["n_det"])
-    if k == PrimitiveKind.ACCUMULATE:
-        if list(shp) != p["input_shape"]:
-            raise PrimitiveError(f"Accumulate: input shape {shp} != declared {tuple(p['input_shape'])}")
-        return tuple(s for i, s in enumerate(shp) if i not in p["axes"])
-    if k == PrimitiveKind.SAMPLE:
-        if list(shp) != p["input_shape"]:
-            raise PrimitiveError(f"Sample: input shape {shp} != declared {tuple(p['input_shape'])}")
-        return (len(p["omega"]),)
-    if k == PrimitiveKind.CONVOLVE:
-        if p["h"].shape != shp:
-            raise PrimitiveError(f"Convolve: kernel shape {p['h'].shape} != input {shp}")
-        return shp
-    if k in (PrimitiveKind.PROPAGATE,):
-        if len(shp) != 2:
-            raise PrimitiveError("Propagate: expects a 2D field")
-        return shp
-    if k == PrimitiveKind.DISPERSE:
-        if len(shp) != 3:
-            raise PrimitiveError("Disperse: expects a 3D cube with bands on the last axis")
-        return shp
-    if k == PrimitiveKind.SCATTER:
-        if len(shp) != 2:
-            raise PrimitiveError("Scatter: expects a 2D array")
-        return shp
-    if k == PrimitiveKind.ENCODE and p["axes"] is not None:
-        bad = [a for a in p["axes"] if not -len(shp) <= a < len(shp)]
-        if bad:
-            raise PrimitiveError(f"Encode: axes {bad} out of range for a {len(shp)}D input")
-    return shp
+    rule = _KINDS[prim.kind].shape
+    return rule(prim.params, shp) if rule else shp
 
 
 def prim_output_dtype(prim: PrimitiveInstance, input_dtype: str) -> str:
-    k = prim.kind
+    """Output dtype of ``prim`` on ``input_dtype``, or :class:`PrimitiveError`
+    for complex input into a family that takes real input only.
+
+    A complex tensor parameter (Modulate's ``m``, Convolve's ``h``) makes the
+    output complex, and every nonlinear family's output is real.
+    """
     p = prim.params
-    if k in (PrimitiveKind.ENCODE, PrimitiveKind.PROPAGATE):
+    if _KINDS[prim.kind].complex_output or any(
+            isinstance(v, Tensor) and v.dtype == "complex128" for v in p.values()):
         return "complex128"
-    if k == PrimitiveKind.MODULATE and p["m"].dtype == "complex128":
-        return "complex128"
-    if k == PrimitiveKind.CONVOLVE and p["h"].dtype == "complex128":
-        return "complex128"
-    if "family" in p and _FAMILIES[k, p["family"]].real_output:
-        return "real64"
-    return input_dtype
-
-
-def prim_input_dtype(prim: PrimitiveInstance) -> str:
-    """Natural domain dtype used when drawing certification probes."""
-    if prim.kind == PrimitiveKind.PROPAGATE:
-        return "complex128"
-    for v in prim.params.values():
-        if isinstance(v, Tensor) and v.dtype == "complex128":
-            return "complex128"
-    return "real64"
+    if "family" not in p:
+        return input_dtype
+    fam = _FAMILIES[prim.kind, p["family"]]
+    if fam.real_input and input_dtype == "complex128":
+        raise PrimitiveError(f"{_family_name(prim.kind, p)} requires real input")
+    return input_dtype if fam.linear else "real64"
 
 
 # ---------------------------------------------------------------------------
@@ -933,9 +924,10 @@ def dot_product_test(prim: PrimitiveInstance, input_shape, n_trials: int = 5, se
     if not prim.is_linear:
         raise PrimitiveError(f"dot_product_test: {prim.kind.value} is not linear")
     in_shape = tuple(int(s) for s in input_shape)
-    in_dtype = prim_input_dtype(prim)
     out_shape = prim_output_shape(prim, in_shape)
-    out_dtype = prim_output_dtype(prim, in_dtype)
+    # both probes take the output's dtype on real input: complex probes exercise
+    # the conjugation path of a kind with complex output even on a real domain
+    dtype = prim_output_dtype(prim, "real64")
 
     # Tensor-wrapped probes: a non-finite output raises instead of passing
     def fwd(x):
@@ -944,7 +936,4 @@ def dot_product_test(prim: PrimitiveInstance, input_shape, n_trials: int = 5, se
     def adj(y):
         return Tensor(prim_adjoint(prim, y.numpy(), input_shape=in_shape))
 
-    # complex probes exercise the conjugation path even for real-domain kinds
-    if prim.kind in (PrimitiveKind.ENCODE,):
-        in_dtype = "complex128"
-    return _dot_test_report(fwd, adj, in_shape, in_dtype, out_shape, out_dtype, n_trials, seed)
+    return _dot_test_report(fwd, adj, in_shape, dtype, out_shape, dtype, n_trials, seed)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import yaml
 
-from .primitives import _SCHEMAS, PrimitiveKind
+from .primitives import _FAMILIES, _KINDS, PrimitiveKind
 from .tensor import CodedError
 
 _REQUIRED_THRESHOLDS = {
@@ -91,12 +91,21 @@ def _validate(reg: Registry) -> None:
             f"primitive catalog mismatch: missing {sorted(missing)}, extra {sorted(extra)}",
         )
     for kind_name, entry in reg.primitives.items():
+        kind = PrimitiveKind(kind_name)
         declared = entry.get("params", {})
-        builtin = {name: tag for name, (tag, _) in _SCHEMAS[PrimitiveKind(kind_name)].items()}
+        builtin = {name: tag for name, (tag, _) in _KINDS[kind].params.items()}
         if declared != builtin:
             raise RegistryError(
                 "UNKNOWN_PRIMITIVE",
                 f"{kind_name}: registry params {declared} != schema {builtin}",
+            )
+        # true for a kind without families, else <its linear family>_only, or false
+        linear = "_".join(f for (k, f), fam in _FAMILIES.items() if k == kind and fam.linear)
+        linear = f"{linear}_only" if linear else "family" not in builtin
+        if entry.get("linear") != linear:
+            raise RegistryError(
+                "UNKNOWN_PRIMITIVE",
+                f"{kind_name}: registry linear {entry.get('linear')!r} != schema {linear!r}",
             )
     for name, entry in reg.templates.items():
         dag = entry.get("dag")

@@ -64,6 +64,17 @@ class TestCompile:
         assert "BAD_PARAM" in err
         assert "Transform.saturation: unknown parameter 'alpha'" in err
 
+    def test_complex_input_into_real_input_family_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "wrap.yaml"
+        path.write_text(serialize_spec(make_spec(
+            [{"node_id": "t", "primitive_id": "Transform", "params": {"family": "phase_wrap"}}],
+            [], {"input_shape": [4, 4], "input_dtype": "complex128"},
+        )))
+        assert main(["compile", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "BAD_PARAM" in err
+        assert "node 't': Transform.phase_wrap requires real input" in err
+
 
 class TestAdjointCheck:
     def test_linear_template_passes(self, ct_spec, capsys):

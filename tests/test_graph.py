@@ -139,6 +139,21 @@ class TestValidation:
             compile_graph(spec)
         assert e.value.code == "BAD_PARAM"
 
+    @pytest.mark.parametrize("nodes,edges,metadata", [
+        # a complex graph input into a real-input Transform family
+        ([{"node_id": "t", "primitive_id": "Transform", "params": {"family": "phase_wrap"}}],
+         [], {"input_shape": [4, 4], "input_dtype": "complex128"}),
+        # a complex node output (Encode's) into a real-input Detect family
+        ([{"node_id": "f", "primitive_id": "Encode", "params": {}},
+          {"node_id": "t", "primitive_id": "Detect", "params": {"family": "sigmoid"}}],
+         [("f", "t")], {"input_shape": [4, 4]}),
+    ])
+    def test_complex_input_into_real_input_family_rejected_at_compile(self, nodes, edges, metadata):
+        family = nodes[-1]["primitive_id"] + "." + nodes[-1]["params"]["family"]
+        with pytest.raises(GraphError, match=f"node 't': {family} requires real input") as e:
+            compile_graph(make_spec(nodes, edges, metadata))
+        assert e.value.code == "BAD_PARAM"
+
     def test_encode_axis_out_of_range_names_node(self):
         with pytest.raises(GraphError, match="node 'enc'.*out of range") as e:
             compile_graph(encode_spec([5]))

@@ -18,7 +18,7 @@ from opgraph.calibration import CalibConfig, calibrate_alg1
 from opgraph.graph import adjoint_check_graph, compile_graph
 from opgraph.primitives import (
     _FAMILIES,
-    _SCHEMAS,
+    _KINDS,
     PrimitiveError,
     PrimitiveKind,
     _dot_test_report,
@@ -639,7 +639,7 @@ class TestFamilies:
     def test_at_most_two_scalar_parameters(self, kind, params):
         kind = PrimitiveKind(kind)
         taken = _FAMILIES[kind, params["family"]].params
-        scalars = [name for name in taken if _SCHEMAS[kind][name][0] == "float"]
+        scalars = [name for name in taken if _KINDS[kind].params[name][0] == "float"]
         assert len(scalars) <= 2
         assert set(taken) - set(scalars) == ({"coeffs"} if params["family"] == "polynomial" else set())
 
@@ -668,12 +668,32 @@ class TestShapeContract:
         # uniform on (0, 1) lies inside every family's domain
         self._agree(make_primitive(kind, params), Rng(3).uniform((6, 5)))
 
+    # the cases the draws above leave out: kind, params, input seed and shape
+    _FIXED = (
+        ("Disperse", {"a1": 0.7, "alpha_deg": 20.0}, 4, (6, 5, 3)),
+        ("Modulate", {"m": tensor(Rng(5).standard_normal((4, 6, 5))), "pattern_stack": True},
+         6, (6, 5)),
+    )
+
     def test_disperse_and_pattern_stack(self):
-        self._agree(make_primitive("Disperse", {"a1": 0.7, "alpha_deg": 20.0}),
-                    Rng(4).standard_normal((6, 5, 3)))
-        m = tensor(Rng(5).standard_normal((4, 6, 5)))
-        self._agree(make_primitive("Modulate", {"m": m, "pattern_stack": True}),
-                    Rng(6).standard_normal((6, 5)))
+        for kind, params, seed, shape in self._FIXED:
+            self._agree(make_primitive(kind, params), Rng(seed).standard_normal(shape))
+
+    def test_cases_cover_every_kind(self):
+        drawn = {_random_linear_prim(key, (6, 5)).kind for key in range(8)}
+        listed = {PrimitiveKind(kind) for kind, *_ in _POINTWISE + list(self._FIXED)}
+        assert drawn | listed == set(PrimitiveKind)
+
+
+class TestKinds:
+    """``_KINDS`` holds one record per kind, and only Transform has no adjoint."""
+
+    def test_one_record_per_kind(self):
+        assert set(_KINDS) == set(PrimitiveKind)
+
+    def test_only_transform_has_no_block_adjoint(self):
+        assert [kind for kind, record in _KINDS.items() if record.adjoint is None] == [
+            PrimitiveKind.TRANSFORM]
 
 
 class TestAdjointCertification:

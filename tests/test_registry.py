@@ -139,6 +139,20 @@ def test_primitive_param_type_tag_must_match_schema(tmp_path):
     assert exc.value.code == "UNKNOWN_PRIMITIVE"
 
 
+@pytest.mark.parametrize("kind,linear", [
+    ("Transform", True), ("Detect", True), ("Detect", False), ("Modulate", False),
+    ("Modulate", "linear_field_only"),
+])
+def test_primitive_linear_field_must_match_the_kind(tmp_path, kind, linear):
+    _write_default(tmp_path)
+    doc = yaml.safe_load((tmp_path / "primitives.yaml").read_text())
+    doc[kind]["linear"] = linear
+    (tmp_path / "primitives.yaml").write_text(yaml.safe_dump(doc))
+    with pytest.raises(RegistryError, match=f"{kind}: registry linear") as exc:
+        load_registry(tmp_path)
+    assert exc.value.code == "UNKNOWN_PRIMITIVE"
+
+
 def test_zero_width_range(tmp_path):
     _write_default(tmp_path)
     doc = yaml.safe_load((tmp_path / "mismatch.yaml").read_text())
