@@ -255,6 +255,9 @@ def _gauss_blur_circular(x: np.ndarray, sigma: float, axis: int) -> np.ndarray:
 # to [-_GUARD, n_det] and its upper neighbour both land in a guard bin whenever
 # the detector does not hold them, so the kernels need no validity mask.
 _GUARD = 2
+# rays (angle-pixel pairs) per angle chunk of the Radon kernels; at 90 angles a
+# size-16 image is one chunk and a size-48 one is chunks of 14 angles
+_RAY_ELEMENTS = 32768
 
 
 @lru_cache(maxsize=8)
@@ -281,82 +284,108 @@ def _radon_factors(angles_key: tuple, shape: tuple):
 def _radon_geometry(angles_key: tuple, n_det: int, cor_offset: float, shape: tuple):
     """Pixel-driven projection tables for every (angle, pixel) pair.
 
-    Returns ``(bins, frac)``.  ``bins[0]`` and ``bins[1]``, each shaped
-    (angles, h, w) like ``frac``, are the flat bins of the lower and upper
-    detector neighbour in an (angles, n_det + 2 * _GUARD) padded sinogram
-    whose detector holds columns _GUARD .. _GUARD + n_det - 1.  ``frac`` is
+    Returns ``(lower, frac)``, both shaped (angles, h, w).  ``lower`` holds
+    the flat bin of each ray's lower detector neighbour in an (angles,
+    n_det + 2 * _GUARD) padded sinogram whose detector holds columns
+    _GUARD .. _GUARD + n_det - 1; the upper neighbour is the next bin, which
+    the kernels read by indexing the sinogram shifted by one element
+    (``flat[1:][lower]``) rather than by storing ``lower + 1``.  ``frac`` is
     the upper neighbour's weight.
 
-    Only the table in use is kept (24 B per pair: 552,960 B at size 16, 90
+    Only the table in use is kept (16 B per pair: 368,640 B at size 16, 90
     angles).  A solve looks the same table up on every forward and adjoint,
     but calibration scores each centre-of-rotation once, so older tables are
     never hit again.  Hits / lookups per perfbench round at seed 11, eight
     entries against one: calib16 0 / 331 and 0 / 331, protocol16 44 / 84 and
-    22 / 84, recon48 11 / 11 and 11 / 11.  On calib16 and protocol16 eight
-    entries held 4.4 MB; one holds 0.55 MB.  The new table is built before
-    the old one is dropped, so the heap keeps its pages and nothing refaults.
+    22 / 84, recon48 11 / 11 and 11 / 11.  The new table is built before the
+    old one is dropped, so the heap keeps its pages and nothing refaults.
 
-    Both arrays handed out are read-only.  ``bins`` is a read-only view of a
-    writable int64 table that no caller receives: ``np.bincount`` copies a
-    read-only index array (3.3 MB per forward at size 48, with a page fault
-    per fresh page), so ``_radon_forward`` passes it the owner,
-    ``bins.base``, which bincount only reads.
+    Both arrays handed out are read-only views of one writable (2, angles,
+    h, w) int64 block that no caller receives, the weights viewed as
+    float64: ``np.take`` copies a read-only index array, so
+    ``_radon_adjoint`` passes it slices of the owner's first half,
+    ``lower.base[0]``, which it only reads.  One block, not two arrays: in
+    calibration, which builds a table per call, two half-size arrays left
+    the heap trimmed and refaulted by about 74 pages per size-16 adjoint.
+    The kernels work through the angles in chunks of at most
+    ``_RAY_ELEMENTS`` rays (``_radon_chunks``), so a call holds one chunk's
+    buffers, not the table's.
     """
     colpart, rowpart = _radon_factors(angles_key, shape)
     dc = (n_det - 1) / 2.0
+    # one block holds the int64 bins, then the float64 weights
+    block = np.empty((2, len(angles_key)) + tuple(shape), dtype=np.int64)
+    table, t = block[0], block[1].view(np.float64)
     # t = (c - cc_c) cos + (r - cc_r) sin + dc + cor_offset, summed left to right
-    t = colpart + rowpart
+    np.add(colpart, rowpart, out=t)
     t += dc
     t += cor_offset
     row = n_det + 2 * _GUARD
-    table = np.empty((2,) + t.shape, dtype=np.int64)
-    i0 = table[0]
-    np.floor(t, out=i0, casting="unsafe")
-    frac = np.subtract(t, i0, out=t)
-    np.clip(i0, -_GUARD, n_det, out=i0)
-    i0 += _GUARD + row * np.arange(len(angles_key), dtype=np.int64)[:, None, None]
-    np.add(i0, 1, out=table[1])
-    bins = table.view()
-    bins.setflags(write=False)
+    np.floor(t, out=table, casting="unsafe")
+    frac = np.subtract(t, table, out=t)
+    np.clip(table, -_GUARD, n_det, out=table)
+    table += _GUARD + row * np.arange(len(angles_key), dtype=np.int64)[:, None, None]
+    lower = table.view()
+    lower.setflags(write=False)
     frac.setflags(write=False)
-    return bins, frac
+    return lower, frac
+
+
+def _radon_chunks(frac: np.ndarray):
+    """Angle slices of at most ``_RAY_ELEMENTS`` rays each (at least one angle)."""
+    n_angles, h, w = frac.shape
+    step = max(1, _RAY_ELEMENTS // (h * w))
+    return [slice(a, min(a + step, n_angles)) for a in range(0, n_angles, step)]
 
 
 def _radon_forward(p: dict, x: np.ndarray) -> np.ndarray:
-    n_det, n_angles = p["n_det"], len(p["angles_deg"])
-    bins, frac = _radon_geometry(tuple(p["angles_deg"]), n_det, p["cor_offset"], x.shape)
-    c = np.empty(bins.shape, dtype=np.result_type(frac, x))
-    np.subtract(1.0, frac, out=c[0])
-    np.multiply(c[0], x, out=c[0])
-    np.multiply(frac, x, out=c[1])
-    # one bincount adds the lower then the upper contributions in input order
-    # from 0.0, as two sequential np.add.at calls would; it reads the writable
-    # owner of ``bins``, since it would copy a read-only index array
-    flat_bins = bins.base.reshape(-1)
-    size = n_angles * (n_det + 2 * _GUARD)
-
-    def scatter(weights):
-        sino = np.bincount(flat_bins, weights.reshape(-1), minlength=size)
-        return sino.reshape(n_angles, -1)[:, _GUARD:_GUARD + n_det]
-
-    if np.iscomplexobj(c):
-        y = np.empty((n_angles, n_det), dtype=c.dtype)
-        y.real = scatter(c.real)
-        y.imag = scatter(c.imag)
-        return y
-    return np.ascontiguousarray(scatter(c))
+    n_det = p["n_det"]
+    lower, frac = _radon_geometry(tuple(p["angles_deg"]), n_det, p["cor_offset"], x.shape)
+    chunks = _radon_chunks(frac)
+    c = np.empty((chunks[0].stop,) + x.shape, dtype=np.result_type(frac, x))
+    sino = np.zeros((len(frac), n_det + 2 * _GUARD), dtype=c.dtype)
+    flat = sino.reshape(-1)
+    for a in chunks:
+        # angles own disjoint sinogram rows, and np.add.at adds in ray order:
+        # each bin sums from 0.0 its lower contributions, then its upper ones
+        idx, f, w = lower[a].reshape(-1), frac[a], c[:a.stop - a.start]
+        np.subtract(1.0, f, out=w)
+        np.multiply(w, x, out=w)
+        np.add.at(flat, idx, w.reshape(-1))
+        np.multiply(f, x, out=w)
+        np.add.at(flat[1:], idx, w.reshape(-1))
+    return sino[:, _GUARD:_GUARD + n_det].copy()
 
 
 def _radon_adjoint(p: dict, y: np.ndarray, image_shape: tuple) -> np.ndarray:
     n_det = p["n_det"]
-    bins, frac = _radon_geometry(tuple(p["angles_deg"]), n_det, p["cor_offset"], image_shape)
-    padded = np.zeros((len(p["angles_deg"]), n_det + 2 * _GUARD), dtype=y.dtype)
+    lower, frac = _radon_geometry(tuple(p["angles_deg"]), n_det, p["cor_offset"], image_shape)
+    padded = np.zeros((len(frac), n_det + 2 * _GUARD), dtype=y.dtype)
     padded[:, _GUARD:_GUARD + n_det] = y
-    g = padded.reshape(-1)[bins]
-    np.multiply(1.0 - frac, g[0], out=g[0])
-    np.multiply(frac, g[1], out=g[1])
-    np.add(g[0], g[1], out=g[0])
-    return g[0].sum(axis=0)
+    flat = padded.reshape(-1)
+    chunks = _radon_chunks(frac)
+    # each chunk's upper gathers sit just before its rows; once added in, the
+    # last of them carries the sum of the earlier chunks, so adding the rows in
+    # order from there sums the angles in order, as one sum over all of them did
+    step = chunks[0].stop
+    buf = np.empty((2 * step,) + tuple(image_shape), dtype=y.dtype)
+    out = None
+    for a in chunks:
+        k = a.stop - a.start
+        hi, g, idx, f = buf[step - k:step], buf[step:step + k], lower.base[0, a], frac[a]
+        # mode="clip" gathers without a buffer; every index is in range
+        np.take(flat, idx, out=g, mode="clip")
+        np.subtract(1.0, f, out=hi)
+        np.multiply(hi, g, out=g)
+        np.take(flat[1:], idx, out=hi, mode="clip")
+        np.multiply(f, hi, out=hi)
+        np.add(g, hi, out=g)
+        if out is None:  # no running sum yet: the sum starts as one over all angles does
+            out = np.add.reduce(g, axis=0)
+        else:
+            buf[step - 1] = out
+            np.add.reduce(buf[step - 1:step + k], axis=0, out=out)
+    return out
 
 
 def _fresnel_tf(p: dict, shape: tuple) -> np.ndarray:
@@ -781,7 +810,7 @@ _KINDS = {
     PrimitiveKind.SAMPLE: _Kind(
         {"omega": ("int_list", _REQUIRED), "input_shape": ("shape", _REQUIRED)},
         lambda blk, a: a.reshape(len(a), -1)[:, _omega(blk)], _sample_adjoint,
-        check=lambda p: ("omega must be nonempty" if len(p["omega"]) == 0 else
+        check=lambda p: ("omega must be nonempty" if not p["omega"] else
                          "duplicate indices in omega" if len(set(p["omega"])) != len(p["omega"]) else
                          "omega index out of range"
                          if min(p["omega"]) < 0 or max(p["omega"]) >= math.prod(p["input_shape"])

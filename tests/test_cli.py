@@ -75,6 +75,18 @@ class TestCompile:
         assert "BAD_PARAM" in err
         assert "node 't': Transform.phase_wrap requires real input" in err
 
+    def test_sample_with_null_omega_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "sample.yaml"
+        path.write_text(serialize_spec(make_spec(
+            [{"node_id": "s", "primitive_id": "Sample",
+              "params": {"omega": None, "input_shape": [4, 4]}}],
+            [], {"input_shape": [4, 4]},
+        )))
+        assert main(["compile", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "BAD_PARAM" in err
+        assert "node 's': Sample: omega must be nonempty" in err
+
 
 class TestAdjointCheck:
     def test_linear_template_passes(self, ct_spec, capsys):

@@ -22,6 +22,8 @@ from opgraph.primitives import (
     PrimitiveError,
     PrimitiveKind,
     _dot_test_report,
+    _radon_adjoint,
+    _radon_chunks,
     _radon_forward,
     _radon_geometry,
     dot_product_test,
@@ -151,6 +153,12 @@ class TestAccumulateSample:
         with pytest.raises(PrimitiveError, match="duplicate"):
             make_primitive("Sample", {"omega": [1, 1], "input_shape": [4]})
 
+    @pytest.mark.parametrize("omega", [None, []])
+    def test_sample_empty_omega_rejected(self, omega):
+        # an int_list may be null, as Accumulate's axes may
+        with pytest.raises(PrimitiveError, match="Sample: omega must be nonempty"):
+            make_primitive("Sample", {"omega": omega, "input_shape": [4]})
+
 
 class TestEncode:
     def test_matches_dft_matrix(self):
@@ -242,18 +250,21 @@ class TestProject:
         infs.flat[0], infs.flat[-1] = np.inf, -np.inf
         return real, signed_zeros, -np.zeros(shape), cplx, infs
 
-    @pytest.mark.parametrize("size", [8, 9, 16, 64])
+    @pytest.mark.parametrize("size", [8, 9, 16, 64, 48, pytest.param((33, 17), id="33x17")])
     @pytest.mark.parametrize("n_angles", [1, 7, 90])
     def test_bytes_match_reference(self, size, n_angles):
         # the table-driven kernels against masked np.add.at / np.where forms;
-        # an odd size puts t on integers at cor_offset 0 and 1, an even one at 0.5
-        rng = np.random.default_rng(size * 100 + n_angles)
+        # an odd size puts t on integers at cor_offset 0 and 1, an even one at 0.5.
+        # At 90 angles sizes 48 and 64 and the 33x17 shape span several angle
+        # chunks, the last one shorter than the rest.
+        shape = (size, size) if isinstance(size, int) else size
+        rng = np.random.default_rng(shape[0] * 100 + n_angles)
         angles = [180.0 * k / n_angles for k in range(n_angles)]
-        n_det = math.ceil(math.sqrt(2.0) * size) + 9 | 1
+        n_det = math.ceil(math.sqrt(2.0) * max(shape)) + 9 | 1
         cors = (0.0, -0.0, 0.5, 1.0, -1.25, 0.37, 4.0, -4.0, 30.0, -30.0)
-        if size == 64 and n_angles == 90:
-            cors = (0.0, 0.5, -4.0)
-        inputs = self._inputs((size, size), rng)
+        if max(shape) >= 48 and n_angles == 90:
+            cors = (0.0, 0.5, -4.0) if size == 64 else (0.0, -0.0, 0.5, -4.0)
+        inputs = self._inputs(shape, rng)
         for n_det, cor in [(n_det, c) for c in cors] + [(3, 0.0), (3, 30.0), (1, 0.5)]:
             p = make_primitive("Project", {"angles_deg": angles, "n_det": n_det, "cor_offset": cor})
             for x in inputs:
@@ -266,6 +277,11 @@ class TestProject:
                     back = prim_adjoint(p, y, input_shape=x.shape)
                     ref = radon_adjoint_reference(p.params, y, x.shape)
                     assert back.dtype == ref.dtype and back.tobytes() == ref.tobytes(), (n_det, cor, y.dtype)
+            # signed zeros into the adjoint, real and complex
+            for y in (-np.zeros((n_angles, n_det)), np.full((n_angles, n_det), complex(-0.0, -0.0))):
+                back = prim_adjoint(p, y, input_shape=shape)
+                ref = radon_adjoint_reference(p.params, y, shape)
+                assert back.dtype == ref.dtype and back.tobytes() == ref.tobytes(), (n_det, cor, y.dtype)
 
     @pytest.mark.parametrize("shape", [(8, 8), (11, 11), (16, 16), (48, 48), (9, 14), (33, 17)])
     @pytest.mark.parametrize("n_angles", [1, 7, 90])
@@ -276,33 +292,54 @@ class TestProject:
         n_det = math.ceil(math.sqrt(2.0) * max(shape)) + 9 | 1
         for det, cor in [(n_det, c) for c in (0.0, -0.0, 0.5, -1.25, 0.37, 4.0, -30.0)] + [(4, 1.0)]:
             for build in (_radon_geometry.__wrapped__, _radon_geometry):
-                bins, frac = build(angles, det, cor, shape)
+                lower, frac = build(angles, det, cor, shape)
                 ref_bins, ref_frac = radon_geometry_reference(angles, det, cor, shape)
-                assert bins.dtype == ref_bins.dtype and bins.tobytes() == ref_bins.tobytes()
+                # the kernels read the upper neighbour as the next bin
+                assert np.array_equal(ref_bins[1], ref_bins[0] + 1)
+                assert lower.dtype == ref_bins.dtype and lower.tobytes() == ref_bins[0].tobytes()
                 assert frac.dtype == ref_frac.dtype and frac.tobytes() == ref_frac.tobytes()
-                assert frac.shape == ref_frac.shape == (n_angles,) + shape
+                assert lower.shape == frac.shape == ref_frac.shape == (n_angles,) + shape
 
     def test_geometry_arrays_are_read_only(self):
-        bins, frac = _radon_geometry((0.0, 45.0, 90.0), 13, 0.5, (8, 8))
-        assert not bins.flags.writeable and not frac.flags.writeable
+        lower, frac = _radon_geometry((0.0, 45.0, 90.0), 13, 0.5, (8, 8))
+        assert not lower.flags.writeable and not frac.flags.writeable
         with pytest.raises(ValueError):
-            bins[0, 0, 0, 0] = 0
+            lower[0, 0, 0] = 0
+
+    @staticmethod
+    def _traced_peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     def test_forward_does_not_copy_its_table(self):
-        # np.bincount copies a read-only index array; the forward must hand
-        # it the table's writable owner.  Its own weight buffer is as large
-        # as ``bins``, so a copy of the table would lift the peak past 2x.
+        # the forward works through the angles in chunks and holds one
+        # chunk's weights, as large as that chunk of ``lower`` (a seventh of
+        # it here), so a copy of the chunk's index would lift the peak past
+        # two chunks
         p = instantiate("ct", 48).operator()._prims["proj"].params
         x = Rng(3).uniform((48, 48))
         _radon_forward(p, x)  # builds the cached table outside the traced call
-        bins, _ = _radon_geometry(tuple(p["angles_deg"]), p["n_det"], p["cor_offset"], x.shape)
-        tracemalloc.start()
-        try:
-            _radon_forward(p, x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * bins.nbytes
+        lower, frac = _radon_geometry(tuple(p["angles_deg"]), p["n_det"], p["cor_offset"], x.shape)
+        chunk = lower[_radon_chunks(frac)[0]]
+        assert len(_radon_chunks(frac)) == 7
+        assert self._traced_peak(lambda: _radon_forward(p, x)) < 2 * chunk.nbytes
+
+    def test_adjoint_holds_no_table_sized_transient(self):
+        # the adjoint gathers one angle chunk at a time, so one call holds
+        # far less than the table's own ``frac``: two chunks of gathers and
+        # the padded sinogram.  np.take copies a read-only index, so a copy of
+        # a chunk's index would lift the peak past 2.5 chunks.
+        p = instantiate("ct", 48).operator()._prims["proj"].params
+        y = Rng(4).standard_normal((len(p["angles_deg"]), p["n_det"]))
+        _radon_adjoint(p, y, (48, 48))  # builds the cached table outside the traced call
+        _, frac = _radon_geometry(tuple(p["angles_deg"]), p["n_det"], p["cor_offset"], (48, 48))
+        chunk = frac[_radon_chunks(frac)[0]]
+        peak = self._traced_peak(lambda: _radon_adjoint(p, y, (48, 48)))
+        assert peak < frac.nbytes and peak < 2.5 * chunk.nbytes
 
     def test_calibration_keeps_one_table(self):
         # calibration scores each centre-of-rotation once; only the table in

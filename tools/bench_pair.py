@@ -31,7 +31,11 @@ TV-solved template at sizes 16 and 32, seeds 0-2, on each commit, with the
 head's drift from the base, ``src_lines`` the line count of
 ``src/opgraph/*.py`` of each commit, and ``block_kernels`` times, on the
 head, each node kind's block kernel against its K solo calls at
-K = 1, 2, 8 and 32, with whether their bytes agree.
+K = 1, 2, 8 and 32, with whether their bytes agree.  ``radon_kernels`` gives, on
+each commit, in ten alternating pairs, the ct Radon table's bytes and the
+tracemalloc peak, best time and output hash of one forward, one adjoint and one
+table build plus adjoint at sizes 16 and 48, and the ct template's adjoint
+certificates at sizes 8, 16 and 64.
 Where a case's files differ, each file's largest absolute numeric drift is
 recorded with the field it occurs in, over all fields but the eval counts
 that ``counts`` holds, over the PSNR fields and under each top-level key, with every field that differs otherwise
@@ -483,6 +487,108 @@ print(json.dumps(out))
 """
 
 
+# Measures, in one process per commit, the ct Radon kernels at sizes 16 and 48
+# (the template's angles, detector and nominal offset): the bytes of the cached
+# table, and the tracemalloc peak and best-of-5 seconds of one forward and one
+# adjoint on that cached table and of one table build plus adjoint.  It reads
+# only names both commits have, so the two rows show where the peak went; each
+# row also gives the SHA-256 of its output.  ``adjoint_reports`` are the ct
+# template's dot-product certificates at sizes 8, 16 and 64.
+RADON_KERNELS = """
+import hashlib, json, time, tracemalloc
+from dataclasses import asdict
+import numpy as np
+from opgraph.graph import adjoint_check_graph
+from opgraph.primitives import _radon_adjoint, _radon_forward, _radon_geometry
+from opgraph.templates import instantiate
+from opgraph.tensor import Rng
+
+def best(fn):
+    n = 1
+    while True:
+        start = time.perf_counter()
+        for _ in range(n):
+            fn()
+        if time.perf_counter() - start > 0.02 or n >= 4096:
+            break
+        n *= 2
+    runs = []
+    for _ in range(5):
+        start = time.perf_counter()
+        for _ in range(n):
+            fn()
+        runs.append((time.perf_counter() - start) / n)
+    return min(runs)
+
+def peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+out = {}
+for size in (16, 48):
+    p = instantiate("ct", size).operator()._prims["proj"].params
+    shape = (size, size)
+    key = (tuple(p["angles_deg"]), p["n_det"], p["cor_offset"], shape)
+    x = Rng(3).uniform(shape)
+    y = Rng(4).standard_normal((len(p["angles_deg"]), p["n_det"]))
+
+    def build_adjoint():
+        _radon_geometry.cache_clear()
+        return _radon_adjoint(p, y, shape)
+
+    calls = {"forward": lambda: _radon_forward(p, x), "adjoint": lambda: _radon_adjoint(p, y, shape),
+             "build_adjoint": build_adjoint}
+    row = {"table_bytes": sum(a.nbytes for a in _radon_geometry(*key))}
+    for name, fn in calls.items():
+        fn()
+        if name != "build_adjoint":
+            _radon_geometry(*key)  # the cached table, outside the traced call
+        else:
+            _radon_geometry.cache_clear()
+        nbytes, result = peak(fn)
+        row[name] = {"peak_bytes": nbytes, "best_us": best(fn) * 1e6,
+                     "sha256": hashlib.sha256(result.tobytes()).hexdigest()}
+    out[f"ct{size}"] = row
+out["adjoint_reports"] = {
+    str(size): asdict(adjoint_check_graph(instantiate("ct", size).operator(), n_trials=5, seed=0))
+    for size in (8, 16, 64)}
+print(json.dumps(out))
+"""
+
+
+def radon_kernels(checkout: Path) -> dict:
+    """The ct Radon kernels' table bytes, peaks and times at sizes 16 and 48, on one checkout."""
+    proc = subprocess.run([sys.executable, "-c", RADON_KERNELS], cwd=checkout, check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(checkout / "src"),
+                               "OPENBLAS_NUM_THREADS": "1"})
+    return json.loads(proc.stdout)
+
+
+def radon_kernel_pairs(checkouts: dict) -> dict:
+    """``radon_kernels`` on both commits in ``PAIRS`` alternating pairs, with each
+    row's median best time per commit and the pairs the head was faster in: one
+    process's timings move with its heap layout, so one run per commit cannot
+    tell a few percent from noise."""
+    runs = {"base": [], "head": []}
+    for i in range(PAIRS):
+        for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
+            runs[side].append(radon_kernels(checkouts[side]))
+    summary = {}
+    for size in ("ct16", "ct48"):
+        for name in ("forward", "adjoint", "build_adjoint"):
+            base, head = ([r[size][name]["best_us"] for r in runs[side]] for side in ("base", "head"))
+            summary[f"{size}.{name}"] = {"base_median_us": median(base),
+                                         "head_median_us": median(head),
+                                         "head_wins": sum(h < b for b, h in zip(base, head))}
+    return {"order": "pair i runs base first when i is even, head first when i is odd",
+            "summary": summary, **runs}
+
+
 def solve_psnr(checkouts: dict) -> dict:
     """Each commit's full-solve PSNR per template, size and scene, and their drift."""
     psnrs = {}
@@ -625,6 +731,7 @@ def main(argv=None) -> int:
         report["solve_psnr"] = solve_psnr(checkouts)
         report["src_lines"] = {side: src_lines(checkout) for side, checkout in checkouts.items()}
         report["block_kernels"] = block_kernels(checkouts["head"])
+        report["radon_kernels"] = radon_kernel_pairs(checkouts)
         report["cli_outputs"] = cli_outputs(checkouts, scratch)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
