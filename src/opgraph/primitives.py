@@ -171,8 +171,9 @@ def _shift_plan(shifts, shape, rows_first: bool = False) -> tuple:
 
     Returns (pads, starts, weights, rows_first, plane indices 0..Q-1).  Per
     axis: the zero padding (before, after), each tap's window start per
-    plane, and the (1 - w, w, w == 0) weights as (Q, 1, 1) columns, or None
-    when every plane's shift on that axis is an integer (one tap).
+    plane, and the weights (1 - w, w) as (Q, 1, 1) columns with the indices
+    of the planes where w == 0 (None if there are none), or None when every
+    plane's shift on that axis is an integer (one tap).
     """
     shifts = np.asarray(shifts, dtype=np.float64).reshape(-1, 2)
     pads, starts, weights = [], [], []
@@ -187,25 +188,27 @@ def _shift_plan(shifts, shape, rows_first: bool = False) -> tuple:
         pads.append((lo, max(0, int(-k.min()))))
         starts.append(tuple(lo - k - t for t in range(taps)))
         col = (-1, 1, 1)
-        zero = (w == 0.0).reshape(col)
+        zero = np.flatnonzero(w == 0.0)
         weights.append(None if taps == 1 else
-                       ((1.0 - w).reshape(col), w.reshape(col), zero if zero.any() else None))
+                       ((1.0 - w).reshape(col), w.reshape(col), zero if len(zero) else None))
     return pads, starts, weights, rows_first, np.arange(len(shifts))
 
 
 def _lerp(taps, weights):
-    """(1 - w) a + w b per plane of the taps (a, b), written over b; a alone
-    where w == 0, so a whole-pixel shift takes its single tap and a -0.0
-    input stays -0.0.  Float addition commutes, so adding (1 - w) a to w b
-    gives the bytes of (1 - w) a + w b."""
+    """(1 - w) a + w b per plane of the taps (a, b), written over them (each
+    tap is a fresh array); a alone on the planes where w == 0, so a
+    whole-pixel shift takes its single tap and a -0.0 input stays -0.0: there
+    1 - w is 1.0, and a * 1.0 is a bit for bit.  Float products and sums
+    commute, so adding (1 - w) a to w b gives the bytes of (1 - w) a + w b."""
     if weights is None:
         return taps[0]
     one_minus, w, zero = weights
     a, out = taps
+    a *= one_minus
     out *= w
-    out += one_minus * a
+    out += a
     if zero is not None:
-        np.copyto(out, a, where=zero)
+        out[zero] = a[zero]
     return out
 
 

@@ -32,8 +32,12 @@ iterations.
 
 A :class:`Tensor` is built only where data enters a solve (``y``) and where
 its result leaves (``x_hat``); iterations, power iteration and the residual
-run the graph's array methods, and since a pass-through graph hands its
-input back, no solver writes into an array it passed to the operator.
+run the graph's array methods.  A solver writes only into arrays it made and
+no longer reads.  An operator's output can be the solver's own input (a
+pass-through graph hands its input back), and the iterate x stays readable
+for a restart and as the best iterate, so the momentum point and its forward
+are each made in one new array and updated in place, and a gradient step is
+written over the adjoint of a residual the step has just made.
 
 A pin's spectral-norm estimate is made once per compiled operator and kept
 on it, and ``Template.operator()`` compiles a template's nominal operator
@@ -70,6 +74,9 @@ _BLOCK_ELEMENTS = 8192
 _PROX_STEPS = 10
 # iterations of the spectral-norm estimate, started from seed 0
 _POWER_ITERS = 50
+# the clip ufunc itself: ndarray.clip reaches it through a Python wrapper,
+# which costs about as much as the clip on a prox's few thousand elements
+_clip = np._core.umath.clip
 
 
 class SolverError(CodedError):
@@ -116,7 +123,8 @@ def _tv_norms(stack: np.ndarray) -> np.ndarray:
     k = len(stack)
     tv = np.zeros(k)
     for d in range(1, stack.ndim):
-        tv += np.abs(np.diff(stack, axis=d)).reshape(k, -1).sum(axis=1)
+        diff = np.diff(stack, axis=d)
+        tv += np.abs(diff, out=diff).reshape(k, -1).sum(axis=1)
     return tv
 
 
@@ -151,8 +159,10 @@ def _tv_prox_stack(a: np.ndarray, lam: float, n_inner: int = _PROX_STEPS) -> np.
     buffer over the flattened stack, with the slot at axis d's last index
     kept at +0.0, behind a zero guard as long as the largest stride.  The
     projected duals alternate between two (ndim, K * size) buffers, which
-    also hold each step's primal terms and dual gradient.  With s_d the flat
-    stride of inner axis d:
+    also hold each step's primal terms and dual gradient; the terms are
+    summed straight into the primal u, which is then scaled and subtracted
+    from a in place, so no other stack-sized buffer is made.  With s_d the
+    flat stride of inner axis d:
     - D_d u is one contiguous subtract of the flat u against itself shifted
       by s_d.  It also writes the "wrap" slots at axis d's last index, which
       pair values that are not neighbours: for d > 0 the next row's first
@@ -182,10 +192,8 @@ def _tv_prox_stack(a: np.ndarray, lam: float, n_inner: int = _PROX_STEPS) -> np.
     early = [stacked[d, guard - s:guard - s + size] for d, s in enumerate(strides)]
     # the last projected dual starts at 0; the other buffer is written first
     pair = np.zeros((2, ndim, size))
-    div = np.empty(a.shape)
     u = np.empty(a.shape)
     uf = u.reshape(-1)
-    div_flat = div.reshape(-1)
 
     def grad_views(buf):
         nd = buf.reshape((ndim,) + a.shape)
@@ -199,9 +207,9 @@ def _tv_prox_stack(a: np.ndarray, lam: float, n_inner: int = _PROX_STEPS) -> np.
         # the axes in order, so a -0.0 term sums to +0.0 as Python's sum() does.
         for d in range(ndim):
             np.subtract(early[d], duals[d], out=terms[d])
-        np.add.reduce(terms, axis=0, initial=0.0, out=div_flat)
-        np.multiply(div, scale, out=div)
-        np.subtract(a, div, out=u)
+        np.add.reduce(terms, axis=0, initial=0.0, out=uf)
+        np.multiply(u, scale, out=u)
+        np.subtract(a, u, out=u)
 
     t = 1.0
     n = max(1, n_inner)
@@ -215,9 +223,9 @@ def _tv_prox_stack(a: np.ndarray, lam: float, n_inner: int = _PROX_STEPS) -> np.
             w.fill(0.0)
         q += duals
         if i == n - 1:
-            q.clip(-box, box, out=duals)
+            _clip(q, -box, box, out=duals)
             break
-        q.clip(-box, box, out=q)
+        _clip(q, -box, box, out=q)
         # r = q + beta (q - q_last); q stays in its buffer as the next q_last
         t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
         np.subtract(q, last, out=last)
@@ -282,10 +290,22 @@ def pin_step(g: GraphOperator, cfg: dict) -> dict:
 
     ``g`` keeps its estimate, so power iteration runs once per compiled
     operator; a nonlinear graph or a zero estimate keeps nothing and raises
-    on every pin.
+    on every pin.  A FISTA-TV config must give ``iters`` >= 1 and a
+    nonnegative ``lambda_tv``; it is checked before any estimate, so a bad
+    one fails before power iteration or a calibration runs.
     """
     cfg = dict(cfg)
-    if cfg.get("name") == "fista_tv" and cfg.get("step", "auto") == "auto":
+    if cfg.get("name") != "fista_tv":
+        return cfg
+    for key in ("iters", "lambda_tv"):
+        if key not in cfg:
+            raise SolverError("BAD_CONFIG", f"fista_tv needs {key!r}")
+    iters, lam_tv = int(cfg["iters"]), float(cfg["lambda_tv"])
+    if iters < 1:
+        raise SolverError("BAD_CONFIG", f"need iters >= 1, got {iters}")
+    if lam_tv < 0:
+        raise SolverError("BAD_CONFIG", f"lambda_tv must be nonnegative, got {lam_tv}")
+    if cfg.get("step", "auto") == "auto":
         norm_sq = g._norm_sq or power_iteration(g)
         lam = norm_sq * _STEP_MARGIN
         if lam <= 0.0:
@@ -301,8 +321,27 @@ def pin_step(g: GraphOperator, cfg: dict) -> dict:
 
 def _gradient_step(A: BlockOperator, z: np.ndarray, az: np.ndarray, ys: np.ndarray,
                    step: float) -> np.ndarray:
-    """z_k - step * A_k^T (A_k z_k - y_k) for each problem k of the block, given A z."""
-    return z - step * _primal(A.adjoint(az - ys))
+    """z_k - step * A_k^T (A_k z_k - y_k) for each problem k of the block, given A z.
+
+    Written over the adjoint's output, which is fresh: its input is the
+    residual made here.  A complex output's real part is a strided view, so it
+    is scaled into a new array, which keeps the prox's input C-contiguous.
+    """
+    g = A.adjoint(az - ys)
+    if np.iscomplexobj(g):
+        g = g.real * step
+    else:
+        g *= step
+    return np.subtract(z, g, out=g)
+
+
+def _momentum(c: np.ndarray, x: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """c_k + beta_k (c_k - x_k) for each row k, made in one new array: IEEE
+    products and sums commute, so its bytes are those of the expression."""
+    out = np.subtract(c, x)
+    out *= beta.reshape((len(c),) + (1,) * (c.ndim - 1))
+    out += c
+    return out
 
 
 def _fista_tv(gs, A: BlockOperator, ys: np.ndarray, iters: int, lam_tv: float, step: float):
@@ -322,7 +361,10 @@ def _fista_tv(gs, A: BlockOperator, ys: np.ndarray, iters: int, lam_tv: float, s
     best_x, best_f = list(x), list(f_x)
     traces = [[f] for f in f_x]
     for _ in range(iters):
-        cand = _prox(_gradient_step(A, z, az, ys, step), lam)
+        v = _gradient_step(A, z, az, ys, step)
+        del z, az  # dead until the next momentum step: freed before the prox runs
+        cand = _prox(v, lam)
+        del v
         ac, f_c = objectives(A, ys, cand)
         # momentum overshoot: restart these and take a plain proximal step from x
         restart = [k for k in range(n) if f_c[k] > f_x[k]]
@@ -336,9 +378,9 @@ def _fista_tv(gs, A: BlockOperator, ys: np.ndarray, iters: int, lam_tv: float, s
                 cand[k], ac[k], f_c[k] = c, a, f
         t_next = [(1.0 + math.sqrt(1.0 + 4.0 * tk * tk)) / 2.0 for tk in t]
         beta = np.array([(tk - 1.0) / tn for tk, tn in zip(t, t_next)])
-        z = cand + beta.reshape((n,) + (1,) * (x.ndim - 1)) * (cand - x)
+        z = _momentum(cand, x, beta)
         # A is linear: A z = A c + beta (A c - A x), from forwards already held
-        az = ac + beta.reshape((n,) + (1,) * (ac.ndim - 1)) * (ac - ax)
+        az = _momentum(ac, ax, beta)
         x, ax, f_x, t = cand, ac, f_c, t_next
         for k in range(n):
             traces[k].append(f_x[k])
@@ -412,10 +454,10 @@ def reconstruct_block(gs, ys, cfg: dict) -> list[ReconResult]:
     """``reconstruct`` of each problem (gs[k], ys[k]), in order.
 
     FISTA-TV solves the block in lockstep, each result byte for byte its solo
-    solve; its config gives ``iters`` and ``lambda_tv``, its operators must
-    share an input shape (the graph's boundary check rejects any other), and a
-    block of more than one needs a pinned ``step``.  FBP and the adjoint map
-    solve one problem at a time.
+    solve; its config gives ``iters`` and ``lambda_tv`` (``pin_step`` checks
+    them), its operators must share an input shape (the graph's boundary check
+    rejects any other), and a block of more than one needs a pinned ``step``.
+    FBP and the adjoint map solve one problem at a time.
     """
     if len(gs) != len(ys):
         raise SolverError(
@@ -446,18 +488,10 @@ def reconstruct_block(gs, ys, cfg: dict) -> list[ReconResult]:
         _require_adjoint(g)
         if g.input_dtype != "real64":
             raise SolverError("COMPLEX_PRIMAL", "FISTA-TV supports real-valued signals only")
-    for key in ("iters", "lambda_tv"):
-        if key not in cfg:
-            raise SolverError("BAD_CONFIG", f"fista_tv needs {key!r}")
-    iters = int(cfg["iters"])
-    if iters < 1:
-        raise SolverError("BAD_CONFIG", f"need iters >= 1, got {iters}")
-    lam_tv = float(cfg["lambda_tv"])
-    if lam_tv < 0:
-        raise SolverError("BAD_CONFIG", f"lambda_tv must be nonnegative, got {lam_tv}")
     if len(gs) > 1 and cfg.get("step", "auto") == "auto":
         raise SolverError("BAD_CONFIG", "a block of problems needs a pinned step")
-    step = float(pin_step(gs[0], cfg)["step"])
+    cfg = pin_step(gs[0], cfg)
+    iters, lam_tv, step = int(cfg["iters"]), float(cfg["lambda_tv"]), float(cfg["step"])
     if step <= 0:
         raise SolverError("BAD_CONFIG", f"step must be positive, got {step}")
 

@@ -319,6 +319,23 @@ class TestExitCodes:
         assert rc == 2
         assert "BAD_CONFIG: fista_tv needs 'iters'" in capsys.readouterr().err
 
+    def test_tv_config_fails_before_any_estimate_or_calibration(self, tmp_path, monkeypatch,
+                                                                capsys):
+        from opgraph import protocol
+
+        calls = []
+        estimate, calibrate = solvers.power_iteration, protocol.calibrate
+        monkeypatch.setattr(solvers, "power_iteration",
+                            lambda g: calls.append("power_iteration") or estimate(g))
+        monkeypatch.setattr(protocol, "calibrate",
+                            lambda *a: calls.append("calibrate") or calibrate(*a))
+        rc = main(["scenario", "--modality", "ct", "--size", "16", "--theta-true", "3.0",
+                   "--solver", "fista_tv", "--calib", "alg1", "--scenes", "1",
+                   "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert "BAD_CONFIG: fista_tv needs 'iters'" in capsys.readouterr().err
+        assert calls == []
+
     def test_unknown_solver_name_exits_two(self, tmp_path, capsys):
         rc = main(["scenario", "--modality", "cacti", "--size", "8", "--theta-true",
                    "1.0", "-0.5", "--solver", "gap_tv", "--out", str(tmp_path / "r")])

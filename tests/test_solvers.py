@@ -1,5 +1,7 @@
 """TV machinery, step estimation, and the four reconstruction solvers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from reference_models import (
@@ -192,6 +194,46 @@ def test_tv_prox_calls_return_fresh_arrays():
     assert not np.shares_memory(first, a)
 
 
+def test_tv_prox_stack_keeps_one_primal_buffer():
+    """A size-48 cassi cube's prox holds its three dual buffers, the stride
+    guard and the primal u, and no second stack-sized buffer."""
+    a = Rng(8).standard_normal((1, 48, 48, 12))
+    ndim = a.ndim - 1
+    duals = 3 * ndim * a.nbytes
+    guard = ndim * 48 * 12 * a.itemsize
+    bound = duals + guard + 1.5 * a.nbytes  # 2,336,256 B
+    tracemalloc.start()
+    try:
+        _tv_prox_stack(a, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
+def test_prox_clip_is_the_clip_ufunc():
+    """The prox calls numpy 2's private ``clip`` ufunc, which ``ndarray.clip``
+    reaches through a Python wrapper; its bytes are the method's, signed zeros
+    and values at and beyond the box included."""
+    assert np.__version__.split(".")[0] == "2"
+    assert isinstance(np._core.umath.clip, np.ufunc)
+    assert solvers._clip is np._core.umath.clip
+    box = 4.0 * 3 * 0.0125
+    beyond = np.nextafter(box, np.inf)
+    edges = [0.0, -0.0, box, -box, beyond, -beyond, 2.0 * box, -2.0 * box,
+             np.nextafter(box, 0.0), -np.nextafter(box, 0.0), 1e300, -1e300, np.inf, -np.inf]
+    a = np.concatenate([edges, Rng(9).standard_normal((64,)) * box * 2.0]).reshape(2, -1)
+    want, got = np.empty_like(a), np.empty_like(a)
+    a.clip(-box, box, out=want)
+    solvers._clip(a, -box, box, out=got)
+    assert got.tobytes() == want.tobytes()
+    assert np.signbit(got[0, :2]).tolist() == [False, True]
+    # in place, as the prox's inner steps call it
+    b = a.copy()
+    solvers._clip(b, -box, box, out=b)
+    assert b.tobytes() == want.tobytes()
+
+
 def test_tv_prox_scalar_is_identity():
     a = np.array(-2.5)
     u = tv_prox(a, 0.3)
@@ -246,9 +288,9 @@ def test_power_iteration_bounds_operator_norm(modality):
 
 
 @pytest.mark.parametrize("cfg, pinned", [
-    ({"name": "fista_tv"}, True),
-    ({"name": "fista_tv", "step": "auto"}, True),
-    ({"name": "fista_tv", "step": 0.25}, False),
+    ({"name": "fista_tv", "iters": 5, "lambda_tv": 0.01}, True),
+    ({"name": "fista_tv", "iters": 5, "lambda_tv": 0.01, "step": "auto"}, True),
+    ({"name": "fista_tv", "iters": 5, "lambda_tv": 0.01, "step": 0.25}, False),
     ({"name": "fbp"}, False),
 ])
 def test_pin_step(cfg, pinned):
@@ -299,9 +341,22 @@ def test_failed_pins_raise_on_every_pin(monkeypatch):
     for g, code in ((nonlinear, "NONLINEAR"), (zero, "ZERO_OPERATOR")):
         for _ in range(2):
             with pytest.raises(SolverError, match=f"^{code}"):
-                pin_step(g, {"name": "fista_tv"})
+                pin_step(g, {"name": "fista_tv", "iters": 5, "lambda_tv": 0.01})
     # nothing is kept from a failed estimate, so each pin runs one
     assert len(estimated) == 4
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"name": "fista_tv", "lambda_tv": 0.0}, "fista_tv needs 'iters'"),
+    ({"name": "fista_tv", "iters": 5}, "fista_tv needs 'lambda_tv'"),
+    ({"name": "fista_tv", "iters": 0, "lambda_tv": 0.0}, "need iters >= 1"),
+    ({"name": "fista_tv", "iters": 5, "lambda_tv": -1.0}, "lambda_tv must be nonnegative"),
+])
+def test_pin_step_checks_the_tv_config_before_estimating(monkeypatch, cfg, message):
+    estimated = _count_estimates(monkeypatch)
+    with pytest.raises(SolverError, match=f"^BAD_CONFIG: {message}"):
+        pin_step(instantiate("spc", 8).operator(), cfg)
+    assert estimated == []
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +704,7 @@ def _problems_with_distinct_measurements(modality):
     t = instantiate(modality, 11)
     g = t.operator()
     ys = [g.forward(ph.data) for ph in make_phantoms(t, 3, seed=1)]
-    return g, ys, pin_step(g, {"name": "fista_tv"})["step"]
+    return g, ys, pin_step(g, {"name": "fista_tv", "iters": 10, "lambda_tv": 0.05})["step"]
 
 
 @pytest.mark.parametrize("modality", [None, "cassi", "cacti", "spc", "ct", "mri", "lensless"])

@@ -35,7 +35,13 @@ K = 1, 2, 8 and 32, with whether their bytes agree.  ``radon_kernels`` gives, on
 each commit, in ten alternating pairs, the ct Radon table's bytes and the
 tracemalloc peak, best time and output hash of one forward, one adjoint and one
 table build plus adjoint at sizes 16 and 48, and the ct template's adjoint
-certificates at sizes 8, 16 and 64.
+certificates at sizes 8, 16 and 64.  ``solve_ab`` times, in one process that
+imports both commits' ``opgraph`` under two package names, one full FISTA-TV
+solve per TV-solved template at size 48 and one K = 8 cassi-16 calibration
+block, in ABBA order with ``time.process_time``, which commit runs first
+rotating from repeat to repeat; it gives each row's median head/base ratio
+and the repeats the head won, and whether both commits' outputs agree byte
+for byte.
 Where a case's files differ, each file's largest absolute numeric drift is
 recorded with the field it occurs in, over all fields but the eval counts
 that ``counts`` holds, over the PSNR fields and under each top-level key, with every field that differs otherwise
@@ -560,6 +566,98 @@ print(json.dumps(out))
 """
 
 
+# Times, in one process, each commit's solvers on the same inputs: both commits'
+# ``opgraph`` are imported under two package names (the source uses relative
+# imports only), and each builds its own templates, operators and measurements
+# from the same seeds, pinned outside the timing.  A row is one full solve of a
+# TV-solved template at size 48 (the template's solver, noisy measurement of the
+# nominal operator, seed 0) or one K = 8 lockstep block of cassi-16 calibration
+# solves at thetas drawn across the mismatch ranges.  Each repeat runs the row in
+# ABBA order with ``time.process_time``, starting with base on even repeats and
+# head on odd ones, so neither commit always runs on the heap the other left;
+# the repeat's ratio is head's two times over base's two.  ``bytes_equal`` says
+# whether both commits' x_hat and objective traces agree.
+SOLVE_AB = """
+import hashlib, importlib.util, json, sys, time
+from statistics import median
+import numpy as np
+
+REPEATS = int(sys.argv[3])
+
+def load(name, src):
+    spec = importlib.util.spec_from_file_location(
+        name, f"{src}/opgraph/__init__.py", submodule_search_locations=[f"{src}/opgraph"])
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pkg
+    spec.loader.exec_module(pkg)
+    return {m: importlib.import_module(f"{name}.{m}") for m in ("solvers", "templates", "tensor")}
+
+def rows(lib):
+    solvers, templates, tensor = lib["solvers"], lib["templates"], lib["tensor"]
+    out = {}
+    for modality in ("cassi", "cacti", "spc", "mri", "lensless"):
+        t = templates.instantiate(modality, 48)
+        g = t.operator()
+        cfg = solvers.pin_step(g, t.solver)
+        x = templates.make_phantoms(t, 1, seed=0)[0].data
+        y = templates.apply_noise(g.forward(x), t.noise, tensor.Rng(0, 1))
+        out[f"{modality}48"] = lambda g=g, y=y, cfg=cfg: [solvers.reconstruct(g, y, cfg)]
+    t = templates.instantiate("cassi", 16)
+    cfg = solvers.pin_step(t.operator(), t.calib_solver)
+    lo, hi = np.array(t.family.theta_range).T
+    rng = np.random.default_rng(8)
+    gs = [t.operator(tuple(lo + (hi - lo) * rng.random(len(lo)))) for _ in range(8)]
+    y = gs[0].forward(templates.make_phantoms(t, 1, seed=0)[0].data)
+    out["cassi16_block8"] = lambda: solvers.reconstruct_block(gs, [y] * len(gs), cfg)
+    return out
+
+def digest(results):
+    h = hashlib.sha256()
+    for r in results:
+        h.update(r.x_hat.numpy().tobytes())
+        h.update(np.array(r.objective_trace).tobytes())
+    return h.hexdigest()
+
+def timed(fn):
+    start = time.process_time()
+    fn()
+    return time.process_time() - start
+
+sides = {"base": rows(load("opgraph_base", sys.argv[1])),
+         "head": rows(load("opgraph_head", sys.argv[2]))}
+report = {}
+for name in sides["base"]:
+    fns = {side: sides[side][name] for side in sides}
+    equal = digest(fns["base"]()) == digest(fns["head"]())
+    ratios, seconds = [], {"base": [], "head": []}
+    for r in range(REPEATS):
+        a, b = ("base", "head") if r % 2 == 0 else ("head", "base")
+        t = {"base": 0.0, "head": 0.0}
+        for side in (a, b, b, a):
+            t[side] += timed(fns[side])
+        ratios.append(t["head"] / t["base"])
+        for side in t:
+            seconds[side].append(t[side] / 2)
+    report[name] = {"median_ratio": median(ratios), "head_wins": sum(q < 1.0 for q in ratios),
+                    "repeats": REPEATS, "base_median_s": median(seconds["base"]),
+                    "head_median_s": median(seconds["head"]), "ratios": ratios,
+                    "bytes_equal": equal}
+print(json.dumps(report))
+"""
+SOLVE_AB_REPEATS = 12
+
+
+def solve_ab(checkouts: dict) -> dict:
+    """Both commits' solvers timed in one process, in rotating ABBA order."""
+    proc = subprocess.run([sys.executable, "-c", SOLVE_AB, str(checkouts["base"] / "src"),
+                           str(checkouts["head"] / "src"), str(SOLVE_AB_REPEATS)],
+                          cwd=ROOT, check=True, capture_output=True, text=True,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    return {"order": "repeat r runs base, head, head, base when r is even and head, "
+                     "base, base, head when r is odd; ratio is head seconds / base seconds",
+            "rows": json.loads(proc.stdout)}
+
+
 def radon_kernels(checkout: Path) -> dict:
     """The ct Radon kernels' table bytes, peaks and times at sizes 16 and 48, on one checkout."""
     proc = subprocess.run([sys.executable, "-c", RADON_KERNELS], cwd=checkout, check=True,
@@ -732,6 +830,7 @@ def main(argv=None) -> int:
         report["src_lines"] = {side: src_lines(checkout) for side, checkout in checkouts.items()}
         report["block_kernels"] = block_kernels(checkouts["head"])
         report["radon_kernels"] = radon_kernel_pairs(checkouts)
+        report["solve_ab"] = solve_ab(checkouts)
         report["cli_outputs"] = cli_outputs(checkouts, scratch)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
