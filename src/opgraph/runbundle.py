@@ -104,10 +104,15 @@ def verify_runbundle(run_dir) -> dict:
     if not manifest_path.is_file():
         raise BundleError("MISSING_MANIFEST", f"no {MANIFEST_NAME} in {run_dir}")
     manifest = json.loads(manifest_path.read_text())
+    if not isinstance(manifest, dict):
+        raise BundleError("BAD_MANIFEST", f"{manifest_path} is not a JSON object")
     files = {}
     passed = True
     for section in ("input_hashes", "output_hashes"):
-        for rel, expected in manifest.get(section, {}).items():
+        hashes = manifest.get(section, {})
+        if not (isinstance(hashes, dict) and all(isinstance(h, str) for h in hashes.values())):
+            raise BundleError("BAD_MANIFEST", f"{section} is not a map of file names to hashes")
+        for rel, expected in hashes.items():
             p = Path(rel)
             full = p if p.is_absolute() else run_dir / p
             if not full.is_file():

@@ -107,6 +107,13 @@ class TestVerify:
         with pytest.raises(BundleError, match="MISSING_MANIFEST"):
             verify_runbundle(tmp_path)
 
+    @pytest.mark.parametrize("manifest", ["[]", '{"output_hashes": ["a"]}',
+                                          '{"input_hashes": {"y.opt": 1}}'])
+    def test_malformed_manifest_errors(self, tmp_path, manifest):
+        (tmp_path / MANIFEST_NAME).write_text(manifest)
+        with pytest.raises(BundleError, match="BAD_MANIFEST"):
+            verify_runbundle(tmp_path)
+
     def test_report_carries_provenance(self, tmp_path):
         _make_run(tmp_path)
         report = verify_runbundle(tmp_path)

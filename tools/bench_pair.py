@@ -1,52 +1,56 @@
-"""Benchmark two commits side by side with perfbench and write a BENCH json.
+"""Benchmark two commits side by side and write a BENCH json.
 
     python3 tools/bench_pair.py --base 24c63e7 --head HEAD --out BENCH_6.json
 
-Both commits are exported with ``git archive`` into a scratch directory, so
-each runs ``perfbench/run.py`` from its own committed files.  The protocol is
-fixed: ten pairs per workload at seeds 11-20 and 5 s per run; pair ``i`` runs
-every workload at seed ``11 + i`` on both commits, even pairs base first and
-odd pairs head first.  The output records the core count, each end-to-end
-metric's per-run values with their median and quartiles, how many pairs the
-head won, the rounds each run fitted, the ``breakdown`` figures with whether
-``calib_evals`` and the PSNRs are equal pair by pair (``breakdown_equal_6sig``:
-perfbench prints them to 6 significant digits, so this reads true under
-rounding drift and cannot show byte identity) and each one's largest
-pair-by-pair absolute difference (``breakdown_max_abs_diff``), the median of three traced runs
-of each workload per commit at seeds 11-13 (layer times, call counts and solver
-iterations; one traced run cannot tell a small change from noise), each run
-one round long (``--seconds 0``) so that its counts are whole and equal
-programs read equal counts, and
-whether a few ``scenario``, ``diagnose`` and ``calibrate`` CLI runs write
-byte-identical result files on both commits, with each run's wall seconds
-(one run each, process start included) and peak RSS (the child's
-``ru_maxrss`` from ``os.wait4``); only these ``cli_outputs`` show
-byte identity.  ``trace.meaning`` says what the traced figures that depend
-on how the program calls its kernels count.  ``fista_forwards`` counts, in
-process, the operator forwards and restarts of one full FISTA-TV solve per
-modality on each commit, ``power_iterations``, in process, the spectral-norm
-estimates of rounds 1 and 2 of each workload on each commit (a traced run is
-round 1 only), ``solve_psnr`` the PSNR of one full noisy solve per
-TV-solved template at sizes 16 and 32, seeds 0-2, on each commit, with the
-head's drift from the base, ``src_lines`` the line count of
-``src/opgraph/*.py`` of each commit, and ``block_kernels`` times, on the
-head, each node kind's block kernel against its K solo calls at
-K = 1, 2, 8 and 32, with whether their bytes agree.  ``radon_kernels`` gives, on
-each commit, in ten alternating pairs, the ct Radon table's bytes and the
-tracemalloc peak, best time and output hash of one forward, one adjoint and one
-table build plus adjoint at sizes 16 and 48, and the ct template's adjoint
-certificates at sizes 8, 16 and 64.  ``solve_ab`` times, in one process that
-imports both commits' ``opgraph`` under two package names, one full FISTA-TV
-solve per TV-solved template at size 48 and one K = 8 cassi-16 calibration
-block, in ABBA order with ``time.process_time``, which commit runs first
-rotating from repeat to repeat; it gives each row's median head/base ratio
-and the repeats the head won, and whether both commits' outputs agree byte
-for byte.
-Where a case's files differ, each file's largest absolute numeric drift is
-recorded with the field it occurs in, over all fields but the eval counts
-that ``counts`` holds, over the PSNR fields and under each top-level key, with every field that differs otherwise
-(present on one side only, lists of different lengths, unequal non-numeric
-values).  Standard library only.
+Both commits are exported with ``git archive``.  The head's ``perfbench/`` and
+``BENCHMARK.json`` are laid over the base's export, so one harness measures
+both programs, and each export's ``src/`` is byte-compiled before anything
+runs.  Standard library only.  What each key holds:
+
+``nproc``, ``platform``, ``revisions``, ``harness``: the machine, each commit
+and its source tree, and the commit and ``perfbench`` tree both exports run.
+
+``seconds``, ``seeds``, ``order``, ``workloads``: perfbench in one process per
+run and export, ten pairs per workload at seeds 11-20, 5 s per run, even pairs
+base first: each end-to-end metric's runs, median, quartiles and head wins
+(ties count for neither), each run's rounds, and the ``breakdown`` figures,
+equal to perfbench's 6 significant digits or not, with their largest drift.
+From BENCH_39 on ``setup_s`` times importing bytecode, not compiling source.
+
+``trace``: per workload and export, the median of three traced one-round
+perfbench runs at seeds 11-13; ``trace.meaning`` says what some figures count.
+
+``power_iterations``: in one child process per export (perfbench's workloads
+import ``opgraph`` by that name), the spectral-norm estimates of rounds 1 and 2
+of each workload at seed 11.
+
+``src_lines``: each export's ``wc -l src/opgraph/*.py``.
+
+The next five come from ``PROBE``, one process that imports both exports'
+``src`` as ``opgraph_base`` and ``opgraph_head``.  ``fista_forwards``: per tree,
+the forwards and restarts of one FISTA-TV solve per modality at size 16.
+``solve_psnr``: per tree, the PSNR of one noisy solve per TV-solved template at
+sizes 16 and 32, seeds 0-2, and the head's drift.  ``block_kernels``: on the
+head, each node kind's block kernel against its K solo calls (best of 5) at
+K = 1, 2, 8 and 32, and whether their bytes agree.  ``radon_kernels``: per
+tree, the ct Radon table's bytes and the tracemalloc peak and output hash of
+one forward, one adjoint and one table build plus adjoint at sizes 16 and 48,
+and the ct adjoint certificates at sizes 8, 16 and 64; under ``rows``, the
+ABBA rows of those six calls (up to BENCH_38, times from ten process pairs).
+``solve_ab``: the ABBA rows of one solve per TV-solved template at size 48 and
+one K = 8 cassi-16 calibration block.  All ABBA rows share one loop: each
+repeat times every row base, head, head, base or the reverse, alternately, in
+a row order that rotates.  A row gives ``process_time`` and ``perf_counter``
+seconds, whether the trees' outputs agree byte for byte, and the median
+head/base ``process_time`` ratio with its percentile-bootstrap 95 % interval;
+only a row whose interval excludes 1 is a gain or a loss.
+
+``cli_outputs``: ``scenario``, ``diagnose`` and ``calibrate`` runs, one child
+process each per export: whether their result files are byte-identical, wall
+seconds (process start included) and peak RSS (``os.wait4``'s ``ru_maxrss``),
+and where files differ, the largest numeric drift overall, over PSNR fields and
+per top-level key (the eval counts go under ``counts``), with every field that
+differs otherwise.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ import hashlib
 import json
 import os
 import platform
+import random
 import shutil
 import subprocess
 import sys
@@ -205,19 +210,23 @@ def export(rev: str, dest: Path) -> dict:
     return {"rev": rev, "commit": commit, "src_tree": git("rev-parse", f"{commit}:src")}
 
 
+def python(args, cwd: Path) -> str:
+    """Run ``python args`` in ``cwd`` to completion and return its stdout."""
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True)
+    if proc.returncode != 0:
+        shown = " ".join(a for a in args if "\n" not in a)  # leaves a script's text out
+        raise RuntimeError(f"python {shown} in {cwd} exited {proc.returncode}: "
+                           f"{proc.stderr[-2000:]}")
+    return proc.stdout
+
+
 def perfbench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     # a traced run is one round: per-round averages over however many rounds
     # fit would spread a one-time cost unevenly between two equal programs
     seconds = 0 if trace else SECONDS
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", f"{seconds:g}", "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True,
-    )
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"perfbench {workload} seed {seed} in {checkout} exited "
-                           f"{proc.returncode}: {proc.stderr[-2000:]}")
+    lines = python(["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                    "--seconds", f"{seconds:g}", "--trace", str(trace)],
+                   checkout).strip().splitlines()
     result = json.loads(lines[-1])
     breakdown = next((ln for ln in lines if ln.startswith("breakdown ")), "breakdown")
     figures = {}
@@ -326,40 +335,312 @@ def drift(base, head) -> dict:
             "other_differences": [f for v, f in diffs if v is None]}
 
 
-# Counts, in one process, the operator forwards and restarts of one full template
-# FISTA-TV solve per modality (size 16, scene 0, the template's solver at its
-# pinned step).  perfbench's tracer cannot see the array runners the solvers call.
-# A block forward counts each candidate of its stack.
-FORWARD_COUNT = """
-import json
-from opgraph import graph, solvers
-from opgraph.templates import instantiate, make_phantoms
-counts = {"forwards": 0, "prox_candidates": 0}
-fwd, prox = graph.BlockOperator.forward, solvers._prox
-def forward(self, x):
-    counts["forwards"] += len(x)
-    return fwd(self, x)
-def counted_prox(stack, lam):
-    counts["prox_candidates"] += len(stack)
-    return prox(stack, lam)
-graph.BlockOperator.forward = forward
-solvers._prox = counted_prox
-out = {}
-for modality in ("cassi", "cacti", "spc", "mri", "lensless"):
-    t = instantiate(modality, 16)
-    g = t.operator()
-    y = g.forward(make_phantoms(t, 1, seed=0)[0].data)
-    cfg = solvers.pin_step(g, t.solver)
-    counts.update(forwards=0, prox_candidates=0)
-    solvers.reconstruct(g, y, cfg)
-    out[modality] = {"iters": cfg["iters"], "forwards": counts["forwards"],
-                     "restarts": counts["prox_candidates"] - cfg["iters"]}
+# Runs in one process with both trees' ``opgraph`` imported under two package
+# names (the source uses relative imports only), each building its own
+# templates, operators and inputs from the same seeds; argv is the base's and
+# the head's ``src`` and the ABBA repeats.  It prints one JSON object of raw
+# figures, which ``probe`` turns into the BENCH records.
+PROBE = """
+import os
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read when numpy loads OpenBLAS
+import hashlib, importlib, importlib.util, json, sys, time, tracemalloc
+from dataclasses import asdict
+from types import SimpleNamespace
+import numpy as np
+
+MODALITIES = ("cassi", "cacti", "spc", "mri", "lensless")
+
+def load(name, src):
+    spec = importlib.util.spec_from_file_location(
+        name, f"{src}/opgraph/__init__.py", submodule_search_locations=[f"{src}/opgraph"])
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pkg
+    spec.loader.exec_module(pkg)
+    modules = ("graph", "metrics", "primitives", "solvers", "templates", "tensor")
+    return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in modules})
+
+def calls(fn):
+    n = 1
+    while True:
+        start = time.perf_counter()
+        for _ in range(n):
+            fn()
+        if time.perf_counter() - start > 0.02 or n >= 4096:
+            return n
+        n *= 2
+
+def best(fn):
+    n = calls(fn)
+    runs = []
+    for _ in range(5):
+        start = time.perf_counter()
+        for _ in range(n):
+            fn()
+        runs.append((time.perf_counter() - start) / n)
+    return min(runs)
+
+def digest(out):
+    arrays = [out] if isinstance(out, np.ndarray) else [
+        a for r in out for a in (r.x_hat.numpy(), np.array(r.objective_trace))]
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+def fista_forwards(lib):
+    graph, solvers, templates = lib.graph, lib.solvers, lib.templates
+    counts = {"forwards": 0, "prox_candidates": 0}
+    fwd, prox = graph.BlockOperator.forward, solvers._prox
+    def forward(self, x):
+        counts["forwards"] += len(x)
+        return fwd(self, x)
+    def counted_prox(stack, lam):
+        counts["prox_candidates"] += len(stack)
+        return prox(stack, lam)
+    graph.BlockOperator.forward, solvers._prox = forward, counted_prox
+    try:
+        out = {}
+        for modality in MODALITIES:
+            t = templates.instantiate(modality, 16)
+            g = t.operator()
+            y = g.forward(templates.make_phantoms(t, 1, seed=0)[0].data)
+            cfg = solvers.pin_step(g, t.solver)
+            counts.update(forwards=0, prox_candidates=0)
+            solvers.reconstruct(g, y, cfg)
+            out[modality] = {"iters": cfg["iters"], "forwards": counts["forwards"],
+                             "restarts": counts["prox_candidates"] - cfg["iters"]}
+        return out
+    finally:
+        graph.BlockOperator.forward, solvers._prox = fwd, prox
+
+def solve_psnr(lib):
+    solvers, templates = lib.solvers, lib.templates
+    out = {}
+    for modality in MODALITIES:
+        for size in (16, 32):
+            t = templates.instantiate(modality, size)
+            g = t.operator()
+            cfg = solvers.pin_step(g, t.solver)
+            for seed in (0, 1, 2):
+                x = templates.make_phantoms(t, 1, seed=seed)[0].data
+                y = templates.apply_noise(g.forward(x), t.noise, lib.tensor.Rng(seed, 1))
+                out[f"{modality}/{size}/{seed}"] = lib.metrics.psnr(
+                    solvers.reconstruct(g, y, cfg).x_hat, x)
+    return out
+
+def peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+def radon_kernels(lib):
+    prims, out, rows = lib.primitives, {}, {}
+    for size in (16, 48):
+        p = lib.templates.instantiate("ct", size).operator()._prims["proj"].params
+        shape = (size, size)
+        key = (tuple(p["angles_deg"]), p["n_det"], p["cor_offset"], shape)
+        x = lib.tensor.Rng(3).uniform(shape)
+        y = lib.tensor.Rng(4).standard_normal((len(p["angles_deg"]), p["n_det"]))
+
+        def build_adjoint(p=p, y=y, shape=shape):
+            prims._radon_geometry.cache_clear()
+            return prims._radon_adjoint(p, y, shape)
+
+        fns = {"forward": lambda p=p, x=x: prims._radon_forward(p, x),
+               "adjoint": lambda p=p, y=y, shape=shape: prims._radon_adjoint(p, y, shape),
+               "build_adjoint": build_adjoint}
+        out[f"ct{size}"] = {"table_bytes": sum(a.nbytes for a in prims._radon_geometry(*key))}
+        for name, fn in fns.items():
+            fn()
+            if name != "build_adjoint":
+                prims._radon_geometry(*key)  # the cached table, outside the traced call
+            else:
+                prims._radon_geometry.cache_clear()
+            nbytes, result = peak(fn)
+            out[f"ct{size}"][name] = {"peak_bytes": nbytes, "sha256": digest(result)}
+            rows[f"ct{size}.{name}"] = fn
+    out["adjoint_reports"] = {
+        str(size): asdict(lib.graph.adjoint_check_graph(
+            lib.templates.instantiate("ct", size).operator(), n_trials=5, seed=0))
+        for size in (8, 16, 64)}
+    return out, rows
+
+def solve_rows(lib):
+    solvers, templates = lib.solvers, lib.templates
+    out = {}
+    for modality in MODALITIES:
+        t = templates.instantiate(modality, 48)
+        g = t.operator()
+        cfg = solvers.pin_step(g, t.solver)
+        x = templates.make_phantoms(t, 1, seed=0)[0].data
+        y = templates.apply_noise(g.forward(x), t.noise, lib.tensor.Rng(0, 1))
+        out[f"{modality}48"] = lambda g=g, y=y, cfg=cfg: [solvers.reconstruct(g, y, cfg)]
+    t = templates.instantiate("cassi", 16)
+    cfg = solvers.pin_step(t.operator(), t.calib_solver)
+    lo, hi = np.array(t.family.theta_range).T
+    rng = np.random.default_rng(8)
+    gs = [t.operator(tuple(lo + (hi - lo) * rng.random(len(lo)))) for _ in range(8)]
+    y = gs[0].forward(templates.make_phantoms(t, 1, seed=0)[0].data)
+    out["cassi16_block8"] = lambda: solvers.reconstruct_block(gs, [y] * len(gs), cfg)
+    return out
+
+def draw(shape, dtype, rng):
+    a = rng.standard_normal(shape)
+    return a + 1j * rng.standard_normal(shape) if dtype == "complex128" else a
+
+def kernel_row(kind, template, node, direction, k, block_fn, solo_fns):
+    block = block_fn()
+    equal = all(block[i].tobytes() == np.ascontiguousarray(fn()).tobytes()
+                for i, fn in enumerate(solo_fns))
+    b, s = best(block_fn), best(lambda: [fn() for fn in solo_fns])
+    return {"kind": kind, "template": template, "node": node, "direction": direction, "K": k,
+            "block_us": b * 1e6, "solo_us": s * 1e6, "speedup": s / b, "bytes_equal": equal}
+
+def block_kernels(lib):
+    prim_forward, prim_adjoint = lib.primitives.prim_forward, lib.primitives.prim_adjoint
+    rows = []
+    KINDS = {"cassi": ("mask", "disperse", "sum", "det"), "mri": ("fourier", "keep"),
+             "lensless": ("psf",), "ct": ("proj",), "spc": ()}
+    for template, nodes in KINDS.items():
+        t = lib.templates.instantiate(template, 16)
+        lo, hi = np.array(t.family.theta_range).T
+        for k in (1, 2, 8, 32):
+            rng = np.random.default_rng(k)
+            gs = [t.operator(tuple(lo + (hi - lo) * rng.random(len(lo)))) for _ in range(k)]
+            g0 = gs[0]
+            shapes = {nid: g0._node_in_shapes[nid] for nid in g0.plan_forward}
+            for nid in nodes:
+                prims = [g._prims[nid] for g in gs]
+                block = lib.primitives.PrimitiveBlock(prims)
+                solos = [lib.primitives.PrimitiveBlock([p]) for p in prims]
+                x = draw((k,) + shapes[nid], "real64" if nid in ("mask", "proj", "psf", "coil")
+                         else "complex128", rng)
+                y = np.stack([prim_forward(b, xi[None])[0] for b, xi in zip(solos, x)])
+                y = draw(y.shape, "complex128" if np.iscomplexobj(y) else "real64", rng)
+                kind = prims[0].kind.value
+                rows.append(kernel_row(kind, template, nid, "forward", k,
+                                       lambda: prim_forward(block, x),
+                                       [lambda b=b, xi=xi: prim_forward(b, xi[None])[0]
+                                        for b, xi in zip(solos, x)]))
+                if prims[0].is_linear:
+                    rows.append(kernel_row(
+                        kind, template, nid, "adjoint", k,
+                        lambda: prim_adjoint(block, y, input_shape=shapes[nid]),
+                        [lambda b=b, yi=yi: prim_adjoint(b, yi[None], input_shape=shapes[nid])[0]
+                         for b, yi in zip(solos, y)]))
+            A = lib.graph.compile_block(gs)
+            x = draw((k,) + A.input_shape, g0.input_dtype, rng)
+            y = draw((k,) + A.output_shape, g0.output_dtype, rng)
+            rows.append(kernel_row("operator", template, "", "forward", k, lambda: A.forward(x),
+                                   [lambda g=g, xi=xi: g.forward_array(xi)
+                                    for g, xi in zip(gs, x)]))
+            rows.append(kernel_row("operator", template, "", "adjoint", k, lambda: A.adjoint(y),
+                                   [lambda g=g, yi=yi: g.adjoint_array(yi)
+                                    for g, yi in zip(gs, y)]))
+    return rows
+
+def timed(fn, n):
+    fn()  # untimed: caches and lazily built tables are warm, as in a repeated call
+    cpu, wall = time.process_time(), time.perf_counter()
+    for _ in range(n):
+        fn()
+    return time.process_time() - cpu, time.perf_counter() - wall
+
+def abba(rows, repeats):
+    report = {}
+    for name, fns in rows.items():
+        report[name] = {"calls": calls(fns["base"]),
+                        "bytes_equal": digest(fns["base"]()) == digest(fns["head"]()),
+                        "cpu_s": {"base": [], "head": []}, "wall_s": {"base": [], "head": []}}
+    names = list(rows)
+    for r in range(repeats):
+        first, second = ("base", "head") if r % 2 == 0 else ("head", "base")
+        for name in names[r % len(names):] + names[:r % len(names)]:
+            row, seconds = report[name], {"base": [0.0, 0.0], "head": [0.0, 0.0]}
+            for side in (first, second, second, first):
+                cpu, wall = timed(rows[name][side], row["calls"])
+                seconds[side][0] += cpu
+                seconds[side][1] += wall
+            for side, (cpu, wall) in seconds.items():
+                row["cpu_s"][side].append(cpu / (2 * row["calls"]))
+                row["wall_s"][side].append(wall / (2 * row["calls"]))
+    return report
+
+trees = {"base": load("opgraph_base", sys.argv[1]), "head": load("opgraph_head", sys.argv[2])}
+out, rows = {"radon_kernels": {}}, {}
+for side, lib in trees.items():
+    out["radon_kernels"][side], rows[side] = radon_kernels(lib)
+radon_rows = list(rows["base"])
+out["fista_forwards"] = {side: fista_forwards(lib) for side, lib in trees.items()}
+out["solve_psnr"] = {side: solve_psnr(lib) for side, lib in trees.items()}
+out["block_kernels"] = block_kernels(trees["head"])
+for side, lib in trees.items():
+    rows[side] = {**solve_rows(lib), **rows[side]}
+timings = abba({name: {side: rows[side][name] for side in trees} for name in rows["base"]},
+               int(sys.argv[3]))
+out["ab_rows"] = list(timings)
+out["radon_ab"] = {name: timings.pop(name) for name in radon_rows}
+out["solve_ab"] = timings
 print(json.dumps(out))
 """
+AB_REPEATS = 12
+AB_ORDER = ("repeat r runs each row base, head, head, base when r is even and head, base, "
+            "base, head when r is odd, the rows in row_order from its row r on, wrapping "
+            "round; a timing is one untimed call then `calls` timed ones; a ratio is head "
+            "seconds / base seconds")
+# resamples of the percentile bootstrap behind each ABBA row's 95 % interval
+BOOTSTRAP_RESAMPLES = 10_000
+BOOTSTRAP_SEED = 0
+
+
+def median_ci(ratios, seed=BOOTSTRAP_SEED) -> list:
+    """Percentile-bootstrap 95 % interval of the median of ``ratios``."""
+    rng = random.Random(seed)
+    medians = [median(rng.choices(ratios, k=len(ratios))) for _ in range(BOOTSTRAP_RESAMPLES)]
+    cuts = quantiles(medians, n=40, method="inclusive")
+    return [cuts[0], cuts[-1]]
+
+
+def ab_summary(row: dict) -> dict:
+    """One ABBA row's head/base ratios, their median and its interval, from the raw seconds."""
+    cpu, wall = row["cpu_s"], row["wall_s"]
+    ratios = [h / b for b, h in zip(cpu["base"], cpu["head"])]
+    lo, hi = median_ci(ratios)
+    return {"median_ratio": median(ratios), "ratio_ci95": [lo, hi],
+            # a gain or a loss only when the interval excludes 1
+            "verdict": "gain" if hi < 1.0 else "loss" if lo > 1.0 else "unresolved",
+            "head_wins": sum(q < 1.0 for q in ratios), "repeats": len(ratios), "ratios": ratios,
+            "wall_ratios": [h / b for b, h in zip(wall["base"], wall["head"])],
+            "calls": row["calls"], "bytes_equal": row["bytes_equal"],
+            "base_median_s": median(cpu["base"]), "head_median_s": median(cpu["head"]),
+            "base_median_wall_s": median(wall["base"]), "head_median_wall_s": median(wall["head"])}
+
+
+def probe(checkouts: dict) -> dict:
+    """The BENCH records that the two-tree process measures."""
+    raw = json.loads(python(["-c", PROBE, str(checkouts["base"] / "src"),
+                             str(checkouts["head"] / "src"), str(AB_REPEATS)], ROOT))
+    psnrs = raw["solve_psnr"]
+    drift_db = {case: psnrs["head"][case] - psnrs["base"][case] for case in psnrs["base"]}
+    return {
+        "fista_forwards": raw["fista_forwards"],
+        "solve_psnr": {**psnrs, "drift_db": drift_db,
+                       "max_abs_drift_db": max(abs(d) for d in drift_db.values())},
+        "block_kernels": raw["block_kernels"],
+        "radon_kernels": {**raw["radon_kernels"], "order": AB_ORDER, "row_order": raw["ab_rows"],
+                          "rows": {k: ab_summary(v) for k, v in raw["radon_ab"].items()}},
+        "solve_ab": {"order": AB_ORDER, "row_order": raw["ab_rows"],
+                     "rows": {k: ab_summary(v) for k, v in raw["solve_ab"].items()}},
+    }
+
 
 # Counts, in one process, the spectral-norm estimates (``solvers.power_iteration``
 # calls) of rounds 1 and 2 of each workload after one set-up, at the seed given
-# as its argument: the traced count sees round 1 only.
+# as its argument: the traced count sees round 1 only.  It runs in the checkout,
+# because perfbench's workloads import ``opgraph`` under its own name.
 POWER_ITERATIONS = """
 import json, shutil, sys, time
 sys.path[:0] = ["perfbench", "src"]
@@ -387,341 +668,11 @@ for name in sorted(WORKLOADS):
 print(json.dumps(out))
 """
 
-# Times, on the head only, each node kind's block kernel over K operators of its
-# size-16 template at K distinct thetas (drawn from the mismatch ranges) against
-# K solo calls, each through its operator's own block of one as
-# ``GraphOperator.forward_array`` runs it; ``bytes_equal`` says whether every row
-# of the block result is its solo call's bytes.  Rows named ``operator`` time
-# the whole graph: ``compile_block``'s runner against K ``forward_array`` or
-# ``adjoint_array`` calls, which covers spc's contracted pattern pair.  Seconds
-# are the best of 5 repeats of enough calls to fill about 20 ms.
-BLOCK_KERNELS = """
-import json, time
-import numpy as np
-from opgraph.graph import compile_block
-from opgraph.primitives import PrimitiveBlock, prim_adjoint, prim_forward
-from opgraph.templates import instantiate
-
-def best(fn):
-    n = 1
-    while True:
-        start = time.perf_counter()
-        for _ in range(n):
-            fn()
-        if time.perf_counter() - start > 0.02 or n >= 4096:
-            break
-        n *= 2
-    runs = []
-    for _ in range(5):
-        start = time.perf_counter()
-        for _ in range(n):
-            fn()
-        runs.append((time.perf_counter() - start) / n)
-    return min(runs)
-
-def draw(shape, dtype, rng):
-    a = rng.standard_normal(shape)
-    return a + 1j * rng.standard_normal(shape) if dtype == "complex128" else a
-
-def row(kind, template, node, direction, k, block_fn, solo_fns):
-    block = block_fn()
-    equal = all(block[i].tobytes() == np.ascontiguousarray(fn()).tobytes()
-                for i, fn in enumerate(solo_fns))
-    b, s = best(block_fn), best(lambda: [fn() for fn in solo_fns])
-    return {"kind": kind, "template": template, "node": node, "direction": direction, "K": k,
-            "block_us": b * 1e6, "solo_us": s * 1e6, "speedup": s / b, "bytes_equal": equal}
-
-rows = []
-KINDS = {"cassi": ("mask", "disperse", "sum", "det"), "mri": ("fourier", "keep"),
-         "lensless": ("psf",), "ct": ("proj",), "spc": ()}
-for template, nodes in KINDS.items():
-    t = instantiate(template, 16)
-    lo, hi = np.array(t.family.theta_range).T
-    for k in (1, 2, 8, 32):
-        rng = np.random.default_rng(k)
-        gs = [t.operator(tuple(lo + (hi - lo) * rng.random(len(lo)))) for _ in range(k)]
-        g0 = gs[0]
-        shapes = {nid: g0._node_in_shapes[nid] for nid in g0.plan_forward}
-        for nid in nodes:
-            prims = [g._prims[nid] for g in gs]
-            block, solos = PrimitiveBlock(prims), [PrimitiveBlock([p]) for p in prims]
-            x = draw((k,) + shapes[nid], "real64" if nid in ("mask", "proj", "psf", "coil") else
-                     "complex128", rng)
-            y = np.stack([prim_forward(b, xi[None])[0] for b, xi in zip(solos, x)])
-            y = draw(y.shape, "complex128" if np.iscomplexobj(y) else "real64", rng)
-            kind = prims[0].kind.value
-            rows.append(row(kind, template, nid, "forward", k, lambda: prim_forward(block, x),
-                            [lambda b=b, xi=xi: prim_forward(b, xi[None])[0]
-                             for b, xi in zip(solos, x)]))
-            if prims[0].is_linear:
-                rows.append(row(kind, template, nid, "adjoint", k,
-                                lambda: prim_adjoint(block, y, input_shape=shapes[nid]),
-                                [lambda b=b, yi=yi: prim_adjoint(b, yi[None],
-                                                                 input_shape=shapes[nid])[0]
-                                 for b, yi in zip(solos, y)]))
-        A = compile_block(gs)
-        x = draw((k,) + A.input_shape, g0.input_dtype, rng)
-        y = draw((k,) + A.output_shape, g0.output_dtype, rng)
-        rows.append(row("operator", template, "", "forward", k, lambda: A.forward(x),
-                        [lambda g=g, xi=xi: g.forward_array(xi) for g, xi in zip(gs, x)]))
-        rows.append(row("operator", template, "", "adjoint", k, lambda: A.adjoint(y),
-                        [lambda g=g, yi=yi: g.adjoint_array(yi) for g, yi in zip(gs, y)]))
-print(json.dumps(rows))
-"""
-
-
-# Scores, in one process, one full solve of each TV-solved template at sizes 16
-# and 32 for scenes of seeds 0-2: the template's solver at its pinned step on
-# the noisy measurement of the nominal operator, PSNR against the scene.
-SOLVE_PSNR = """
-import json
-from opgraph import solvers
-from opgraph.metrics import psnr
-from opgraph.templates import apply_noise, instantiate, make_phantoms
-from opgraph.tensor import Rng
-out = {}
-for modality in ("cassi", "cacti", "spc", "mri", "lensless"):
-    for size in (16, 32):
-        t = instantiate(modality, size)
-        g = t.operator()
-        cfg = solvers.pin_step(g, t.solver)
-        for seed in (0, 1, 2):
-            x = make_phantoms(t, 1, seed=seed)[0].data
-            y = apply_noise(g.forward(x), t.noise, Rng(seed, 1))
-            out[f"{modality}/{size}/{seed}"] = psnr(solvers.reconstruct(g, y, cfg).x_hat, x)
-print(json.dumps(out))
-"""
-
-
-# Measures, in one process per commit, the ct Radon kernels at sizes 16 and 48
-# (the template's angles, detector and nominal offset): the bytes of the cached
-# table, and the tracemalloc peak and best-of-5 seconds of one forward and one
-# adjoint on that cached table and of one table build plus adjoint.  It reads
-# only names both commits have, so the two rows show where the peak went; each
-# row also gives the SHA-256 of its output.  ``adjoint_reports`` are the ct
-# template's dot-product certificates at sizes 8, 16 and 64.
-RADON_KERNELS = """
-import hashlib, json, time, tracemalloc
-from dataclasses import asdict
-import numpy as np
-from opgraph.graph import adjoint_check_graph
-from opgraph.primitives import _radon_adjoint, _radon_forward, _radon_geometry
-from opgraph.templates import instantiate
-from opgraph.tensor import Rng
-
-def best(fn):
-    n = 1
-    while True:
-        start = time.perf_counter()
-        for _ in range(n):
-            fn()
-        if time.perf_counter() - start > 0.02 or n >= 4096:
-            break
-        n *= 2
-    runs = []
-    for _ in range(5):
-        start = time.perf_counter()
-        for _ in range(n):
-            fn()
-        runs.append((time.perf_counter() - start) / n)
-    return min(runs)
-
-def peak(fn):
-    tracemalloc.start()
-    try:
-        out = fn()
-        return tracemalloc.get_traced_memory()[1], out
-    finally:
-        tracemalloc.stop()
-
-out = {}
-for size in (16, 48):
-    p = instantiate("ct", size).operator()._prims["proj"].params
-    shape = (size, size)
-    key = (tuple(p["angles_deg"]), p["n_det"], p["cor_offset"], shape)
-    x = Rng(3).uniform(shape)
-    y = Rng(4).standard_normal((len(p["angles_deg"]), p["n_det"]))
-
-    def build_adjoint():
-        _radon_geometry.cache_clear()
-        return _radon_adjoint(p, y, shape)
-
-    calls = {"forward": lambda: _radon_forward(p, x), "adjoint": lambda: _radon_adjoint(p, y, shape),
-             "build_adjoint": build_adjoint}
-    row = {"table_bytes": sum(a.nbytes for a in _radon_geometry(*key))}
-    for name, fn in calls.items():
-        fn()
-        if name != "build_adjoint":
-            _radon_geometry(*key)  # the cached table, outside the traced call
-        else:
-            _radon_geometry.cache_clear()
-        nbytes, result = peak(fn)
-        row[name] = {"peak_bytes": nbytes, "best_us": best(fn) * 1e6,
-                     "sha256": hashlib.sha256(result.tobytes()).hexdigest()}
-    out[f"ct{size}"] = row
-out["adjoint_reports"] = {
-    str(size): asdict(adjoint_check_graph(instantiate("ct", size).operator(), n_trials=5, seed=0))
-    for size in (8, 16, 64)}
-print(json.dumps(out))
-"""
-
-
-# Times, in one process, each commit's solvers on the same inputs: both commits'
-# ``opgraph`` are imported under two package names (the source uses relative
-# imports only), and each builds its own templates, operators and measurements
-# from the same seeds, pinned outside the timing.  A row is one full solve of a
-# TV-solved template at size 48 (the template's solver, noisy measurement of the
-# nominal operator, seed 0) or one K = 8 lockstep block of cassi-16 calibration
-# solves at thetas drawn across the mismatch ranges.  Each repeat runs the row in
-# ABBA order with ``time.process_time``, starting with base on even repeats and
-# head on odd ones, so neither commit always runs on the heap the other left;
-# the repeat's ratio is head's two times over base's two.  ``bytes_equal`` says
-# whether both commits' x_hat and objective traces agree.
-SOLVE_AB = """
-import hashlib, importlib.util, json, sys, time
-from statistics import median
-import numpy as np
-
-REPEATS = int(sys.argv[3])
-
-def load(name, src):
-    spec = importlib.util.spec_from_file_location(
-        name, f"{src}/opgraph/__init__.py", submodule_search_locations=[f"{src}/opgraph"])
-    pkg = importlib.util.module_from_spec(spec)
-    sys.modules[name] = pkg
-    spec.loader.exec_module(pkg)
-    return {m: importlib.import_module(f"{name}.{m}") for m in ("solvers", "templates", "tensor")}
-
-def rows(lib):
-    solvers, templates, tensor = lib["solvers"], lib["templates"], lib["tensor"]
-    out = {}
-    for modality in ("cassi", "cacti", "spc", "mri", "lensless"):
-        t = templates.instantiate(modality, 48)
-        g = t.operator()
-        cfg = solvers.pin_step(g, t.solver)
-        x = templates.make_phantoms(t, 1, seed=0)[0].data
-        y = templates.apply_noise(g.forward(x), t.noise, tensor.Rng(0, 1))
-        out[f"{modality}48"] = lambda g=g, y=y, cfg=cfg: [solvers.reconstruct(g, y, cfg)]
-    t = templates.instantiate("cassi", 16)
-    cfg = solvers.pin_step(t.operator(), t.calib_solver)
-    lo, hi = np.array(t.family.theta_range).T
-    rng = np.random.default_rng(8)
-    gs = [t.operator(tuple(lo + (hi - lo) * rng.random(len(lo)))) for _ in range(8)]
-    y = gs[0].forward(templates.make_phantoms(t, 1, seed=0)[0].data)
-    out["cassi16_block8"] = lambda: solvers.reconstruct_block(gs, [y] * len(gs), cfg)
-    return out
-
-def digest(results):
-    h = hashlib.sha256()
-    for r in results:
-        h.update(r.x_hat.numpy().tobytes())
-        h.update(np.array(r.objective_trace).tobytes())
-    return h.hexdigest()
-
-def timed(fn):
-    start = time.process_time()
-    fn()
-    return time.process_time() - start
-
-sides = {"base": rows(load("opgraph_base", sys.argv[1])),
-         "head": rows(load("opgraph_head", sys.argv[2]))}
-report = {}
-for name in sides["base"]:
-    fns = {side: sides[side][name] for side in sides}
-    equal = digest(fns["base"]()) == digest(fns["head"]())
-    ratios, seconds = [], {"base": [], "head": []}
-    for r in range(REPEATS):
-        a, b = ("base", "head") if r % 2 == 0 else ("head", "base")
-        t = {"base": 0.0, "head": 0.0}
-        for side in (a, b, b, a):
-            t[side] += timed(fns[side])
-        ratios.append(t["head"] / t["base"])
-        for side in t:
-            seconds[side].append(t[side] / 2)
-    report[name] = {"median_ratio": median(ratios), "head_wins": sum(q < 1.0 for q in ratios),
-                    "repeats": REPEATS, "base_median_s": median(seconds["base"]),
-                    "head_median_s": median(seconds["head"]), "ratios": ratios,
-                    "bytes_equal": equal}
-print(json.dumps(report))
-"""
-SOLVE_AB_REPEATS = 12
-
-
-def solve_ab(checkouts: dict) -> dict:
-    """Both commits' solvers timed in one process, in rotating ABBA order."""
-    proc = subprocess.run([sys.executable, "-c", SOLVE_AB, str(checkouts["base"] / "src"),
-                           str(checkouts["head"] / "src"), str(SOLVE_AB_REPEATS)],
-                          cwd=ROOT, check=True, capture_output=True, text=True,
-                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
-    return {"order": "repeat r runs base, head, head, base when r is even and head, "
-                     "base, base, head when r is odd; ratio is head seconds / base seconds",
-            "rows": json.loads(proc.stdout)}
-
-
-def radon_kernels(checkout: Path) -> dict:
-    """The ct Radon kernels' table bytes, peaks and times at sizes 16 and 48, on one checkout."""
-    proc = subprocess.run([sys.executable, "-c", RADON_KERNELS], cwd=checkout, check=True,
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(checkout / "src"),
-                               "OPENBLAS_NUM_THREADS": "1"})
-    return json.loads(proc.stdout)
-
-
-def radon_kernel_pairs(checkouts: dict) -> dict:
-    """``radon_kernels`` on both commits in ``PAIRS`` alternating pairs, with each
-    row's median best time per commit and the pairs the head was faster in: one
-    process's timings move with its heap layout, so one run per commit cannot
-    tell a few percent from noise."""
-    runs = {"base": [], "head": []}
-    for i in range(PAIRS):
-        for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
-            runs[side].append(radon_kernels(checkouts[side]))
-    summary = {}
-    for size in ("ct16", "ct48"):
-        for name in ("forward", "adjoint", "build_adjoint"):
-            base, head = ([r[size][name]["best_us"] for r in runs[side]] for side in ("base", "head"))
-            summary[f"{size}.{name}"] = {"base_median_us": median(base),
-                                         "head_median_us": median(head),
-                                         "head_wins": sum(h < b for b, h in zip(base, head))}
-    return {"order": "pair i runs base first when i is even, head first when i is odd",
-            "summary": summary, **runs}
-
-
-def solve_psnr(checkouts: dict) -> dict:
-    """Each commit's full-solve PSNR per template, size and scene, and their drift."""
-    psnrs = {}
-    for side, checkout in checkouts.items():
-        proc = subprocess.run([sys.executable, "-c", SOLVE_PSNR], cwd=checkout, check=True,
-                              capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": str(checkout / "src")})
-        psnrs[side] = json.loads(proc.stdout)
-    drift_db = {case: psnrs["head"][case] - psnrs["base"][case] for case in psnrs["base"]}
-    return {**psnrs, "drift_db": drift_db,
-            "max_abs_drift_db": max(abs(d) for d in drift_db.values())}
-
-
-def block_kernels(checkout: Path) -> list:
-    """The per-K table of block kernels against solo calls, on one checkout."""
-    proc = subprocess.run([sys.executable, "-c", BLOCK_KERNELS], cwd=checkout, check=True,
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(checkout / "src"),
-                               "OPENBLAS_NUM_THREADS": "1"})
-    return json.loads(proc.stdout)
-
-
-def fista_forwards(checkout: Path) -> dict:
-    """Forwards and restarts of one full FISTA-TV solve per modality."""
-    proc = subprocess.run([sys.executable, "-c", FORWARD_COUNT], cwd=checkout, check=True,
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(checkout / "src")})
-    return json.loads(proc.stdout)
-
 
 def power_iterations(checkout: Path) -> dict:
     """Spectral-norm estimates of rounds 1 and 2 of each workload, at the first seed."""
-    proc = subprocess.run([sys.executable, "-c", POWER_ITERATIONS, str(FIRST_SEED)],
-                          cwd=checkout, check=True, capture_output=True, text=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(python(["-c", POWER_ITERATIONS, str(FIRST_SEED)],
+                             checkout).strip().splitlines()[-1])
 
 
 def src_lines(checkout: Path) -> int:
@@ -788,10 +739,22 @@ def main(argv=None) -> int:
         checkouts = {"base": scratch / "base", "head": scratch / "head"}
         revs = {side: export(rev, checkouts[side])
                 for side, rev in (("base", args.base), ("head", args.head))}
+        # one harness for both programs: the head's
+        shutil.rmtree(checkouts["base"] / "perfbench")
+        shutil.copytree(checkouts["head"] / "perfbench", checkouts["base"] / "perfbench")
+        shutil.copy2(checkouts["head"] / "BENCHMARK.json", checkouts["base"])
+        # the environment may forbid writing bytecode on import, and then
+        # every run would time the compiler
+        for checkout in checkouts.values():
+            python(["-m", "compileall", "-q", "src"], checkout)
+        head = revs["head"]["commit"]
         report = {
             "nproc": os.cpu_count(),
             "platform": {"python": platform.python_version(), "machine": platform.machine()},
             "revisions": revs,
+            "harness": {"commit": head, "perfbench_tree": git("rev-parse", f"{head}:perfbench"),
+                        "setup_s": "import of src/ byte-compiled before the runs; up to "
+                                   "BENCH_38 it included compiling the source"},
             "seconds": SECONDS,
             "seeds": [FIRST_SEED + i for i in range(PAIRS)],
             "order": "pair i runs base first when i is even, head first when i is odd",
@@ -822,15 +785,10 @@ def main(argv=None) -> int:
                 side: {k: trace_median([run.get(k) for run in side_runs]) for k in TRACED}
                 for side, side_runs in runs.items()
             }
-        report["fista_forwards"] = {side: fista_forwards(checkout)
-                                    for side, checkout in checkouts.items()}
         report["power_iterations"] = {side: power_iterations(checkout)
                                       for side, checkout in checkouts.items()}
-        report["solve_psnr"] = solve_psnr(checkouts)
         report["src_lines"] = {side: src_lines(checkout) for side, checkout in checkouts.items()}
-        report["block_kernels"] = block_kernels(checkouts["head"])
-        report["radon_kernels"] = radon_kernel_pairs(checkouts)
-        report["solve_ab"] = solve_ab(checkouts)
+        report.update(probe(checkouts))
         report["cli_outputs"] = cli_outputs(checkouts, scratch)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
