@@ -106,6 +106,9 @@ def verify_runbundle(run_dir) -> dict:
     manifest = json.loads(manifest_path.read_text())
     if not isinstance(manifest, dict):
         raise BundleError("BAD_MANIFEST", f"{manifest_path} is not a JSON object")
+    volatile = manifest.get("volatile", {})
+    if not isinstance(volatile, dict):
+        raise BundleError("BAD_MANIFEST", "volatile is not a JSON object")
     files = {}
     passed = True
     for section in ("input_hashes", "output_hashes"):
@@ -127,7 +130,7 @@ def verify_runbundle(run_dir) -> dict:
         "passed": passed,
         "files": files,
         "version": manifest.get("version"),
-        "vcs_commit": manifest.get("volatile", {}).get("vcs_commit"),
+        "vcs_commit": volatile.get("vcs_commit"),
         "seeds": manifest.get("seeds", {}),
     }
 

@@ -108,7 +108,7 @@ class TestVerify:
             verify_runbundle(tmp_path)
 
     @pytest.mark.parametrize("manifest", ["[]", '{"output_hashes": ["a"]}',
-                                          '{"input_hashes": {"y.opt": 1}}'])
+                                          '{"input_hashes": {"y.opt": 1}}', '{"volatile": []}'])
     def test_malformed_manifest_errors(self, tmp_path, manifest):
         (tmp_path / MANIFEST_NAME).write_text(manifest)
         with pytest.raises(BundleError, match="BAD_MANIFEST"):

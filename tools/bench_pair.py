@@ -210,14 +210,21 @@ def export(rev: str, dest: Path) -> dict:
     return {"rev": rev, "commit": commit, "src_tree": git("rev-parse", f"{commit}:src")}
 
 
-def python(args, cwd: Path) -> str:
-    """Run ``python args`` in ``cwd`` to completion and return its stdout."""
-    proc = subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True)
-    if proc.returncode != 0:
-        shown = " ".join(a for a in args if "\n" not in a)  # leaves a script's text out
-        raise RuntimeError(f"python {shown} in {cwd} exited {proc.returncode}: "
-                           f"{proc.stderr[-2000:]}")
-    return proc.stdout
+def python(args, cwd: Path) -> tuple:
+    """Run ``python args`` in ``cwd`` to completion; return its stdout and peak RSS in MB."""
+    with tempfile.TemporaryFile("w+") as err, subprocess.Popen(
+            [sys.executable, *args], cwd=cwd, stdout=subprocess.PIPE, stderr=err,
+            text=True) as proc:
+        out = proc.stdout.read()
+        # wait4 reports the child's own ru_maxrss (KiB on Linux), as perfbench does
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            err.seek(0)
+            shown = " ".join(a for a in args if "\n" not in a)  # leaves a script's text out
+            raise RuntimeError(f"python {shown} in {cwd} exited {proc.returncode}: "
+                               f"{err.read()[-2000:]}")
+    return out, usage.ru_maxrss / 1024.0
 
 
 def perfbench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
@@ -226,7 +233,7 @@ def perfbench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     seconds = 0 if trace else SECONDS
     lines = python(["perfbench/run.py", "--workload", workload, "--seed", str(seed),
                     "--seconds", f"{seconds:g}", "--trace", str(trace)],
-                   checkout).strip().splitlines()
+                   checkout)[0].strip().splitlines()
     result = json.loads(lines[-1])
     breakdown = next((ln for ln in lines if ln.startswith("breakdown ")), "breakdown")
     figures = {}
@@ -622,7 +629,7 @@ def ab_summary(row: dict) -> dict:
 def probe(checkouts: dict) -> dict:
     """The BENCH records that the two-tree process measures."""
     raw = json.loads(python(["-c", PROBE, str(checkouts["base"] / "src"),
-                             str(checkouts["head"] / "src"), str(AB_REPEATS)], ROOT))
+                             str(checkouts["head"] / "src"), str(AB_REPEATS)], ROOT)[0])
     psnrs = raw["solve_psnr"]
     drift_db = {case: psnrs["head"][case] - psnrs["base"][case] for case in psnrs["base"]}
     return {
@@ -672,28 +679,13 @@ print(json.dumps(out))
 def power_iterations(checkout: Path) -> dict:
     """Spectral-norm estimates of rounds 1 and 2 of each workload, at the first seed."""
     return json.loads(python(["-c", POWER_ITERATIONS, str(FIRST_SEED)],
-                             checkout).strip().splitlines()[-1])
+                             checkout)[0].strip().splitlines()[-1])
 
 
 def src_lines(checkout: Path) -> int:
     """Lines of ``src/opgraph/*.py``, as ``wc -l`` counts them."""
     return sum(path.read_bytes().count(b"\n")
                for path in sorted((checkout / "src" / "opgraph").glob("*.py")))
-
-
-def run_child(argv, checkout: Path) -> float:
-    """Run ``argv`` in ``checkout`` to completion; return the child's peak RSS in MB."""
-    proc = subprocess.Popen(argv, cwd=checkout, stdout=subprocess.DEVNULL,
-                            stderr=subprocess.PIPE,
-                            env={**os.environ, "PYTHONPATH": str(checkout / "src")})
-    with proc:
-        err = proc.stderr.read()
-        # wait4 reports the child's own ru_maxrss (KiB on Linux), as perfbench does
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-    if proc.returncode != 0:
-        raise subprocess.CalledProcessError(proc.returncode, argv, stderr=err)
-    return usage.ru_maxrss / 1024.0
 
 
 def cli_outputs(checkouts: dict, scratch: Path) -> list:
@@ -703,9 +695,9 @@ def cli_outputs(checkouts: dict, scratch: Path) -> list:
         for side, checkout in checkouts.items():
             run_dir = scratch / f"cli-{side}-{i}"
             start = time.perf_counter()
-            peak_rss_mb[side] = run_child(
-                [sys.executable, "-m", "opgraph.cli", command, *flags, "--out", str(run_dir)],
-                checkout)
+            # from src/, ``-m`` imports this export's opgraph
+            _, peak_rss_mb[side] = python(
+                ["-m", "opgraph.cli", command, *flags, "--out", str(run_dir)], checkout / "src")
             seconds[side] = time.perf_counter() - start
             hashes[side] = {f: sha256(run_dir / f) for f in files}
             payloads[side] = {f: json.loads((run_dir / f).read_text()) for f in files}
