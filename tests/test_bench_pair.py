@@ -55,24 +55,35 @@ def test_summarize_counts_ties_for_neither_side():
 
 
 def test_median_ci_contains_one_for_ratios_symmetric_about_one():
-    lo, hi = bench_pair.median_ci([0.9, 0.95, 1.0, 1.05, 1.1] * 2)
+    lo, hi = bench_pair.median_ci([0.9, 0.95, 1.0, 1.05, 1.1] * 2, 12)
     assert lo < 1.0 < hi
 
 
 def test_median_ci_excludes_one_when_every_ratio_is_below_it():
-    assert bench_pair.median_ci([0.9] * 12) == [0.9, 0.9]
+    assert bench_pair.median_ci([0.9] * 12, 12) == [0.9, 0.9]
     row = {"calls": 1, "bytes_equal": True,
            "cpu_s": {"base": [1.0] * 12, "head": [0.9] * 12},
            "wall_s": {"base": [1.0] * 12, "head": [0.9] * 12}}
-    summary = bench_pair.ab_summary(row)
+    summary = bench_pair.ab_summary(row, 12)
     assert summary["verdict"] == "gain"
     assert summary["head_wins"] == 12
 
 
-def test_median_ci_repeats_with_its_seed():
+def test_median_ci_widens_with_the_number_of_rows():
+    # a same-program Radon row of a 12-row run: its lone 95 % interval
+    # excludes 1, the interval that holds for all 12 rows together does not
+    ratios = [1.024, 0.996, 0.945, 0.996, 0.992, 1.023, 0.998, 0.991, 0.993, 0.966, 0.979,
+              0.997]
+    lo1, hi1 = bench_pair.median_ci(ratios, 1)
+    lo12, hi12 = bench_pair.median_ci(ratios, 12)
+    assert hi1 < 1.0 < hi12
+    assert lo12 <= lo1
+
+
+def test_median_ci_repeats():
     ratios = [0.97, 1.02, 0.99, 1.04, 0.95, 1.01, 0.98]
-    first = json.dumps(bench_pair.median_ci(ratios, seed=3))
-    assert json.dumps(bench_pair.median_ci(ratios, seed=3)) == first
+    first = json.dumps(bench_pair.median_ci(ratios, 12))
+    assert json.dumps(bench_pair.median_ci(ratios, 12)) == first
 
 
 @pytest.mark.parametrize("script", ["PROBE", "POWER_ITERATIONS"])

@@ -15,7 +15,8 @@ run and export, ten pairs per workload at seeds 11-20, 5 s per run, even pairs
 base first: each end-to-end metric's runs, median, quartiles and head wins
 (ties count for neither), each run's rounds, and the ``breakdown`` figures,
 equal to perfbench's 6 significant digits or not, with their largest drift.
-From BENCH_39 on ``setup_s`` times importing bytecode, not compiling source.
+From BENCH_39 on ``setup_s`` times importing bytecode, not compiling source,
+so it no longer grows with the source size as perfbench's own runs do.
 
 ``trace``: per workload and export, the median of three traced one-round
 perfbench runs at seeds 11-13; ``trace.meaning`` says what some figures count.
@@ -42,8 +43,9 @@ one K = 8 cassi-16 calibration block.  All ABBA rows share one loop: each
 repeat times every row base, head, head, base or the reverse, alternately, in
 a row order that rotates.  A row gives ``process_time`` and ``perf_counter``
 seconds, whether the trees' outputs agree byte for byte, and the median
-head/base ``process_time`` ratio with its percentile-bootstrap 95 % interval;
-only a row whose interval excludes 1 is a gain or a loss.
+head/base ``process_time`` ratio with its percentile-bootstrap interval, which
+holds at 95 % for all rows together (Bonferroni); only a row whose interval
+excludes 1 is a gain or a loss.
 
 ``cli_outputs``: ``scenario``, ``diagnose`` and ``calibrate`` runs, one child
 process each per export: whether their result files are byte-identical, wall
@@ -598,24 +600,26 @@ AB_ORDER = ("repeat r runs each row base, head, head, base when r is even and he
             "base, head when r is odd, the rows in row_order from its row r on, wrapping "
             "round; a timing is one untimed call then `calls` timed ones; a ratio is head "
             "seconds / base seconds")
-# resamples of the percentile bootstrap behind each ABBA row's 95 % interval
+# resamples of the percentile bootstrap behind each ABBA row's interval
 BOOTSTRAP_RESAMPLES = 10_000
 BOOTSTRAP_SEED = 0
 
 
-def median_ci(ratios, seed=BOOTSTRAP_SEED) -> list:
-    """Percentile-bootstrap 95 % interval of the median of ``ratios``."""
-    rng = random.Random(seed)
+def median_ci(ratios, rows: int) -> list:
+    """Percentile-bootstrap interval of the median of ``ratios`` that holds at
+    95 % for all ``rows`` rows of a BENCH together: the 0.05 / (2 rows) and
+    1 - 0.05 / (2 rows) quantiles of the resampled medians (Bonferroni)."""
+    rng = random.Random(BOOTSTRAP_SEED)
     medians = [median(rng.choices(ratios, k=len(ratios))) for _ in range(BOOTSTRAP_RESAMPLES)]
-    cuts = quantiles(medians, n=40, method="inclusive")
+    cuts = quantiles(medians, n=40 * rows, method="inclusive")
     return [cuts[0], cuts[-1]]
 
 
-def ab_summary(row: dict) -> dict:
+def ab_summary(row: dict, rows: int) -> dict:
     """One ABBA row's head/base ratios, their median and its interval, from the raw seconds."""
     cpu, wall = row["cpu_s"], row["wall_s"]
     ratios = [h / b for b, h in zip(cpu["base"], cpu["head"])]
-    lo, hi = median_ci(ratios)
+    lo, hi = median_ci(ratios, rows)
     return {"median_ratio": median(ratios), "ratio_ci95": [lo, hi],
             # a gain or a loss only when the interval excludes 1
             "verdict": "gain" if hi < 1.0 else "loss" if lo > 1.0 else "unresolved",
@@ -631,6 +635,7 @@ def probe(checkouts: dict) -> dict:
     raw = json.loads(python(["-c", PROBE, str(checkouts["base"] / "src"),
                              str(checkouts["head"] / "src"), str(AB_REPEATS)], ROOT)[0])
     psnrs = raw["solve_psnr"]
+    rows = len(raw["ab_rows"])
     drift_db = {case: psnrs["head"][case] - psnrs["base"][case] for case in psnrs["base"]}
     return {
         "fista_forwards": raw["fista_forwards"],
@@ -638,9 +643,9 @@ def probe(checkouts: dict) -> dict:
                        "max_abs_drift_db": max(abs(d) for d in drift_db.values())},
         "block_kernels": raw["block_kernels"],
         "radon_kernels": {**raw["radon_kernels"], "order": AB_ORDER, "row_order": raw["ab_rows"],
-                          "rows": {k: ab_summary(v) for k, v in raw["radon_ab"].items()}},
+                          "rows": {k: ab_summary(v, rows) for k, v in raw["radon_ab"].items()}},
         "solve_ab": {"order": AB_ORDER, "row_order": raw["ab_rows"],
-                     "rows": {k: ab_summary(v) for k, v in raw["solve_ab"].items()}},
+                     "rows": {k: ab_summary(v, rows) for k, v in raw["solve_ab"].items()}},
     }
 
 
@@ -746,7 +751,9 @@ def main(argv=None) -> int:
             "revisions": revs,
             "harness": {"commit": head, "perfbench_tree": git("rev-parse", f"{head}:perfbench"),
                         "setup_s": "import of src/ byte-compiled before the runs; up to "
-                                   "BENCH_38 it included compiling the source"},
+                                   "BENCH_38 it included compiling the source, as a bare "
+                                   "perfbench run still does, so a cost that grows with "
+                                   "the source size no longer shows here"},
             "seconds": SECONDS,
             "seeds": [FIRST_SEED + i for i in range(PAIRS)],
             "order": "pair i runs base first when i is even, head first when i is odd",
